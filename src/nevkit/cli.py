@@ -182,13 +182,9 @@ def _counting_grid_rows(sc: Scenario, spec: QuadSpec) -> list[tuple[str, str, st
     coarse = replace(spec, abs_tol=max(spec.abs_tol, 1e-8),
                      rel_tol=max(spec.rel_tol, 1e-7))
     axis = np.linspace(-sc.R, sc.R, COUNTING_GRID_RESOLUTION)
-    rows = []
-    for x1 in axis:
-        for x0 in axis:
-            value = integrated_counting(sc.measure, np.array([x0, x1]), sc.r0,
-                                        coarse)
-            rows.append((_num(x0), _num(x1), _num(value)))
-    return rows
+    x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis))
+    values = integrated_counting(sc.measure, np.column_stack((x0, x1)), sc.r0, coarse)
+    return [(_num(a), _num(b), _num(v)) for a, b, v in zip(x0, x1, values)]
 
 
 def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]]],

@@ -41,6 +41,10 @@ def kappa(t, d: int):
     Accepts scalars or numpy arrays; negative arguments are rejected.
     """
     d = validate_dimension(d)
+    if isinstance(t, float) and t > 0.0:
+        # Plain-float fast path.  It calls the same numpy loops as the array
+        # path, so both return the same bits (math.log and libm pow need not).
+        return float(np.log(t)) if d == 2 else -float(np.power(t, float(2 - d)))
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kappa is defined for nonnegative arguments only")

@@ -11,14 +11,13 @@ dimension.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import bernoulli as _bernoulli_numbers
+from scipy.special import spence
 
 from .kernels import (
     BOUNDARY_RTOL,
@@ -30,6 +29,7 @@ from .kernels import (
 from .quadrature import (
     DEFAULT_SPEC,
     ErrorBudget,
+    QuadResult,
     QuadSpec,
     integrate_1d,
     sphere_mean,
@@ -281,64 +281,51 @@ def _cap_fraction(a: float, s: float, t: float, d: int) -> float:
     return 0.5 * (1.0 - c0)
 
 
-# Coefficients B_k / (k+1)! for the dilogarithm series in u = -ln(1-z).
-_LI2_COEF = tuple(float(b) / math.factorial(k + 1)
-                  for k, b in enumerate(_bernoulli_numbers(40)))
+def _shell_window(a, s, r: float, kr: float, d: int):
+    """The shell kernel where the shell crosses the sphere |x - y| = r.
 
-
-def _im_li2(x: float, theta: float) -> float:
-    """Imaginary part of the dilogarithm at x*exp(i*theta), 0 <= x <= 1.
-
-    Three classical regimes: the defining series for small modulus, the
-    reflection identity when the argument is near 1, and otherwise the
-    series in u = -ln(1-z) whose coefficients are Bernoulli numbers over
-    factorials.  All are accurate to roughly machine precision here.
+    Floats or arrays: the d = 3 window integrates in closed form and the
+    d = 2 window reduces to the imaginary part of a dilogarithm,
+    Li2(z) = spence(1 - z).
     """
-    if x <= 0.0 or theta == 0.0:
-        return 0.0
-    if x <= 0.5:
-        k = np.arange(1, 55)
-        return float(np.sum(x ** k * np.sin(k * theta) / (k * k)))
-    z = complex(x * math.cos(theta), x * math.sin(theta))
-    w = 1.0 - z
-    if abs(w) <= 0.5:
-        acc = 0.0j
-        wk = 1.0 + 0.0j
-        for k in range(1, 55):
-            wk *= w
-            acc += wk / (k * k)
-        return (math.pi ** 2 / 6.0 - cmath.log(z) * cmath.log(w) - acc).imag
-    u = -cmath.log(w)
-    acc = 0.0j
-    up = 1.0 + 0.0j
-    for coef in _LI2_COEF:
-        up *= u
-        acc += coef * up
-    return acc.imag
+    if d == 3:
+        gap = r - np.abs(a - s)
+        return gap * gap / (4.0 * a * s * r)
+    c0 = (a * a + s * s - r * r) / (2.0 * a * s)
+    theta = np.arccos(np.minimum(np.maximum(c0, -1.0), 1.0))
+    mx = np.maximum(a, s)
+    z = np.minimum(a, s) / mx * np.exp(1j * theta)
+    return (theta * (kr - np.log(mx)) + spence(1.0 - z).imag) / np.pi
 
 
-def _shell_counting_kernel(a: float, s: float, r: float, d: int) -> float:
+def _shell_counting_kernel(a, s, r: float, d: int):
     """Mean over a unit-mass shell of radius s, center distance a, of
     (kappa(r) - kappa(|x - y|)) restricted to |x - y| <= r.
 
+    ``a`` and ``s`` are floats or broadcastable arrays; floats give a float.
     Exact in every regime: the mean-value property covers a shell entirely
-    inside the ball, the d = 3 window integrates in closed form, and the
-    d = 2 window reduces to a dilogarithm.
+    inside the ball, and ``_shell_window`` covers a shell that crosses it.
     """
     kr = kappa(r, d)
-    if a == 0.0:
-        return kr - kappa(s, d) if s <= r * (1.0 + BOUNDARY_RTOL) else 0.0
-    lo = abs(a - s)
-    if lo >= r:
-        return 0.0
-    if a + s <= r:
-        return kr - kappa(max(a, s), d)
-    if d == 3:
-        return (r - lo) ** 2 / (4.0 * a * s * r)
-    c0 = (a * a + s * s - r * r) / (2.0 * a * s)
-    theta = math.acos(min(max(c0, -1.0), 1.0))
-    mx = max(a, s)
-    return (theta * (kr - math.log(mx)) + _im_li2(min(a, s) / mx, theta)) / math.pi
+    if isinstance(a, (float, int)) and isinstance(s, (float, int)):
+        a, s = float(a), float(s)
+        if a == 0.0:
+            return kr - kappa(s, d) if s <= r * (1.0 + BOUNDARY_RTOL) else 0.0
+        if abs(a - s) >= r:
+            return 0.0
+        if a + s <= r:
+            return kr - kappa(max(a, s), d)
+        return float(_shell_window(a, s, r, kr, d))
+    a, s = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(s, dtype=float))
+    out = np.zeros(a.shape)
+    centre = a == 0.0
+    out[centre] = np.where(s[centre] <= r * (1.0 + BOUNDARY_RTOL),
+                           kr - kappa(s[centre], d), 0.0)
+    inside = (a + s <= r) & ~centre
+    out[inside] = kr - kappa(np.maximum(a, s)[inside], d)
+    window = (np.abs(a - s) < r) & ~inside & ~centre
+    out[window] = _shell_window(a[window], s[window], r, kr, d)
+    return out
 
 
 def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -374,19 +361,102 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
     return float(total)
 
 
-def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                        budget: ErrorBudget | None = None) -> float:
-    """hat_d * integral_0^r of the radial counting about y divided by t**(d-1).
+# Batched integrated counting.  _PANEL_NODES: Gauss-Legendre nodes per panel
+# of the coarse rule (the fine rule has twice as many).  _BATCH_CHUNK: points
+# per vectorised block, which bounds the temporaries at about
+# _BATCH_CHUNK * panels * 3 * _PANEL_NODES values.  _GRADED_LEVELS: most
+# geometric kinks per panel set, enough for center distances down to about
+# 4**-16 r.  _TIE_ULPS: rounding slack, in ulps, below which two scan values
+# count as tied.
+_PANEL_NODES = 16
+_BATCH_CHUNK = 64
+_GRADED_LEVELS = 16
+_TIE_ULPS = 16
 
-    Evaluated per component through the equivalent form
-    integral over the closed ball B(y, r) of (kappa(r) - kappa(|x - y|)) dmu:
-    closed form for atoms (and +inf when an atom sits exactly at y), angular
-    quadrature for shells, and a nested radial integral for densities.
+
+@lru_cache(maxsize=None)
+def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights of n-point Gauss-Legendre after the change
+    of variable u = (1 - cos phi) / 2, which smooths square-root edges."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    phi = 0.5 * math.pi * (x + 1.0)
+    return 0.5 * (1.0 - np.cos(phi)), w * (0.25 * math.pi) * np.sin(phi)
+
+
+def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int,
+                  points: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of density(s) * _shell_counting_kernel(a, s, r) over s for
+    each center distance a > 0, with their n-against-2n error estimates.
+
+    Each integral runs over fixed panels between the kernel's kinks
+    |a - r|, a, a + r, the density's breakpoints and ``points``, inside the
+    window [a - r, a + r] where the kernel is nonzero.
     """
-    if r <= 0.0:
-        raise ValueError("integrated_counting: r must be positive")
+    lo = np.maximum(a - r, 0.0)
+    hi = np.maximum(np.minimum(a + r, comp.outer), lo)
+    kinks = [lo, np.abs(a - r), a, a + r, hi]
+    kinks += [np.full_like(a, p) for p in (*comp.breakpoints, *points)]
+    # Where the shell is inside the ball, kappa(s) is singular at s = 0, a
+    # distance a below the panel [a, r - a]; geometric kinks a * 4**k keep
+    # every panel at least a third of its width away from it.
+    ratio = float(np.max((r - a) / a, initial=1.0))
+    for k in range(1, min(math.ceil(math.log(ratio, 4.0)), _GRADED_LEVELS) + 1):
+        kinks.append(np.minimum(a * 4.0 ** k, np.abs(a - r)))
+    edges = np.sort(np.clip(np.column_stack(kinks), lo[:, None], hi[:, None]), axis=1)
+    left, width = edges[:, :-1, None], np.diff(edges, axis=1)
+    center_dist = a[:, None, None]
+
+    def panel_integrals(n: int) -> np.ndarray:
+        u, w = _cosine_panel_rule(n)
+        s = left + width[:, :, None] * u
+        f = comp.density(s) * _shell_counting_kernel(center_dist, s, r, d)
+        return np.where(width > 0.0, width * (f @ w), 0.0)
+
+    coarse = panel_integrals(_PANEL_NODES)
+    fine = panel_integrals(2 * _PANEL_NODES)
+    value = fine.sum(axis=1)
+    return value, np.maximum(np.abs(fine - coarse).sum(axis=1), 1e-16 * np.abs(value))
+
+
+def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, error estimates and acceptance flags of the integrated
+    counting at each row of ``pts``, without any per-point quadrature.
+
+    Rejected points are those at a density center, those of a density that
+    cannot take arrays, and those whose error estimate misses the spec's
+    tolerance; their values are meaningless.
+    """
     d = mu.dimension
-    y = as_point(y, d)
+    kr = kappa(r, d)
+    total = np.zeros(len(pts))
+    err = np.zeros(len(pts))
+    ok = np.ones(len(pts), dtype=bool)
+    for atom in mu.atoms:
+        dist = np.linalg.norm(pts - atom.location, axis=1)
+        near = dist <= r * (1.0 + BOUNDARY_RTOL)
+        total[near] += atom.mass * (kr - kappa(dist[near], d))  # dist == 0 -> +inf
+    for shell in mu.spheres:
+        a = np.linalg.norm(pts - shell.center, axis=1)
+        total += shell.mass * _shell_counting_kernel(a, shell.radius, r, d)
+    for comp in mu.radial:
+        a = np.linalg.norm(pts - comp.center, axis=1)
+        off = a > 0.0
+        if comp.coeffs is None:  # only polynomial densities take arrays
+            off[:] = False
+        ok &= off
+        if off.any():
+            value, error = _radial_block(comp, a[off], r, d, spec.singular_points)
+            total[off] += value
+            err[off] += error
+    ok &= err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    return total, np.where(ok, err, 0.0), ok
+
+
+def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec,
+                 budget: ErrorBudget | None) -> float:
+    """The integrated counting at one point, by adaptive quadrature."""
+    d = mu.dimension
     kr = kappa(r, d)
     thr = r * (1.0 + BOUNDARY_RTOL)
     total = 0.0
@@ -413,6 +483,51 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
                 label="integrated-counting")
             total += res.value
     return float(total)
+
+
+def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC, *,
+                        budget: ErrorBudget | None = None,
+                        errors: np.ndarray | None = None):
+    """hat_d * integral_0^r of the radial counting about y divided by t**(d-1).
+
+    Evaluated per component through the equivalent form
+    integral over the closed ball B(y, r) of (kappa(r) - kappa(|x - y|)) dmu:
+    closed form for atoms (and +inf when an atom sits exactly at y) and for
+    shells, and a radial integral of the shell kernel for densities.
+
+    ``y`` is one point (d,), which gives a float by adaptive quadrature, or
+    an (n, d) array of points, which gives an (n,) array.  The array form
+    integrates densities on fixed panels, charges each point's n-against-2n
+    error estimate, and sends any point whose estimate misses the spec's
+    tolerance, or that sits at a density center, to the adaptive path.
+    ``errors``, an (n,) array, receives each point's error estimate, with
+    +inf where the quadrature failed.
+    """
+    if r <= 0.0:
+        raise ValueError("integrated_counting: r must be positive")
+    d = mu.dimension
+    pts = np.asarray(y, dtype=float)
+    if pts.ndim < 2:
+        return _counting_at(mu, as_point(y, d), r, spec, budget)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
+    values = np.empty(len(pts))
+    errs = np.empty(len(pts))
+    for start in range(0, len(pts), _BATCH_CHUNK):
+        block = slice(start, start + _BATCH_CHUNK)
+        values[block], errs[block], ok = _counting_block(mu, pts[block], r, spec)
+        for i in np.flatnonzero(~ok) + start:
+            point = ErrorBudget()
+            values[i] = _counting_at(mu, pts[i], r, spec, point)
+            errs[i] = point.error if point.ok else math.inf
+    if budget is not None:
+        for value, error in zip(values, errs):
+            if error > 0.0:
+                budget.add(QuadResult(value, error, math.isfinite(error)),
+                           "integrated-counting")
+    if errors is not None:
+        errors[:] = errs
+    return values
 
 
 def difference_counting(mu: Measure, r: float, R: float,
@@ -443,9 +558,13 @@ def difference_counting(mu: Measure, r: float, R: float,
             nc = float(np.linalg.norm(comp.center))
             pts += [abs(nc - comp.outer), nc + comp.outer]
             pts += [nc + b for b in comp.breakpoints]
-        res = integrate_1d(
-            lambda t: radial_counting(cont, np.zeros(d), t, spec) / t ** (d - 1),
-            r, R, spec, points=pts, budget=budget, label="difference-counting")
+
+        def integrand(t: float) -> float:
+            inner = radial_counting(cont, np.zeros(d), t, spec, budget=budget)
+            return inner / t ** (d - 1)
+
+        res = integrate_1d(integrand, r, R, spec, points=pts, budget=budget,
+                           label="difference-counting")
         total += hat_d(d) * res.value
     return float(total)
 
@@ -505,13 +624,14 @@ def energy(mu: Measure, spec: QuadSpec = DEFAULT_SPEC, *,
             pts = [*comp.breakpoints]
             pts += [s.radius for s in mu.spheres]
             res = integrate_1d(
-                lambda s: comp.density(s) * potential(mu, c0 + s * e1, spec),
+                lambda s: comp.density(s) * potential(mu, c0 + s * e1, spec,
+                                                      budget=budget),
                 0.0, comp.outer, spec, points=pts, budget=budget, label="energy")
             total += res.value
         return float(total)
 
     def pt_vec(pts: np.ndarray) -> np.ndarray:
-        return np.array([potential(mu, p, spec) for p in pts])
+        return np.array([potential(mu, p, spec, budget=budget) for p in pts])
 
     for shell in mu.spheres:
         mean = sphere_mean(pt_vec, shell.radius, d, spec, center=shell.center,
@@ -658,6 +778,62 @@ def _project_to_component(p: np.ndarray, comp) -> np.ndarray | None:
     return None
 
 
+class _CountingWalk:
+    """State of a supremum scan that evaluates points in batches and then
+    visits them one by one, in the order of a point-by-point scan.
+
+    Only visited points count as evaluations and are charged to the budget.
+    Two values that lie within their combined error estimates (plus a few
+    ulps of rounding) are compared again through the adaptive per-point
+    path, the arbiter of a point-by-point scan, so the batch's rounding
+    never settles a near-tie.
+    """
+
+    def __init__(self, mu: Measure, r: float, spec: QuadSpec,
+                 budget: ErrorBudget | None):
+        self.mu, self.r, self.spec, self.budget = mu, r, spec, budget
+        self.best_val = -math.inf
+        self.best_err = 0.0
+        self.best_pt: np.ndarray | None = None
+        self.evaluations = 0
+        self._per_point_cache: dict[tuple[float, ...], tuple[float, float]] = {}
+
+    def evaluate(self, pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        errors = np.empty(len(pts))
+        values = integrated_counting(self.mu, np.array(pts), self.r, self.spec,
+                                     errors=errors)
+        return values, errors
+
+    def _charge(self, value: float, error: float) -> None:
+        if self.budget is not None and error > 0.0:
+            self.budget.add(QuadResult(value, error, math.isfinite(error)),
+                            "integrated-counting")
+
+    def _per_point(self, p: np.ndarray) -> tuple[float, float]:
+        key = tuple(p)
+        if key not in self._per_point_cache:
+            point = ErrorBudget()
+            value = integrated_counting(self.mu, p, self.r, self.spec, budget=point)
+            error = point.error if point.ok else math.inf
+            self._charge(value, error)
+            self._per_point_cache[key] = (value, error)
+        return self._per_point_cache[key]
+
+    def visit(self, p: np.ndarray, value: float, error: float) -> bool:
+        """Count, charge and compare one point; True when it becomes the best."""
+        self.evaluations += 1
+        self._charge(value, error)
+        scale = max(abs(value), abs(self.best_val))
+        slack = error + self.best_err + _TIE_ULPS * np.finfo(float).eps * scale
+        if math.isfinite(slack) and abs(value - self.best_val) <= slack:
+            value, error = self._per_point(p)
+            self.best_val, self.best_err = self._per_point(self.best_pt)
+        if value > self.best_val:
+            self.best_val, self.best_err, self.best_pt = value, error, p
+            return True
+        return False
+
+
 def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
                             spec: QuadSpec = DEFAULT_SPEC, *,
                             budget: ErrorBudget | None = None) -> SupResult:
@@ -665,9 +841,12 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
 
     Evaluates at every atom location in the region, at component witness
     points, and on a uniform lattice of the given per-axis resolution, then
-    refines locally around the best point (3 levels, factor 4 each).  The
-    result is a certified lower bound for the supremum; +inf is returned as
-    soon as any evaluation is +inf.  Regions: a Ball or SUPPORT.
+    walks locally around the best point (3 levels, factor 4 each), moving
+    as soon as a point improves on it.  The result is the largest value the
+    walk found: each value is a quadrature approximation whose error
+    estimate is charged to ``budget``, and the grid maximum is not a bound
+    on the supremum.  +inf is returned as soon as any evaluation is +inf.
+    Regions: a Ball or SUPPORT.
     """
     d = mu.dimension
     if d not in (2, 3):
@@ -709,40 +888,50 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
                 candidates.append((comp.center, None))
         step = 2.0 * region.radius / (resolution - 1)
 
-    evaluations = 0
-    best_val = float("-inf")
-    best_pt: np.ndarray | None = None
+    walk = _CountingWalk(mu, r, spec, budget)
     best_src: object = None
-    for p, src in candidates:
-        val = integrated_counting(mu, p, r, spec, budget=budget)
-        evaluations += 1
-        if val > best_val:
-            best_val, best_pt, best_src = val, p, src
-            if math.isinf(val):
+    values, errors = walk.evaluate([p for p, _ in candidates])
+    for (p, src), value, error in zip(candidates, values, errors):
+        if walk.visit(p, value, error):
+            best_src = src
+            if math.isinf(walk.best_val):
                 break
 
-    if best_pt is not None and not math.isinf(best_val):
+    if walk.best_pt is not None and not math.isinf(walk.best_val):
         for _ in range(3):
             step /= 4.0
             offsets = np.linspace(-4.0 * step, 4.0 * step, 9)
             mesh = np.meshgrid(*([offsets] * d), indexing="ij")
             shifts = np.column_stack([m.ravel() for m in mesh])
-            for dv in shifts:
-                q = best_pt + dv
-                if region == SUPPORT:
-                    q = _project_to_component(q, best_src)
-                    if q is None:
+            # Speculative batches: the next shifts about the current best,
+            # dropped from the first improvement on and rebuilt about it.
+            start = 0
+            while start < len(shifts):
+                batch: list[tuple[int, np.ndarray]] = []
+                k = start
+                while k < len(shifts) and len(batch) < _BATCH_CHUNK:
+                    q = walk.best_pt + shifts[k]
+                    k += 1
+                    if region == SUPPORT:
+                        q = _project_to_component(q, best_src)
+                        if q is None:
+                            continue
+                    elif not region.contains(q):
                         continue
-                elif not region.contains(q):
-                    continue
-                val = integrated_counting(mu, q, r, spec, budget=budget)
-                evaluations += 1
-                if val > best_val:
-                    best_val, best_pt = val, q
+                    batch.append((k, q))  # k: where the walk resumes after q
+                start = k
+                if not batch:
+                    break
+                values, errors = walk.evaluate([q for _, q in batch])
+                for (k, q), value, error in zip(batch, values, errors):
+                    if walk.visit(q, value, error):
+                        start = k
+                        break
 
-    result = SupResult(float(best_val),
+    best_pt = walk.best_pt
+    result = SupResult(float(walk.best_val),
                        None if best_pt is None else tuple(float(v) for v in best_pt),
-                       resolution, evaluations)
+                       resolution, walk.evaluations)
     mu._cache[key] = result
     return result
 

@@ -1,0 +1,217 @@
+"""Integrated counting: closed-form kernels against mpmath, the batched
+fixed-panel path against the adaptive per-point path, and the bundled
+supremum scans pinned to the values of the point-by-point walk."""
+
+import json
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from nevkit.cli import bundled_scenario_paths
+from nevkit.measures import (
+    SUPPORT,
+    Atom,
+    Ball,
+    Measure,
+    RadialDensity,
+    SphereShell,
+    _ball_lattice,
+    _cap_fraction,
+    _shell_counting_kernel,
+    integrated_counting,
+    sup_integrated_counting,
+)
+from nevkit.quadrature import ErrorBudget
+from nevkit.scenario import scenario_from_json
+
+mpmath.mp.dps = 30
+
+
+def _oracle_kernel(a, s, r, d):
+    """Mean over the shell of radius s, center distance a, of
+    kappa(r) - kappa(|x - y|) where |x - y| <= r, by mpmath quadrature over
+    the polar angle of the shell point."""
+    a, s, r = (mpmath.mpf(v) for v in (a, s, r))
+    c0 = (a * a + s * s - r * r) / (2 * a * s)
+    if c0 >= 1:
+        return mpmath.mpf(0)
+    phi_max = mpmath.pi if c0 <= -1 else mpmath.acos(c0)
+
+    def dist(phi):  # cancellation-free near phi = 0
+        return mpmath.sqrt((a - s) ** 2 + 4 * a * s * mpmath.sin(phi / 2) ** 2)
+
+    if d == 2:
+        f = lambda phi: (mpmath.log(r) - mpmath.log(dist(phi))) / mpmath.pi  # noqa: E731
+    else:
+        f = lambda phi: (1 / dist(phi) - 1 / r) * mpmath.sin(phi) / 2  # noqa: E731
+    return mpmath.quad(f, [0, phi_max])
+
+
+KERNEL_CASES = [
+    (0.3, 0.5, 0.4), (0.5, 0.3, 0.4), (0.9, 0.2, 1.0), (1.2, 1.1, 0.5),
+    (0.05, 1.0, 1.0), (1.0, 0.05, 1.0), (0.7, 0.7, 0.3), (1.5, 0.4, 1.3),
+    (0.75, 0.25, 0.5),  # |a - s| = r: the shell touches the sphere from inside
+    (0.25, 0.75, 0.5),  # |a - s| = r, the other way round
+    (0.25, 0.25, 0.5),  # a + s = r: the shell touches it from outside
+    (0.75, 0.25, 1.0),  # a + s = r with a > s
+]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("a, s, r", KERNEL_CASES)
+def test_shell_kernel_matches_mpmath(a, s, r, d):
+    exact = float(_oracle_kernel(a, s, r, d))
+    assert _shell_counting_kernel(a, s, r, d) == pytest.approx(exact, rel=1e-13, abs=1e-15)
+    # The array form gives the same numbers.
+    arr = _shell_counting_kernel(np.array([a, a]), np.array([s, s]), r, d)
+    assert arr[0] == _shell_counting_kernel(a, s, r, d) == arr[1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shell_kernel_random_points_match_mpmath(d):
+    rng = np.random.default_rng(20 + d)
+    for a, s, r in rng.uniform(0.05, 2.0, size=(30, 3)):
+        exact = float(_oracle_kernel(a, s, r, d))
+        assert _shell_counting_kernel(float(a), float(s), float(r), d) == pytest.approx(
+            exact, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cap_fraction_matches_mpmath(d):
+    rng = np.random.default_rng(30 + d)
+    for a, s, t in rng.uniform(0.05, 2.0, size=(50, 3)):
+        ma, ms, mt = (mpmath.mpf(float(v)) for v in (a, s, t))
+        c0 = (ma * ma + ms * ms - mt * mt) / (2 * ma * ms)
+        if c0 >= 1:
+            exact = mpmath.mpf(0)
+        elif c0 <= -1:
+            exact = mpmath.mpf(1)
+        elif d == 2:
+            exact = mpmath.acos(c0) / mpmath.pi  # arc length over half the circle
+        else:
+            exact = mpmath.quad(lambda phi: mpmath.sin(phi) / 2, [0, mpmath.acos(c0)])
+        assert _cap_fraction(float(a), float(s), float(t), d) == pytest.approx(
+            float(exact), rel=1e-13, abs=1e-15)
+    assert _cap_fraction(0.0, 0.5, 0.5, d) == 1.0
+    assert _cap_fraction(0.0, 0.5, 0.4, d) == 0.0
+
+
+# ------------------------------------------------- batched against adaptive
+
+
+def _disc_area():
+    return Measure(dimension=2,
+                   radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.0, 2.0), 1.0),))
+
+
+def _batch_against_adaptive(mu, pts, r):
+    pts = np.asarray(pts, dtype=float)
+    errors = np.empty(len(pts))
+    batch = integrated_counting(mu, pts, r, errors=errors)
+    assert batch.shape == (len(pts),)
+    assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
+    for p, value, error in zip(pts, batch, errors):
+        point = ErrorBudget()
+        adaptive = integrated_counting(mu, p, r, budget=point)
+        assert point.ok
+        assert abs(value - adaptive) <= error + point.error, (p, value, adaptive)
+
+
+def test_batch_matches_adaptive_on_corollary_lattice():
+    lattice = _ball_lattice(Ball(np.zeros(2), 2.0), 2, 13)
+    _batch_against_adaptive(_disc_area(), lattice, 1.0)
+
+
+def test_batch_matches_adaptive_on_off_center_density_d3():
+    mu = Measure(dimension=3,
+                 spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
+                 radial=(RadialDensity.from_polynomial([0.11, 0.25, 0.1], (0.0, 0.0, 40.0),
+                                                       0.33),))
+    lattice = _ball_lattice(Ball(np.zeros(3), 2.0), 3, 5)
+    _batch_against_adaptive(mu, lattice, 1.0)
+    _batch_against_adaptive(mu, np.array(lattice) * 0.2, 0.3)
+
+
+def test_batch_matches_adaptive_with_mass_density_at_center():
+    # Density 0.3 + 0.9 t: its planar mass density is singular at the center.
+    mu = Measure(dimension=2,
+                 radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.3, 0.9), 0.8),))
+    rng = np.random.default_rng(7)
+    near = [v * 10.0 ** -k for k, v in zip(range(1, 8), rng.normal(size=(7, 2)))]
+    lattice = _ball_lattice(Ball(np.zeros(2), 1.8), 2, 9)
+    _batch_against_adaptive(mu, [*lattice, *near], 0.5)
+    # Closer in, the adaptive path fails its tolerance; the fixed panels
+    # still converge, to the value at the center.
+    tiny = np.array([[7e-9, 0.0], [0.0, -1.4e-9]])
+    point = ErrorBudget()
+    integrated_counting(mu, tiny[0], 0.5, budget=point)
+    assert not point.ok
+    errors = np.empty(2)
+    values = integrated_counting(mu, tiny, 0.5, errors=errors)
+    assert np.all(errors < 1e-13)
+    assert values == pytest.approx(integrated_counting(mu, np.zeros(2), 0.5), abs=1e-7)
+
+
+def test_batch_point_at_center_and_atoms():
+    mu = _disc_area()
+    values = integrated_counting(mu, np.zeros((2, 2)), 1.0)
+    assert values[0] == values[1] == integrated_counting(mu, np.zeros(2), 1.0)
+    atoms = Measure(dimension=2, atoms=(Atom(np.array([0.3, 0.4]), 2.0),))
+    values = integrated_counting(atoms, np.array([[0.0, 0.0], [0.3, 0.4], [3.0, 0.0]]), 1.0)
+    assert values[0] == pytest.approx(-2.0 * math.log(0.5), rel=1e-15)
+    assert values[1] == math.inf and values[2] == 0.0
+
+
+def test_batch_charges_the_budget_and_rejects_bad_shapes():
+    budget = ErrorBudget()
+    pts = np.array([[0.2, 0.1], [0.5, -0.3]])
+    errors = np.empty(2)
+    integrated_counting(_disc_area(), pts, 1.0, budget=budget, errors=errors)
+    assert budget.ok and budget.error == pytest.approx(errors.sum(), rel=1e-12)
+    with pytest.raises(ValueError):
+        integrated_counting(_disc_area(), np.zeros((2, 3)), 1.0)
+
+
+# -------------------------------------------------- bundled scans, pinned
+
+# (scenario, region radius or SUPPORT, r, resolution, value, argmax,
+# evaluations) for every scan of `nevkit run --bundled`, in run order, as the
+# point-by-point walk of adaptive evaluations found them.  The corollary's
+# scan repeats statement I's and comes from the measure's cache.
+BUNDLED_SCANS = [
+    ("atomic_statements_expected_fail", 2.0, 0.5, 9, math.inf, (0.5, 0.0), 33),
+    ("atomic_statements_expected_fail", SUPPORT, 0.5, 9, math.inf, (0.5, 0.0), 1),
+    ("corollary_rational_area_measure", 2.0, 1.0, 13, 0.49999999999999983,
+     (0.0, 0.0), 357),
+    ("corollary_rational_area_measure", 1.0, 1.0, 13, 0.49999999999999983,
+     (0.0, 0.0), 357),
+    ("corollary_rational_area_measure", SUPPORT, 1.0, 13, 0.49999978133458167,
+     (-0.00037462554480735457, -0.0008568556843906025), 399),
+    ("corollary_rational_area_measure", 2.0, 1.0, 13, 0.49999999999999983,
+     (0.0, 0.0), 357),
+    ("poisson_jensen_harmonic_disc", 1.0, 0.75, 13, 0.4954435528810475,
+     (-0.5, 0.0), 357),
+    ("poisson_jensen_harmonic_disc", 0.75, 0.75, 13, 0.4954435528810475,
+     (-0.5, 0.0), 357),
+    ("poisson_jensen_harmonic_disc", SUPPORT, 0.75, 13, 0.4954435528810475,
+     (0.5, 0.0), 269),
+]
+
+
+def test_bundled_scans_replay_the_pointwise_walk():
+    scenarios = {}
+    for path in bundled_scenario_paths():
+        sc = scenario_from_json(json.loads(path.read_text()), path=path.name[:-5])
+        scenarios[sc.name] = sc
+    for name, radius, r, resolution, value, argmax, evaluations in BUNDLED_SCANS:
+        sc = scenarios[name]
+        region = SUPPORT if radius is SUPPORT else Ball(np.zeros(sc.dimension), radius)
+        res = sup_integrated_counting(sc.measure, region, r, resolution, sc.quad,
+                                      budget=ErrorBudget())
+        assert (res.argmax, res.evaluations) == (argmax, evaluations), name
+        if math.isinf(value):
+            assert res.value == value
+        else:
+            assert res.value == pytest.approx(value, abs=1e-12)

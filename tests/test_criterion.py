@@ -29,9 +29,16 @@ from nevkit.dsh import (
     positive_part_integral,
 )
 from nevkit.kernels import constant_A, kappa
-from nevkit.measures import Atom, Measure, RadialDensity, SphereShell
+from nevkit.measures import (
+    Atom,
+    Measure,
+    RadialDensity,
+    SphereShell,
+    difference_counting,
+    energy,
+)
 from nevkit.nevanlinna import classical_N, classical_T
-from nevkit.quadrature import ErrorBudget
+from nevkit.quadrature import ErrorBudget, QuadSpec
 
 
 def circle(mass=1.0, radius=1.0, center=(0.0, 0.0)):
@@ -89,6 +96,43 @@ def test_verdict_budget_failure_is_undetermined():
     budget = ErrorBudget()
     budget.failures.append("quadrature diverged")
     assert _report(1.0, 2.0, budget).verdict == UNDETERMINED
+
+
+# A spec no quadrature can meet: every adaptive integral reports failure.
+UNREACHABLE = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
+
+
+def test_lemma3_off_center_density_with_failing_quadrature_is_undetermined():
+    mu = Measure(dimension=2,
+                 radial=(RadialDensity.from_polynomial([0.3, -0.2], (0.3, 0.9), 0.6),))
+    assert verify_lemma3(mu, 1.2, 2.0).verdict == HOLDS
+    rep = verify_lemma3(mu, 1.2, 2.0, spec=UNREACHABLE)
+    assert rep.verdict == UNDETERMINED
+    # The radial counting inside the difference-counting integrand reports
+    # its own failures to the check's budget.
+    budget = ErrorBudget()
+    difference_counting(mu, 1.2, 2.0, UNREACHABLE, budget=budget)
+    assert "radial-counting" in budget.failures
+
+
+def test_statement_V_batched_fallback_with_failing_quadrature_is_undetermined():
+    mu = Measure(dimension=3,
+                 radial=(RadialDensity.from_polynomial([0.3, -0.2, 0.1], (0.0, 0.0, 3.0),
+                                                       0.5),))
+    assert check_statement_V(mu, 0.4, resolution=3).verdict == HOLDS
+    # The batched scan sends every point back to the adaptive path, which
+    # fails there; the visited points carry the failure to the verdict.
+    rep = check_statement_V(mu, 0.4, resolution=3, spec=UNREACHABLE)
+    assert rep.verdict == UNDETERMINED
+    assert "quadrature failure: integrated-counting" in rep.diagnostics
+
+
+def test_energy_reports_inner_potential_failures():
+    mu = Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 0.5, 1.0),),
+                 radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.3, 0.9), 0.8),))
+    budget = ErrorBudget()
+    energy(mu, UNREACHABLE, budget=budget)
+    assert "potential" in budget.failures
 
 
 # ---------------------------------------------------------- statement checks

@@ -38,6 +38,24 @@ def test_kappa_vectorized_matches_scalar():
             assert vi == kappa(float(ti), d)
 
 
+@given(st.floats(min_value=1e-150, max_value=1e150),
+       st.sampled_from([2, 3, 4]))
+def test_kappa_float_fast_path_matches_array_path(t, d):
+    fast = kappa(t, d)
+    assert type(fast) is float
+    assert fast == kappa(np.array([t]), d)[0] == kappa(np.asarray(t), d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_kappa_float_edge_cases(d):
+    assert kappa(0.0, d) == -math.inf
+    assert kappa(np.float64(0.0), d) == -math.inf
+    with pytest.raises(ValueError):
+        kappa(-1e-300, d)
+    with pytest.raises(ValueError):
+        kappa(np.array([1.0, -2.0]), d)
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6),
        st.floats(min_value=1e-6, max_value=1e6),
        st.integers(min_value=2, max_value=6))
