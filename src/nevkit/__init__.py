@@ -55,9 +55,7 @@ from .measures import (
     RadialDensity,
     SphereShell,
     SupResult,
-    counting_function,
     difference_counting,
-    energy,
     integrated_counting,
     measure_from_json,
     measure_to_json,
@@ -105,8 +103,8 @@ __all__ = [
     "SupResult", "UNDETERMINED", "check_corollary", "check_statement_I",
     "check_statement_II", "check_statement_IV", "check_statement_V",
     "circle_mean", "classical_N", "classical_T", "constant_A",
-    "counting_function", "difference_T", "difference_characteristic",
-    "difference_counting", "dsh_from_json", "dsh_to_json", "energy",
+    "difference_T", "difference_characteristic", "difference_counting",
+    "dsh_from_json", "dsh_to_json",
     "falsify_statement_III", "from_rational", "green_ball", "hat_d",
     "integrate_1d", "integrated_counting", "kappa", "kernel_witness",
     "load_scenario", "measure_from_json", "measure_to_json",

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -61,7 +60,6 @@ COUNTING_GRID_RESOLUTION = 21
 
 @dataclass(frozen=True)
 class RunOptions:
-    jobs: int = 1
     tol: float | None = None
     grid: int | None = None
     tight: bool = False
@@ -251,13 +249,7 @@ def _load_run_scenarios(args) -> list[Scenario]:
 
 def _run_all(scenarios: list[Scenario], options: RunOptions
              ) -> list[tuple[Scenario, list[CheckReport]]]:
-    if options.jobs > 1:
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            all_reports = list(pool.map(
-                lambda sc: execute_scenario(sc, options), scenarios))
-    else:
-        all_reports = [execute_scenario(sc, options) for sc in scenarios]
-    return list(zip(scenarios, all_reports))
+    return [(sc, execute_scenario(sc, options)) for sc in scenarios]
 
 
 def _parse_expect_fail(text: str) -> tuple[str, ...]:
@@ -272,8 +264,7 @@ def _parse_expect_fail(text: str) -> tuple[str, ...]:
 
 def _options_from_args(args) -> RunOptions:
     seed = int(os.environ.get("NEVKIT_SEED", "0"))
-    return RunOptions(jobs=max(1, args.jobs), tol=args.tol, grid=args.grid,
-                      tight=args.tight,
+    return RunOptions(tol=args.tol, grid=args.grid, tight=args.tight,
                       expect_fail=_parse_expect_fail(args.expect_fail), seed=seed)
 
 
@@ -342,8 +333,6 @@ def _cmd_list(_args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="nevkit-out", metavar="DIR",
                         help="output directory (default: nevkit-out)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run scenarios in up to N threads")
     parser.add_argument("--tol", type=float, default=None, metavar="ABS",
                         help="override the absolute quadrature tolerance")
     parser.add_argument("--grid", type=int, default=None, metavar="N",

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsh import DshFunction, RationalFunction, from_rational, positive_part_integral
-from .kernels import BOUNDARY_RTOL, constant_A, green_ball, kappa, sphere_area
+from .kernels import (
+    BOUNDARY_RTOL,
+    constant_A,
+    green_ball,
+    kappa,
+    poisson_kernel,
+    sphere_area,
+)
 from .measures import (
     SUPPORT,
     Ball,
@@ -33,6 +40,9 @@ from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec, sphere_mean
 BASE_TOLERANCE = 1e-7
 IDENTITY_TOLERANCE = 1e-6
 DEFAULT_RESOLUTION = 17
+# Relative slack of "mu is supported in the closed ball of radius r" in
+# statement II and the corollary.
+SUPPORT_RTOL = 1e-9
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -177,7 +187,7 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
     d = mu.dimension
     if U.dimension != d:
         raise ValueError("statement II: function and measure dimensions differ")
-    if mu.support_radius > r * (1.0 + 1e-9):
+    if mu.support_radius > r * (1.0 + SUPPORT_RTOL):
         raise ValueError("statement II: mu must be supported in the closed ball of radius r")
     if budget is None:
         budget = ErrorBudget()
@@ -353,14 +363,9 @@ def verify_poisson_jensen(U: DshFunction, x, R: float, *,
         if abs(float(np.linalg.norm(ch.location)) - R) <= BOUNDARY_RTOL * R:
             raise ValueError("poisson_jensen: a charge lies on the sphere")
     budget = ErrorBudget()
-    area = sphere_area(d)
 
     def integrand(pts: np.ndarray) -> np.ndarray:
-        # Same formula as kernels.poisson_kernel, vectorized over the nodes.
-        vals = U.evaluate(pts)
-        dist = np.linalg.norm(pts - x, axis=1)
-        kern = (R * R - nx * nx) / (area * R * dist ** d)
-        return vals * kern
+        return U.evaluate(pts) * poisson_kernel(x, pts, R, d)
 
     hints = U.singular_angles_on(np.zeros(d), R)
     mean = sphere_mean(integrand, R, d, spec, budget=budget,
@@ -404,7 +409,7 @@ def check_corollary(f: RationalFunction, mu: Measure, r: float, R: float, *,
         raise ValueError("corollary: mu must be planar (dimension 2)")
     if not (0.0 < r < R):
         raise ValueError("corollary: need 0 < r < R")
-    if mu.support_radius > r * (1.0 + 1e-9):
+    if mu.support_radius > r * (1.0 + SUPPORT_RTOL):
         raise ValueError("corollary: mu must be supported in the closed disc of radius r")
     budget = ErrorBudget()
     u = from_rational(f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import as_point, kappa, validate_dimension
+from .kernels import as_point, expect_number, expect_point, kappa, validate_dimension
 from .measures import Atom, Measure
 from .quadrature import (
     DEFAULT_SPEC,
@@ -156,11 +156,6 @@ class DshFunction:
                       for c in self.charges if c.weight < 0.0)
         return Measure(self.dimension, atoms)
 
-    def riesz_upper_variation(self) -> Measure:
-        atoms = tuple(Atom(c.location, c.weight)
-                      for c in self.charges if c.weight > 0.0)
-        return Measure(self.dimension, atoms)
-
     def singular_angles_on(self, center, radius: float,
                            rtol: float = 0.05) -> tuple[float, ...] | None:
         """Angles (d = 2) of charges lying numerically on the given circle.
@@ -284,17 +279,6 @@ class RationalFunction:
     def n_poles(self) -> int:
         return len(self.poles)
 
-    def value(self, z: complex) -> complex:
-        num = self.scale
-        for a in self.zeros:
-            num *= z - a
-        den = 1.0 + 0.0j
-        for b in self.poles:
-            den *= z - b
-        if den == 0:
-            return complex(math.inf, math.inf)
-        return num / den
-
     def log_abs(self, z: complex) -> float:
         """ln|f(z)| as a sum of log distances; -inf at zeros, +inf at poles."""
         total = math.log(abs(self.scale))
@@ -303,16 +287,6 @@ class RationalFunction:
         for b in self.poles:
             total -= -math.inf if z == b else math.log(abs(z - b))
         return total
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.zeros + other.zeros,
-                                self.poles + other.poles,
-                                self.scale * other.scale)
-
-    def reciprocal(self) -> "RationalFunction":
-        return RationalFunction(self.poles, self.zeros, 1.0 / self.scale)
 
 
 def from_rational(f: RationalFunction) -> DshFunction:
@@ -362,13 +336,8 @@ def dsh_from_json(data, *, path: str = "function") -> DshFunction:
         p = f"{path}.charges[{i}]"
         if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
             raise ValueError(f"{p}: expected an object with 'point' and 'weight'")
-        pt = entry["point"]
-        if not isinstance(pt, (list, tuple)) or len(pt) != d:
-            raise ValueError(f"{p}.point: expected a coordinate list of length {d}")
-        w = entry["weight"]
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
-            raise ValueError(f"{p}.weight: expected a finite number")
-        charges.append(Charge(np.asarray(pt, dtype=float), float(w)))
+        charges.append(Charge(expect_point(entry["point"], d, f"{p}.point"),
+                              expect_number(entry["weight"], f"{p}.weight")))
     terms = []
     for i, entry in enumerate(data.get("harmonic", []) or []):
         p = f"{path}.harmonic[{i}]"
@@ -377,9 +346,7 @@ def dsh_from_json(data, *, path: str = "function") -> DshFunction:
         label, coeff = entry
         if label not in HARMONIC_LABELS:
             raise ValueError(f"{p}: unknown harmonic term label {label!r}")
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-            raise ValueError(f"{p}: coefficient must be a number")
-        terms.append((label, float(coeff)))
+        terms.append((label, expect_number(coeff, f"{p}[1]")))
     try:
         return DshFunction(d, tuple(charges), HarmonicPart(tuple(terms)))
     except ValueError as exc:

@@ -34,6 +34,25 @@ def as_point(x, d: int) -> np.ndarray:
     return p
 
 
+def expect_number(value, path: str, *, positive: bool = False) -> float:
+    """Validate a finite JSON number (not a bool) found at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: expected a number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{path}: must be finite")
+    if positive and v <= 0.0:
+        raise ValueError(f"{path}: must be positive")
+    return v
+
+
+def expect_point(value, d: int, path: str) -> list[float]:
+    """Validate a JSON coordinate list of length d found at ``path``."""
+    if not isinstance(value, (list, tuple)) or len(value) != d:
+        raise ValueError(f"{path}: expected a coordinate list of length {d}")
+    return [expect_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def kappa(t, d: int):
     """Fundamental-solution profile: ln t for d = 2, -1 / t**(d-2) for d > 2.
 
@@ -71,27 +90,35 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def poisson_kernel(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RTOL) -> float:
+def poisson_kernel(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RTOL):
     """Poisson kernel of the ball B(0, R): (R^2 - |x|^2) / (s_{d-1} R |y - x|^d).
 
-    Requires |x| < R and |y| = R (within ``boundary_rtol`` relative
-    tolerance).  Integrating the kernel over the sphere |y| = R against
-    surface measure gives 1 for every interior x.
+    Requires |x| < R and every y on |y| = R (within ``boundary_rtol``
+    relative tolerance).  ``y`` is one point (d,), which gives a float, or an
+    (n, d) array of sphere points, which gives an (n,) array.  Integrating
+    the kernel over the sphere |y| = R against surface measure gives 1 for
+    every interior x.
     """
     d = validate_dimension(d)
     if R <= 0:
         raise ValueError("poisson_kernel: R must be positive")
     x = as_point(x, d)
-    y = as_point(y, d)
+    pts = np.asarray(y, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = as_point(pts, d)[np.newaxis, :]
+    elif pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
     nx = float(np.linalg.norm(x))
     if nx >= R:
         raise ValueError("poisson_kernel: x must lie strictly inside the ball")
-    if abs(float(np.linalg.norm(y)) - R) > boundary_rtol * R:
+    if np.any(np.abs(np.linalg.norm(pts, axis=1) - R) > boundary_rtol * R):
         raise ValueError("poisson_kernel: y must lie on the sphere |y| = R")
-    dist = float(np.linalg.norm(y - x))
-    if dist == 0.0:
+    dist = np.linalg.norm(pts - x, axis=1)
+    if np.any(dist == 0.0):
         raise ValueError("poisson_kernel: degenerate configuration y == x")
-    return (R * R - nx * nx) / (sphere_area(d) * R * dist ** d)
+    kern = (R * R - nx * nx) / (sphere_area(d) * R * dist ** d)
+    return float(kern[0]) if single else kern
 
 
 def green_ball(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RTOL) -> float:

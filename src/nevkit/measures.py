@@ -22,18 +22,13 @@ from scipy.special import spence
 from .kernels import (
     BOUNDARY_RTOL,
     as_point,
+    expect_number,
+    expect_point,
     hat_d,
     kappa,
     validate_dimension,
 )
-from .quadrature import (
-    DEFAULT_SPEC,
-    ErrorBudget,
-    QuadResult,
-    QuadSpec,
-    integrate_1d,
-    sphere_mean,
-)
+from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec, integrate_1d
 
 SUPPORT = "support"
 
@@ -127,15 +122,16 @@ class RadialDensity:
                              density=poly, outer=float(outer),
                              cumulative=poly.cumulative, coeffs=poly.coeffs)
 
-    def mass_within(self, t: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
+    def mass_within(self, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
+                    budget: ErrorBudget | None = None) -> float:
         """Mass of the component within distance t of its own center."""
         hi = min(max(t, 0.0), self.outer)
         if hi == 0.0:
             return 0.0
         if self.cumulative is not None:
             return float(self.cumulative(hi))
-        return integrate_1d(self.density, 0.0, hi, spec,
-                            points=self.breakpoints).value
+        return integrate_1d(self.density, 0.0, hi, spec, points=self.breakpoints,
+                            budget=budget, label="mass-within").value
 
     @property
     def total(self) -> float:
@@ -242,7 +238,6 @@ class CountingFunction:
     density: Callable[[float], float] | None = None
     breakpoints: tuple[float, ...] = ()
     cumulative: Callable[[float], float] | None = None
-    center: np.ndarray | None = None
 
     def value(self, t: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
         total = sum(dh for s, dh in self.jumps if s <= t * (1.0 + BOUNDARY_RTOL))
@@ -350,7 +345,7 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - y))
         if a == 0.0:
-            total += comp.mass_within(thr, spec)
+            total += comp.mass_within(thr, spec, budget=budget)
         elif t > 0.0:
             pts = [abs(a - t), a + t, *comp.breakpoints]
             res = integrate_1d(
@@ -586,7 +581,7 @@ def potential(mu: Measure, x, spec: QuadSpec = DEFAULT_SPEC, *,
         total += shell.mass * kappa(max(a, shell.radius), d)
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - x))
-        inner = comp.mass_within(a, spec) if a > 0.0 else 0.0
+        inner = comp.mass_within(a, spec, budget=budget) if a > 0.0 else 0.0
         if inner > 0.0:
             total += kappa(a, d) * inner
         lo = min(a, comp.outer)
@@ -596,121 +591,6 @@ def potential(mu: Measure, x, spec: QuadSpec = DEFAULT_SPEC, *,
                                budget=budget, label="potential")
             total += res.value
     return float(total)
-
-
-def energy(mu: Measure, spec: QuadSpec = DEFAULT_SPEC, *,
-           budget: ErrorBudget | None = None) -> float:
-    """Energy integral of the potential against the measure itself.
-
-    Any atom makes the energy -inf (the self-interaction is included by
-    convention).  Co-centred measures use the radial symmetry of their
-    potential; general layouts integrate the potential over each component.
-    """
-    if mu.atoms:
-        return float("-inf")
-    if mu.is_zero:
-        return 0.0
-    d = mu.dimension
-    centers = [s.center for s in mu.spheres] + [c.center for c in mu.radial]
-    co_centered = all(np.array_equal(centers[0], c) for c in centers[1:])
-    total = 0.0
-    if co_centered:
-        c0 = centers[0]
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        for shell in mu.spheres:
-            total += shell.mass * potential(mu, c0 + shell.radius * e1, spec, budget=budget)
-        for comp in mu.radial:
-            pts = [*comp.breakpoints]
-            pts += [s.radius for s in mu.spheres]
-            res = integrate_1d(
-                lambda s: comp.density(s) * potential(mu, c0 + s * e1, spec,
-                                                      budget=budget),
-                0.0, comp.outer, spec, points=pts, budget=budget, label="energy")
-            total += res.value
-        return float(total)
-
-    def pt_vec(pts: np.ndarray) -> np.ndarray:
-        return np.array([potential(mu, p, spec, budget=budget) for p in pts])
-
-    for shell in mu.spheres:
-        mean = sphere_mean(pt_vec, shell.radius, d, spec, center=shell.center,
-                           budget=budget, label="energy")
-        total += shell.mass * mean
-    for comp in mu.radial:
-        def ring_mean(s: float, center=comp.center) -> float:
-            return sphere_mean(pt_vec, s, d, spec, center=center, budget=budget,
-                               label="energy")
-
-        res = integrate_1d(lambda s: comp.density(s) * ring_mean(s),
-                           0.0, comp.outer, spec, points=comp.breakpoints,
-                           budget=budget, label="energy")
-        total += res.value
-    return float(total)
-
-
-def counting_function(mu: Measure, y, spec: QuadSpec = DEFAULT_SPEC) -> CountingFunction:
-    """The radial counting profile about y as exact jumps plus a density.
-
-    Atoms and centred shells become jumps.  Off-center shells carry the
-    analytic arc/cap density.  Radial components must be centred at y (the
-    off-center profile has no closed-form density here).
-    """
-    d = mu.dimension
-    y = as_point(y, d)
-    jump_map: dict[float, float] = {}
-
-    def add_jump(t: float, m: float) -> None:
-        jump_map[t] = jump_map.get(t, 0.0) + m
-
-    densities: list[Callable[[float], float]] = []
-    cumulatives: list[Callable[[float], float]] = []
-    breakpoints: list[float] = []
-    for atom in mu.atoms:
-        add_jump(float(np.linalg.norm(atom.location - y)), atom.mass)
-    for shell in mu.spheres:
-        a = float(np.linalg.norm(shell.center - y))
-        if a == 0.0:
-            add_jump(shell.radius, shell.mass)
-            continue
-        lo, hi = abs(a - shell.radius), a + shell.radius
-        rho, m = shell.radius, shell.mass
-
-        if d == 2:
-            def dens(t: float, a=a, rho=rho, m=m, lo=lo, hi=hi) -> float:
-                if not lo < t < hi:
-                    return 0.0
-                c0 = (a * a + rho * rho - t * t) / (2.0 * a * rho)
-                return m * t / (math.pi * a * rho * math.sqrt(max(1.0 - c0 * c0, 0.0)))
-        else:
-            def dens(t: float, a=a, rho=rho, m=m, lo=lo, hi=hi) -> float:
-                return m * t / (2.0 * a * rho) if lo < t < hi else 0.0
-
-        densities.append(dens)
-        cumulatives.append(lambda t, a=a, rho=rho, m=m: m * _cap_fraction(a, rho, t, d))
-        breakpoints += [lo, hi]
-    for comp in mu.radial:
-        a = float(np.linalg.norm(comp.center - y))
-        if a > 0.0:
-            raise ValueError(
-                "counting_function supports radial density components centred at y only")
-        densities.append(lambda t, comp=comp: comp.density(t) if t <= comp.outer else 0.0)
-        cumulatives.append(lambda t, comp=comp: comp.mass_within(t, spec))
-        breakpoints += [comp.outer, *comp.breakpoints]
-
-    density = None
-    cumulative = None
-    if densities:
-        def density(t: float) -> float:  # noqa: F811
-            return sum(f(t) for f in densities)
-
-        def cumulative(t: float) -> float:  # noqa: F811
-            return sum(f(t) for f in cumulatives)
-
-    jumps = tuple(sorted((t, m) for t, m in jump_map.items()))
-    return CountingFunction(jumps=jumps, density=density,
-                            breakpoints=tuple(sorted(set(breakpoints))),
-                            cumulative=cumulative, center=y)
 
 
 def _ball_lattice(ball: Ball, d: int, resolution: int) -> list[np.ndarray]:
@@ -961,23 +841,6 @@ def measure_to_json(mu: Measure) -> dict:
     return out
 
 
-def _expect_number(value, path: str, *, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{path}: must be finite")
-    if positive and v <= 0.0:
-        raise ValueError(f"{path}: must be positive")
-    return v
-
-
-def _expect_point(value, d: int, path: str) -> list[float]:
-    if not isinstance(value, (list, tuple)) or len(value) != d:
-        raise ValueError(f"{path}: expected a coordinate list of length {d}")
-    return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
 def measure_from_json(data, *, path: str = "measure") -> Measure:
     """Parse the measure schema, reporting the offending field on error."""
     if not isinstance(data, dict):
@@ -998,8 +861,8 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
             raise ValueError(f"{p}: expected an object")
         if "point" not in entry or "mass" not in entry:
             raise ValueError(f"{p}: needs 'point' and 'mass'")
-        atoms.append(Atom(_expect_point(entry["point"], d, f"{p}.point"),
-                          _expect_number(entry["mass"], f"{p}.mass", positive=True)))
+        atoms.append(Atom(expect_point(entry["point"], d, f"{p}.point"),
+                          expect_number(entry["mass"], f"{p}.mass", positive=True)))
     spheres = []
     for i, entry in enumerate(data.get("spheres", []) or []):
         p = f"{path}.spheres[{i}]"
@@ -1009,9 +872,9 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
             if fieldname not in entry:
                 raise ValueError(f"{p}: needs '{fieldname}'")
         spheres.append(SphereShell(
-            _expect_point(entry["center"], d, f"{p}.center"),
-            _expect_number(entry["radius"], f"{p}.radius", positive=True),
-            _expect_number(entry["mass"], f"{p}.mass", positive=True)))
+            expect_point(entry["center"], d, f"{p}.center"),
+            expect_number(entry["radius"], f"{p}.radius", positive=True),
+            expect_number(entry["mass"], f"{p}.mass", positive=True)))
     radial = []
     for i, entry in enumerate(data.get("radial", []) or []):
         p = f"{path}.radial[{i}]"
@@ -1023,11 +886,11 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
         coeffs = entry["coeffs"]
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise ValueError(f"{p}.coeffs: expected a nonempty list of numbers")
-        coeffs = [_expect_number(c, f"{p}.coeffs[{j}]") for j, c in enumerate(coeffs)]
+        coeffs = [expect_number(c, f"{p}.coeffs[{j}]") for j, c in enumerate(coeffs)]
         try:
             comp = RadialDensity.from_polynomial(
-                _expect_point(entry["center"], d, f"{p}.center"),
-                coeffs, _expect_number(entry["outer"], f"{p}.outer", positive=True))
+                expect_point(entry["center"], d, f"{p}.center"),
+                coeffs, expect_number(entry["outer"], f"{p}.outer", positive=True))
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
         radial.append(comp)

@@ -80,13 +80,6 @@ def classical_T(f: RationalFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
                      label="classical-T") + classical_N(f, R)
 
 
-def classical_characteristic(f: RationalFunction, R: float,
-                             spec: QuadSpec = DEFAULT_SPEC, *,
-                             budget: ErrorBudget | None = None) -> Characteristic:
-    m = proximity(from_rational(f), R, spec, budget=budget, label="classical-T")
-    return Characteristic(m, classical_N(f, R), 0.0, R)
-
-
 def difference_T(u: DshFunction, r: float, R: float,
                  spec: QuadSpec = DEFAULT_SPEC, *,
                  budget: ErrorBudget | None = None) -> float:

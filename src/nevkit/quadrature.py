@@ -71,7 +71,7 @@ class QuadratureError(RuntimeError):
 
 
 class ErrorBudget:
-    """Accumulates quadrature error estimates, convergence flags, and notes.
+    """Accumulates quadrature error estimates and convergence flags.
 
     Checks pass one budget through all their quadrature calls; the summed
     error widens the verdict tolerance and any failure forces the verdict
@@ -81,7 +81,6 @@ class ErrorBudget:
     def __init__(self):
         self.error = 0.0
         self.failures: list[str] = []
-        self.notes: list[str] = []
 
     def add(self, result: QuadResult, label: str = "quadrature") -> QuadResult:
         if math.isfinite(result.error):
@@ -89,9 +88,6 @@ class ErrorBudget:
         if not result.converged:
             self.failures.append(label)
         return result
-
-    def note(self, message: str) -> None:
-        self.notes.append(message)
 
     @property
     def ok(self) -> bool:
@@ -134,13 +130,6 @@ def circle_points(center: np.ndarray, radius: float, n: int, shift: float = 0.0)
     """n equispaced points on the circle, offset by ``shift`` node fractions."""
     theta = (np.arange(n) + shift) * (TWO_PI / n)
     return center + radius * np.column_stack((np.cos(theta), np.sin(theta)))
-
-
-def circle_trapezoid_mean(f, center, radius: float, n: int, shift: float = 0.0) -> float:
-    """Plain n-node periodic trapezoid mean of f over a circle (no checks)."""
-    center = as_point(center, 2)
-    vals = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
-    return float(np.mean(vals))
 
 
 def _adaptive_circle_mean(f, center, radius, spec, singular_angles, label):

@@ -8,12 +8,12 @@ that do not exist are rejected with messages naming the offending field.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 from .dsh import DshFunction, RationalFunction, dsh_from_json, from_rational, rational_from_json
+from .kernels import expect_number, expect_point
 from .measures import Measure, measure_from_json
 from .quadrature import QuadSpec
 
@@ -69,15 +69,6 @@ class Scenario:
     expect_fail: frozenset[str] = frozenset()
 
 
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ScenarioError(f"{path}: must be finite")
-    return v
-
-
 def _parse_radii(data, path: str) -> tuple[float, float, float]:
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected an object with 'r' and 'R'")
@@ -87,9 +78,9 @@ def _parse_radii(data, path: str) -> tuple[float, float, float]:
     for key in ("r", "R"):
         if key not in data:
             raise ScenarioError(f"{path}.{key}: missing")
-    r = _expect_number(data["r"], f"{path}.r")
-    R = _expect_number(data["R"], f"{path}.R")
-    r0 = _expect_number(data["r0"], f"{path}.r0") if "r0" in data else r
+    r = expect_number(data["r"], f"{path}.r")
+    R = expect_number(data["R"], f"{path}.R")
+    r0 = expect_number(data["r0"], f"{path}.r0") if "r0" in data else r
     if not 0.0 < r < R:
         raise ScenarioError(f"{path}: need 0 < r < R, got r={r}, R={R}")
     if r0 <= 0.0:
@@ -113,7 +104,7 @@ def _parse_quad(data, path: str) -> QuadSpec:
                 raise ScenarioError(f"{path}.{key}: expected an integer")
             kwargs[key] = value
         else:
-            kwargs[key] = _expect_number(value, f"{path}.{key}")
+            kwargs[key] = expect_number(value, f"{path}.{key}")
     try:
         return QuadSpec(**kwargs)
     except ValueError as exc:
@@ -134,26 +125,21 @@ def _parse_functions(data, dimension: int, path: str) -> tuple[FunctionEntry, ..
         label = body.pop("label", f"f{i}")
         if not isinstance(label, str) or not _NAME_RE.match(label):
             raise ScenarioError(f"{p}.label: expected a short identifier")
-        try:
-            if "rational" in body:
-                if set(body) - {"rational"}:
-                    raise ScenarioError(
-                        f"{p}: 'rational' cannot be combined with charge fields")
-                if dimension != 2:
-                    raise ScenarioError(f"{p}: rational functions require dimension 2")
-                rat = rational_from_json(body["rational"], path=f"{p}.rational")
-                entries.append(FunctionEntry(label, from_rational(rat), rat))
-            else:
-                u = dsh_from_json(body, path=p)
-                if u.dimension != dimension:
-                    raise ScenarioError(
-                        f"{p}.dimension: function dimension {u.dimension} "
-                        f"differs from scenario dimension {dimension}")
-                entries.append(FunctionEntry(label, u))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        if "rational" in body:
+            if set(body) - {"rational"}:
+                raise ScenarioError(
+                    f"{p}: 'rational' cannot be combined with charge fields")
+            if dimension != 2:
+                raise ScenarioError(f"{p}: rational functions require dimension 2")
+            rat = rational_from_json(body["rational"], path=f"{p}.rational")
+            entries.append(FunctionEntry(label, from_rational(rat), rat))
+        else:
+            u = dsh_from_json(body, path=p)
+            if u.dimension != dimension:
+                raise ScenarioError(
+                    f"{p}.dimension: function dimension {u.dimension} "
+                    f"differs from scenario dimension {dimension}")
+            entries.append(FunctionEntry(label, u))
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{path}: duplicate function labels")
@@ -191,12 +177,12 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
             if not any(e.rational is not None for e in functions):
                 raise ScenarioError(f"{p}: corollary requires a rational function")
         if "R_star" in options:
-            r_star = _expect_number(options["R_star"], f"{p}.R_star")
+            r_star = expect_number(options["R_star"], f"{p}.R_star")
             if not r < r_star < R:
                 raise ScenarioError(f"{p}.R_star: must lie strictly between r and R")
             options["R_star"] = r_star
         if "t_cap" in options:
-            t_cap = _expect_number(options["t_cap"], f"{p}.t_cap")
+            t_cap = expect_number(options["t_cap"], f"{p}.t_cap")
             if t_cap <= 0.0:
                 raise ScenarioError(f"{p}.t_cap: must be positive")
             options["t_cap"] = t_cap
@@ -207,18 +193,24 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
             if not isinstance(pts, list) or not pts:
                 raise ScenarioError(f"{p}.points: expected a nonempty list of points")
             for j, pt in enumerate(pts):
-                if not isinstance(pt, list) or len(pt) != dimension:
-                    raise ScenarioError(
-                        f"{p}.points[{j}]: expected a coordinate list of length {dimension}")
-                for v in pt:
-                    _expect_number(v, f"{p}.points[{j}]")
-                if sum(float(v) ** 2 for v in pt) >= R * R:
+                pt = expect_point(pt, dimension, f"{p}.points[{j}]")
+                if sum(v ** 2 for v in pt) >= R * R:
                     raise ScenarioError(f"{p}.points[{j}]: must lie strictly inside radius R")
         out.append(CheckRequest(kind, options))
     return tuple(out)
 
 
 def scenario_from_json(data, *, path: str = "scenario") -> Scenario:
+    """Validate a parsed scenario file; every error is a ScenarioError."""
+    try:
+        return _parse_scenario(data, path)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def _parse_scenario(data, path: str) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected a top-level object")
     allowed = {"name", "dimension", "measure", "functions", "radii", "checks",
@@ -235,12 +227,7 @@ def scenario_from_json(data, *, path: str = "scenario") -> Scenario:
     dimension = data["dimension"]
     if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 2:
         raise ScenarioError(f"{path}.dimension: expected an integer >= 2")
-    try:
-        measure = measure_from_json(data["measure"], path=f"{path}.measure")
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    measure = measure_from_json(data["measure"], path=f"{path}.measure")
     if measure.dimension != dimension:
         raise ScenarioError(f"{path}.measure.dimension: differs from scenario dimension")
     functions = _parse_functions(data.get("functions"), dimension, f"{path}.functions")

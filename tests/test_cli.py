@@ -159,13 +159,11 @@ def test_seed_changes_default_sample_points(tmp_path, monkeypatch):
     assert base != other
 
 
-def test_jobs_flag_is_deterministic(tmp_path):
-    src = bundled_scenario_paths()
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    args1 = ["run", "--scenario", str(src[1]), "--out", str(out1), "--jobs", "1"]
-    args2 = ["run", "--scenario", str(src[1]), "--out", str(out2), "--jobs", "2"]
-    assert main(args1) == main(args2)
-    assert (out1 / "reports.jsonl").read_text() == (out2 / "reports.jsonl").read_text()
+def test_jobs_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--bundled", "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == EXIT_INVALID
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sweep_writes_long_format(tmp_path):

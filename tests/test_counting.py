@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from nevkit.cli import bundled_scenario_paths
+from nevkit.dsh import RationalFunction
 from nevkit.measures import (
     SUPPORT,
     Atom,
     Ball,
     Measure,
+    PolynomialDensity,
     RadialDensity,
     SphereShell,
     _ball_lattice,
@@ -23,6 +25,7 @@ from nevkit.measures import (
     integrated_counting,
     sup_integrated_counting,
 )
+from nevkit.nevanlinna import classical_N
 from nevkit.quadrature import ErrorBudget
 from nevkit.scenario import scenario_from_json
 
@@ -96,6 +99,46 @@ def test_cap_fraction_matches_mpmath(d):
             float(exact), rel=1e-13, abs=1e-15)
     assert _cap_fraction(0.0, 0.5, 0.5, d) == 1.0
     assert _cap_fraction(0.0, 0.5, 0.4, d) == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (0.0, 2.0), (0.3, 0.9), (0.0, 0.0, 3.0),
+                                    (2.5, -1.5, 0.25, 0.125), (0.1, 0.0, 0.0, 0.0, 7.0)])
+def test_polynomial_cumulative_matches_mpmath(coeffs):
+    poly = PolynomialDensity(coeffs)
+    for t in (0.0, 0.125, 0.7, 1.0, 1.9):
+        exact = mpmath.quad(
+            lambda s: sum(mpmath.mpf(c) * s ** k for k, c in enumerate(coeffs)),
+            [0, mpmath.mpf(t)])
+        assert poly.cumulative(t) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+
+
+def _oracle_classical_N(poles, r):
+    """integral_0^r (n(t) - n(0)) / t dt + n(0) ln r, with n(t) the number of
+    poles in the closed disc of radius t, by mpmath quadrature between the
+    pole moduli where n jumps."""
+    moduli = sorted(mpmath.mpf(abs(b)) for b in poles)
+    r = mpmath.mpf(r)
+
+    def n(t):
+        return sum(1 for m in moduli if m <= t)
+
+    n0 = n(0)
+    knots = [mpmath.mpf(0), *(m for m in moduli if 0 < m < r), r]
+    integral = mpmath.quad(lambda t: (n(t) - n0) / t, knots)
+    return integral + n0 * mpmath.log(r)
+
+
+@pytest.mark.parametrize("poles, r", [
+    ((2.0, 2.0), 3.0),
+    ((2.0, 2.0), 1.0),
+    ((0.0, 0.5j, -1.2 + 0.3j), 2.5),
+    ((0.0, 0.0), 0.4),
+    ((0.3 + 0.4j, 1.0, -0.9), 1.0),  # a pole on the circle |z| = r counts
+])
+def test_classical_N_matches_mpmath(poles, r):
+    f = RationalFunction(zeros=(0.25,), poles=poles)
+    exact = _oracle_classical_N(f.poles, r)
+    assert classical_N(f, r) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
 
 
 # ------------------------------------------------- batched against adaptive

@@ -35,7 +35,8 @@ from nevkit.measures import (
     RadialDensity,
     SphereShell,
     difference_counting,
-    energy,
+    potential,
+    radial_counting,
 )
 from nevkit.nevanlinna import classical_N, classical_T
 from nevkit.quadrature import ErrorBudget, QuadSpec
@@ -127,12 +128,19 @@ def test_statement_V_batched_fallback_with_failing_quadrature_is_undetermined():
     assert "quadrature failure: integrated-counting" in rep.diagnostics
 
 
-def test_energy_reports_inner_potential_failures():
-    mu = Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 0.5, 1.0),),
-                 radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.3, 0.9), 0.8),))
+def test_mass_within_failures_reach_the_budget():
+    # A non-polynomial density has no closed-form mass, so the mass about
+    # its own centre is a quadrature that eight subdivisions cannot resolve.
+    comp = RadialDensity(center=np.zeros(2), outer=1.0,
+                         density=lambda s: math.sqrt(s) * abs(math.sin(40.0 * s)))
+    mu = Measure(dimension=2, radial=(comp,))
+    spec = QuadSpec(UNREACHABLE.abs_tol, UNREACHABLE.rel_tol, max_subdivisions=8)
     budget = ErrorBudget()
-    energy(mu, UNREACHABLE, budget=budget)
-    assert "potential" in budget.failures
+    radial_counting(mu, np.zeros(2), 0.9, spec, budget=budget)
+    assert "mass-within" in budget.failures
+    budget = ErrorBudget()
+    potential(mu, [0.5, 0.0], spec, budget=budget)
+    assert "mass-within" in budget.failures
 
 
 # ---------------------------------------------------------- statement checks

@@ -131,7 +131,10 @@ def test_poisson_kernel_integrates_to_one():
     R = 2.0
     x = np.array([0.7, -0.4])
     pts = circle_points(np.zeros(2), R, 4096)
-    vals = np.array([poisson_kernel(x, y, R, 2) for y in pts])
+    vals = poisson_kernel(x, pts, R, 2)
+    assert vals.shape == (4096,)
+    assert vals[:8] == pytest.approx([poisson_kernel(x, y, R, 2) for y in pts[:8]],
+                                     rel=1e-15)
     integral = vals.mean() * sphere_area(2) * R
     assert integral == pytest.approx(1.0, abs=1e-12)
 
@@ -139,6 +142,11 @@ def test_poisson_kernel_integrates_to_one():
 def test_poisson_kernel_requires_boundary_pole():
     with pytest.raises(ValueError):
         poisson_kernel([0.0, 0.0], [1.0, 0.0], 2.0, 2)
+    # Every row of a point array is checked.
+    with pytest.raises(ValueError):
+        poisson_kernel([0.0, 0.0], [[2.0, 0.0], [0.0, 2.0], [1.0, 0.0]], 2.0, 2)
+    with pytest.raises(ValueError):
+        poisson_kernel([0.0, 0.0], np.zeros((2, 3)), 2.0, 2)
 
 
 def test_green_ball_center_closed_forms():

@@ -13,9 +13,7 @@ from nevkit.measures import (
     PolynomialDensity,
     RadialDensity,
     SphereShell,
-    counting_function,
     difference_counting,
-    energy,
     integrated_counting,
     measure_from_json,
     measure_to_json,
@@ -118,22 +116,6 @@ def test_radial_counting_centered_radial_component():
     mu = disc_area()
     for t in (0.3, 0.7, 1.0, 2.0):
         assert radial_counting(mu, np.zeros(2), t) == pytest.approx(min(t * t, 1.0), rel=1e-12)
-
-
-def test_counting_function_matches_radial_counting():
-    mu = circle(mass=2.0) + disc_area()
-    y = np.zeros(2)
-    h = counting_function(mu, y)
-    for t in (0.2, 0.8, 1.0, 1.5):
-        assert h.value(t) == pytest.approx(radial_counting(mu, y, t), rel=1e-10)
-
-
-def test_counting_function_off_center_shell_density():
-    mu = circle()
-    y = np.array([0.4, -0.1])
-    h = counting_function(mu, y)
-    for t in (0.4, 0.9, 1.3):
-        assert h.value(t) == pytest.approx(radial_counting(mu, y, t), rel=1e-9)
 
 
 # ------------------------------------------------- integrated counting N(y, r)
@@ -241,20 +223,6 @@ def test_potential_at_atom_is_minus_infinity():
     mu = Measure(dimension=2, atoms=(Atom(np.array([0.1, 0.2]), 1.0),))
     assert potential(mu, [0.1, 0.2]) == -math.inf
     assert math.isfinite(potential(mu, [0.5, 0.5]))
-
-
-def test_energy_values():
-    assert energy(circle()) == pytest.approx(0.0, abs=1e-12)
-    assert energy(sphere3()) == pytest.approx(-1.0, rel=1e-12)
-    atoms = Measure(dimension=2, atoms=(Atom(np.zeros(2), 1.0),))
-    assert energy(atoms) == -math.inf
-    assert energy(Measure(dimension=2)) == 0.0
-
-
-def test_energy_scales_quadratically_in_mass():
-    e1 = energy(sphere3(mass=1.0))
-    e2 = energy(sphere3(mass=2.0))
-    assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
 # ------------------------------------------------------------------- suprema

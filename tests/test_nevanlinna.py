@@ -15,7 +15,6 @@ from nevkit.quadrature import integrate_1d
 from nevkit.nevanlinna import (
     classical_N,
     classical_T,
-    classical_characteristic,
     difference_T,
     difference_characteristic,
     proximity,
@@ -92,13 +91,6 @@ def test_difference_T_identity_for_scenario_function():
     lhs = classical_T(f, 2.0) - classical_N(f, 1.0)
     rhs = difference_T(from_rational(f), 1.0, 2.0)
     assert abs(lhs - rhs) < 1e-9
-
-
-def test_classical_characteristic_components():
-    f = RationalFunction(zeros=(0.5,), poles=(2.0, 2.0), scale=1.0)
-    ch = classical_characteristic(f, 3.0)
-    assert ch.counting == pytest.approx(2.0 * math.log(1.5), rel=1e-13)
-    assert ch.total == pytest.approx(ch.proximity + ch.counting, rel=1e-15)
 
 
 def test_proximity_drops_negative_part():
