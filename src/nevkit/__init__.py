@@ -79,6 +79,7 @@ from .quadrature import (
     QuadSpec,
     circle_mean,
     integrate_1d,
+    positive_part_mean,
     sphere_mean,
     stieltjes_against_jumps,
 )
@@ -108,7 +109,8 @@ __all__ = [
     "falsify_statement_III", "from_rational", "green_ball", "hat_d",
     "integrate_1d", "integrated_counting", "kappa", "kernel_witness",
     "load_scenario", "measure_from_json", "measure_to_json",
-    "poisson_kernel", "positive_part_integral", "potential", "proximity",
+    "poisson_kernel", "positive_part_integral", "positive_part_mean",
+    "potential", "proximity",
     "radial_counting", "rational_from_json", "rational_to_json",
     "scenario_from_json", "sphere_area", "sphere_mean",
     "statement_ii_bounds", "stieltjes_against_jumps",

@@ -15,15 +15,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import as_point, expect_number, expect_point, kappa, validate_dimension
+from .kernels import (
+    as_point,
+    expect_list,
+    expect_number,
+    expect_point,
+    kappa,
+    validate_dimension,
+)
 from .measures import Atom, Measure
 from .quadrature import (
     DEFAULT_SPEC,
     ErrorBudget,
     QuadSpec,
     integrate_1d,
-    sphere_mean,
+    positive_part_mean,
 )
+
+# Charges within this relative distance of a circle are declared singular
+# angles of the circle means there, which then run the adaptive rule split at
+# them.  The trapezoid rule and the positive-part arc rules are only trusted
+# for charges farther off the circle than this.
+NEAR_CIRCLE_RTOL = 0.05
 
 HARMONIC_LABELS = ("const", "x0", "x1", "x2", "x0*x1", "x0^2-x1^2",
                    "re_z^2", "im_z^2", "re_z^3", "im_z^3")
@@ -157,7 +170,7 @@ class DshFunction:
         return Measure(self.dimension, atoms)
 
     def singular_angles_on(self, center, radius: float,
-                           rtol: float = 0.05) -> tuple[float, ...] | None:
+                           rtol: float = NEAR_CIRCLE_RTOL) -> tuple[float, ...] | None:
         """Angles (d = 2) of charges lying numerically on the given circle.
 
         Used as quadrature hints: a kernel term whose charge sits on the
@@ -181,25 +194,21 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     """Integral of max(u, 0) against the measure.
 
     Atoms are evaluated exactly (an atom on a positive charge gives +inf; on
-    a negative charge it contributes 0).  Shell components use sphere means
-    with singular-angle hints, and radial components nest a radius integral
-    over those means.
+    a negative charge it contributes 0).  Shell components use positive-part
+    sphere means with singular-angle hints, and radial components nest a
+    radius integral over those means.
     """
     d = mu.dimension
     if u.dimension != d:
         raise ValueError("function and measure dimensions differ")
     total = 0.0
-
-    def u_plus(pts: np.ndarray) -> np.ndarray:
-        return np.maximum(u.evaluate(pts), 0.0)
-
     for atom in mu.atoms:
         total += atom.mass * max(u.evaluate(atom.location), 0.0)
     for shell in mu.spheres:
         hints = u.singular_angles_on(shell.center, shell.radius)
-        mean = sphere_mean(u_plus, shell.radius, d, spec, center=shell.center,
-                           budget=budget, singular_angles=hints,
-                           label="positive-part")
+        mean = positive_part_mean(u.evaluate, shell.radius, d, spec,
+                                  center=shell.center, budget=budget,
+                                  singular_angles=hints, label="positive-part")
         total += shell.mass * mean
     for comp in mu.radial:
         pts = list(comp.breakpoints)
@@ -210,9 +219,9 @@ def positive_part_integral(u: DshFunction, mu: Measure,
 
         def ring(s: float, comp=comp) -> float:
             hints = u.singular_angles_on(comp.center, s)
-            return sphere_mean(u_plus, s, d, spec, center=comp.center,
-                               budget=budget, singular_angles=hints,
-                               label="positive-part")
+            return positive_part_mean(u.evaluate, s, d, spec, center=comp.center,
+                                      budget=budget, singular_angles=hints,
+                                      label="positive-part")
 
         res = integrate_1d(lambda s: comp.density(s) * ring(s), 0.0, comp.outer,
                            spec, points=pts, budget=budget, label="positive-part")
@@ -332,14 +341,14 @@ def dsh_from_json(data, *, path: str = "function") -> DshFunction:
     except ValueError as exc:
         raise ValueError(f"{path}.dimension: {exc}") from None
     charges = []
-    for i, entry in enumerate(data.get("charges", []) or []):
+    for i, entry in enumerate(expect_list(data.get("charges"), f"{path}.charges")):
         p = f"{path}.charges[{i}]"
         if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
             raise ValueError(f"{p}: expected an object with 'point' and 'weight'")
         charges.append(Charge(expect_point(entry["point"], d, f"{p}.point"),
                               expect_number(entry["weight"], f"{p}.weight")))
     terms = []
-    for i, entry in enumerate(data.get("harmonic", []) or []):
+    for i, entry in enumerate(expect_list(data.get("harmonic"), f"{path}.harmonic")):
         p = f"{path}.harmonic[{i}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"{p}: expected a [label, coefficient] pair")
@@ -355,10 +364,11 @@ def dsh_from_json(data, *, path: str = "function") -> DshFunction:
 
 def _expect_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(expect_number(value, path))
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        return complex(value[0], value[1])
+        return complex(expect_number(value[0], f"{path}[0]"),
+                       expect_number(value[1], f"{path}[1]"))
     raise ValueError(f"{path}: expected a number or [re, im] pair")
 
 

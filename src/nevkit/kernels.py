@@ -18,7 +18,11 @@ BOUNDARY_RTOL = 1e-12
 
 def validate_dimension(d) -> int:
     """Check that d is an integer dimension >= 2 and return it as an int."""
-    if isinstance(d, bool) or int(d) != d:
+    try:
+        integral = not isinstance(d, bool) and int(d) == d
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     d = int(d)
     if d < 2:
@@ -38,7 +42,10 @@ def expect_number(value, path: str, *, positive: bool = False) -> float:
     """Validate a finite JSON number (not a bool) found at ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ValueError(f"{path}: must be finite")
     if positive and v <= 0.0:
@@ -51,6 +58,15 @@ def expect_point(value, d: int, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != d:
         raise ValueError(f"{path}: expected a coordinate list of length {d}")
     return [expect_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def expect_list(value, path: str) -> list:
+    """Validate an optional JSON list found at ``path``; null reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list")
+    return value
 
 
 def kappa(t, d: int):

@@ -22,6 +22,7 @@ from scipy.special import spence
 from .kernels import (
     BOUNDARY_RTOL,
     as_point,
+    expect_list,
     expect_number,
     expect_point,
     hat_d,
@@ -855,7 +856,7 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
     except ValueError as exc:
         raise ValueError(f"{path}.dimension: {exc}") from None
     atoms = []
-    for i, entry in enumerate(data.get("atoms", []) or []):
+    for i, entry in enumerate(expect_list(data.get("atoms"), f"{path}.atoms")):
         p = f"{path}.atoms[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{p}: expected an object")
@@ -864,7 +865,7 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
         atoms.append(Atom(expect_point(entry["point"], d, f"{p}.point"),
                           expect_number(entry["mass"], f"{p}.mass", positive=True)))
     spheres = []
-    for i, entry in enumerate(data.get("spheres", []) or []):
+    for i, entry in enumerate(expect_list(data.get("spheres"), f"{path}.spheres")):
         p = f"{path}.spheres[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{p}: expected an object")
@@ -876,7 +877,7 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
             expect_number(entry["radius"], f"{p}.radius", positive=True),
             expect_number(entry["mass"], f"{p}.mass", positive=True)))
     radial = []
-    for i, entry in enumerate(data.get("radial", []) or []):
+    for i, entry in enumerate(expect_list(data.get("radial"), f"{path}.radial")):
         p = f"{path}.radial[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{p}: expected an object")

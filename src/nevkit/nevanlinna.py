@@ -17,7 +17,7 @@ import numpy as np
 from .dsh import DshFunction, RationalFunction, from_rational
 from .kernels import BOUNDARY_RTOL
 from .measures import difference_counting
-from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec, sphere_mean
+from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec, positive_part_mean
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,9 @@ def proximity(u: DshFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError("proximity: R must be positive and finite")
     d = u.dimension
-
-    def u_plus(pts: np.ndarray) -> np.ndarray:
-        return np.maximum(u.evaluate(pts), 0.0)
-
     hints = u.singular_angles_on(np.zeros(d), R)
-    return sphere_mean(u_plus, R, d, spec, budget=budget,
-                       singular_angles=hints, label=label)
+    return positive_part_mean(u.evaluate, R, d, spec, budget=budget,
+                              singular_angles=hints, label=label)
 
 
 def classical_N(f: RationalFunction, r: float) -> float:

@@ -6,9 +6,12 @@ Circle means use the periodic trapezoid rule (spectrally accurate for smooth
 integrands) with a node-doubling convergence check.  Integrands that are
 kinked or singular on the circle either get declared singular angles, in
 which case the adaptive rule splits there directly, or fail the doubling
-check and fall back to the adaptive rule.  Sphere means in dimension 3 use a
-Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the same
-doubling check.  Non-convergence is always flagged, never silently absorbed.
+check and fall back to the adaptive rule.  Planar positive-part means locate
+their kinks (the sign changes of the function) and integrate between them
+with Gauss-Legendre rules before any fallback.  Sphere means in dimension 3
+use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
+same doubling check.  Non-convergence is always flagged, never silently
+absorbed.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import elementwise
 
 from .kernels import as_point, validate_dimension
 
@@ -26,11 +30,22 @@ TWO_PI = 2.0 * math.pi
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# Gauss-Legendre nodes per positive arc in the coarse rule of a kinked planar
+# positive-part mean; the fine rule uses twice as many.
+_ARC_NODES = 128
+
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _LEGGAUSS_CACHE:
         _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _LEGGAUSS_CACHE[n]
+
+
+# Caps on the integer QuadSpec fields.  scipy's quad allocates work arrays of
+# max_subdivisions entries (and cannot take a number beyond a C long), and the
+# node counts size the circle grids and the polar x azimuth sphere grids.
+MAX_SUBDIVISIONS = 2 ** 20
+MAX_GRID_NODES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -46,12 +61,19 @@ class QuadSpec:
     azimuth_nodes: int = 128
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):  # NaN fails too
             raise ValueError("QuadSpec tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("QuadSpec.max_subdivisions must be at least 8")
         if min(self.circle_nodes, self.polar_nodes, self.azimuth_nodes) < 4:
             raise ValueError("QuadSpec node counts must be at least 4")
+        if self.max_subdivisions > MAX_SUBDIVISIONS:
+            raise ValueError(f"QuadSpec.max_subdivisions must be at most {MAX_SUBDIVISIONS}")
+        if self.circle_nodes > MAX_GRID_NODES:
+            raise ValueError(f"QuadSpec.circle_nodes must be at most {MAX_GRID_NODES}")
+        if self.polar_nodes * self.azimuth_nodes > MAX_GRID_NODES:
+            raise ValueError("QuadSpec.polar_nodes * azimuth_nodes must be at most "
+                             f"{MAX_GRID_NODES}")
 
 
 DEFAULT_SPEC = QuadSpec()
@@ -152,6 +174,17 @@ def _adaptive_circle_mean(f, center, radius, spec, singular_angles, label):
     return QuadResult(res.value / TWO_PI, res.error / TWO_PI, res.converged)
 
 
+def _doubling_check(fine: np.ndarray, spec: QuadSpec) -> QuadResult | None:
+    """Trapezoid mean of values on an even grid, checked against the rule on
+    every other node; None when the two miss the spec's tolerance."""
+    i_fine = float(np.mean(fine))
+    i_coarse = float(np.mean(fine[::2]))
+    err = abs(i_fine - i_coarse)
+    if err > max(spec.abs_tol, spec.rel_tol * abs(i_fine)):
+        return None
+    return QuadResult(i_fine, max(err, 1e-16 * abs(i_fine)), True)
+
+
 def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
                 budget: ErrorBudget | None = None, singular_angles=None,
                 label: str = "circle-mean") -> QuadResult:
@@ -159,9 +192,10 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
 
     f maps (n, 2) point arrays to (n,) value arrays.  With singular angles
     supplied the adaptive rule is used directly.  Otherwise the trapezoid
-    rule with a node-doubling check runs first; a non-finite node triggers
-    one half-step grid rotation, and a finite but non-converged doubling
-    check falls back to the adaptive rule.
+    rule on 2 * ``spec.circle_nodes`` nodes is checked against the rule on
+    every other node; a non-finite node triggers one half-step grid
+    rotation, and a finite but non-converged doubling check falls back to
+    the adaptive rule.
     """
     center = as_point(center, 2)
     if radius <= 0.0:
@@ -172,22 +206,15 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
             budget.add(result, label)
         return result
 
-    n = spec.circle_nodes
-    result = None
+    n = 2 * spec.circle_nodes
     for shift in (0.0, 0.5):
-        coarse = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
-        fine = np.asarray(f(circle_points(center, radius, 2 * n, shift)), dtype=float)
-        if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
-            continue  # singular node: rotate the grid once
-        i_coarse = float(np.mean(coarse))
-        i_fine = float(np.mean(fine))
-        err = abs(i_fine - i_coarse)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(i_fine)):
-            result = QuadResult(i_fine, max(err, 1e-16 * abs(i_fine)), True)
-        else:
-            result = _adaptive_circle_mean(f, center, radius, spec, None, label)
-        break
-    if result is None:
+        fine = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
+        if np.all(np.isfinite(fine)):
+            result = _doubling_check(fine, spec)
+            if result is None:
+                result = _adaptive_circle_mean(f, center, radius, spec, None, label)
+            break
+    else:
         # Non-finite values on both the original and the rotated grid.
         result = QuadResult(math.nan, math.inf, False)
     if budget is not None:
@@ -230,6 +257,16 @@ def _sphere3_mean(f, center, radius, spec, label):
     return QuadResult(math.nan, math.inf, False)
 
 
+def _settle(result: QuadResult, budget: ErrorBudget | None, label: str) -> float:
+    """Charge ``result`` to the budget, or raise on failure when there is none."""
+    if budget is not None:
+        budget.add(result, label)
+    elif not result.converged:
+        raise QuadratureError(
+            f"{label} failed to converge (value {result.value}, error {result.error})")
+    return result.value
+
+
 def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
                 center=None, budget: ErrorBudget | None = None,
                 singular_angles=None, label: str = "sphere-mean") -> float:
@@ -246,16 +283,103 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         raise ValueError("sphere_mean: radius must be positive")
     center = np.zeros(d) if center is None else as_point(center, d)
     if d == 2:
-        result = circle_mean(f, center, r, spec, budget=budget,
-                             singular_angles=singular_angles, label=label)
+        result = circle_mean(f, center, r, spec, singular_angles=singular_angles,
+                             label=label)
     else:
         result = _sphere3_mean(f, center, r, spec, label)
-        if budget is not None:
-            budget.add(result, label)
-    if budget is None and not result.converged:
-        raise QuadratureError(
-            f"{label} failed to converge (value {result.value}, error {result.error})")
-    return result.value
+    return _settle(result, budget, label)
+
+
+def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
+                       center=None, budget: ErrorBudget | None = None,
+                       singular_angles=None, label: str = "positive-part") -> float:
+    """Mean of max(g, 0) over the sphere of radius r about ``center``.
+
+    g maps (n, d) point arrays to (n,) value arrays.  For d = 3 this is
+    ``sphere_mean`` of max(g, 0).  In the plane the trapezoid doubling check
+    of ``circle_mean`` runs first.  If it fails, the sign changes of g
+    between neighbouring nodes are refined to roots (Chandrupatla's method),
+    and the arcs on which g is positive are integrated with Gauss-Legendre
+    rules of ``_ARC_NODES`` and of twice as many nodes, whose difference is
+    the error estimate.  The adaptive rule, split at the roots, takes over
+    when that estimate misses tolerance, and handles declared singular
+    angles directly.  Failures are flagged or raised as in ``sphere_mean``.
+    """
+    def plus(pts: np.ndarray) -> np.ndarray:
+        return np.maximum(g(pts), 0.0)
+
+    if validate_dimension(d) != 2:
+        return sphere_mean(plus, r, d, spec, center=center, budget=budget, label=label)
+    if r <= 0.0:
+        raise ValueError("positive_part_mean: radius must be positive")
+    center = np.zeros(2) if center is None else as_point(center, 2)
+
+    def g_at(theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        flat = theta.ravel()
+        pts = center + r * np.column_stack((np.cos(flat), np.sin(flat)))
+        return np.asarray(g(pts), dtype=float).reshape(theta.shape)
+
+    # circle_mean's grids and doubling check, on one evaluation of g.
+    n = 2 * spec.circle_nodes
+    for shift in (0.0,) if singular_angles else (0.0, 0.5):
+        theta = (np.arange(n) + shift) * (TWO_PI / n)
+        values = g_at(theta)
+        if singular_angles:
+            break
+        fine = np.maximum(values, 0.0)
+        if np.all(np.isfinite(fine)):
+            result = _doubling_check(fine, spec)
+            if result is not None:
+                return _settle(result, budget, label)
+            break
+    else:
+        # Non-finite values on both the original and the rotated grid.
+        return _settle(QuadResult(math.nan, math.inf, False), budget, label)
+    roots = _sign_change_roots(g_at, theta, values)
+    result = None
+    if roots.size and not singular_angles:
+        result = _positive_arc_mean(g_at, roots, spec)
+    if result is None:
+        angles = (*(singular_angles or ()), *roots[np.isfinite(roots)])
+        result = _adaptive_circle_mean(plus, center, r, spec, angles, label)
+    return _settle(result, budget, label)
+
+
+def _sign_change_roots(g_at, theta: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Roots of g(theta) in each grid cell (cyclically) whose ends differ in
+    sign, in increasing order; cells with a non-finite end are skipped."""
+    right = np.roll(values, -1)
+    ends = np.append(theta[1:], theta[0] + TWO_PI)
+    cells = (np.isfinite(values) & np.isfinite(right)
+             & ((values > 0.0) != (right > 0.0)))
+    if not cells.any():
+        return np.empty(0)
+    return np.asarray(elementwise.find_root(g_at, (theta[cells], ends[cells])).x,
+                      dtype=float)
+
+
+def _positive_arc_mean(g_at, roots: np.ndarray, spec: QuadSpec) -> QuadResult | None:
+    """Gauss-Legendre mean of max(g, 0) over the arcs between consecutive
+    roots whose midpoint has g > 0; None when the roots are unusable or the
+    two rules disagree by more than the spec's tolerance."""
+    if roots.size % 2 or not np.all(np.isfinite(roots)):
+        return None
+    ends = np.append(roots[1:], roots[0] + TWO_PI)
+    mid = 0.5 * (roots + ends)
+    positive = g_at(mid) > 0.0
+    mid = mid[positive, np.newaxis]
+    half = 0.5 * (ends - roots)[positive]
+    means = []
+    for k in (_ARC_NODES, 2 * _ARC_NODES):
+        x, w = _leggauss(k)
+        vals = np.maximum(g_at(mid + half[:, np.newaxis] * x), 0.0)
+        means.append(float(np.dot(half, vals @ w)) / TWO_PI)
+    coarse, fine = means
+    err = abs(fine - coarse)
+    if not (math.isfinite(fine) and err <= max(spec.abs_tol, spec.rel_tol * abs(fine))):
+        return None
+    return QuadResult(fine, max(err, 1e-16 * abs(fine)), True)
 
 
 def stieltjes_against_jumps(g, h, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC, *,

@@ -8,6 +8,7 @@ that do not exist are rejected with messages naming the offending field.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -194,7 +195,7 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
                 raise ScenarioError(f"{p}.points: expected a nonempty list of points")
             for j, pt in enumerate(pts):
                 pt = expect_point(pt, dimension, f"{p}.points[{j}]")
-                if sum(v ** 2 for v in pt) >= R * R:
+                if math.hypot(*pt) >= R:
                     raise ScenarioError(f"{p}.points[{j}]: must lie strictly inside radius R")
         out.append(CheckRequest(kind, options))
     return tuple(out)

@@ -116,6 +116,33 @@ def test_validation_error_exit_code(tmp_path):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("where, field", [
+    ("measure", "atoms"), ("measure", "spheres"), ("measure", "radial"),
+    ("function", "charges"), ("function", "harmonic"),
+])
+def test_non_list_component_field_exit_code(tmp_path, capsys, where, field):
+    data = json.loads(json.dumps(SHELL_PJ))
+    target = data["measure"] if where == "measure" else data["functions"][0]
+    target[field] = 5
+    sc = write_scenario(tmp_path, data)
+    code = main(["run", "--scenario", sc, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INVALID
+    assert f"{field}: expected a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quad", [
+    {"max_subdivisions": 10 ** 30},
+    {"circle_nodes": 2 ** 40},
+    {"polar_nodes": 2 ** 11, "azimuth_nodes": 2 ** 10},
+])
+def test_oversized_quad_override_exit_code(tmp_path, capsys, quad):
+    # Rejected while the scenario loads, before any grid is allocated.
+    sc = write_scenario(tmp_path, dict(SHELL_PJ, quad=quad))
+    code = main(["run", "--scenario", sc, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INVALID
+    assert "quad" in capsys.readouterr().err
+
+
 def test_classify_precedence():
     def rep(name, verdict):
         return CheckReport(name=name, lhs=0.0, rhs=1.0, residual=-1.0,

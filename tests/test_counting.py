@@ -1,6 +1,7 @@
 """Integrated counting: closed-form kernels against mpmath, the batched
 fixed-panel path against the adaptive per-point path, and the bundled
-supremum scans pinned to the values of the point-by-point walk."""
+supremum scans pinned to the values of the point-by-point walk.  Also the
+planar positive-part means against mpmath."""
 
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from nevkit.cli import bundled_scenario_paths
-from nevkit.dsh import RationalFunction
+from nevkit.dsh import RationalFunction, from_rational, positive_part_integral
 from nevkit.measures import (
     SUPPORT,
     Atom,
@@ -258,3 +259,54 @@ def test_bundled_scans_replay_the_pointwise_walk():
             assert res.value == value
         else:
             assert res.value == pytest.approx(value, abs=1e-12)
+
+
+# ------------------------------------------------- positive-part means
+
+
+POSITIVE_PART_F = RationalFunction(
+    zeros=(1.2953861026876976 + 0.20541726018355613j,),
+    poles=(-0.48355623546841375 + 0.8962531360806826j,
+           -1.535752083078638 + 0.37133081336094537j),
+    scale=0.9321923049599199)
+
+
+def _oracle_positive_part_mean(f, radius, start):
+    """Mean of ln+|f| over the circle |z| = radius, by mpmath quadrature
+    split at the sign changes of ln|f| (located on a 256-cell grid from the
+    angle ``start``, which may be singular, then refined)."""
+    radius, start = mpmath.mpf(radius), mpmath.mpf(start)
+
+    def log_abs(t):
+        z = radius * mpmath.expj(t)
+        value = mpmath.log(abs(mpmath.mpc(f.scale)))
+        for a in f.zeros:
+            value += mpmath.log(abs(z - mpmath.mpc(a)))
+        for b in f.poles:
+            value -= mpmath.log(abs(z - mpmath.mpc(b)))
+        return value
+
+    grid = [start + 2 * mpmath.pi * k / 256 for k in range(1, 256)]
+    roots = [mpmath.findroot(log_abs, (a, b), solver="anderson")
+             for a, b in zip(grid, grid[1:]) if (log_abs(a) > 0) != (log_abs(b) > 0)]
+    knots = [start, *roots, start + 2 * mpmath.pi]
+    return mpmath.quad(lambda t: max(log_abs(t), 0), knots) / (2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("on_circle", [False, True])
+def test_positive_part_integral_matches_mpmath(on_circle):
+    # ln|f| changes sign twice on the circle, so ln+|f| has two kinks there.
+    # With on_circle the shell passes through a pole of f, a declared
+    # singular angle, and the adaptive rule runs split at it and the kinks.
+    pole = POSITIVE_PART_F.poles[1]
+    radius, start = ((abs(pole), math.atan2(pole.imag, pole.real)) if on_circle
+                     else (0.5990793563813949, 0.0))
+    mass = 0.7315579357058061
+    u = from_rational(POSITIVE_PART_F)
+    assert bool(u.singular_angles_on(np.zeros(2), radius)) == on_circle
+    mu = Measure(dimension=2, spheres=(SphereShell(np.zeros(2), radius, mass),))
+    budget = ErrorBudget()
+    value = positive_part_integral(u, mu, budget=budget)
+    exact = mass * _oracle_positive_part_mean(POSITIVE_PART_F, radius, start)
+    assert budget.ok
+    assert abs(value - exact) <= budget.error, (value, float(exact), budget.error)

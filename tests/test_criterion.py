@@ -38,7 +38,7 @@ from nevkit.measures import (
     potential,
     radial_counting,
 )
-from nevkit.nevanlinna import classical_N, classical_T
+from nevkit.nevanlinna import classical_N, classical_T, proximity
 from nevkit.quadrature import ErrorBudget, QuadSpec
 
 
@@ -126,6 +126,28 @@ def test_statement_V_batched_fallback_with_failing_quadrature_is_undetermined():
     rep = check_statement_V(mu, 0.4, resolution=3, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
     assert "quadrature failure: integrated-counting" in rep.diagnostics
+
+
+def test_kinked_positive_part_with_failing_quadrature_is_undetermined():
+    u = DshFunction(2, (Charge(np.array([0.3, 0.1]), 1.0),
+                        Charge(np.array([-0.2, 0.4]), -0.5)),
+                    HarmonicPart((("x0", 0.5),)))
+    theta = np.linspace(0.0, 2.0 * math.pi, 64)
+    values = u.evaluate(2.0 * np.column_stack((np.cos(theta), np.sin(theta))))
+    assert values.min() < 0.0 < values.max()  # u+ is kinked on |x| = 2
+    budget = ErrorBudget()
+    proximity(u, 2.0, budget=budget)
+    assert budget.ok
+    # The trapezoid check, the arc rules and the adaptive fallback all miss
+    # this spec; the failure reaches the budget, and the verdict.
+    budget = ErrorBudget()
+    proximity(u, 2.0, UNREACHABLE, budget=budget)
+    assert budget.failures == ["proximity"]
+    mu = circle()
+    assert check_statement_II(mu, u, 1.0, 2.0, resolution=5).verdict == HOLDS
+    rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5, spec=UNREACHABLE)
+    assert rep.verdict == UNDETERMINED
+    assert "quadrature failure: difference-T" in rep.diagnostics
 
 
 def test_mass_within_failures_reach_the_budget():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from nevkit import quadrature
 from nevkit.quadrature import (
     ErrorBudget,
+    QuadratureError,
     QuadSpec,
     circle_mean,
     circle_points,
     integrate_1d,
+    positive_part_mean,
     sphere_mean,
     stieltjes_against_jumps,
 )
@@ -132,6 +135,50 @@ class _Jumps:
         self.jumps = tuple(jumps)
 
 
+def test_positive_part_mean_splits_at_the_kinks(monkeypatch):
+    # max(x0 - 0.3, 0) on the unit circle: kinks at +-acos(0.3), mean
+    # (sin t - 0.3 t) / pi at t = acos(0.3).  The arc rules settle it without
+    # the adaptive fallback.
+    def adaptive(*args):
+        raise AssertionError("adaptive fallback used")
+
+    monkeypatch.setattr(quadrature, "_adaptive_circle_mean", adaptive)
+    t = math.acos(0.3)
+    budget = ErrorBudget()
+    value = positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, budget=budget)
+    assert budget.ok
+    assert abs(value - (math.sin(t) - 0.3 * t) / math.pi) <= budget.error
+    assert budget.error < 1e-14
+
+
+def test_positive_part_mean_agrees_with_sphere_mean():
+    def g(pts):
+        return pts[:, 0] - 0.25 * pts[:, -1]
+
+    def plus(pts):
+        return np.maximum(g(pts), 0.0)
+
+    # d = 3 is the sphere mean of max(g, 0); in the plane a function that
+    # keeps one sign passes the trapezoid check and gets the same bits.
+    for center in ([0.1, -0.2, 0.3], [2.0, 0.5]):
+        d = len(center)
+        ours, theirs = ErrorBudget(), ErrorBudget()
+        assert positive_part_mean(g, 0.7, d, center=center, budget=ours,
+                                  label="probe") == sphere_mean(
+            plus, 0.7, d, center=center, budget=theirs, label="probe")
+        assert (ours.error, ours.failures) == (theirs.error, theirs.failures)
+
+
+def test_positive_part_mean_failure_raises_without_budget():
+    spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
+    with pytest.raises(QuadratureError):
+        positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, spec)
+    budget = ErrorBudget()
+    positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, spec, budget=budget,
+                       label="probe")
+    assert budget.failures == ["probe"]
+
+
 def test_stieltjes_jumps_half_open_interval():
     h = _Jumps([(0.5, 2.0), (1.0, 3.0), (2.0, 7.0)])
     # (a, b] semantics: a jump at t = a is excluded, at t = b included.
@@ -147,6 +194,18 @@ def test_stieltjes_with_density_part():
 
     val = stieltjes_against_jumps(lambda t: 1.0, H(), 0.0, 1.0)
     assert val == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("fields", [
+    {"abs_tol": math.nan}, {"rel_tol": 0.0}, {"max_subdivisions": 2 ** 20 + 1},
+    {"circle_nodes": 2 ** 20 + 1}, {"polar_nodes": 2 ** 10, "azimuth_nodes": 2 ** 10 + 1},
+])
+def test_quad_spec_rejects_out_of_range_fields(fields):
+    with pytest.raises(ValueError):
+        QuadSpec(**fields)
+    # The caps themselves are allowed; nothing is allocated here.
+    QuadSpec(max_subdivisions=2 ** 20, circle_nodes=2 ** 20,
+             polar_nodes=2 ** 10, azimuth_nodes=2 ** 10)
 
 
 def test_error_budget_flags_failures():

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nevkit.cli import bundled_scenario_paths
+from nevkit.quadrature import integrate_1d
 from nevkit.scenario import ScenarioError, load_scenario, scenario_from_json
 
 
@@ -154,3 +156,70 @@ def test_load_scenario_reports_path(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError):
         load_scenario(bad)
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+BUNDLED = [json.loads(p.read_text()) for p in bundled_scenario_paths()]
+
+# Optional fields a bundled scenario may leave out; the fuzzer sets these too.
+OPTIONAL_FIELDS = [
+    ("measure", "atoms"), ("measure", "spheres"), ("measure", "radial"),
+    ("functions", 0, "charges"), ("functions", 0, "harmonic"),
+    ("quad",), ("quad", "max_subdivisions"), ("quad", "circle_nodes"),
+    ("quad", "polar_nodes"), ("quad", "azimuth_nodes"), ("quad", "abs_tol"),
+    ("grid",), ("expect_fail",), ("radii", "r0"),
+]
+
+# Edge values (integers beyond a C long and beyond the float range among
+# them), other scalars, and small nested lists and objects.
+JSON_EDGES = st.sampled_from([0, -1, 5, 2 ** 31, 2 ** 63, 10 ** 30, 10 ** 400, "", [], {}])
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False))
+JSON_VALUES = st.one_of(JSON_EDGES, JSON_SCALARS, st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6))
+
+
+def _field_paths(value, prefix=()):
+    """Every dict key and list index in a parsed JSON document, as paths."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out += _field_paths(child, prefix + (key,))
+    return out
+
+
+def _with_value(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        if isinstance(node, dict) and not isinstance(node.get(key), (dict, list)):
+            node[key] = {}
+        elif isinstance(node, list) and not key < len(node):
+            return doc
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_scenario_loads_or_raises_scenario_error(data):
+    base = data.draw(st.sampled_from(BUNDLED))
+    path = data.draw(st.sampled_from(OPTIONAL_FIELDS) | st.sampled_from(_field_paths(base)))
+    doc = _with_value(base, path, data.draw(JSON_VALUES))
+    try:
+        sc = scenario_from_json(doc)
+    except ScenarioError:
+        return
+    # A scenario that loads carries quadrature settings scipy accepts.
+    assert integrate_1d(lambda t: t, 0.0, 1.0, sc.quad).converged
