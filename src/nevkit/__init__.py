@@ -51,7 +51,6 @@ from .measures import (
     Ball,
     CountingFunction,
     Measure,
-    PolynomialDensity,
     RadialDensity,
     SphereShell,
     SupResult,
@@ -98,7 +97,7 @@ __all__ = [
     "Atom", "Ball", "BASE_TOLERANCE", "Characteristic", "Charge",
     "CheckReport", "CheckRequest", "CountingFunction", "DEFAULT_SPEC",
     "DshFunction", "ErrorBudget", "FAILS", "FunctionEntry", "HOLDS",
-    "HarmonicPart", "Measure", "PolynomialDensity", "QuadResult", "QuadSpec",
+    "HarmonicPart", "Measure", "QuadResult", "QuadSpec",
     "QuadratureError", "RadialDensity", "RationalFunction", "SUPPORT",
     "Scenario", "ScenarioError", "SphereShell", "StatementIIBounds",
     "SupResult", "UNDETERMINED", "check_corollary", "check_statement_I",

@@ -104,9 +104,14 @@ def _default_pj_points(sc: Scenario, u, rng: np.random.Generator,
     return pts
 
 
+def _quad_spec(sc: Scenario, options: RunOptions) -> QuadSpec:
+    """The scenario's quadrature spec under the ``--tol`` override."""
+    return sc.quad if options.tol is None else replace(sc.quad, abs_tol=options.tol)
+
+
 def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
     """Run every requested check of one scenario, in order."""
-    spec = sc.quad if options.tol is None else replace(sc.quad, abs_tol=options.tol)
+    spec = _quad_spec(sc, options)
     grid = options.grid if options.grid is not None else sc.grid
     rng = np.random.default_rng(options.seed)
     mu = sc.measure
@@ -203,12 +208,10 @@ def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]
     for sc, _ in results:
         if sc.dimension != 2:
             continue
-        spec = sc.quad if options.tol is None else replace(sc.quad,
-                                                           abs_tol=options.tol)
         with open(out_dir / f"{sc.name}.counting.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x0", "x1", "counting"])
-            writer.writerows(_counting_grid_rows(sc, spec))
+            writer.writerows(_counting_grid_rows(sc, _quad_spec(sc, options)))
 
 
 def classify(results: list[tuple[Scenario, list[CheckReport]]],

@@ -80,8 +80,7 @@ def _fmt(x: float) -> str:
 
 
 def _inequality_report(name: str, lhs: float, rhs: float, budget: ErrorBudget,
-                       diagnostics: list[str], *,
-                       base_tol: float = BASE_TOLERANCE) -> CheckReport:
+                       diagnostics: list[str]) -> CheckReport:
     """Verdict for lhs <= rhs with three-valued error awareness.
 
     An infinite rhs makes the inequality vacuous regardless of quadrature
@@ -91,11 +90,11 @@ def _inequality_report(name: str, lhs: float, rhs: float, budget: ErrorBudget,
     definite verdict.
     """
     err = budget.error
-    tol = base_tol + err
+    tol = BASE_TOLERANCE + err
     diag = list(diagnostics)
     if budget.failures:
         diag += [f"quadrature failure: {f}" for f in budget.failures]
-    if err > base_tol:
+    if err > BASE_TOLERANCE:
         diag.append(f"accumulated quadrature error estimate {err:.3e}")
     if math.isnan(lhs) or math.isnan(rhs):
         verdict = UNDETERMINED
@@ -109,7 +108,7 @@ def _inequality_report(name: str, lhs: float, rhs: float, budget: ErrorBudget,
         verdict = UNDETERMINED
     else:
         margin = rhs - lhs
-        if margin >= -tol and (margin >= err or err <= base_tol):
+        if margin >= -tol and (margin >= err or err <= BASE_TOLERANCE):
             verdict = HOLDS
         elif margin >= -tol:
             verdict = UNDETERMINED
@@ -343,7 +342,6 @@ def verify_lemma3(delta: Measure, R_star: float, R: float, *,
 
 def verify_poisson_jensen(U: DshFunction, x, R: float, *,
                           spec: QuadSpec = DEFAULT_SPEC,
-                          tol: float = IDENTITY_TOLERANCE,
                           name: str = "poisson_jensen") -> CheckReport:
     """Reconstruct U(x) from sphere data and charges and report the residual.
 
@@ -379,7 +377,7 @@ def verify_poisson_jensen(U: DshFunction, x, R: float, *,
     lhs = U.evaluate(x)
     rhs = boundary_term - green_term
     residual = lhs - rhs
-    tolerance = tol + budget.error
+    tolerance = IDENTITY_TOLERANCE + budget.error
     diag = [f"boundary integral {_fmt(boundary_term)}, charge term {_fmt(green_term)}"]
     if budget.failures:
         diag += [f"quadrature failure: {f}" for f in budget.failures]

@@ -169,8 +169,7 @@ class DshFunction:
                       for c in self.charges if c.weight < 0.0)
         return Measure(self.dimension, atoms)
 
-    def singular_angles_on(self, center, radius: float,
-                           rtol: float = NEAR_CIRCLE_RTOL) -> tuple[float, ...] | None:
+    def singular_angles_on(self, center, radius: float) -> tuple[float, ...] | None:
         """Angles (d = 2) of charges lying numerically on the given circle.
 
         Used as quadrature hints: a kernel term whose charge sits on the
@@ -183,7 +182,7 @@ class DshFunction:
         for ch in self.charges:
             v = ch.location - center
             dist = float(np.linalg.norm(v))
-            if abs(dist - radius) <= rtol * radius and dist > 0.0:
+            if abs(dist - radius) <= NEAR_CIRCLE_RTOL * radius and dist > 0.0:
                 angles.append(math.atan2(v[1], v[0]))
         return tuple(sorted(angles)) if angles else None
 
@@ -211,11 +210,8 @@ def positive_part_integral(u: DshFunction, mu: Measure,
                                   singular_angles=hints, label="positive-part")
         total += shell.mass * mean
     for comp in mu.radial:
-        pts = list(comp.breakpoints)
-        for ch in u.charges:
-            dist = float(np.linalg.norm(ch.location - comp.center))
-            if dist < comp.outer:
-                pts.append(dist)
+        # A charge's distance from the center is a kink of the ring means.
+        pts = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
 
         def ring(s: float, comp=comp) -> float:
             hints = u.singular_angles_on(comp.center, s)

@@ -106,10 +106,10 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def poisson_kernel(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RTOL):
+def poisson_kernel(x, y, R: float, d: int):
     """Poisson kernel of the ball B(0, R): (R^2 - |x|^2) / (s_{d-1} R |y - x|^d).
 
-    Requires |x| < R and every y on |y| = R (within ``boundary_rtol``
+    Requires |x| < R and every y on |y| = R (within ``BOUNDARY_RTOL``
     relative tolerance).  ``y`` is one point (d,), which gives a float, or an
     (n, d) array of sphere points, which gives an (n,) array.  Integrating
     the kernel over the sphere |y| = R against surface measure gives 1 for
@@ -128,7 +128,7 @@ def poisson_kernel(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RT
     nx = float(np.linalg.norm(x))
     if nx >= R:
         raise ValueError("poisson_kernel: x must lie strictly inside the ball")
-    if np.any(np.abs(np.linalg.norm(pts, axis=1) - R) > boundary_rtol * R):
+    if np.any(np.abs(np.linalg.norm(pts, axis=1) - R) > BOUNDARY_RTOL * R):
         raise ValueError("poisson_kernel: y must lie on the sphere |y| = R")
     dist = np.linalg.norm(pts - x, axis=1)
     if np.any(dist == 0.0):
@@ -137,7 +137,7 @@ def poisson_kernel(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RT
     return float(kern[0]) if single else kern
 
 
-def green_ball(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RTOL) -> float:
+def green_ball(x, y, R: float, d: int) -> float:
     """Green function of the ball B(0, R).
 
     Returns kappa of the reflected distance minus kappa(|y - x|), where the
@@ -155,7 +155,7 @@ def green_ball(x, y, R: float, d: int, *, boundary_rtol: float = BOUNDARY_RTOL) 
     ny = float(np.linalg.norm(y))
     if nx >= R:
         raise ValueError("green_ball: x must lie strictly inside the ball")
-    if ny > R * (1.0 + boundary_rtol):
+    if ny > R * (1.0 + BOUNDARY_RTOL):
         raise ValueError("green_ball: y must lie in the closed ball |y| <= R")
     refl2 = R * R - 2.0 * float(np.dot(x, y)) + (nx * ny / R) ** 2
     refl = math.sqrt(max(refl2, 0.0))

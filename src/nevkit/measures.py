@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 from scipy.special import spence
 
 from .kernels import (
@@ -32,26 +32,6 @@ from .kernels import (
 from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec, integrate_1d
 
 SUPPORT = "support"
-
-
-@dataclass(frozen=True)
-class PolynomialDensity:
-    """Polynomial radial density t -> sum_k coeffs[k] * t**k."""
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, t: float) -> float:
-        total = 0.0
-        for c in reversed(self.coeffs):
-            total = total * t + c
-        return total
-
-    def cumulative(self, t: float) -> float:
-        """Exact integral of the density over [0, t]."""
-        total = 0.0
-        for k in reversed(range(len(self.coeffs))):
-            total = total * t + self.coeffs[k] / (k + 1)
-        return total * t
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,52 +67,63 @@ class SphereShell:
             raise ValueError("SphereShell.mass must be positive and finite")
 
 
+def _critical_radii(coeffs: tuple[float, ...], outer: float) -> np.ndarray:
+    """Points of (0, outer) that cover the critical points of the polynomial.
+
+    The derivative's roots are found in x = t / outer, after its top terms
+    below rounding level on [0, 1] are trimmed so that its companion matrix
+    stays finite.  Every root's real part is kept, since a double root may
+    come out as a complex pair.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.array(coeffs) * outer ** np.arange(len(coeffs))
+    if not np.all(np.isfinite(c)):
+        raise ValueError("RadialDensity: coeffs[k] * outer**k overflows")
+    slope = P.polyder(c)
+    slope = P.polytrim(slope, np.finfo(float).eps * np.max(np.abs(slope), initial=0.0))
+    x = P.polyroots(slope).real
+    return outer * x[(0.0 < x) & (x < 1.0)]
+
+
 @dataclass(frozen=True, eq=False)
 class RadialDensity:
-    """Rotationally symmetric component about ``center``.
+    """Rotationally symmetric component about ``center`` with the polynomial
+    density t -> sum_k coeffs[k] * t**k on [0, outer].
 
     The mass within distance t of the center is integral_0^t density(s) ds,
     so ``density`` is the derivative of the component's own radial counting
-    function.  ``cumulative`` may supply that integral exactly (polynomials
-    do); otherwise it is obtained by quadrature.
+    function; ``mass_within`` integrates it in closed form.
     """
 
     center: np.ndarray
-    density: Callable[[float], float]
+    coeffs: tuple[float, ...]
     outer: float
-    breakpoints: tuple[float, ...] = ()
-    cumulative: Callable[[float], float] | None = None
-    coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.center.ndim != 1:
             raise ValueError("RadialDensity.center must be a flat coordinate vector")
         if not (self.outer > 0.0 and math.isfinite(self.outer)):
             raise ValueError("RadialDensity.outer must be positive and finite")
-        object.__setattr__(self, "breakpoints",
-                           tuple(float(b) for b in self.breakpoints))
-        for t in np.linspace(0.0, self.outer, 17):
-            if self.density(float(t)) < -1e-12:
-                raise ValueError("RadialDensity.density must be nonnegative")
+        ts = [0.0, self.outer, *_critical_radii(self.coeffs, self.outer)]
+        if min(self.density(t) for t in ts) < -1e-12:
+            raise ValueError("RadialDensity.density must be nonnegative on [0, outer]")
 
-    @staticmethod
-    def from_polynomial(center, coeffs, outer: float) -> "RadialDensity":
-        poly = PolynomialDensity(tuple(float(c) for c in coeffs))
-        return RadialDensity(center=np.asarray(center, dtype=float),
-                             density=poly, outer=float(outer),
-                             cumulative=poly.cumulative, coeffs=poly.coeffs)
+    def density(self, t):
+        """The density at t, a float or an array (Horner's rule)."""
+        total = 0.0
+        for c in reversed(self.coeffs):
+            total = total * t + c
+        return total
 
-    def mass_within(self, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                    budget: ErrorBudget | None = None) -> float:
+    def mass_within(self, t: float) -> float:
         """Mass of the component within distance t of its own center."""
         hi = min(max(t, 0.0), self.outer)
-        if hi == 0.0:
-            return 0.0
-        if self.cumulative is not None:
-            return float(self.cumulative(hi))
-        return integrate_1d(self.density, 0.0, hi, spec, points=self.breakpoints,
-                            budget=budget, label="mass-within").value
+        total = 0.0
+        for k in reversed(range(len(self.coeffs))):
+            total = total * hi + self.coeffs[k] / (k + 1)
+        return float(total * hi)
 
     @property
     def total(self) -> float:
@@ -228,26 +219,13 @@ class Measure:
 
 @dataclass(frozen=True, eq=False)
 class CountingFunction:
-    """Nondecreasing radial mass profile t -> mu(closed ball of radius t).
-
-    Represented as exact jumps plus an absolutely continuous part given by a
-    density with known breakpoints; ``cumulative`` integrates the density
-    from 0 when a closed form is available.
-    """
+    """Nondecreasing radial mass profile t -> mu(closed ball of radius t) of
+    a discrete measure, given by its jumps (t_i, dh_i)."""
 
     jumps: tuple[tuple[float, float], ...] = ()
-    density: Callable[[float], float] | None = None
-    breakpoints: tuple[float, ...] = ()
-    cumulative: Callable[[float], float] | None = None
 
-    def value(self, t: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
-        total = sum(dh for s, dh in self.jumps if s <= t * (1.0 + BOUNDARY_RTOL))
-        if self.cumulative is not None:
-            total += self.cumulative(t)
-        elif self.density is not None and t > 0.0:
-            total += integrate_1d(self.density, 0.0, t, spec,
-                                  points=self.breakpoints).value
-        return float(total)
+    def value(self, t: float) -> float:
+        return float(sum(dh for s, dh in self.jumps if s <= t * (1.0 + BOUNDARY_RTOL)))
 
 
 @dataclass(frozen=True)
@@ -346,12 +324,11 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - y))
         if a == 0.0:
-            total += comp.mass_within(thr, spec, budget=budget)
+            total += comp.mass_within(thr)
         elif t > 0.0:
-            pts = [abs(a - t), a + t, *comp.breakpoints]
             res = integrate_1d(
                 lambda s: comp.density(s) * _cap_fraction(a, s, t, d),
-                0.0, comp.outer, spec, points=pts, budget=budget,
+                0.0, comp.outer, spec, points=(abs(a - t), a + t), budget=budget,
                 label="radial-counting")
             total += res.value
     return float(total)
@@ -379,19 +356,18 @@ def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(phi)), w * (0.25 * math.pi) * np.sin(phi)
 
 
-def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int,
-                  points: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of density(s) * _shell_counting_kernel(a, s, r) over s for
     each center distance a > 0, with their n-against-2n error estimates.
 
     Each integral runs over fixed panels between the kernel's kinks
-    |a - r|, a, a + r, the density's breakpoints and ``points``, inside the
-    window [a - r, a + r] where the kernel is nonzero.
+    |a - r|, a and a + r, inside the window [a - r, a + r] where the kernel
+    is nonzero.
     """
     lo = np.maximum(a - r, 0.0)
     hi = np.maximum(np.minimum(a + r, comp.outer), lo)
     kinks = [lo, np.abs(a - r), a, a + r, hi]
-    kinks += [np.full_like(a, p) for p in (*comp.breakpoints, *points)]
     # Where the shell is inside the ball, kappa(s) is singular at s = 0, a
     # distance a below the panel [a, r - a]; geometric kinks a * 4**k keep
     # every panel at least a third of its width away from it.
@@ -419,9 +395,8 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
     """Values, error estimates and acceptance flags of the integrated
     counting at each row of ``pts``, without any per-point quadrature.
 
-    Rejected points are those at a density center, those of a density that
-    cannot take arrays, and those whose error estimate misses the spec's
-    tolerance; their values are meaningless.
+    Rejected points are those at a density center and those whose error
+    estimate misses the spec's tolerance; their values are meaningless.
     """
     d = mu.dimension
     kr = kappa(r, d)
@@ -438,11 +413,9 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
     for comp in mu.radial:
         a = np.linalg.norm(pts - comp.center, axis=1)
         off = a > 0.0
-        if comp.coeffs is None:  # only polynomial densities take arrays
-            off[:] = False
         ok &= off
         if off.any():
-            value, error = _radial_block(comp, a[off], r, d, spec.singular_points)
+            value, error = _radial_block(comp, a[off], r, d)
             total[off] += value
             err[off] += error
     ok &= err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
@@ -468,14 +441,13 @@ def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec,
         if a == 0.0:
             hi = min(r, comp.outer)
             res = integrate_1d(lambda s: comp.density(s) * (kr - kappa(s, d)),
-                               0.0, hi, spec, points=comp.breakpoints,
-                               budget=budget, label="integrated-counting")
+                               0.0, hi, spec, budget=budget,
+                               label="integrated-counting")
             total += res.value
         else:
-            pts = [abs(a - r), a + r, a, *comp.breakpoints]
             res = integrate_1d(
                 lambda s: comp.density(s) * _shell_counting_kernel(a, s, r, d),
-                0.0, comp.outer, spec, points=pts, budget=budget,
+                0.0, comp.outer, spec, points=(abs(a - r), a + r, a), budget=budget,
                 label="integrated-counting")
             total += res.value
     return float(total)
@@ -553,7 +525,6 @@ def difference_counting(mu: Measure, r: float, R: float,
         for comp in cont.radial:
             nc = float(np.linalg.norm(comp.center))
             pts += [abs(nc - comp.outer), nc + comp.outer]
-            pts += [nc + b for b in comp.breakpoints]
 
         def integrand(t: float) -> float:
             inner = radial_counting(cont, np.zeros(d), t, spec, budget=budget)
@@ -582,14 +553,14 @@ def potential(mu: Measure, x, spec: QuadSpec = DEFAULT_SPEC, *,
         total += shell.mass * kappa(max(a, shell.radius), d)
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - x))
-        inner = comp.mass_within(a, spec, budget=budget) if a > 0.0 else 0.0
+        inner = comp.mass_within(a) if a > 0.0 else 0.0
         if inner > 0.0:
             total += kappa(a, d) * inner
         lo = min(a, comp.outer)
         if lo < comp.outer:
             res = integrate_1d(lambda s: comp.density(s) * kappa(s, d),
-                               lo, comp.outer, spec, points=comp.breakpoints,
-                               budget=budget, label="potential")
+                               lo, comp.outer, spec, budget=budget,
+                               label="potential")
             total += res.value
     return float(total)
 
@@ -822,7 +793,7 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
 
 
 def measure_to_json(mu: Measure) -> dict:
-    """Serialize a measure; radial components must be polynomial."""
+    """Serialize a measure in the schema ``measure_from_json`` reads."""
     out: dict = {"dimension": mu.dimension}
     if mu.atoms:
         out["atoms"] = [{"point": [float(v) for v in a.location], "mass": a.mass}
@@ -832,13 +803,9 @@ def measure_to_json(mu: Measure) -> dict:
                            "radius": s.radius, "mass": s.mass}
                           for s in mu.spheres]
     if mu.radial:
-        comps = []
-        for c in mu.radial:
-            if c.coeffs is None:
-                raise ValueError("only polynomial radial densities can be serialized")
-            comps.append({"center": [float(v) for v in c.center],
-                          "coeffs": list(c.coeffs), "outer": c.outer})
-        out["radial"] = comps
+        out["radial"] = [{"center": [float(v) for v in c.center],
+                          "coeffs": list(c.coeffs), "outer": c.outer}
+                         for c in mu.radial]
     return out
 
 
@@ -889,7 +856,7 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
             raise ValueError(f"{p}.coeffs: expected a nonempty list of numbers")
         coeffs = [expect_number(c, f"{p}.coeffs[{j}]") for j, c in enumerate(coeffs)]
         try:
-            comp = RadialDensity.from_polynomial(
+            comp = RadialDensity(
                 expect_point(entry["center"], d, f"{p}.center"),
                 coeffs, expect_number(entry["outer"], f"{p}.outer", positive=True))
         except ValueError as exc:

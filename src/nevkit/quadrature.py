@@ -55,7 +55,6 @@ class QuadSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2 ** 15
-    singular_points: tuple[float, ...] = ()
     circle_nodes: int = 512
     polar_nodes: int = 64
     azimuth_nodes: int = 128
@@ -121,13 +120,12 @@ def integrate_1d(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC, *,
                  label: str = "integrate_1d") -> QuadResult:
     """Adaptive integral of f over [a, b], splitting at declared singular points.
 
-    Interior singular points come from both ``spec.singular_points`` and the
-    ``points`` argument; the integrand is never evaluated exactly at them or
-    at the interval endpoints, so integrable endpoint singularities are fine.
+    The integrand is never evaluated exactly at the interior ``points`` or at
+    the interval endpoints, so integrable endpoint singularities are fine.
     """
     if not a < b:
         raise ValueError(f"integrate_1d needs a < b, got [{a}, {b}]")
-    interior = sorted({float(p) for p in (*spec.singular_points, *points) if a < p < b})
+    interior = sorted({float(p) for p in points if a < p < b})
     kwargs = {
         "epsabs": spec.abs_tol,
         "epsrel": spec.rel_tol,
@@ -382,25 +380,13 @@ def _positive_arc_mean(g_at, roots: np.ndarray, spec: QuadSpec) -> QuadResult | 
     return QuadResult(fine, max(err, 1e-16 * abs(fine)), True)
 
 
-def stieltjes_against_jumps(g, h, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                            budget: ErrorBudget | None = None) -> float:
+def stieltjes_against_jumps(g, h, a: float, b: float) -> float:
     """Riemann-Stieltjes integral of g against a nondecreasing h over (a, b].
 
-    h exposes ``jumps`` (pairs (t_i, dh_i), taken exactly, never discretized),
-    and optionally ``density`` with ``breakpoints`` for an absolutely
-    continuous part.  g may be infinite at a jump point; the infinity then
-    propagates through the extended-real sum.
+    h exposes ``jumps``, pairs (t_i, dh_i) taken exactly, never discretized.
+    g may be infinite at a jump point; the infinity then propagates through
+    the extended-real sum.
     """
     if a > b:
         raise ValueError(f"stieltjes_against_jumps needs a <= b, got [{a}, {b}]")
-    total = 0.0
-    for t, dh in getattr(h, "jumps", ()):
-        if a < t <= b:
-            total += g(t) * dh
-    density = getattr(h, "density", None)
-    if density is not None and a < b:
-        res = integrate_1d(lambda s: g(s) * density(s), a, b, spec,
-                           points=getattr(h, "breakpoints", ()),
-                           budget=budget, label="stieltjes-density")
-        total += res.value
-    return float(total)
+    return float(sum(g(t) * dh for t, dh in h.jumps if a < t <= b))

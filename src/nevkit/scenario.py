@@ -94,7 +94,7 @@ def _parse_quad(data, path: str) -> QuadSpec:
         return QuadSpec()
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected an object of QuadSpec overrides")
-    allowed = {f.name for f in dataclass_fields(QuadSpec)} - {"singular_points"}
+    allowed = {f.name for f in dataclass_fields(QuadSpec)}
     unknown = set(data) - allowed
     if unknown:
         raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")

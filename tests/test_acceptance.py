@@ -194,7 +194,7 @@ def test_acceptance_04_kernel_positivity_bounds():
 def test_acceptance_05_main_corollary_reference_scenario():
     f = RationalFunction(zeros=(0.5,), poles=(2.0, 2.0), scale=1.0)
     mu = Measure(dimension=2,
-                 radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.0, 2.0), 1.0),))
+                 radial=(RadialDensity([0.0, 0.0], (0.0, 2.0), 1.0),))
     rep = check_corollary(f, mu, 1.0, 2.0, resolution=13)
     assert rep.verdict == HOLDS
     assert rep.margin > 0.0
@@ -222,10 +222,10 @@ def test_acceptance_06_statement_ii_grid_and_concentration():
     ]
     measures = [
         Measure(dimension=2,
-                radial=(RadialDensity.from_polynomial([0, 0], (0.0, 2.0), 1.0),)),
+                radial=(RadialDensity([0, 0], (0.0, 2.0), 1.0),)),
         Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 1.0, 1.0),)),
         Measure(dimension=2,
-                radial=(RadialDensity.from_polynomial([0, 0], (0.0, 1.0), 1.0),)),
+                radial=(RadialDensity([0, 0], (0.0, 1.0), 1.0),)),
     ]
     for U in functions:
         for mu in measures:
@@ -256,17 +256,17 @@ def test_acceptance_07_equivalence_coherence():
         Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 0.4, 0.5),
                                       SphereShell(np.array([0.1, 0.3]), 0.8, 1.2),)),
         Measure(dimension=2,
-                radial=(RadialDensity.from_polynomial([0, 0], (0.0, 2.0), 1.0),)),
+                radial=(RadialDensity([0, 0], (0.0, 2.0), 1.0),)),
         Measure(dimension=2,
-                radial=(RadialDensity.from_polynomial([0, 0], (0.3, 0.9), 0.8),)),
+                radial=(RadialDensity([0, 0], (0.3, 0.9), 0.8),)),
         Measure(dimension=2,
                 spheres=(SphereShell(np.array([-0.2, 0.2]), 0.5, 0.6),),
-                radial=(RadialDensity.from_polynomial([0, 0], (0.0, 1.0), 1.0),)),
+                radial=(RadialDensity([0, 0], (0.0, 1.0), 1.0),)),
         Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 1.0, 1.0),)),
         Measure(dimension=3,
                 spheres=(SphereShell(np.array([0.1, 0.2, -0.05]), 0.5, 2.0),)),
         Measure(dimension=3,
-                radial=(RadialDensity.from_polynomial([0, 0, 0], (0.0, 0.0, 3.0), 1.0),)),
+                radial=(RadialDensity([0, 0, 0], (0.0, 0.0, 3.0), 1.0),)),
         Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.3, 0.4),
                                       SphereShell(np.zeros(3), 0.9, 0.6),)),
     ]
@@ -324,7 +324,7 @@ def test_acceptance_09_homogeneity_invariance():
     r, R = 1.0, 2.0
     circle = Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 1.0, 1.0),))
     disc = Measure(dimension=2,
-                   radial=(RadialDensity.from_polynomial([0, 0], (0.0, 2.0), 1.0),))
+                   radial=(RadialDensity([0, 0], (0.0, 2.0), 1.0),))
     witness = kernel_witness(np.array([0.3, 0.2]), r, R, 2)
     logf = from_rational(RationalFunction(zeros=(0.5,), poles=(2.0, 2.0), scale=1.0))
 

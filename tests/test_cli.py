@@ -116,18 +116,33 @@ def test_validation_error_exit_code(tmp_path):
     assert code == EXIT_INVALID
 
 
-@pytest.mark.parametrize("where, field", [
-    ("measure", "atoms"), ("measure", "spheres"), ("measure", "radial"),
-    ("function", "charges"), ("function", "harmonic"),
+# The last case is a list, but its density dips to -1e-4 at t = 0.53125,
+# between any 17 equispaced samples of [0, 1]: only its exact minimum shows it.
+NEGATIVE_DENSITY = [{"center": [0.0, 0.0], "coeffs": [0.2821265625, -1.0625, 1.0],
+                     "outer": 1.0}]
+
+
+@pytest.mark.parametrize("where, field, value, message", [
+    pytest.param("measure", "atoms", 5, "atoms: expected a list", id="measure-atoms"),
+    pytest.param("measure", "spheres", 5, "spheres: expected a list",
+                 id="measure-spheres"),
+    pytest.param("measure", "radial", 5, "radial: expected a list", id="measure-radial"),
+    pytest.param("function", "charges", 5, "charges: expected a list",
+                 id="function-charges"),
+    pytest.param("function", "harmonic", 5, "harmonic: expected a list",
+                 id="function-harmonic"),
+    pytest.param("measure", "radial", NEGATIVE_DENSITY, "measure.radial[0]: ",
+                 id="measure-radial-negative-density"),
 ])
-def test_non_list_component_field_exit_code(tmp_path, capsys, where, field):
+def test_non_list_component_field_exit_code(tmp_path, capsys, where, field, value,
+                                            message):
     data = json.loads(json.dumps(SHELL_PJ))
     target = data["measure"] if where == "measure" else data["functions"][0]
-    target[field] = 5
+    target[field] = value
     sc = write_scenario(tmp_path, data)
     code = main(["run", "--scenario", sc, "--out", str(tmp_path / "o")])
     assert code == EXIT_INVALID
-    assert f"{field}: expected a list" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("quad", [

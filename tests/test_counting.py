@@ -1,7 +1,7 @@
 """Integrated counting: closed-form kernels against mpmath, the batched
 fixed-panel path against the adaptive per-point path, and the bundled
 supremum scans pinned to the values of the point-by-point walk.  Also the
-planar positive-part means against mpmath."""
+planar positive-part means and the bound constant A against mpmath."""
 
 import json
 import math
@@ -9,15 +9,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nevkit.cli import bundled_scenario_paths
 from nevkit.dsh import RationalFunction, from_rational, positive_part_integral
+from nevkit.kernels import constant_A
 from nevkit.measures import (
     SUPPORT,
     Atom,
     Ball,
     Measure,
-    PolynomialDensity,
     RadialDensity,
     SphereShell,
     _ball_lattice,
@@ -105,12 +106,22 @@ def test_cap_fraction_matches_mpmath(d):
 @pytest.mark.parametrize("coeffs", [(1.0,), (0.0, 2.0), (0.3, 0.9), (0.0, 0.0, 3.0),
                                     (2.5, -1.5, 0.25, 0.125), (0.1, 0.0, 0.0, 0.0, 7.0)])
 def test_polynomial_cumulative_matches_mpmath(coeffs):
-    poly = PolynomialDensity(coeffs)
+    comp = RadialDensity(np.zeros(2), coeffs, 2.0)
     for t in (0.0, 0.125, 0.7, 1.0, 1.9):
         exact = mpmath.quad(
             lambda s: sum(mpmath.mpf(c) * s ** k for k, c in enumerate(coeffs)),
             [0, mpmath.mpf(t)])
-        assert poly.cumulative(t) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+        assert comp.mass_within(t) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+
+
+@given(st.sampled_from([2, 3, 4]), st.floats(min_value=1e-3, max_value=10.0),
+       st.floats(min_value=1e-3, max_value=0.999))
+def test_constant_A_matches_mpmath(d, R, ratio):
+    r = R * ratio
+    mr, mR = mpmath.mpf(r), mpmath.mpf(R)
+    exact = (5 * max(1, d - 2) * ((mR + mr) / (mR - mr)) ** (d - 1)
+             * max(1, (mR - mr) ** (d - 2)))
+    assert constant_A(r, R, d) == pytest.approx(float(exact), rel=1e-14)
 
 
 def _oracle_classical_N(poles, r):
@@ -147,7 +158,7 @@ def test_classical_N_matches_mpmath(poles, r):
 
 def _disc_area():
     return Measure(dimension=2,
-                   radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.0, 2.0), 1.0),))
+                   radial=(RadialDensity([0.0, 0.0], (0.0, 2.0), 1.0),))
 
 
 def _batch_against_adaptive(mu, pts, r):
@@ -171,8 +182,7 @@ def test_batch_matches_adaptive_on_corollary_lattice():
 def test_batch_matches_adaptive_on_off_center_density_d3():
     mu = Measure(dimension=3,
                  spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
-                 radial=(RadialDensity.from_polynomial([0.11, 0.25, 0.1], (0.0, 0.0, 40.0),
-                                                       0.33),))
+                 radial=(RadialDensity([0.11, 0.25, 0.1], (0.0, 0.0, 40.0), 0.33),))
     lattice = _ball_lattice(Ball(np.zeros(3), 2.0), 3, 5)
     _batch_against_adaptive(mu, lattice, 1.0)
     _batch_against_adaptive(mu, np.array(lattice) * 0.2, 0.3)
@@ -181,7 +191,7 @@ def test_batch_matches_adaptive_on_off_center_density_d3():
 def test_batch_matches_adaptive_with_mass_density_at_center():
     # Density 0.3 + 0.9 t: its planar mass density is singular at the center.
     mu = Measure(dimension=2,
-                 radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.3, 0.9), 0.8),))
+                 radial=(RadialDensity([0.0, 0.0], (0.3, 0.9), 0.8),))
     rng = np.random.default_rng(7)
     near = [v * 10.0 ** -k for k, v in zip(range(1, 8), rng.normal(size=(7, 2)))]
     lattice = _ball_lattice(Ball(np.zeros(2), 1.8), 2, 9)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nevkit.criterion import (
-    BASE_TOLERANCE,
     FAILS,
     HOLDS,
     UNDETERMINED,
@@ -35,8 +34,6 @@ from nevkit.measures import (
     RadialDensity,
     SphereShell,
     difference_counting,
-    potential,
-    radial_counting,
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
 from nevkit.quadrature import ErrorBudget, QuadSpec
@@ -48,7 +45,7 @@ def circle(mass=1.0, radius=1.0, center=(0.0, 0.0)):
 
 def disc_area():
     return Measure(dimension=2,
-                   radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.0, 2.0), 1.0),))
+                   radial=(RadialDensity([0.0, 0.0], (0.0, 2.0), 1.0),))
 
 
 def atom_measure(*locs_masses, d=2):
@@ -59,9 +56,8 @@ def atom_measure(*locs_masses, d=2):
 # -------------------------------------------------------- verdict semantics
 
 
-def _report(lhs, rhs, budget=None, tol=BASE_TOLERANCE):
-    return _inequality_report("probe", lhs, rhs, budget or ErrorBudget(), [],
-                              base_tol=tol)
+def _report(lhs, rhs, budget=None):
+    return _inequality_report("probe", lhs, rhs, budget or ErrorBudget(), [])
 
 
 def test_verdict_nan_is_undetermined():
@@ -105,7 +101,7 @@ UNREACHABLE = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
 
 def test_lemma3_off_center_density_with_failing_quadrature_is_undetermined():
     mu = Measure(dimension=2,
-                 radial=(RadialDensity.from_polynomial([0.3, -0.2], (0.3, 0.9), 0.6),))
+                 radial=(RadialDensity([0.3, -0.2], (0.3, 0.9), 0.6),))
     assert verify_lemma3(mu, 1.2, 2.0).verdict == HOLDS
     rep = verify_lemma3(mu, 1.2, 2.0, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
@@ -118,8 +114,7 @@ def test_lemma3_off_center_density_with_failing_quadrature_is_undetermined():
 
 def test_statement_V_batched_fallback_with_failing_quadrature_is_undetermined():
     mu = Measure(dimension=3,
-                 radial=(RadialDensity.from_polynomial([0.3, -0.2, 0.1], (0.0, 0.0, 3.0),
-                                                       0.5),))
+                 radial=(RadialDensity([0.3, -0.2, 0.1], (0.0, 0.0, 3.0), 0.5),))
     assert check_statement_V(mu, 0.4, resolution=3).verdict == HOLDS
     # The batched scan sends every point back to the adaptive path, which
     # fails there; the visited points carry the failure to the verdict.
@@ -148,21 +143,6 @@ def test_kinked_positive_part_with_failing_quadrature_is_undetermined():
     rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
     assert "quadrature failure: difference-T" in rep.diagnostics
-
-
-def test_mass_within_failures_reach_the_budget():
-    # A non-polynomial density has no closed-form mass, so the mass about
-    # its own centre is a quadrature that eight subdivisions cannot resolve.
-    comp = RadialDensity(center=np.zeros(2), outer=1.0,
-                         density=lambda s: math.sqrt(s) * abs(math.sin(40.0 * s)))
-    mu = Measure(dimension=2, radial=(comp,))
-    spec = QuadSpec(UNREACHABLE.abs_tol, UNREACHABLE.rel_tol, max_subdivisions=8)
-    budget = ErrorBudget()
-    radial_counting(mu, np.zeros(2), 0.9, spec, budget=budget)
-    assert "mass-within" in budget.failures
-    budget = ErrorBudget()
-    potential(mu, [0.5, 0.0], spec, budget=budget)
-    assert "mass-within" in budget.failures
 
 
 # ---------------------------------------------------------- statement checks

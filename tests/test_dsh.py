@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nevkit.dsh import (
     HARMONIC_LABELS,
@@ -180,12 +182,26 @@ def test_positive_part_integral_atoms_measure():
     assert positive_part_integral(u, mu) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_dsh_json_round_trip():
-    u = DshFunction(2, (Charge(np.array([0.3, 0.1]), 1.0),),
-                    HarmonicPart((("x0*x1", 0.25), ("const", -0.5))))
-    back = dsh_from_json(dsh_to_json(u))
-    pts = np.array([[0.4, 0.2], [-1.0, 0.7]])
-    assert np.allclose(back.evaluate(pts), u.evaluate(pts), rtol=1e-14)
+_coord = st.floats(min_value=-5.0, max_value=5.0)
+
+
+@st.composite
+def dsh_functions(draw):
+    d = draw(st.sampled_from([2, 3]))
+    point = st.lists(_coord, min_size=d, max_size=d).map(np.array)
+    charges = draw(st.lists(st.builds(Charge, point, _coord), max_size=4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(HARMONIC_LABELS), _coord),
+                          max_size=4))
+    return DshFunction(d, tuple(charges), HarmonicPart(tuple(terms)))
+
+
+@given(dsh_functions())
+def test_dsh_json_round_trip(u):
+    back = dsh_from_json(json.loads(json.dumps(dsh_to_json(u))))
+    assert back.dimension == u.dimension
+    assert [(c.location.tolist(), c.weight) for c in back.charges] == \
+        [(c.location.tolist(), c.weight) for c in u.charges]
+    assert back.harmonic == u.harmonic
 
 
 def test_dsh_from_json_accepts_rational_shorthand():
@@ -195,9 +211,14 @@ def test_dsh_from_json_accepts_rational_shorthand():
     assert u([z.real, z.imag]) == pytest.approx(f.log_abs(z), rel=1e-12)
 
 
-def test_rational_json_round_trip():
-    f = RationalFunction(zeros=(0.5, -0.25 + 0.1j), poles=(2.0,), scale=-1.5)
-    back = rational_from_json(rational_to_json(f))
+_complex = st.complex_numbers(max_magnitude=5.0)
+
+
+@given(st.lists(_complex, max_size=4), st.lists(_complex, max_size=4),
+       _complex.filter(lambda z: z != 0))
+def test_rational_json_round_trip(zeros, poles, scale):
+    f = RationalFunction(tuple(zeros), tuple(poles), scale)
+    back = rational_from_json(json.loads(json.dumps(rational_to_json(f))))
     assert back.zeros == f.zeros
     assert back.poles == f.poles
     assert back.scale == f.scale

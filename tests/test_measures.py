@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from nevkit.measures import (
     Atom,
     Ball,
     Measure,
-    PolynomialDensity,
     RadialDensity,
     SphereShell,
     difference_counting,
@@ -35,7 +35,7 @@ def sphere3(mass=1.0, radius=1.0, center=(0.0, 0.0, 0.0)):
 def disc_area():
     """Normalized area measure on the unit disc: radial profile 2t."""
     return Measure(dimension=2,
-                   radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.0, 2.0), 1.0),))
+                   radial=(RadialDensity([0.0, 0.0], (0.0, 2.0), 1.0),))
 
 
 # ---------------------------------------------------------------- components
@@ -44,17 +44,39 @@ def disc_area():
 @given(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=5),
        st.floats(min_value=0.0, max_value=2.0))
 def test_polynomial_density_cumulative_is_exact(coeffs, t):
-    poly = PolynomialDensity(tuple(coeffs))
-    numeric = integrate_1d(poly, 0.0, t).value if t > 0 else 0.0
-    assert poly.cumulative(t) == pytest.approx(numeric, rel=1e-10, abs=1e-12)
+    comp = RadialDensity(np.zeros(2), tuple(coeffs), 2.0)
+    numeric = integrate_1d(comp.density, 0.0, t).value if t > 0 else 0.0
+    assert comp.mass_within(t) == pytest.approx(numeric, rel=1e-10, abs=1e-12)
 
 
 def test_radial_density_mass_caps_at_outer():
-    comp = RadialDensity.from_polynomial([0.0, 0.0], (0.0, 2.0), 1.0)
+    comp = RadialDensity([0.0, 0.0], (0.0, 2.0), 1.0)
     assert comp.mass_within(0.5) == pytest.approx(0.25, rel=1e-14)
     assert comp.mass_within(1.0) == pytest.approx(1.0, rel=1e-14)
     assert comp.mass_within(7.0) == pytest.approx(1.0, rel=1e-14)
     assert comp.total == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs, outer, message", [
+    ((0.2821265625, -1.0625, 1.0), 1.0, "nonnegative"),  # -1e-4 at t = 0.53125
+    ((1.0, -3.0), 0.5, "nonnegative"),                   # negative at the outer radius
+    ((-0.01, 0.0, 1.0), 2.0, "nonnegative"),             # negative at the centre
+    ((1.0, 1.0, 1.0), 1e200, "overflows"),
+])
+def test_radial_density_rejects_invalid_polynomials(coeffs, outer, message):
+    with pytest.raises(ValueError, match=message):
+        RadialDensity(np.zeros(2), coeffs, outer)
+
+
+@pytest.mark.parametrize("coeffs, outer, mass", [
+    ((0.25, -1.0, 1.0), 1.0, 1.0 / 12.0),  # (t - 0.5)**2 touches zero at 0.5
+    ((0.0, 2.0, 1.5e-323), 1.0, 1.0),      # a subnormal top coefficient
+    ((1.0,), 2.0, 2.0),
+    ((0.0, 0.0), 3.0, 0.0),
+])
+def test_radial_density_accepts_nonnegative_polynomials(coeffs, outer, mass):
+    comp = RadialDensity(np.zeros(2), coeffs, outer)
+    assert comp.total == pytest.approx(mass, rel=1e-14)
 
 
 def test_atom_rejects_nonpositive_mass():
@@ -263,19 +285,32 @@ def test_sup_cache_reuses_result():
 # ------------------------------------------------------------------- JSON
 
 
-def test_measure_json_round_trip():
-    mu = Measure(
-        dimension=2,
-        atoms=(Atom(np.array([0.1, -0.4]), 0.7),),
-        spheres=(SphereShell(np.array([0.0, 0.2]), 0.6, 1.1),),
-        radial=(RadialDensity.from_polynomial([0.0, 0.0], (0.5, 1.0), 0.8),),
-    )
-    back = measure_from_json(measure_to_json(mu))
+_coord = st.floats(min_value=-5.0, max_value=5.0)
+_size = st.floats(min_value=1e-6, max_value=5.0)
+
+
+@st.composite
+def measures(draw):
+    d = draw(st.sampled_from([2, 3]))
+    point = st.lists(_coord, min_size=d, max_size=d).map(np.array)
+    atoms = draw(st.lists(st.builds(Atom, point, _size), max_size=3))
+    spheres = draw(st.lists(st.builds(SphereShell, point, _size, _size), max_size=3))
+    coeffs = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=4)
+    radial = draw(st.lists(st.builds(RadialDensity, point, coeffs.map(tuple), _size),
+                           max_size=3))
+    return Measure(d, tuple(atoms), tuple(spheres), tuple(radial))
+
+
+@given(measures())
+def test_measure_json_round_trip(mu):
+    back = measure_from_json(json.loads(json.dumps(measure_to_json(mu))))
     assert back.dimension == mu.dimension
-    assert back.total_mass == pytest.approx(mu.total_mass, rel=1e-14)
-    y = np.array([0.15, 0.05])
-    assert integrated_counting(back, y, 0.7) == pytest.approx(
-        integrated_counting(mu, y, 0.7), rel=1e-12)
+    assert [(a.location.tolist(), a.mass) for a in back.atoms] == \
+        [(a.location.tolist(), a.mass) for a in mu.atoms]
+    assert [(s.center.tolist(), s.radius, s.mass) for s in back.spheres] == \
+        [(s.center.tolist(), s.radius, s.mass) for s in mu.spheres]
+    assert [(c.center.tolist(), c.coeffs, c.outer) for c in back.radial] == \
+        [(c.center.tolist(), c.coeffs, c.outer) for c in mu.radial]
 
 
 def test_measure_from_json_error_paths():

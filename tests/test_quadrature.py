@@ -82,9 +82,8 @@ def test_integrate_1d_interior_kink_with_breakpoint():
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
-def test_integrate_1d_singular_points_from_spec():
-    spec = QuadSpec(singular_points=(0.5,))
-    res = integrate_1d(lambda t: math.log(abs(t - 0.5)), 0.0, 1.0, spec)
+def test_integrate_1d_log_singularity_at_declared_point():
+    res = integrate_1d(lambda t: math.log(abs(t - 0.5)), 0.0, 1.0, points=[0.5])
     assert res.value == pytest.approx(-1.0 - math.log(2.0), rel=1e-9)
 
 
@@ -184,16 +183,6 @@ def test_stieltjes_jumps_half_open_interval():
     # (a, b] semantics: a jump at t = a is excluded, at t = b included.
     val = stieltjes_against_jumps(lambda t: t, h, 0.5, 2.0)
     assert val == 1.0 * 3.0 + 2.0 * 7.0
-
-
-def test_stieltjes_with_density_part():
-    class H:
-        jumps = ((0.5, 1.0),)
-        density = staticmethod(lambda t: 2.0 * t)
-        breakpoints = ()
-
-    val = stieltjes_against_jumps(lambda t: 1.0, H(), 0.0, 1.0)
-    assert val == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("fields", [
