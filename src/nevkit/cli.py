@@ -137,7 +137,7 @@ def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
             reports.append(falsify_statement_III(mu, family, sc.r, sc.R,
                                                  t_cap, spec=spec))
         elif kind == "statement_IV":
-            reports.append(check_statement_IV(mu, resolution=grid, spec=spec))
+            reports.append(check_statement_IV(mu, resolution=grid))
         elif kind == "statement_V":
             reports.append(check_statement_V(mu, sc.r0, resolution=grid,
                                              spec=spec))

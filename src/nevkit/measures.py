@@ -25,7 +25,6 @@ from .kernels import (
     expect_list,
     expect_number,
     expect_point,
-    hat_d,
     kappa,
     validate_dimension,
 )
@@ -125,6 +124,28 @@ class RadialDensity:
             total = total * hi + self.coeffs[k] / (k + 1)
         return float(total * hi)
 
+    def kernel_integral(self, lo: float, hi: float, d: int) -> float:
+        """integral_lo^hi density(s) * kappa(s) ds for 0 <= lo <= hi, d in {2, 3}.
+
+        Term k has the antiderivative s**(k+1) * (ln s / (k+1) - 1 / (k+1)**2)
+        for d = 2 and -s**k / k (-ln s for k = 0) for d = 3.  Each vanishes at
+        s = 0 except -ln s, so from lo = 0 the d = 3 integral is -inf when
+        coeffs[0] > 0.
+        """
+        if lo >= hi:
+            return 0.0
+        if lo == 0.0 and d == 3 and self.coeffs[0] > 0.0:
+            return -math.inf
+
+        def primitive(s: float) -> float:
+            ls = math.log(s) if s > 0.0 else 0.0  # every term left is 0 at s = 0
+            if d == 2:
+                return sum(c * s ** (k + 1) * (ls / (k + 1) - 1.0 / (k + 1) ** 2)
+                           for k, c in enumerate(self.coeffs))
+            return -sum(c * (s ** k / k if k else ls) for k, c in enumerate(self.coeffs))
+
+        return primitive(hi) - primitive(lo)
+
     @property
     def total(self) -> float:
         return self.mass_within(self.outer)
@@ -213,9 +234,6 @@ class Measure:
         return Measure(self.dimension, self.atoms + other.atoms,
                        self.spheres + other.spheres, self.radial + other.radial)
 
-    def without_atoms(self) -> "Measure":
-        return Measure(self.dimension, (), self.spheres, self.radial)
-
 
 @dataclass(frozen=True, eq=False)
 class CountingFunction:
@@ -283,8 +301,6 @@ def _shell_counting_kernel(a, s, r: float, d: int):
     kr = kappa(r, d)
     if isinstance(a, (float, int)) and isinstance(s, (float, int)):
         a, s = float(a), float(s)
-        if a == 0.0:
-            return kr - kappa(s, d) if s <= r * (1.0 + BOUNDARY_RTOL) else 0.0
         if abs(a - s) >= r:
             return 0.0
         if a + s <= r:
@@ -292,12 +308,9 @@ def _shell_counting_kernel(a, s, r: float, d: int):
         return float(_shell_window(a, s, r, kr, d))
     a, s = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(s, dtype=float))
     out = np.zeros(a.shape)
-    centre = a == 0.0
-    out[centre] = np.where(s[centre] <= r * (1.0 + BOUNDARY_RTOL),
-                           kr - kappa(s[centre], d), 0.0)
-    inside = (a + s <= r) & ~centre
+    inside = a + s <= r
     out[inside] = kr - kappa(np.maximum(a, s)[inside], d)
-    window = (np.abs(a - s) < r) & ~inside & ~centre
+    window = (np.abs(a - s) < r) & ~inside
     out[window] = _shell_window(a[window], s[window], r, kr, d)
     return out
 
@@ -390,19 +403,13 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     return value, np.maximum(np.abs(fine - coarse).sum(axis=1), 1e-16 * np.abs(value))
 
 
-def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, error estimates and acceptance flags of the integrated
-    counting at each row of ``pts``, without any per-point quadrature.
-
-    Rejected points are those at a density center and those whose error
-    estimate misses the spec's tolerance; their values are meaningless.
-    """
+def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
+    """The integrated counting at each row of ``pts`` from atoms (+inf at an
+    atom), shells, and densities at their own center, where it is
+    kappa(r) m(h) - kernel_integral(0, h) with h = min(r, outer)."""
     d = mu.dimension
     kr = kappa(r, d)
     total = np.zeros(len(pts))
-    err = np.zeros(len(pts))
-    ok = np.ones(len(pts), dtype=bool)
     for atom in mu.atoms:
         dist = np.linalg.norm(pts - atom.location, axis=1)
         near = dist <= r * (1.0 + BOUNDARY_RTOL)
@@ -411,46 +418,56 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
         a = np.linalg.norm(pts - shell.center, axis=1)
         total += shell.mass * _shell_counting_kernel(a, shell.radius, r, d)
     for comp in mu.radial:
+        centre = np.linalg.norm(pts - comp.center, axis=1) == 0.0
+        if centre.any():
+            h = min(r, comp.outer)
+            total[centre] += kr * comp.mass_within(h) - comp.kernel_integral(0.0, h, d)
+    return total
+
+
+def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, error estimates and acceptance flags of the integrated
+    counting at each row of ``pts``, without any per-point quadrature.
+
+    Rejected points are those whose error estimate misses the spec's
+    tolerance; their values are meaningless.
+    """
+    total = _closed_counting(mu, pts, r)
+    err = np.zeros(len(pts))
+    for comp in mu.radial:
         a = np.linalg.norm(pts - comp.center, axis=1)
         off = a > 0.0
-        ok &= off
         if off.any():
-            value, error = _radial_block(comp, a[off], r, d)
+            value, error = _radial_block(comp, a[off], r, mu.dimension)
             total[off] += value
             err[off] += error
-    ok &= err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    ok = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
     return total, np.where(ok, err, 0.0), ok
 
 
-def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec,
-                 budget: ErrorBudget | None) -> float:
-    """The integrated counting at one point, by adaptive quadrature."""
+def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
+                 ) -> tuple[float, float]:
+    """The integrated counting at one point and its error estimate (+inf
+    when a quadrature failed): closed forms, plus adaptive quadrature for
+    each density the point is off the center of."""
     d = mu.dimension
-    kr = kappa(r, d)
-    thr = r * (1.0 + BOUNDARY_RTOL)
-    total = 0.0
-    for atom in mu.atoms:
-        dist = float(np.linalg.norm(atom.location - y))
-        if dist <= thr:
-            total += atom.mass * (kr - kappa(dist, d))  # dist == 0 -> +inf
-    for shell in mu.spheres:
-        a = float(np.linalg.norm(shell.center - y))
-        total += shell.mass * _shell_counting_kernel(a, shell.radius, r, d)
+    point = ErrorBudget()
+    total = float(_closed_counting(mu, y[np.newaxis, :], r)[0])
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - y))
-        if a == 0.0:
-            hi = min(r, comp.outer)
-            res = integrate_1d(lambda s: comp.density(s) * (kr - kappa(s, d)),
-                               0.0, hi, spec, budget=budget,
-                               label="integrated-counting")
-            total += res.value
-        else:
+        if a > 0.0:
             res = integrate_1d(
                 lambda s: comp.density(s) * _shell_counting_kernel(a, s, r, d),
-                0.0, comp.outer, spec, points=(abs(a - r), a + r, a), budget=budget,
+                0.0, comp.outer, spec, points=(abs(a - r), a + r, a), budget=point,
                 label="integrated-counting")
             total += res.value
-    return float(total)
+    return total, point.error if point.ok else math.inf
+
+
+def _charge(budget: ErrorBudget | None, value: float, error: float) -> None:
+    if budget is not None and error > 0.0:
+        budget.add(QuadResult(value, error, math.isfinite(error)), "integrated-counting")
 
 
 def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -460,14 +477,15 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
 
     Evaluated per component through the equivalent form
     integral over the closed ball B(y, r) of (kappa(r) - kappa(|x - y|)) dmu:
-    closed form for atoms (and +inf when an atom sits exactly at y) and for
-    shells, and a radial integral of the shell kernel for densities.
+    closed form for atoms (and +inf when an atom sits exactly at y), for
+    shells and for densities at their own center, and a radial integral of
+    the shell kernel for densities off their center.
 
     ``y`` is one point (d,), which gives a float by adaptive quadrature, or
     an (n, d) array of points, which gives an (n,) array.  The array form
-    integrates densities on fixed panels, charges each point's n-against-2n
-    error estimate, and sends any point whose estimate misses the spec's
-    tolerance, or that sits at a density center, to the adaptive path.
+    integrates off-center densities on fixed panels, charges each point's
+    n-against-2n error estimate, and sends any point whose estimate misses
+    the spec's tolerance to the adaptive path.
     ``errors``, an (n,) array, receives each point's error estimate, with
     +inf where the quadrature failed.
     """
@@ -476,7 +494,9 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     d = mu.dimension
     pts = np.asarray(y, dtype=float)
     if pts.ndim < 2:
-        return _counting_at(mu, as_point(y, d), r, spec, budget)
+        value, error = _counting_at(mu, as_point(y, d), r, spec)
+        _charge(budget, value, error)
+        return value
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
     values = np.empty(len(pts))
@@ -485,14 +505,9 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
         block = slice(start, start + _BATCH_CHUNK)
         values[block], errs[block], ok = _counting_block(mu, pts[block], r, spec)
         for i in np.flatnonzero(~ok) + start:
-            point = ErrorBudget()
-            values[i] = _counting_at(mu, pts[i], r, spec, point)
-            errs[i] = point.error if point.ok else math.inf
-    if budget is not None:
-        for value, error in zip(values, errs):
-            if error > 0.0:
-                budget.add(QuadResult(value, error, math.isfinite(error)),
-                           "integrated-counting")
+            values[i], errs[i] = _counting_at(mu, pts[i], r, spec)
+    for value, error in zip(values, errs):
+        _charge(budget, value, error)
     if errors is not None:
         errors[:] = errs
     return values
@@ -503,9 +518,10 @@ def difference_counting(mu: Measure, r: float, R: float,
                         budget: ErrorBudget | None = None) -> float:
     """hat_d * integral_r^R of the radial counting about 0 divided by t**(d-1).
 
-    Atoms contribute in closed form, which keeps the r = 0 endpoint honest
-    (an atom at the origin then gives +inf).  Continuous components are
-    integrated adaptively with breakpoints at their transition radii.
+    By Fubini, the integral of kappa(R) - kappa(max(r, |x|)) over |x| <= R:
+    in closed form for atoms and densities centred at the origin (+inf at
+    r = 0 for an atom there, or a d = 3 density with coeffs[0] > 0), and
+    the integrated counting about 0 at R minus that at r for the rest.
     """
     if not (0.0 <= r < R):
         raise ValueError("difference_counting: invalid radii, need 0 <= r < R")
@@ -516,32 +532,29 @@ def difference_counting(mu: Measure, r: float, R: float,
         na = float(np.linalg.norm(atom.location))
         if na <= R * (1.0 + BOUNDARY_RTOL):
             total += atom.mass * (kR - kappa(max(r, na), d))
-    if mu.spheres or mu.radial:
-        cont = mu.without_atoms()
-        pts = []
-        for shell in cont.spheres:
-            nc = float(np.linalg.norm(shell.center))
-            pts += [abs(nc - shell.radius), nc + shell.radius]
-        for comp in cont.radial:
-            nc = float(np.linalg.norm(comp.center))
-            pts += [abs(nc - comp.outer), nc + comp.outer]
-
-        def integrand(t: float) -> float:
-            inner = radial_counting(cont, np.zeros(d), t, spec, budget=budget)
-            return inner / t ** (d - 1)
-
-        res = integrate_1d(integrand, r, R, spec, points=pts, budget=budget,
-                           label="difference-counting")
-        total += hat_d(d) * res.value
+    for comp in mu.radial:
+        if np.any(comp.center):
+            continue
+        hi = min(comp.outer, R)
+        mid = min(r, hi)
+        total += kR * comp.mass_within(hi) - comp.kernel_integral(mid, hi, d)
+        if mid > 0.0:
+            total -= kappa(r, d) * comp.mass_within(mid)
+    rest = Measure(d, (), mu.spheres, tuple(c for c in mu.radial if np.any(c.center)))
+    if not rest.is_zero:
+        origin = np.zeros((1, d))
+        total += integrated_counting(rest, origin, R, spec, budget=budget)[0]
+        if r > 0.0:
+            total -= integrated_counting(rest, origin, r, spec, budget=budget)[0]
     return float(total)
 
 
-def potential(mu: Measure, x, spec: QuadSpec = DEFAULT_SPEC, *,
-              budget: ErrorBudget | None = None) -> float:
+def potential(mu: Measure, x) -> float:
     """Kernel potential integral of kappa(|y - x|) dmu(y); -inf is legitimate.
 
-    Shells contribute the closed form mass * kappa(max(radius, |x - center|));
-    densities reduce to one radial integral through the same mean-value fact.
+    Shells contribute the closed form mass * kappa(max(radius, |x - center|)),
+    and densities, through the same mean-value fact, kappa(a) m(a) plus
+    ``kernel_integral`` from a = |x - center| to the outer radius.
     """
     d = mu.dimension
     x = as_point(x, d)
@@ -553,15 +566,9 @@ def potential(mu: Measure, x, spec: QuadSpec = DEFAULT_SPEC, *,
         total += shell.mass * kappa(max(a, shell.radius), d)
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - x))
-        inner = comp.mass_within(a) if a > 0.0 else 0.0
-        if inner > 0.0:
-            total += kappa(a, d) * inner
-        lo = min(a, comp.outer)
-        if lo < comp.outer:
-            res = integrate_1d(lambda s: comp.density(s) * kappa(s, d),
-                               lo, comp.outer, spec, budget=budget,
-                               label="potential")
-            total += res.value
+        if a > 0.0:
+            total += kappa(a, d) * comp.mass_within(a)
+        total += comp.kernel_integral(min(a, comp.outer), comp.outer, d)
     return float(total)
 
 
@@ -581,10 +588,10 @@ def _support_samples(mu: Measure, resolution: int) -> list[tuple[np.ndarray, obj
     for atom in mu.atoms:
         out.append((atom.location, atom))
     n_ang = max(16, 2 * resolution)
+    theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)
+    ring = np.column_stack((np.cos(theta), np.sin(theta)))
     for shell in mu.spheres:
         if d == 2:
-            theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)
-            ring = np.column_stack((np.cos(theta), np.sin(theta)))
             for w in ring:
                 out.append((shell.center + shell.radius * w, shell))
         else:
@@ -595,11 +602,12 @@ def _support_samples(mu: Measure, resolution: int) -> list[tuple[np.ndarray, obj
                     w = np.array([su * math.cos(phi), su * math.sin(phi), u])
                     out.append((shell.center + shell.radius * w, shell))
     for comp in mu.radial:
+        if comp.kernel_integral(0.0, comp.outer, d) == -math.inf:
+            out.append((comp.center, comp))  # the potential is -inf there
         n_rad = max(4, resolution // 2)
         radii = np.linspace(comp.outer / n_rad, comp.outer, n_rad)
         if d == 2:
-            theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)
-            dirs = np.column_stack((np.cos(theta), np.sin(theta)))
+            dirs = ring
         else:
             dirs = []
             for u in np.linspace(-1.0, 1.0, max(6, resolution // 2)):
@@ -638,7 +646,8 @@ class _CountingWalk:
     Two values that lie within their combined error estimates (plus a few
     ulps of rounding) are compared again through the adaptive per-point
     path, the arbiter of a point-by-point scan, so the batch's rounding
-    never settles a near-tie.
+    never settles a near-tie; two error-free values are closed forms, which
+    that path would return bit for bit, so they are not replayed.
     """
 
     def __init__(self, mu: Measure, r: float, spec: QuadSpec,
@@ -656,28 +665,22 @@ class _CountingWalk:
                                      errors=errors)
         return values, errors
 
-    def _charge(self, value: float, error: float) -> None:
-        if self.budget is not None and error > 0.0:
-            self.budget.add(QuadResult(value, error, math.isfinite(error)),
-                            "integrated-counting")
-
     def _per_point(self, p: np.ndarray) -> tuple[float, float]:
         key = tuple(p)
         if key not in self._per_point_cache:
-            point = ErrorBudget()
-            value = integrated_counting(self.mu, p, self.r, self.spec, budget=point)
-            error = point.error if point.ok else math.inf
-            self._charge(value, error)
+            value, error = _counting_at(self.mu, p, self.r, self.spec)
+            _charge(self.budget, value, error)
             self._per_point_cache[key] = (value, error)
         return self._per_point_cache[key]
 
     def visit(self, p: np.ndarray, value: float, error: float) -> bool:
         """Count, charge and compare one point; True when it becomes the best."""
         self.evaluations += 1
-        self._charge(value, error)
+        _charge(self.budget, value, error)
         scale = max(abs(value), abs(self.best_val))
         slack = error + self.best_err + _TIE_ULPS * np.finfo(float).eps * scale
-        if math.isfinite(slack) and abs(value - self.best_val) <= slack:
+        if ((error > 0.0 or self.best_err > 0.0) and math.isfinite(slack)
+                and abs(value - self.best_val) <= slack):
             value, error = self._per_point(p)
             self.best_val, self.best_err = self._per_point(self.best_pt)
         if value > self.best_val:

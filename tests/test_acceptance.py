@@ -299,6 +299,41 @@ def _coherence_verdicts(mu):
     return (rep_I.verdict, rep_IV.verdict, rep_V.verdict)
 
 
+def test_coherence_splits_bounded_singular_and_atomic_measures():
+    # A d = 3 density with coeffs[0] > 0 has volume density c0 / (4 pi t**2)
+    # near its center: finite energy, but the potential is -inf and the
+    # integrated counting +inf there, as at an atom.  In the plane, and in
+    # d = 3 with coeffs[0] = 0, every polynomial density stays bounded.
+    bounded = [
+        Measure(dimension=2, radial=(RadialDensity([0.2, -0.3], (1.5, 0.0, 0.4), 0.6),)),
+        Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 0.9, 0.5),),
+                radial=(RadialDensity([0, 0], (0.8,), 0.5),)),
+        Measure(dimension=3, radial=(RadialDensity([0.1, 0.0, -0.2], (0.0, 2.0), 0.5),)),
+        Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.8, 0.7),),
+                radial=(RadialDensity([0, 0, 0], (0.0, 0.5, 1.5), 0.6),)),
+    ]
+    singular = [
+        Measure(dimension=3, radial=(RadialDensity([0, 0, 0], (1.0,), 0.5),)),
+        Measure(dimension=3, radial=(RadialDensity([0.2, -0.1, 0.3], (0.5, 1.0), 0.4),)),
+        Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.8, 0.7),),
+                radial=(RadialDensity([0, 0, 0], (0.0, 2.0), 0.5),
+                        RadialDensity([-0.3, 0.0, 0.0], (0.05, 0.0, 1.0), 0.3))),
+    ]
+    atomic = [
+        Measure(dimension=2, atoms=(Atom(np.array([0.3, -0.4]), 0.7),),
+                radial=(RadialDensity([0, 0], (0.0, 2.0), 1.0),)),
+        Measure(dimension=3, atoms=(Atom(np.array([0.0, 0.5, 0.1]), 1.2),
+                                    Atom(np.array([-0.6, 0.0, 0.2]), 0.4))),
+    ]
+    disagreements = 0
+    for measures, expected in ((bounded, HOLDS), (singular, FAILS), (atomic, FAILS)):
+        for mu in measures:
+            verdicts = _coherence_verdicts(mu)
+            disagreements += len(set(verdicts)) != 1
+            assert verdicts == (expected,) * 3, (mu, verdicts)
+    assert disagreements == 0
+
+
 def test_acceptance_08_lemma3_equality_and_bound():
     delta0 = Measure(dimension=2, atoms=(Atom(np.zeros(2), 1.0),))
     rep = verify_lemma3(delta0, math.sqrt(2.0), 2.0)

@@ -1,7 +1,8 @@
 """Integrated counting: closed-form kernels against mpmath, the batched
 fixed-panel path against the adaptive per-point path, and the bundled
 supremum scans pinned to the values of the point-by-point walk.  Also the
-planar positive-part means and the bound constant A against mpmath."""
+density-kernel integrals, potentials and difference counting, the planar
+positive-part means and the bound constant A against mpmath."""
 
 import json
 import math
@@ -21,10 +22,13 @@ from nevkit.measures import (
     Measure,
     RadialDensity,
     SphereShell,
+    _CountingWalk,
     _ball_lattice,
     _cap_fraction,
     _shell_counting_kernel,
+    difference_counting,
     integrated_counting,
+    potential,
     sup_integrated_counting,
 )
 from nevkit.nevanlinna import classical_N
@@ -153,6 +157,147 @@ def test_classical_N_matches_mpmath(poles, r):
     assert classical_N(f, r) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
 
 
+# ------------------------------------------ densities against the kernel
+
+
+def _mp_density(coeffs):
+    return lambda s: sum(mpmath.mpf(c) * s ** k for k, c in enumerate(coeffs))
+
+
+def _mp_kappa(s, d):
+    return mpmath.log(s) if d == 2 else -1 / s
+
+
+def _random_density(rng, d, *, c0_zero=False):
+    coeffs = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 5)))
+    if c0_zero:
+        coeffs[0] = 0.0
+    center = rng.uniform(-0.5, 0.5, size=d)
+    return RadialDensity(center, tuple(coeffs), float(rng.uniform(0.2, 1.5)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_integral_matches_mpmath(d):
+    rng = np.random.default_rng(40 + d)
+    for i in range(24):
+        comp = _random_density(rng, d, c0_zero=i % 2 == 0)
+        lo, hi = sorted(rng.uniform(0.0, comp.outer, size=2))
+        if i % 3 == 0:
+            lo = 0.0
+        if i % 4 == 0:
+            hi = comp.outer
+        value = comp.kernel_integral(lo, hi, d)
+        if d == 3 and lo == 0.0 and comp.coeffs[0] > 0.0:
+            assert value == -math.inf  # the volume density is c0 / (4 pi t**2)
+            continue
+        f = _mp_density(comp.coeffs)
+        exact = mpmath.quad(lambda s: f(s) * _mp_kappa(s, d), [lo, hi])
+        assert value == pytest.approx(float(exact), rel=1e-13, abs=1e-15), (comp.coeffs, lo, hi)
+
+
+def test_kernel_integral_from_the_center():
+    flat = RadialDensity(np.zeros(3), (0.0, 2.0, 1.5), 0.7)
+    value = flat.kernel_integral(0.0, 0.7, 3)
+    assert math.isfinite(value)
+    assert value == pytest.approx(-(2.0 * 0.7 + 1.5 * 0.7 ** 2 / 2.0), rel=1e-15)
+    singular = RadialDensity(np.zeros(3), (1e-300, 2.0), 0.7)
+    assert singular.kernel_integral(0.0, 0.7, 3) == -math.inf
+    assert singular.kernel_integral(0.3, 0.3, 3) == 0.0
+    assert RadialDensity(np.zeros(2), (1.0,), 0.7).kernel_integral(0.0, 0.7, 2) == \
+        pytest.approx(0.7 * (math.log(0.7) - 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_potential_of_off_center_density_matches_mpmath(d):
+    rng = np.random.default_rng(50 + d)
+    for i in range(12):
+        comp = _random_density(rng, d)
+        direction = rng.normal(size=d)
+        a = float(rng.uniform(0.05, 2.0) * comp.outer)
+        x = comp.center + a * direction / np.linalg.norm(direction)
+        a = float(np.linalg.norm(x - comp.center))
+        f = _mp_density(comp.coeffs)
+        knots = [0, a, comp.outer] if a < comp.outer else [0, comp.outer]
+        exact = mpmath.quad(lambda s: f(s) * _mp_kappa(max(mpmath.mpf(a), s), d), knots)
+        value = potential(Measure(dimension=d, radial=(comp,)), x)
+        assert value == pytest.approx(float(exact), rel=1e-13, abs=1e-15), (comp.coeffs, a)
+    singular = Measure(dimension=3, radial=(RadialDensity([0.1, 0.0, 0.0], (0.5,), 1.0),))
+    assert potential(singular, [0.1, 0.0, 0.0]) == -math.inf
+    assert math.isfinite(potential(singular, [0.1, 0.0, 1e-9]))
+
+
+def _mp_cap(a, s, t, d):
+    """Fraction of the sphere of radius s, centred at distance a from y,
+    inside the closed ball of radius t about y."""
+    if a == 0:
+        return mpmath.mpf(1) if s <= t else mpmath.mpf(0)
+    c0 = (a * a + s * s - t * t) / (2 * a * s)
+    if c0 <= -1:
+        return mpmath.mpf(1)
+    if c0 >= 1:
+        return mpmath.mpf(0)
+    return mpmath.acos(c0) / mpmath.pi if d == 2 else (1 - c0) / 2
+
+
+def _mp_difference_counting(shells, densities, r, R, d):
+    """hat_d * integral_r^R mu(B(0, t)) t**(1-d) dt by its definition: a
+    shell's mass in B(0, t) is its cap fraction, a density's the integral of
+    its cap fractions over the radius, and the t integral is split where a
+    component's edge, or a density's center, meets the sphere |x| = t."""
+    mr, mR = mpmath.mpf(r), mpmath.mpf(R)
+
+    def mass(t):
+        total = mpmath.mpf(0)
+        for c, s, m in shells:
+            total += m * _mp_cap(mpmath.mpf(c), mpmath.mpf(s), t, d)
+        for comp in densities:
+            a, outer = mpmath.mpf(float(np.linalg.norm(comp.center))), mpmath.mpf(comp.outer)
+            f = _mp_density(comp.coeffs)
+            knots = sorted({0, outer, *(k for k in (abs(a - t), a + t) if k < outer)})
+            total += mpmath.quad(lambda s: f(s) * _mp_cap(a, s, t, d), knots)
+        return total
+
+    edges = {abs(c - s) for c, s, _ in shells} | {c + s for c, s, _ in shells}
+    for comp in densities:
+        a = float(np.linalg.norm(comp.center))
+        edges |= {abs(a - comp.outer), a + comp.outer, a}
+    knots = sorted({mr, mR, *(mpmath.mpf(e) for e in edges if r < e < R)})
+    with mpmath.workdps(15):
+        return max(1, d - 2) * mpmath.quad(lambda t: mass(t) * t ** (1 - d), knots)
+
+
+@pytest.mark.parametrize("d, r", [(2, 0.4), (3, 0.9)])
+def test_difference_counting_matches_mpmath(d, r):
+    # r = 0.4 cuts the density at the origin, r = 0.9 lies beyond it.
+    center = np.zeros(d)
+    center[0], center[-1] = 0.3, -0.25
+    shell = SphereShell(center, 0.5, 0.8)
+    off = RadialDensity(-center, (0.3, 0.0, 1.2), 0.6)
+    origin = RadialDensity(np.zeros(d), (0.0, 0.5, 2.0), 0.7)
+    R = 1.6
+    c = float(np.linalg.norm(center))
+    parts = [(Measure(dimension=d, spheres=(shell,)),
+              _mp_difference_counting([(c, 0.5, 0.8)], [], r, R, d))]
+    parts += [(Measure(dimension=d, radial=(comp,)),
+               _mp_difference_counting([], [comp], r, R, d)) for comp in (off, origin)]
+    whole = Measure(dimension=d, spheres=(shell,), radial=(off, origin))
+    for mu, exact in [*parts, (whole, sum(e for _, e in parts))]:
+        budget = ErrorBudget()
+        value = difference_counting(mu, r, R, budget=budget)
+        assert budget.ok
+        assert value == pytest.approx(float(exact), rel=1e-11, abs=1e-12), mu
+
+
+def test_difference_counting_from_zero_at_a_singular_center():
+    R = 1.5
+    flat = Measure(dimension=3, radial=(RadialDensity(np.zeros(3), (0.0, 2.0), 0.7),))
+    exact = _mp_difference_counting([], flat.radial, 0, R, 3)
+    assert difference_counting(flat, 0.0, R) == pytest.approx(float(exact), rel=1e-13)
+    singular = Measure(dimension=3, radial=(RadialDensity(np.zeros(3), (0.5, 2.0), 0.7),))
+    assert difference_counting(singular, 0.0, R) == math.inf
+    assert math.isfinite(difference_counting(singular, 0.2, R))
+
+
 # ------------------------------------------------- batched against adaptive
 
 
@@ -269,6 +414,25 @@ def test_bundled_scans_replay_the_pointwise_walk():
             assert res.value == value
         else:
             assert res.value == pytest.approx(value, abs=1e-12)
+
+
+def test_scans_of_closed_forms_replay_no_tie(monkeypatch):
+    # Every value of these scans is a closed form with no error estimate, so
+    # the lattice's symmetric ties are settled without the per-point path.
+    replays = []
+    per_point = _CountingWalk._per_point
+
+    def counted(self, p):
+        replays.append(p)
+        return per_point(self, p)
+
+    monkeypatch.setattr(_CountingWalk, "_per_point", counted)
+    for d in (2, 3):
+        mu = Measure(dimension=d, spheres=(SphereShell(np.zeros(d), 0.6, 1.0),
+                                           SphereShell(np.full(d, 0.1), 0.3, 0.5)))
+        sup_integrated_counting(mu, Ball(np.zeros(d), 1.0), 1.0, 5)
+        sup_integrated_counting(mu, SUPPORT, 1.0, 5)
+    assert replays == []
 
 
 # ------------------------------------------------- positive-part means

@@ -33,6 +33,7 @@ from nevkit.measures import (
     Measure,
     RadialDensity,
     SphereShell,
+    _support_samples,
     difference_counting,
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
@@ -105,11 +106,11 @@ def test_lemma3_off_center_density_with_failing_quadrature_is_undetermined():
     assert verify_lemma3(mu, 1.2, 2.0).verdict == HOLDS
     rep = verify_lemma3(mu, 1.2, 2.0, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
-    # The radial counting inside the difference-counting integrand reports
-    # its own failures to the check's budget.
+    # The integrated counting about the origin inside the difference
+    # counting reports its own failures to the check's budget.
     budget = ErrorBudget()
     difference_counting(mu, 1.2, 2.0, UNREACHABLE, budget=budget)
-    assert "radial-counting" in budget.failures
+    assert "integrated-counting" in budget.failures
 
 
 def test_statement_V_batched_fallback_with_failing_quadrature_is_undetermined():
@@ -253,6 +254,29 @@ def test_statement_IV_atom_fails():
 def test_statement_IV_empty_support_holds():
     rep = check_statement_IV(Measure(dimension=2))
     assert rep.verdict == HOLDS
+
+
+def test_singular_density_center_fails_I_IV_V():
+    # d = 3, coeffs[0] > 0: the volume density is 1 / (4 pi t**2), so the
+    # energy is finite while the potential at the center is -inf.  The
+    # center is a support sample and a ball candidate, and both values there
+    # are closed forms.
+    mu = Measure(dimension=3, radial=(RadialDensity([0.0, 0.0, 0.0], (1.0,), 0.5),))
+    rep_I = check_statement_I(mu, 1.0, 2.0, resolution=5)
+    rep_IV = check_statement_IV(mu, resolution=5)
+    rep_V = check_statement_V(mu, 1.0, resolution=5)
+    assert (rep_I.verdict, rep_IV.verdict, rep_V.verdict) == (FAILS, FAILS, FAILS)
+    assert (rep_I.lhs, rep_IV.lhs, rep_V.lhs) == (math.inf, -math.inf, math.inf)
+
+
+def test_support_samples_add_only_singular_centers():
+    flat3 = RadialDensity([0.1, 0.0, 0.0], (0.0, 1.0), 0.5)
+    flat2 = RadialDensity([0.1, 0.0], (1.0,), 0.5)
+    singular = RadialDensity([0.0, 0.2, 0.0], (0.3, 1.0), 0.5)
+    for comp, d in ((flat3, 3), (flat2, 2), (singular, 3)):
+        samples = _support_samples(Measure(dimension=d, radial=(comp,)), 5)
+        centers = [src for p, src in samples if np.array_equal(p, comp.center)]
+        assert centers == ([comp] if comp is singular else [])
 
 
 def test_statement_V_circle_holds():

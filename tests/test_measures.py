@@ -101,7 +101,6 @@ def test_measure_bookkeeping():
     assert mu.total_mass == pytest.approx(1.5)
     assert mu.support_radius == pytest.approx(2.0)
     assert not mu.is_zero
-    assert mu.without_atoms().total_mass == pytest.approx(1.0)
     assert Measure(dimension=2).is_zero
 
     shifted = mu.translate([1.0, -1.0])
