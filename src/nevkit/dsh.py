@@ -21,6 +21,7 @@ from .kernels import (
     expect_number,
     expect_point,
     kappa,
+    row_norms,
     validate_dimension,
 )
 from .measures import Atom, Measure
@@ -147,7 +148,7 @@ class DshFunction:
             raise ValueError("points must have shape (d,) or (n, d)")
         out = self.harmonic.evaluate(pts, self.dimension)
         for ch in self.charges:
-            dist = np.linalg.norm(pts - ch.location, axis=1)
+            dist = row_norms(pts - ch.location)
             out = out + ch.weight * kappa(dist, self.dimension)
         return float(out[0]) if single else out
 

@@ -26,6 +26,7 @@ from .kernels import (
     expect_number,
     expect_point,
     kappa,
+    row_norms,
     validate_dimension,
 )
 from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec, integrate_1d
@@ -411,14 +412,14 @@ def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
     kr = kappa(r, d)
     total = np.zeros(len(pts))
     for atom in mu.atoms:
-        dist = np.linalg.norm(pts - atom.location, axis=1)
+        dist = row_norms(pts - atom.location)
         near = dist <= r * (1.0 + BOUNDARY_RTOL)
         total[near] += atom.mass * (kr - kappa(dist[near], d))  # dist == 0 -> +inf
     for shell in mu.spheres:
-        a = np.linalg.norm(pts - shell.center, axis=1)
+        a = row_norms(pts - shell.center)
         total += shell.mass * _shell_counting_kernel(a, shell.radius, r, d)
     for comp in mu.radial:
-        centre = np.linalg.norm(pts - comp.center, axis=1) == 0.0
+        centre = row_norms(pts - comp.center) == 0.0
         if centre.any():
             h = min(r, comp.outer)
             total[centre] += kr * comp.mass_within(h) - comp.kernel_integral(0.0, h, d)
@@ -436,7 +437,7 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
     total = _closed_counting(mu, pts, r)
     err = np.zeros(len(pts))
     for comp in mu.radial:
-        a = np.linalg.norm(pts - comp.center, axis=1)
+        a = row_norms(pts - comp.center)
         off = a > 0.0
         if off.any():
             value, error = _radial_block(comp, a[off], r, mu.dimension)
@@ -450,17 +451,31 @@ def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
                  ) -> tuple[float, float]:
     """The integrated counting at one point and its error estimate (+inf
     when a quadrature failed): closed forms, plus adaptive quadrature for
-    each density the point is off the center of."""
+    each density the point is off the center of.
+
+    Shells of such a density that lie inside the ball, s <= r - a, have the
+    kernel kappa(r) - kappa(max(a, s)) (Gauss mean value), which integrates
+    in closed form; quadrature covers only the shells that cross the sphere,
+    |r - a| < s < r + a.
+    """
     d = mu.dimension
     point = ErrorBudget()
     total = float(_closed_counting(mu, y[np.newaxis, :], r)[0])
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - y))
-        if a > 0.0:
+        if a == 0.0:
+            continue
+        inner = min(r - a, comp.outer)
+        if inner > 0.0:
+            split = min(a, inner)
+            total += (kappa(r, d) * comp.mass_within(inner)
+                      - kappa(a, d) * comp.mass_within(split)
+                      - comp.kernel_integral(split, inner, d))
+        lo, hi = abs(r - a), min(r + a, comp.outer)
+        if lo < hi:
             res = integrate_1d(
                 lambda s: comp.density(s) * _shell_counting_kernel(a, s, r, d),
-                0.0, comp.outer, spec, points=(abs(a - r), a + r, a), budget=point,
-                label="integrated-counting")
+                lo, hi, spec, points=(a,), budget=point, label="integrated-counting")
             total += res.value
     return total, point.error if point.ok else math.inf
 
@@ -577,7 +592,7 @@ def _ball_lattice(ball: Ball, d: int, resolution: int) -> list[np.ndarray]:
             for c in ball.center]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    keep = np.linalg.norm(pts - ball.center, axis=1) <= ball.radius * (1.0 + BOUNDARY_RTOL)
+    keep = row_norms(pts - ball.center) <= ball.radius * (1.0 + BOUNDARY_RTOL)
     return list(pts[keep])
 
 

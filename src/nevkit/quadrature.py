@@ -10,8 +10,12 @@ check and fall back to the adaptive rule.  Planar positive-part means locate
 their kinks (the sign changes of the function) and integrate between them
 with Gauss-Legendre rules before any fallback.  Sphere means in dimension 3
 use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
-same doubling check.  Non-convergence is always flagged, never silently
-absorbed.
+same doubling check.  Positive-part means in dimension 3 whose function
+changes sign on that grid turn the polar axis to the centroid of the
+positive part and integrate one meridian at a time: Gauss-Legendre between
+the roots along each meridian, and the trapezoid rule across meridians, which
+converges fast because no meridian is tangent to the zero curve.
+Non-convergence is always flagged, never silently absorbed.
 """
 
 from __future__ import annotations
@@ -33,6 +37,25 @@ _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Gauss-Legendre nodes per positive arc in the coarse rule of a kinked planar
 # positive-part mean; the fine rule uses twice as many.
 _ARC_NODES = 128
+
+# The meridian rule of a 3-D positive-part mean.  It starts with _MERIDIANS
+# meridians in the fine azimuthal trapezoid (the coarse one takes every
+# other), each sampled for sign changes at _SIGN_NODES polar angles, and
+# _SEGMENT_NODES Gauss-Legendre nodes per positive polar segment in the coarse
+# polar rule (the fine one has twice as many).  Each further rung doubles the
+# nodes when the polar error dominates and the meridians otherwise, up to the
+# caps.  Roots are refined to _ROOT_XATOL radians: a root off by delta moves a
+# segment integral by about |dg/dtheta| delta**2 / 2, and the default
+# tolerance of a few ulps can take three times as many iterations.  A sign
+# class whose area-weighted centroid is shorter than _CENTROID_RTOL times its
+# area gives no pole.
+_MERIDIANS = 128
+_MAX_MERIDIANS = 1024
+_SIGN_NODES = 33
+_SEGMENT_NODES = 16
+_MAX_SEGMENT_NODES = 192
+_ROOT_XATOL = 1e-12
+_CENTROID_RTOL = 1e-8
 
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,30 +243,44 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
     return result
 
 
-def _sphere3_product_mean(f, center, radius, n_polar, n_azimuth, shift):
-    u, w = _leggauss(n_polar)
+def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarray:
+    """Unit vectors of the Gauss-Legendre (polar) x trapezoid (azimuthal)
+    product grid, polar-major, as an (n_polar * n_azimuth, 3) array."""
+    u, _ = _leggauss(n_polar)
     phi = (np.arange(n_azimuth) + shift) * (TWO_PI / n_azimuth)
     su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    x = radius * np.outer(su, np.cos(phi))
-    y = radius * np.outer(su, np.sin(phi))
-    z = radius * np.repeat(u[:, np.newaxis], n_azimuth, axis=1)
-    pts = np.column_stack((x.ravel(), y.ravel(), z.ravel())) + center
-    vals = np.asarray(f(pts), dtype=float)
+    return np.column_stack((np.outer(su, np.cos(phi)).ravel(),
+                            np.outer(su, np.sin(phi)).ravel(),
+                            np.repeat(u, n_azimuth)))
+
+
+def _sphere3_grid_mean(vals: np.ndarray, n_polar: int, n_azimuth: int) -> float | None:
+    """Product-rule mean of f's values on the polar-major product grid."""
     if not np.all(np.isfinite(vals)):
         return None
     grid = vals.reshape(n_polar, n_azimuth)
-    return float(np.dot(w, grid.sum(axis=1)) / (2.0 * n_azimuth))
+    return float(np.dot(_leggauss(n_polar)[1], grid.sum(axis=1)) / (2.0 * n_azimuth))
 
 
-def _sphere3_mean(f, center, radius, spec, label):
+def _sphere3_product_mean(f, center, radius, n_polar, n_azimuth, shift):
+    pts = radius * _sphere3_directions(n_polar, n_azimuth, shift) + center
+    return _sphere3_grid_mean(np.asarray(f(pts), dtype=float), n_polar, n_azimuth)
+
+
+def _sphere3_mean(f, center, radius, spec, label, first=None):
+    """Product-rule mean with a doubling check; ``first`` is f's values on
+    the first coarse grid when the caller has them already."""
     # Retry ladder: plain grid, rotated azimuth, then a different polar rule.
     attempts = (
         (spec.polar_nodes, spec.azimuth_nodes, 0.0),
         (spec.polar_nodes, spec.azimuth_nodes, 0.5),
         (spec.polar_nodes + 1, spec.azimuth_nodes, 0.5),
     )
-    for n_pol, n_azi, shift in attempts:
-        coarse = _sphere3_product_mean(f, center, radius, n_pol, n_azi, shift)
+    for i, (n_pol, n_azi, shift) in enumerate(attempts):
+        if i == 0 and first is not None:
+            coarse = _sphere3_grid_mean(first, n_pol, n_azi)
+        else:
+            coarse = _sphere3_product_mean(f, center, radius, n_pol, n_azi, shift)
         if coarse is None:
             continue
         fine = _sphere3_product_mean(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
@@ -253,6 +290,156 @@ def _sphere3_mean(f, center, radius, spec, label):
         converged = err <= max(spec.abs_tol, spec.rel_tol * abs(fine))
         return QuadResult(fine, max(err, 1e-16 * abs(fine)), converged)
     return QuadResult(math.nan, math.inf, False)
+
+
+def _sphere3_positive_mean(g, center, radius, spec, label) -> QuadResult:
+    """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
+    result, values = _meridian_mean_on_grid(g, center, radius, spec, 1)
+    if result is not None:
+        return result
+    product = _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec,
+                            label, first=np.maximum(values, 0.0))
+    if not product.converged:
+        # The doubling check saw what the coarse grid missed, such as a
+        # patch of one sign narrower than its spacing: look again on the
+        # fine grid.
+        result, _ = _meridian_mean_on_grid(g, center, radius, spec, 2)
+        if result is not None:
+            return result
+    return product
+
+
+def _meridian_mean_on_grid(g, center, radius, spec, scale):
+    """The meridian rule about a pole taken from g's values on the product
+    grid with ``scale`` times the spec's nodes in each direction, or None
+    when g keeps one sign there or no pole holds; and those values."""
+    n_polar, n_azimuth = scale * spec.polar_nodes, scale * spec.azimuth_nodes
+    dirs = _sphere3_directions(n_polar, n_azimuth, 0.0)
+    values = np.asarray(g(radius * dirs + center), dtype=float)
+    positive = values > 0.0
+    if np.all(np.isfinite(values)) and positive.any() and not positive.all():
+        area = np.repeat(_leggauss(n_polar)[1], n_azimuth)
+        for pole in _poles(dirs, values, positive, area):
+            result = _meridian_mean(g, center, radius, pole, spec)
+            if result is not None:
+                return result, values
+    return None, values
+
+
+def _poles(dirs, values, positive, area):
+    """Polar axes for the meridian rule, in the order to try them: the
+    area-weighted centroid of the nodes where g > 0, unless it is too short
+    to give a direction, then the node of the smaller sign class where |g|
+    is largest.  (The centroid of the other nodes would only reverse the
+    first axis: the grid's weighted directions sum to zero.)"""
+    centroid = area[positive] @ dirs[positive]
+    norm = float(np.linalg.norm(centroid))
+    if norm > _CENTROID_RTOL * float(area[positive].sum()):
+        yield centroid / norm
+    smaller = positive if area[positive].sum() <= area[~positive].sum() else ~positive
+    node = dirs[np.argmax(np.where(smaller, np.abs(values), -1.0))]
+    yield node / np.linalg.norm(node)
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    return np.stack((even, odd), axis=1).reshape(-1, *even.shape[1:])
+
+
+def _meridian_mean(g, center, radius, pole, spec) -> QuadResult | None:
+    """Mean of max(g, 0) over the sphere, one meridian about ``pole`` at a time.
+
+    None when the meridians do not all cross g = 0 the same number of times
+    on their sign grid, or when a value or root is not finite; a result that
+    still misses tolerance at both caps is flagged as failed.
+    """
+    e1 = np.cross(pole, np.eye(3)[np.argmin(np.abs(pole))])
+    e1 /= np.linalg.norm(e1)
+    # Rows: the scaled frame (e1, e2, pole), so frame coordinates map to points.
+    frame = radius * np.array([e1, np.cross(pole, e1), pole])
+    theta = np.linspace(0.0, math.pi, _SIGN_NODES)
+
+    def at(t, phi) -> np.ndarray:
+        """g at polar angles t on the meridians phi (broadcast together)."""
+        s = np.sin(t)
+        shape = np.broadcast_shapes(np.shape(t), np.shape(phi))
+        local = [np.broadcast_to(v, shape).ravel()
+                 for v in (s * np.cos(phi), s * np.sin(phi), np.cos(t))]
+        pts = np.empty((local[0].size, 3))
+        for j in range(3):
+            pts[:, j] = (local[0] * frame[0, j] + local[1] * frame[1, j]
+                         + local[2] * frame[2, j] + center[j])
+        return np.asarray(g(pts), dtype=float).reshape(shape)
+
+    crossings = None
+
+    def positive_segments(phi):
+        """Polar bounds (lo, hi) of the segments where g > 0, one row per
+        meridian, or None unless every meridian has as many roots as the
+        first one had."""
+        nonlocal crossings
+        values = at(theta, phi[:, np.newaxis])
+        if not np.all(np.isfinite(values)):
+            return None
+        signs = values > 0.0
+        cells = signs[:, 1:] != signs[:, :-1]
+        counts = cells.sum(axis=1)
+        if crossings is None:
+            crossings = int(counts[0])
+        if crossings == 0 or np.any(counts != crossings):
+            return None
+        rows, cols = np.nonzero(cells)
+        roots = np.asarray(elementwise.find_root(
+            at, (theta[cols], theta[cols + 1]), args=(phi[rows],),
+            tolerances={"xatol": _ROOT_XATOL}).x, dtype=float)
+        if not np.all(np.isfinite(roots)):
+            return None
+        # The segments alternate in sign from the pole's, which all share.
+        edges = np.column_stack((np.zeros(len(phi)), roots.reshape(len(phi), -1),
+                                 np.full(len(phi), math.pi)))
+        first = 0 if signs[0, 0] else 1
+        return edges[:, first:-1:2], edges[:, first + 1::2]
+
+    def polar(n: int, phi, lo, hi) -> np.ndarray:
+        """n-node Gauss-Legendre integrals of max(g, 0) sin(theta) over the
+        positive segments of each meridian."""
+        x, w = _leggauss(n)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = mid[..., np.newaxis] + half[..., np.newaxis] * x
+        vals = np.maximum(at(t, phi[:, np.newaxis, np.newaxis]), 0.0) * np.sin(t)
+        return (half * (vals @ w)).sum(axis=1)
+
+    nodes = _SEGMENT_NODES
+    phi = np.arange(_MERIDIANS) * (TWO_PI / _MERIDIANS)
+    segments = positive_segments(phi)
+    if segments is None:
+        return None
+    coarse, fine = polar(nodes, phi, *segments), polar(2 * nodes, phi, *segments)
+    while True:
+        # Trapezoid in phi: fine uses every meridian, coarse every other one.
+        value = float(fine.sum()) / (2 * len(phi))
+        if not math.isfinite(value):
+            return None
+        err_phi = abs(value - float(fine[::2].sum()) / len(phi))
+        err_polar = float(np.abs(fine - coarse).sum()) / (2 * len(phi))
+        err = err_phi + err_polar
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            return QuadResult(value, max(err, 1e-16 * abs(value)), True)
+        if err_polar > err_phi and nodes < _MAX_SEGMENT_NODES:
+            nodes *= 2
+            coarse, fine = fine, polar(2 * nodes, phi, *segments)
+        elif len(phi) < _MAX_MERIDIANS:
+            # Halve the azimuthal step; the meridians so far keep their roots
+            # and polar integrals.
+            mid_phi = phi + math.pi / len(phi)
+            mid_segments = positive_segments(mid_phi)
+            if mid_segments is None:
+                return None
+            coarse = _interleave(coarse, polar(nodes, mid_phi, *mid_segments))
+            fine = _interleave(fine, polar(2 * nodes, mid_phi, *mid_segments))
+            segments = tuple(map(_interleave, segments, mid_segments))
+            phi = _interleave(phi, mid_phi)
+        else:
+            return QuadResult(value, err, False)
 
 
 def _settle(result: QuadResult, budget: ErrorBudget | None, label: str) -> float:
@@ -293,24 +480,48 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
                        singular_angles=None, label: str = "positive-part") -> float:
     """Mean of max(g, 0) over the sphere of radius r about ``center``.
 
-    g maps (n, d) point arrays to (n,) value arrays.  For d = 3 this is
-    ``sphere_mean`` of max(g, 0).  In the plane the trapezoid doubling check
-    of ``circle_mean`` runs first.  If it fails, the sign changes of g
-    between neighbouring nodes are refined to roots (Chandrupatla's method),
-    and the arcs on which g is positive are integrated with Gauss-Legendre
-    rules of ``_ARC_NODES`` and of twice as many nodes, whose difference is
-    the error estimate.  The adaptive rule, split at the roots, takes over
-    when that estimate misses tolerance, and handles declared singular
-    angles directly.  Failures are flagged or raised as in ``sphere_mean``.
+    g maps (n, d) point arrays to (n,) value arrays.  Failures are flagged
+    or raised as in ``sphere_mean``.
+
+    In the plane the trapezoid doubling check of ``circle_mean`` runs first.
+    If it fails, the sign changes of g between neighbouring nodes are
+    refined to roots (Chandrupatla's method), and the arcs on which g is
+    positive are integrated with Gauss-Legendre rules of ``_ARC_NODES`` and
+    of twice as many nodes, whose difference is the error estimate.  The
+    adaptive rule, split at the roots, takes over when that estimate misses
+    tolerance, and handles declared singular angles directly.
+
+    For d = 3, g is first evaluated on the product grid of
+    ``spec.polar_nodes`` x ``spec.azimuth_nodes`` nodes.  Where it keeps one
+    sign there, the result is ``sphere_mean`` of max(g, 0), bit for bit.
+    Otherwise the polar axis goes to the area-weighted centroid of the nodes
+    where g > 0, or, if that axis fails, to the node of the smaller sign
+    class where |g| is largest.  An axis holds when every meridian crosses
+    g = 0 equally often, at least once, on ``_SIGN_NODES`` polar angles;
+    then no meridian is tangent to the zero curve.  The crossings of all
+    meridians are refined to roots in one batched Chandrupatla solve, and
+    g sin(theta) is integrated over each positive polar segment with
+    Gauss-Legendre rules of n and 2n nodes.  The trapezoid rule over the
+    meridians is checked against every other meridian; the error estimate is
+    that difference plus the mean Gauss-Legendre difference.  Each rung
+    doubles the nodes or the meridians, whichever error dominates, from
+    ``_SEGMENT_NODES`` and ``_MERIDIANS`` up to their caps.  With no axis
+    that holds, the product rule runs.  If its doubling check fails, the
+    axis search repeats on the doubled grid, which can see a patch of one
+    sign that the first grid missed; failing that, the product rule's
+    result and its failure stand.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)
 
-    if validate_dimension(d) != 2:
-        return sphere_mean(plus, r, d, spec, center=center, budget=budget, label=label)
+    d = validate_dimension(d)
+    if d not in (2, 3):
+        raise ValueError("sphere means are provided for d in {2, 3} only")
     if r <= 0.0:
         raise ValueError("positive_part_mean: radius must be positive")
-    center = np.zeros(2) if center is None else as_point(center, 2)
+    center = np.zeros(d) if center is None else as_point(center, d)
+    if d == 3:
+        return _settle(_sphere3_positive_mean(g, center, r, spec, label), budget, label)
 
     def g_at(theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

@@ -341,16 +341,17 @@ def test_batch_matches_adaptive_with_mass_density_at_center():
     near = [v * 10.0 ** -k for k, v in zip(range(1, 8), rng.normal(size=(7, 2)))]
     lattice = _ball_lattice(Ball(np.zeros(2), 1.8), 2, 9)
     _batch_against_adaptive(mu, [*lattice, *near], 0.5)
-    # Closer in, the adaptive path fails its tolerance; the fixed panels
-    # still converge, to the value at the center.
+    # Closer in, both paths converge, to the value at the center: the
+    # adaptive path integrates the shells inside the ball in closed form.
     tiny = np.array([[7e-9, 0.0], [0.0, -1.4e-9]])
-    point = ErrorBudget()
-    integrated_counting(mu, tiny[0], 0.5, budget=point)
-    assert not point.ok
     errors = np.empty(2)
     values = integrated_counting(mu, tiny, 0.5, errors=errors)
     assert np.all(errors < 1e-13)
     assert values == pytest.approx(integrated_counting(mu, np.zeros(2), 0.5), abs=1e-7)
+    for y, batch in zip(tiny, values):
+        point = ErrorBudget()
+        assert integrated_counting(mu, y, 0.5, budget=point) == pytest.approx(batch, abs=1e-12)
+        assert point.ok
 
 
 def test_batch_point_at_center_and_atoms():
@@ -378,7 +379,10 @@ def test_batch_charges_the_budget_and_rejects_bad_shapes():
 # (scenario, region radius or SUPPORT, r, resolution, value, argmax,
 # evaluations) for every scan of `nevkit run --bundled`, in run order, as the
 # point-by-point walk of adaptive evaluations found them.  The corollary's
-# scan repeats statement I's and comes from the measure's cache.
+# scan repeats statement I's and comes from the measure's cache.  The support
+# scan of the area measure settles ties between samples at one distance from
+# the density's center, whose values agree up to rounding, so its argmax
+# follows the last bits of the adaptive values there.
 BUNDLED_SCANS = [
     ("atomic_statements_expected_fail", 2.0, 0.5, 9, math.inf, (0.5, 0.0), 33),
     ("atomic_statements_expected_fail", SUPPORT, 0.5, 9, math.inf, (0.5, 0.0), 1),
@@ -386,8 +390,8 @@ BUNDLED_SCANS = [
      (0.0, 0.0), 357),
     ("corollary_rational_area_measure", 1.0, 1.0, 13, 0.49999999999999983,
      (0.0, 0.0), 357),
-    ("corollary_rational_area_measure", SUPPORT, 1.0, 13, 0.49999978133458167,
-     (-0.00037462554480735457, -0.0008568556843906025), 399),
+    ("corollary_rational_area_measure", SUPPORT, 1.0, 13, 0.49999973849260404,
+     (0.000507064507089287, 0.0008881237809024336), 399),
     ("corollary_rational_area_measure", 2.0, 1.0, 13, 0.49999999999999983,
      (0.0, 0.0), 357),
     ("poisson_jensen_harmonic_disc", 1.0, 0.75, 13, 0.4954435528810475,

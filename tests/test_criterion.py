@@ -38,6 +38,7 @@ from nevkit.measures import (
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
 from nevkit.quadrature import ErrorBudget, QuadSpec
+from nevkit.scenario import scenario_from_json
 
 
 def circle(mass=1.0, radius=1.0, center=(0.0, 0.0)):
@@ -101,8 +102,10 @@ UNREACHABLE = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
 
 
 def test_lemma3_off_center_density_with_failing_quadrature_is_undetermined():
+    # The density crosses the circle |x| = 1.2, so the integrated counting
+    # there needs quadrature for the rings that cross it.
     mu = Measure(dimension=2,
-                 radial=(RadialDensity([0.3, -0.2], (0.3, 0.9), 0.6),))
+                 radial=(RadialDensity([0.9, -0.2], (0.3, 0.9), 0.6),))
     assert verify_lemma3(mu, 1.2, 2.0).verdict == HOLDS
     rep = verify_lemma3(mu, 1.2, 2.0, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
@@ -144,6 +147,52 @@ def test_kinked_positive_part_with_failing_quadrature_is_undetermined():
     rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
     assert "quadrature failure: difference-T" in rep.diagnostics
+
+
+def test_sphere_positive_part_without_a_pole_is_undetermined():
+    # Positive caps about +-x2 on |x| = 2, larger than the negative band
+    # between them: both sign classes have their centroid at the center, and
+    # a pole in the band leaves the meridians near the band's great circle
+    # without a sign change, on the spec's grid and on the doubled one.  The
+    # product rule's failed doubling check then reaches the verdict.
+    u = DshFunction(3, (Charge(np.array([0.0, 0.0, 1.5]), -1.0),
+                        Charge(np.array([0.0, 0.0, -1.5]), -1.0)),
+                    HarmonicPart((("const", -0.85),)))
+    budget = ErrorBudget()
+    proximity(u, 2.0, budget=budget)
+    assert budget.failures == ["proximity"]
+    mu = Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.5, 1.0),))
+    rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5)
+    assert rep.verdict == UNDETERMINED
+    assert "quadrature failure: difference-T" in rep.diagnostics
+
+
+def test_statement_II_holds_on_the_spatial_geometry():
+    # The d = 3 benchmark scenario without its rotation: a centred shell, an
+    # off-centre density and three charges whose zero set crosses both, with
+    # the outer rule capped at 40 subintervals.
+    sc = scenario_from_json({
+        "name": "spatial",
+        "dimension": 3,
+        "measure": {
+            "dimension": 3,
+            "spheres": [{"center": [0.0, 0.0, 0.0], "radius": 0.6, "mass": 1.0}],
+            "radial": [{"center": [0.1072, 0.2549, 0.1025],
+                        "coeffs": [0.0, 0.0, 1.5 / 0.3312 ** 3], "outer": 0.3312}],
+        },
+        "functions": [{"label": "u", "dimension": 3, "harmonic": [["const", 0.3]],
+                       "charges": [{"point": [0.4985, -0.5996, 0.6489], "weight": 1.0},
+                                   {"point": [0.3449, 0.0333, 0.6410], "weight": -0.5577},
+                                   {"point": [-0.5161, 0.6410, 0.0425], "weight": 0.6610}]}],
+        "radii": {"r": 1.0, "R": 2.0},
+        "checks": ["statement_II"],
+        "quad": {"max_subdivisions": 40},
+        "grid": 5,
+    })
+    rep = check_statement_II(sc.measure, sc.functions[0].dsh, sc.r, sc.R,
+                             resolution=sc.grid, spec=sc.quad)
+    assert rep.verdict == HOLDS
+    assert not [line for line in rep.diagnostics if "quadrature failure" in line]
 
 
 # ---------------------------------------------------------- statement checks

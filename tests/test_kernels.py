@@ -11,6 +11,7 @@ from nevkit.kernels import (
     hat_d,
     kappa,
     poisson_kernel,
+    row_norms,
     sphere_area,
     validate_dimension,
 )
@@ -44,6 +45,35 @@ def test_kappa_float_fast_path_matches_array_path(t, d):
     fast = kappa(t, d)
     assert type(fast) is float
     assert fast == kappa(np.array([t]), d)[0] == kappa(np.asarray(t), d)
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1.8e308), min_size=1, max_size=8))
+def test_kappa_newtonian_divides_bit_for_bit_like_numpy_power(ts):
+    # In d = 3 both paths compute -(1.0 / t), overflow to -inf included.
+    # numpy 2's power loop returns the correctly rounded reciprocal too, so
+    # the bits are those np.power gave; libm's pow, behind numpy 1, can miss
+    # the rounding by an ulp.
+    t = np.array(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kappa(t, 3)
+        power = -np.power(t, -1.0)
+        assert [kappa(float(v), 3) for v in ts] == list(got)
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert np.array_equal(got, power)
+        else:
+            assert np.all((got == power) | (np.abs(got - power) <= np.spacing(-power)))
+
+
+_COORDINATES = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False),
+                         st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.lists(
+    st.lists(_COORDINATES, min_size=d, max_size=d), min_size=1, max_size=16)))
+def test_row_norms_match_numpy_norm_bit_for_bit(rows):
+    v = np.array(rows)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(row_norms(v), np.linalg.norm(v, axis=1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

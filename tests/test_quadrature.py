@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import cubature
 
 from nevkit import quadrature
+from nevkit.dsh import Charge, DshFunction, HarmonicPart
 from nevkit.quadrature import (
     ErrorBudget,
     QuadratureError,
@@ -157,9 +160,9 @@ def test_positive_part_mean_agrees_with_sphere_mean():
     def plus(pts):
         return np.maximum(g(pts), 0.0)
 
-    # d = 3 is the sphere mean of max(g, 0); in the plane a function that
-    # keeps one sign passes the trapezoid check and gets the same bits.
-    for center in ([0.1, -0.2, 0.3], [2.0, 0.5]):
+    # A function that keeps one sign on the sphere passes the product rule's
+    # (d = 3) or the trapezoid's (d = 2) doubling check and gets its bits.
+    for center in ([2.0, -0.2, 0.3], [2.0, 0.5]):
         d = len(center)
         ours, theirs = ErrorBudget(), ErrorBudget()
         assert positive_part_mean(g, 0.7, d, center=center, budget=ours,
@@ -176,6 +179,118 @@ def test_positive_part_mean_failure_raises_without_budget():
     positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, spec, budget=budget,
                        label="probe")
     assert budget.failures == ["probe"]
+
+
+# ------------------------------------------------ 3-D positive-part means
+
+# The d = 3 benchmark geometry, unrotated: its zero set crosses the shell
+# |x| = 0.6 and the density's rings about SPATIAL_CENTRE beyond 0.27.
+SPATIAL_U = DshFunction(3, (Charge([0.4985, -0.5996, 0.6489], 1.0),
+                            Charge([0.3449, 0.0333, 0.6410], -0.5577),
+                            Charge([-0.5161, 0.6410, 0.0425], 0.6610)),
+                        HarmonicPart((("const", 0.3),)))
+SPATIAL_CENTRE = np.array([0.1072, 0.2549, 0.1025])
+# The shell mean from an independent adaptive rule (quad over the azimuth of
+# Gauss-Legendre meridian integrals split at their roots), good to 1.5e-11.
+SPATIAL_SHELL_MEAN = 0.03727686327282
+
+
+def _positive_mean3(g, radius, center=None):
+    budget = ErrorBudget()
+    value = positive_part_mean(g, radius, 3, center=center, budget=budget)
+    assert budget.ok
+    return value, budget.error
+
+
+@pytest.mark.parametrize("offset", [-0.6, -0.1, 0.025, 0.5, 0.69])
+def test_sphere_positive_part_mean_of_a_plane_cut(offset):
+    # g = offset + a . (x - center) on a sphere of radius r: with rho = r |a|,
+    # the mean of max(g, 0) is (rho + offset)**2 / (4 rho).
+    center = np.array([0.1, -0.2, 0.3])
+    a = np.array([1.0, 0.3, -0.25])
+    rho = 0.7 * float(np.linalg.norm(a))
+    value, error = _positive_mean3(lambda pts: offset + (pts - center) @ a, 0.7, center)
+    assert value == pytest.approx((rho + offset) ** 2 / (4.0 * rho), abs=error + 1e-15)
+
+
+def test_sphere_positive_part_mean_finds_a_cap_the_coarse_grid_misses():
+    # The positive cap of this plane cut, of angular radius 0.015, is centred
+    # on a node of the doubled product grid and holds no node of the spec's
+    # grid.  The product rule's doubling check fails on it, and the meridian
+    # rule about a pole from the doubled grid takes over.
+    spec = QuadSpec()
+    u = quadrature._leggauss(2 * spec.polar_nodes)[0][spec.polar_nodes]
+    phi = math.pi / spec.azimuth_nodes
+    axis = np.array([math.sqrt(1.0 - u * u) * math.cos(phi),
+                     math.sqrt(1.0 - u * u) * math.sin(phi), u])
+    height = math.cos(0.015)
+    value, error = _positive_mean3(lambda pts: pts @ axis - height, 1.0)
+    assert value == pytest.approx((1.0 - height) ** 2 / 4.0, abs=error + 1e-20)
+
+
+def test_sphere_positive_part_mean_of_the_spatial_shell():
+    value, error = _positive_mean3(SPATIAL_U.evaluate, 0.6)
+    assert error < 1e-10
+    assert value == pytest.approx(SPATIAL_SHELL_MEAN, abs=1e-10)
+
+
+def test_sphere_positive_part_mean_matches_gk21_cubature():
+    # The zero set is the circle x2 = center[2] + 0.3 r, a polar circle of
+    # the (theta, phi) box, so gk21 split there converges at once.
+    center, r, q = np.array([0.1, -0.2, 0.3]), 0.8, np.array([1.2, 0.4, 0.9])
+
+    def g(pts):
+        return ((pts[:, 2] - center[2]) / r - 0.3) * (0.5 + 1.0 / np.linalg.norm(pts - q, axis=1))
+
+    def integrand(x):
+        t, p = x[:, 0], x[:, 1]
+        pts = center + r * np.column_stack((np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
+                                            np.cos(t)))
+        return np.maximum(g(pts), 0.0) * np.sin(t) / (4.0 * math.pi)
+
+    ref = cubature(integrand, [0.0, 0.0], [math.pi, 2.0 * math.pi], rule="gk21",
+                   rtol=1e-12, atol=0.0, points=[np.array([math.acos(0.3), math.pi])])
+    assert ref.status == "converged"
+    value, error = _positive_mean3(g, r, center)
+    assert value == pytest.approx(ref.estimate, abs=error + ref.error)
+
+
+def test_sphere_positive_part_centroid_frames_agree():
+    # The centroids of the positive and of the negative nodes point opposite
+    # ways; the two frames share their meridians' great circles but no node.
+    dirs = quadrature._sphere3_directions(64, 128, 0.0)
+    area = np.repeat(quadrature._leggauss(64)[1], 128)
+    positive = SPATIAL_U.evaluate(0.6 * dirs) > 0.0
+    results = []
+    for side in (positive, ~positive):
+        centroid = area[side] @ dirs[side]
+        pole = centroid / np.linalg.norm(centroid)
+        results.append(quadrature._meridian_mean(SPATIAL_U.evaluate, np.zeros(3), 0.6,
+                                                 pole, QuadSpec()))
+    (a, b) = results
+    assert a.converged and b.converged
+    assert abs(a.value - b.value) <= a.error + b.error + 4e-16 * a.value
+    assert a.value == pytest.approx(SPATIAL_SHELL_MEAN, abs=1e-10)
+
+
+def _rotation(quat) -> np.ndarray:
+    w, x, y, z = np.asarray(quat) / np.linalg.norm(quat)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: sum(v * v for v in q) > 0.01))
+def test_sphere_positive_part_mean_is_rotation_invariant(quat):
+    rot = _rotation(quat)
+    turned = DshFunction(3, tuple(Charge(rot @ c.location, c.weight)
+                                  for c in SPATIAL_U.charges), SPATIAL_U.harmonic)
+    for center, radius in ((np.zeros(3), 0.6), (SPATIAL_CENTRE, 0.3)):
+        value, error = _positive_mean3(SPATIAL_U.evaluate, radius, center)
+        rotated, rotated_error = _positive_mean3(turned.evaluate, radius, rot @ center)
+        assert abs(value - rotated) <= error + rotated_error + 1e-15
 
 
 def test_stieltjes_jumps_half_open_interval():
