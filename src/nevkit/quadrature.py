@@ -43,8 +43,8 @@ _ARC_NODES = 128
 # other), each sampled for sign changes at _SIGN_NODES polar angles, and
 # _SEGMENT_NODES Gauss-Legendre nodes per positive polar segment in the coarse
 # polar rule (the fine one has twice as many).  Each further rung doubles the
-# nodes when the polar error dominates and the meridians otherwise, up to the
-# caps.  Roots are refined to _ROOT_XATOL radians: a root off by delta moves a
+# nodes when the polar error dominates and the meridians otherwise, up to
+# _MAX_SEGMENT_NODES in the fine polar rule and _MAX_MERIDIANS.  Roots are refined to _ROOT_XATOL radians: a root off by delta moves a
 # segment integral by about |dg/dtheta| delta**2 / 2, and the default
 # tolerance of a few ulps can take three times as many iterations.  A sign
 # class whose area-weighted centroid is shorter than _CENTROID_RTOL times its
@@ -53,7 +53,7 @@ _MERIDIANS = 128
 _MAX_MERIDIANS = 1024
 _SIGN_NODES = 33
 _SEGMENT_NODES = 16
-_MAX_SEGMENT_NODES = 192
+_MAX_SEGMENT_NODES = 256
 _ROOT_XATOL = 1e-12
 _CENTROID_RTOL = 1e-8
 
@@ -269,7 +269,8 @@ def _sphere3_product_mean(f, center, radius, n_polar, n_azimuth, shift):
 
 def _sphere3_mean(f, center, radius, spec, label, first=None):
     """Product-rule mean with a doubling check; ``first`` is f's values on
-    the first coarse grid when the caller has them already."""
+    the first attempt's coarse and fine grids when the caller has them
+    already (the fine ones are read only when the coarse ones are finite)."""
     # Retry ladder: plain grid, rotated azimuth, then a different polar rule.
     attempts = (
         (spec.polar_nodes, spec.azimuth_nodes, 0.0),
@@ -277,13 +278,17 @@ def _sphere3_mean(f, center, radius, spec, label, first=None):
         (spec.polar_nodes + 1, spec.azimuth_nodes, 0.5),
     )
     for i, (n_pol, n_azi, shift) in enumerate(attempts):
-        if i == 0 and first is not None:
-            coarse = _sphere3_grid_mean(first, n_pol, n_azi)
+        given = i == 0 and first is not None
+        if given:
+            coarse = _sphere3_grid_mean(first[0], n_pol, n_azi)
         else:
             coarse = _sphere3_product_mean(f, center, radius, n_pol, n_azi, shift)
         if coarse is None:
             continue
-        fine = _sphere3_product_mean(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
+        if given:
+            fine = _sphere3_grid_mean(first[1], 2 * n_pol, 2 * n_azi)
+        else:
+            fine = _sphere3_product_mean(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
         if fine is None:
             continue
         err = abs(fine - coarse)
@@ -294,36 +299,44 @@ def _sphere3_mean(f, center, radius, spec, label, first=None):
 
 def _sphere3_positive_mean(g, center, radius, spec, label) -> QuadResult:
     """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
-    result, values = _meridian_mean_on_grid(g, center, radius, spec, 1)
+    coarse = _product_grid(g, center, radius, spec.polar_nodes, spec.azimuth_nodes)
+    result = _meridian_mean_on_grid(g, center, radius, spec, *coarse)
     if result is not None:
         return result
+    fine = None
+    if np.all(np.isfinite(coarse[2])):
+        fine = _product_grid(g, center, radius, 2 * spec.polar_nodes, 2 * spec.azimuth_nodes)
     product = _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec,
-                            label, first=np.maximum(values, 0.0))
-    if not product.converged:
+                            label, first=(np.maximum(coarse[2], 0.0),
+                                          None if fine is None else np.maximum(fine[2], 0.0)))
+    if not product.converged and fine is not None:
         # The doubling check saw what the coarse grid missed, such as a
         # patch of one sign narrower than its spacing: look again on the
         # fine grid.
-        result, _ = _meridian_mean_on_grid(g, center, radius, spec, 2)
+        result = _meridian_mean_on_grid(g, center, radius, spec, *fine)
         if result is not None:
             return result
     return product
 
 
-def _meridian_mean_on_grid(g, center, radius, spec, scale):
-    """The meridian rule about a pole taken from g's values on the product
-    grid with ``scale`` times the spec's nodes in each direction, or None
-    when g keeps one sign there or no pole holds; and those values."""
-    n_polar, n_azimuth = scale * spec.polar_nodes, scale * spec.azimuth_nodes
+def _product_grid(g, center, radius, n_polar, n_azimuth):
+    """Unit directions, area weights and values of g on the product grid
+    (shift 0), polar-major."""
     dirs = _sphere3_directions(n_polar, n_azimuth, 0.0)
-    values = np.asarray(g(radius * dirs + center), dtype=float)
+    area = np.repeat(_leggauss(n_polar)[1], n_azimuth)
+    return dirs, area, np.asarray(g(radius * dirs + center), dtype=float)
+
+
+def _meridian_mean_on_grid(g, center, radius, spec, dirs, area, values):
+    """The meridian rule about a pole taken from g's values on a product
+    grid, or None when g keeps one sign there or no pole holds."""
     positive = values > 0.0
     if np.all(np.isfinite(values)) and positive.any() and not positive.all():
-        area = np.repeat(_leggauss(n_polar)[1], n_azimuth)
         for pole in _poles(dirs, values, positive, area):
-            result = _meridian_mean(g, center, radius, pole, spec)
+            result = _meridian_mean(g, center, radius, pole, spec, dirs, positive)
             if result is not None:
-                return result, values
-    return None, values
+                return result
+    return None
 
 
 def _poles(dirs, values, positive, area):
@@ -345,11 +358,13 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.stack((even, odd), axis=1).reshape(-1, *even.shape[1:])
 
 
-def _meridian_mean(g, center, radius, pole, spec) -> QuadResult | None:
+def _meridian_mean(g, center, radius, pole, spec, dirs, positive) -> QuadResult | None:
     """Mean of max(g, 0) over the sphere, one meridian about ``pole`` at a time.
 
     None when the meridians do not all cross g = 0 the same number of times
-    on their sign grid, or when a value or root is not finite; a result that
+    on their sign grid, when a node of the product grid (unit directions
+    ``dirs``, where g > 0 at ``positive``) has a sign that its own meridian's
+    segments deny, or when a value or root is not finite; a result that
     still misses tolerance at both caps is flagged as failed.
     """
     e1 = np.cross(pole, np.eye(3)[np.argmin(np.abs(pole))])
@@ -372,16 +387,24 @@ def _meridian_mean(g, center, radius, pole, spec) -> QuadResult | None:
 
     crossings = None
 
+    def sign_changes(t, phi):
+        """Where g > 0 changes along each row of polar angles t on the
+        meridians phi, or None when a value is not finite."""
+        values = at(t, phi[:, np.newaxis])
+        if not np.all(np.isfinite(values)):
+            return None
+        signs = values > 0.0
+        return signs, signs[:, 1:] != signs[:, :-1]
+
     def positive_segments(phi):
         """Polar bounds (lo, hi) of the segments where g > 0, one row per
         meridian, or None unless every meridian has as many roots as the
         first one had."""
         nonlocal crossings
-        values = at(theta, phi[:, np.newaxis])
-        if not np.all(np.isfinite(values)):
+        changes = sign_changes(theta, phi)
+        if changes is None:
             return None
-        signs = values > 0.0
-        cells = signs[:, 1:] != signs[:, :-1]
+        signs, cells = changes
         counts = cells.sum(axis=1)
         if crossings is None:
             crossings = int(counts[0])
@@ -408,10 +431,32 @@ def _meridian_mean(g, center, radius, pole, spec) -> QuadResult | None:
         vals = np.maximum(at(t, phi[:, np.newaxis, np.newaxis]), 0.0) * np.sin(t)
         return (half * (vals @ w)).sum(axis=1)
 
+    def agrees_with_grid(lo, hi) -> bool:
+        """Whether every product-grid node has the sign that the segments
+        give it on its own meridian.  A patch of one sign can slip between
+        the sign grid's polar angles; if a product node lies in it, this
+        sees it.  Nodes on the same side of the roots on both neighbouring
+        meridians pass; each other node must leave the crossing count of
+        its own meridian's sign grid unchanged."""
+        local = dirs @ (frame.T / radius)
+        t = np.arccos(np.clip(local[:, 2], -1.0, 1.0))
+        p = np.arctan2(local[:, 1], local[:, 0]) % TWO_PI
+        left = np.minimum((p * (_MERIDIANS / TWO_PI)).astype(int), _MERIDIANS - 1)
+        doubt = np.zeros(len(t), dtype=bool)
+        for j in (left, (left + 1) % _MERIDIANS):
+            inside = ((lo[j] <= t[:, np.newaxis]) & (t[:, np.newaxis] <= hi[j])).any(axis=1)
+            doubt |= inside != positive
+        if not doubt.any():
+            return True
+        rows = np.sort(np.column_stack((np.broadcast_to(theta, (int(doubt.sum()), theta.size)),
+                                        t[doubt])), axis=1)
+        changes = sign_changes(rows, p[doubt])
+        return changes is not None and bool(np.all(changes[1].sum(axis=1) == crossings))
+
     nodes = _SEGMENT_NODES
     phi = np.arange(_MERIDIANS) * (TWO_PI / _MERIDIANS)
     segments = positive_segments(phi)
-    if segments is None:
+    if segments is None or not agrees_with_grid(*segments):
         return None
     coarse, fine = polar(nodes, phi, *segments), polar(2 * nodes, phi, *segments)
     while True:
@@ -424,7 +469,7 @@ def _meridian_mean(g, center, radius, pole, spec) -> QuadResult | None:
         err = err_phi + err_polar
         if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
             return QuadResult(value, max(err, 1e-16 * abs(value)), True)
-        if err_polar > err_phi and nodes < _MAX_SEGMENT_NODES:
+        if err_polar > err_phi and 2 * nodes < _MAX_SEGMENT_NODES:
             nodes *= 2
             coarse, fine = fine, polar(2 * nodes, phi, *segments)
         elif len(phi) < _MAX_MERIDIANS:
@@ -497,7 +542,10 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     Otherwise the polar axis goes to the area-weighted centroid of the nodes
     where g > 0, or, if that axis fails, to the node of the smaller sign
     class where |g| is largest.  An axis holds when every meridian crosses
-    g = 0 equally often, at least once, on ``_SIGN_NODES`` polar angles;
+    g = 0 equally often, at least once, on ``_SIGN_NODES`` polar angles,
+    and every node of the product grid has the sign that the positive
+    segments of its own meridian give it (so a patch of one sign that slips
+    between the polar angles but holds a grid node turns the axis down);
     then no meridian is tangent to the zero curve.  The crossings of all
     meridians are refined to roots in one batched Chandrupatla solve, and
     g sin(theta) is integrated over each positive polar segment with
@@ -505,7 +553,9 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     meridians is checked against every other meridian; the error estimate is
     that difference plus the mean Gauss-Legendre difference.  Each rung
     doubles the nodes or the meridians, whichever error dominates, from
-    ``_SEGMENT_NODES`` and ``_MERIDIANS`` up to their caps.  With no axis
+    ``_SEGMENT_NODES`` nodes in the coarse polar rule and ``_MERIDIANS``
+    meridians up to ``_MAX_SEGMENT_NODES`` nodes in the fine polar rule and
+    ``_MAX_MERIDIANS`` meridians.  With no axis
     that holds, the product rule runs.  If its doubling check fails, the
     axis search repeats on the doubled grid, which can see a patch of one
     sign that the first grid missed; failing that, the product rule's

@@ -228,6 +228,39 @@ def test_sphere_positive_part_mean_finds_a_cap_the_coarse_grid_misses():
     assert value == pytest.approx((1.0 - height) ** 2 / 4.0, abs=error + 1e-20)
 
 
+def test_sphere_positive_part_mean_sees_a_spike_between_sign_rows():
+    # A large positive cap about e3 and a steep spike of angular radius
+    # 0.045, centred midway between two polar rows of the sign grid in the
+    # centroid frame.  The spike holds product-grid nodes but no sign-grid
+    # point, so every meridian crosses g = 0 equally often there; the
+    # product-grid check must turn that frame down, and the mean must be
+    # flagged or right.
+    height, spike, steep = 0.3, 0.045, 1000.0
+    dirs = quadrature._sphere3_directions(64, 128, 0.0)
+    area = np.repeat(quadrature._leggauss(64)[1], 128)
+    theta_c = 22.5 * math.pi / (quadrature._SIGN_NODES - 1)
+    c = np.array([math.sin(theta_c), 0.0, math.cos(theta_c)])
+
+    def spiked(c):
+        return lambda pts: np.maximum(pts[:, 2] - height, steep * (pts @ c - math.cos(spike)))
+
+    for _ in range(4):  # the spike moves the centroid a little
+        positive = spiked(c)(dirs) > 0.0
+        centroid = area[positive] @ dirs[positive]
+        pole = centroid / np.linalg.norm(centroid)
+        e1 = np.cross(pole, np.eye(3)[np.argmin(np.abs(pole))])
+        e1 /= np.linalg.norm(e1)
+        c = math.sin(theta_c) * e1 + math.cos(theta_c) * pole
+    g = spiked(c)
+    assert np.any(dirs @ c > math.cos(spike))
+    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, QuadSpec(), dirs,
+                                     g(dirs) > 0.0) is None
+    budget = ErrorBudget()
+    value = positive_part_mean(g, 1.0, 3, budget=budget)
+    exact = (1.0 - height) ** 2 / 4.0 + steep * (1.0 - math.cos(spike)) ** 2 / 4.0
+    assert not budget.ok or abs(value - exact) <= budget.error + 1e-15
+
+
 def test_sphere_positive_part_mean_of_the_spatial_shell():
     value, error = _positive_mean3(SPATIAL_U.evaluate, 0.6)
     assert error < 1e-10
@@ -266,7 +299,7 @@ def test_sphere_positive_part_centroid_frames_agree():
         centroid = area[side] @ dirs[side]
         pole = centroid / np.linalg.norm(centroid)
         results.append(quadrature._meridian_mean(SPATIAL_U.evaluate, np.zeros(3), 0.6,
-                                                 pole, QuadSpec()))
+                                                 pole, QuadSpec(), dirs, positive))
     (a, b) = results
     assert a.converged and b.converged
     assert abs(a.value - b.value) <= a.error + b.error + 4e-16 * a.value
