@@ -377,10 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # a ScenarioError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

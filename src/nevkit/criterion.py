@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,12 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _failure_lines(budget: ErrorBudget) -> list[str]:
+    """One diagnostic per failed quadrature label, with its count when > 1."""
+    return [f"quadrature failure: {label}" + (f" (x{n})" if n > 1 else "")
+            for label, n in Counter(budget.failures).items()]
+
+
 def _inequality_report(name: str, lhs: float, rhs: float, budget: ErrorBudget,
                        diagnostics: list[str]) -> CheckReport:
     """Verdict for lhs <= rhs with three-valued error awareness.
@@ -91,9 +98,7 @@ def _inequality_report(name: str, lhs: float, rhs: float, budget: ErrorBudget,
     """
     err = budget.error
     tol = BASE_TOLERANCE + err
-    diag = list(diagnostics)
-    if budget.failures:
-        diag += [f"quadrature failure: {f}" for f in budget.failures]
+    diag = [*diagnostics, *_failure_lines(budget)]
     if err > BASE_TOLERANCE:
         diag.append(f"accumulated quadrature error estimate {err:.3e}")
     if math.isnan(lhs) or math.isnan(rhs):
@@ -122,9 +127,7 @@ def _inequality_report(name: str, lhs: float, rhs: float, budget: ErrorBudget,
 def _finiteness_report(name: str, value: float, budget: ErrorBudget,
                        diagnostics: list[str]) -> CheckReport:
     """Verdict for 'value < +inf'; a witnessed +inf is decisive."""
-    diag = list(diagnostics)
-    if budget.failures:
-        diag += [f"quadrature failure: {f}" for f in budget.failures]
+    diag = [*diagnostics, *_failure_lines(budget)]
     if value == math.inf:
         verdict = FAILS
     elif math.isnan(value) or not budget.ok:
@@ -370,9 +373,8 @@ def verify_poisson_jensen(U: DshFunction, x, R: float, *,
     rhs = boundary_term - green_term
     residual = lhs - rhs
     tolerance = IDENTITY_TOLERANCE + budget.error
-    diag = [f"boundary integral {_fmt(boundary_term)}, charge term {_fmt(green_term)}"]
-    if budget.failures:
-        diag += [f"quadrature failure: {f}" for f in budget.failures]
+    diag = [f"boundary integral {_fmt(boundary_term)}, charge term {_fmt(green_term)}",
+            *_failure_lines(budget)]
     if not budget.ok or math.isnan(residual):
         verdict = UNDETERMINED
     elif abs(residual) <= tolerance:

@@ -17,8 +17,10 @@ import numpy as np
 
 from .kernels import (
     as_point,
+    expect_int,
     expect_list,
     expect_number,
+    expect_object,
     expect_point,
     kappa,
     row_norms,
@@ -321,27 +323,16 @@ def dsh_to_json(u: DshFunction) -> dict:
 
 
 def dsh_from_json(data, *, path: str = "function") -> DshFunction:
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object")
-    unknown = set(data) - {"dimension", "charges", "harmonic", "rational"}
-    if unknown:
-        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
-    if "rational" in data:
-        if set(data) - {"rational"}:
-            raise ValueError(f"{path}: 'rational' cannot be combined with other fields")
+    if isinstance(data, dict) and "rational" in data:
+        expect_object(data, path, ("rational",))  # no charge fields beside it
         return from_rational(rational_from_json(data["rational"],
                                                 path=f"{path}.rational"))
-    if "dimension" not in data:
-        raise ValueError(f"{path}.dimension: missing")
-    try:
-        d = validate_dimension(data["dimension"])
-    except ValueError as exc:
-        raise ValueError(f"{path}.dimension: {exc}") from None
+    expect_object(data, path, ("dimension",), ("charges", "harmonic"))
+    d = expect_int(data["dimension"], f"{path}.dimension", 2)
     charges = []
     for i, entry in enumerate(expect_list(data.get("charges"), f"{path}.charges")):
         p = f"{path}.charges[{i}]"
-        if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
-            raise ValueError(f"{p}: expected an object with 'point' and 'weight'")
+        expect_object(entry, p, ("point", "weight"))
         charges.append(Charge(expect_point(entry["point"], d, f"{p}.point"),
                               expect_number(entry["weight"], f"{p}.weight")))
     terms = []
@@ -379,19 +370,11 @@ def rational_to_json(f: RationalFunction) -> dict:
 
 
 def rational_from_json(data, *, path: str = "rational") -> RationalFunction:
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object")
-    unknown = set(data) - {"zeros", "poles", "scale"}
-    if unknown:
-        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
-    zeros = data.get("zeros", [])
-    poles = data.get("poles", [])
-    if not isinstance(zeros, (list, tuple)):
-        raise ValueError(f"{path}.zeros: expected a list")
-    if not isinstance(poles, (list, tuple)):
-        raise ValueError(f"{path}.poles: expected a list")
-    zs = [_expect_complex(z, f"{path}.zeros[{i}]") for i, z in enumerate(zeros)]
-    ps = [_expect_complex(p, f"{path}.poles[{i}]") for i, p in enumerate(poles)]
+    expect_object(data, path, (), ("zeros", "poles", "scale"))
+    zs = [_expect_complex(z, f"{path}.zeros[{i}]")
+          for i, z in enumerate(expect_list(data.get("zeros"), f"{path}.zeros"))]
+    ps = [_expect_complex(p, f"{path}.poles[{i}]")
+          for i, p in enumerate(expect_list(data.get("poles"), f"{path}.poles"))]
     scale = _expect_complex(data.get("scale", 1.0), f"{path}.scale")
     try:
         return RationalFunction(tuple(zs), tuple(ps), scale)

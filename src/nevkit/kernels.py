@@ -53,6 +53,27 @@ def expect_number(value, path: str, *, positive: bool = False) -> float:
     return v
 
 
+def expect_int(value, path: str, lo: int) -> int:
+    """Validate a JSON integer (not a bool, not 3.0) >= lo found at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise ValueError(f"{path}: expected an integer >= {lo}, got {value!r}")
+    return value
+
+
+def expect_object(value, path: str, required=(), optional=()) -> dict:
+    """Validate a JSON object at ``path`` holding every ``required`` field and
+    no field outside ``required`` and ``optional``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected an object")
+    unknown = set(value) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{path}.{key}: missing")
+    return value
+
+
 def expect_point(value, d: int, path: str) -> list[float]:
     """Validate a JSON coordinate list of length d found at ``path``."""
     if not isinstance(value, (list, tuple)) or len(value) != d:

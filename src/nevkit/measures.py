@@ -22,8 +22,10 @@ from scipy.special import spence
 from .kernels import (
     BOUNDARY_RTOL,
     as_point,
+    expect_int,
     expect_list,
     expect_number,
+    expect_object,
     expect_point,
     kappa,
     row_norms,
@@ -657,7 +659,8 @@ class _CountingWalk:
     """State of a supremum scan that evaluates points in batches and then
     visits them one by one, in the order of a point-by-point scan.
 
-    Only visited points count as evaluations and are charged to the budget.
+    Only visited points count as evaluations; their nonzero error estimates
+    go to ``charges``, in the order a point-by-point scan charges them.
     Two values that lie within their combined error estimates (plus a few
     ulps of rounding) are compared again through the adaptive per-point
     path, the arbiter of a point-by-point scan, so the batch's rounding
@@ -665,9 +668,9 @@ class _CountingWalk:
     that path would return bit for bit, so they are not replayed.
     """
 
-    def __init__(self, mu: Measure, r: float, spec: QuadSpec,
-                 budget: ErrorBudget | None):
-        self.mu, self.r, self.spec, self.budget = mu, r, spec, budget
+    def __init__(self, mu: Measure, r: float, spec: QuadSpec):
+        self.mu, self.r, self.spec = mu, r, spec
+        self.charges: list[tuple[float, float]] = []
         self.best_val = -math.inf
         self.best_err = 0.0
         self.best_pt: np.ndarray | None = None
@@ -680,18 +683,22 @@ class _CountingWalk:
                                      errors=errors)
         return values, errors
 
+    def _record(self, value: float, error: float) -> None:
+        if error > 0.0:  # what _charge would charge
+            self.charges.append((value, error))
+
     def _per_point(self, p: np.ndarray) -> tuple[float, float]:
         key = tuple(p)
         if key not in self._per_point_cache:
             value, error = _counting_at(self.mu, p, self.r, self.spec)
-            _charge(self.budget, value, error)
+            self._record(value, error)
             self._per_point_cache[key] = (value, error)
         return self._per_point_cache[key]
 
     def visit(self, p: np.ndarray, value: float, error: float) -> bool:
         """Count, charge and compare one point; True when it becomes the best."""
         self.evaluations += 1
-        _charge(self.budget, value, error)
+        self._record(value, error)
         scale = max(abs(value), abs(self.best_val))
         slack = error + self.best_err + _TIE_ULPS * np.finfo(float).eps * scale
         if ((error > 0.0 or self.best_err > 0.0) and math.isfinite(slack)
@@ -716,7 +723,8 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
     walk found: each value is a quadrature approximation whose error
     estimate is charged to ``budget``, and the grid maximum is not a bound
     on the supremum.  +inf is returned as soon as any evaluation is +inf.
-    Regions: a Ball or SUPPORT.
+    Regions: a Ball or SUPPORT.  A repeated scan returns the result cached on
+    ``mu`` and charges ``budget`` the same errors and failures again.
     """
     d = mu.dimension
     if d not in (2, 3):
@@ -731,13 +739,21 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
     else:
         raise ValueError("region must be a Ball or the SUPPORT marker")
     cached = mu._cache.get(key)
-    if cached is not None:
-        return cached
-    if mu.is_zero:
-        result = SupResult(0.0, None, resolution, 0)
-        mu._cache[key] = result
-        return result
+    if cached is None:
+        cached = mu._cache[key] = _scan(mu, region, r, resolution, spec)
+    result, charges = cached
+    for value, error in charges:
+        _charge(budget, value, error)
+    return result
 
+
+def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
+          ) -> tuple[SupResult, list[tuple[float, float]]]:
+    """The scan behind ``sup_integrated_counting``, with its charges."""
+    d = mu.dimension
+    walk = _CountingWalk(mu, r, spec)
+    if mu.is_zero:
+        return SupResult(0.0, None, resolution, 0), walk.charges
     candidates: list[tuple[np.ndarray, object]] = []
     if region == SUPPORT:
         candidates = _support_samples(mu, resolution)
@@ -758,7 +774,6 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
                 candidates.append((comp.center, None))
         step = 2.0 * region.radius / (resolution - 1)
 
-    walk = _CountingWalk(mu, r, spec, budget)
     best_src: object = None
     values, errors = walk.evaluate([p for p, _ in candidates])
     for (p, src), value, error in zip(candidates, values, errors):
@@ -799,11 +814,9 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
                         break
 
     best_pt = walk.best_pt
-    result = SupResult(float(walk.best_val),
-                       None if best_pt is None else tuple(float(v) for v in best_pt),
-                       resolution, walk.evaluations)
-    mu._cache[key] = result
-    return result
+    return SupResult(float(walk.best_val),
+                     None if best_pt is None else tuple(float(v) for v in best_pt),
+                     resolution, walk.evaluations), walk.charges
 
 
 # ---------------------------------------------------------------------------
@@ -829,34 +842,18 @@ def measure_to_json(mu: Measure) -> dict:
 
 def measure_from_json(data, *, path: str = "measure") -> Measure:
     """Parse the measure schema, reporting the offending field on error."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object")
-    unknown = set(data) - {"dimension", "atoms", "spheres", "radial"}
-    if unknown:
-        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
-    if "dimension" not in data:
-        raise ValueError(f"{path}.dimension: missing")
-    try:
-        d = validate_dimension(data["dimension"])
-    except ValueError as exc:
-        raise ValueError(f"{path}.dimension: {exc}") from None
+    expect_object(data, path, ("dimension",), ("atoms", "spheres", "radial"))
+    d = expect_int(data["dimension"], f"{path}.dimension", 2)
     atoms = []
     for i, entry in enumerate(expect_list(data.get("atoms"), f"{path}.atoms")):
         p = f"{path}.atoms[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{p}: expected an object")
-        if "point" not in entry or "mass" not in entry:
-            raise ValueError(f"{p}: needs 'point' and 'mass'")
+        expect_object(entry, p, ("point", "mass"))
         atoms.append(Atom(expect_point(entry["point"], d, f"{p}.point"),
                           expect_number(entry["mass"], f"{p}.mass", positive=True)))
     spheres = []
     for i, entry in enumerate(expect_list(data.get("spheres"), f"{path}.spheres")):
         p = f"{path}.spheres[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{p}: expected an object")
-        for fieldname in ("center", "radius", "mass"):
-            if fieldname not in entry:
-                raise ValueError(f"{p}: needs '{fieldname}'")
+        expect_object(entry, p, ("center", "radius", "mass"))
         spheres.append(SphereShell(
             expect_point(entry["center"], d, f"{p}.center"),
             expect_number(entry["radius"], f"{p}.radius", positive=True),
@@ -864,11 +861,7 @@ def measure_from_json(data, *, path: str = "measure") -> Measure:
     radial = []
     for i, entry in enumerate(expect_list(data.get("radial"), f"{path}.radial")):
         p = f"{path}.radial[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{p}: expected an object")
-        for fieldname in ("center", "coeffs", "outer"):
-            if fieldname not in entry:
-                raise ValueError(f"{p}: needs '{fieldname}'")
+        expect_object(entry, p, ("center", "coeffs", "outer"))
         coeffs = entry["coeffs"]
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise ValueError(f"{p}.coeffs: expected a nonempty list of numbers")

@@ -1,8 +1,9 @@
 """Scenario files: JSON descriptions of a measure, a list of functions,
 radii, and the checks to run on them.
 
-Loading is strict: unknown fields, malformed radii, or references to checks
-that do not exist are rejected with messages naming the offending field.
+Loading is strict: every object rejects fields outside its schema, and
+malformed radii or references to checks that do not exist are rejected too,
+with messages naming the offending field.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import re
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
-from .dsh import DshFunction, RationalFunction, dsh_from_json, from_rational, rational_from_json
-from .kernels import expect_number, expect_point
+from .dsh import DshFunction, RationalFunction, dsh_from_json, rational_from_json
+from .criterion import DEFAULT_RESOLUTION
+from .kernels import expect_int, expect_list, expect_number, expect_object, expect_point
 from .measures import Measure, measure_from_json
 from .quadrature import QuadSpec
 
@@ -71,41 +73,24 @@ class Scenario:
 
 
 def _parse_radii(data, path: str) -> tuple[float, float, float]:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected an object with 'r' and 'R'")
-    unknown = set(data) - {"r", "R", "r0"}
-    if unknown:
-        raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")
-    for key in ("r", "R"):
-        if key not in data:
-            raise ScenarioError(f"{path}.{key}: missing")
+    expect_object(data, path, ("r", "R"), ("r0",))
     r = expect_number(data["r"], f"{path}.r")
     R = expect_number(data["R"], f"{path}.R")
-    r0 = expect_number(data["r0"], f"{path}.r0") if "r0" in data else r
+    r0 = expect_number(data["r0"], f"{path}.r0", positive=True) if "r0" in data else r
     if not 0.0 < r < R:
         raise ScenarioError(f"{path}: need 0 < r < R, got r={r}, R={R}")
-    if r0 <= 0.0:
-        raise ScenarioError(f"{path}.r0: must be positive")
     return r, R, r0
 
 
 def _parse_quad(data, path: str) -> QuadSpec:
     if data is None:
         return QuadSpec()
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected an object of QuadSpec overrides")
-    allowed = {f.name for f in dataclass_fields(QuadSpec)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in ("max_subdivisions", "circle_nodes", "polar_nodes", "azimuth_nodes"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{path}.{key}: expected an integer")
-            kwargs[key] = value
-        else:
-            kwargs[key] = expect_number(value, f"{path}.{key}")
+    defaults = {f.name: f.default for f in dataclass_fields(QuadSpec)}
+    expect_object(data, path, (), defaults)
+    # Integer fields need only be JSON integers here; QuadSpec checks their range.
+    kwargs = {key: expect_int(value, f"{path}.{key}", 4) if isinstance(defaults[key], int)
+              else expect_number(value, f"{path}.{key}")
+              for key, value in data.items()}
     try:
         return QuadSpec(**kwargs)
     except ValueError as exc:
@@ -113,34 +98,21 @@ def _parse_quad(data, path: str) -> QuadSpec:
 
 
 def _parse_functions(data, dimension: int, path: str) -> tuple[FunctionEntry, ...]:
-    if data is None:
-        return ()
-    if not isinstance(data, list):
-        raise ScenarioError(f"{path}: expected a list")
     entries = []
-    for i, raw in enumerate(data):
+    for i, raw in enumerate(expect_list(data, path)):
         p = f"{path}[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"{p}: expected an object")
+        expect_object(raw, p, (), ("label", "dimension", "charges", "harmonic", "rational"))
         body = dict(raw)
         label = body.pop("label", f"f{i}")
         if not isinstance(label, str) or not _NAME_RE.match(label):
             raise ScenarioError(f"{p}.label: expected a short identifier")
-        if "rational" in body:
-            if set(body) - {"rational"}:
-                raise ScenarioError(
-                    f"{p}: 'rational' cannot be combined with charge fields")
-            if dimension != 2:
-                raise ScenarioError(f"{p}: rational functions require dimension 2")
-            rat = rational_from_json(body["rational"], path=f"{p}.rational")
-            entries.append(FunctionEntry(label, from_rational(rat), rat))
-        else:
-            u = dsh_from_json(body, path=p)
-            if u.dimension != dimension:
-                raise ScenarioError(
-                    f"{p}.dimension: function dimension {u.dimension} "
-                    f"differs from scenario dimension {dimension}")
-            entries.append(FunctionEntry(label, u))
+        u = dsh_from_json(body, path=p)
+        if u.dimension != dimension:
+            raise ScenarioError(f"{p}: function dimension {u.dimension} "
+                                f"differs from scenario dimension {dimension}")
+        rat = (rational_from_json(body["rational"], path=f"{p}.rational")
+               if "rational" in body else None)
+        entries.append(FunctionEntry(label, u, rat))
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{path}: duplicate function labels")
@@ -154,22 +126,13 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
     out = []
     for i, raw in enumerate(data):
         p = f"{path}[{i}]"
-        if isinstance(raw, str):
-            kind, options = raw, {}
-        elif isinstance(raw, dict):
-            body = dict(raw)
-            kind = body.pop("check", None)
-            if not isinstance(kind, str):
-                raise ScenarioError(f"{p}.check: missing or not a string")
-            options = body
-        else:
-            raise ScenarioError(f"{p}: expected a check name or an object")
+        body = {"check": raw} if isinstance(raw, str) else raw
+        kind = body.get("check") if isinstance(body, dict) else body
         if kind not in CHECK_KINDS:
-            raise ScenarioError(f"{p}: unknown check {kind!r}; "
-                                f"known: {', '.join(CHECK_KINDS)}")
-        extra = set(options) - _CHECK_OPTIONS[kind]
-        if extra:
-            raise ScenarioError(f"{p}: unknown options {sorted(extra)} for {kind}")
+            raise ScenarioError(f"{p}: expected a check name from "
+                                f"{', '.join(CHECK_KINDS)}, got {kind!r}")
+        expect_object(body, p, ("check",), _CHECK_OPTIONS[kind])
+        options = {key: value for key, value in body.items() if key != "check"}
         if kind in ("statement_II", "poisson_jensen") and not functions:
             raise ScenarioError(f"{p}: {kind} requires at least one function")
         if kind == "corollary":
@@ -183,10 +146,7 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
                 raise ScenarioError(f"{p}.R_star: must lie strictly between r and R")
             options["R_star"] = r_star
         if "t_cap" in options:
-            t_cap = expect_number(options["t_cap"], f"{p}.t_cap")
-            if t_cap <= 0.0:
-                raise ScenarioError(f"{p}.t_cap: must be positive")
-            options["t_cap"] = t_cap
+            options["t_cap"] = expect_number(options["t_cap"], f"{p}.t_cap", positive=True)
         if "tight" in options and not isinstance(options["tight"], bool):
             raise ScenarioError(f"{p}.tight: expected true or false")
         if "points" in options:
@@ -212,22 +172,12 @@ def scenario_from_json(data, *, path: str = "scenario") -> Scenario:
 
 
 def _parse_scenario(data, path: str) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected a top-level object")
-    allowed = {"name", "dimension", "measure", "functions", "radii", "checks",
-               "quad", "grid", "expect_fail"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")
-    for key in ("name", "dimension", "measure", "radii", "checks"):
-        if key not in data:
-            raise ScenarioError(f"{path}.{key}: missing")
+    expect_object(data, path, ("name", "dimension", "measure", "radii", "checks"),
+                  ("functions", "quad", "grid", "expect_fail"))
     name = data["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ScenarioError(f"{path}.name: expected letters, digits, '_', '-', '.'")
-    dimension = data["dimension"]
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 2:
-        raise ScenarioError(f"{path}.dimension: expected an integer >= 2")
+    dimension = expect_int(data["dimension"], f"{path}.dimension", 2)
     measure = measure_from_json(data["measure"], path=f"{path}.measure")
     if measure.dimension != dimension:
         raise ScenarioError(f"{path}.measure.dimension: differs from scenario dimension")
@@ -236,12 +186,8 @@ def _parse_scenario(data, path: str) -> Scenario:
     checks = _parse_checks(data["checks"], functions, dimension, r, R,
                            f"{path}.checks")
     quad = _parse_quad(data.get("quad"), f"{path}.quad")
-    grid = data.get("grid", 17)
-    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 3:
-        raise ScenarioError(f"{path}.grid: expected an integer >= 3")
-    expect_raw = data.get("expect_fail", [])
-    if not isinstance(expect_raw, list):
-        raise ScenarioError(f"{path}.expect_fail: expected a list of check names")
+    grid = expect_int(data.get("grid", DEFAULT_RESOLUTION), f"{path}.grid", 3)
+    expect_raw = expect_list(data.get("expect_fail"), f"{path}.expect_fail")
     for i, entry in enumerate(expect_raw):
         if entry not in CHECK_KINDS:
             raise ScenarioError(f"{path}.expect_fail[{i}]: unknown check {entry!r}")

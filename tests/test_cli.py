@@ -133,6 +133,17 @@ NEGATIVE_DENSITY = [{"center": [0.0, 0.0], "coeffs": [0.2821265625, -1.0625, 1.0
                  id="function-harmonic"),
     pytest.param("measure", "radial", NEGATIVE_DENSITY, "measure.radial[0]: ",
                  id="measure-radial-negative-density"),
+    # Entries with a field outside their schema.
+    pytest.param("measure", "atoms", [{"point": [0.1, 0.0], "mass": 1.0, "weight": 1.0}],
+                 "measure.atoms[0]: unknown fields ['weight']", id="measure-atom-extra"),
+    pytest.param("measure", "spheres", [{"center": [0.0, 0.0], "radius": 0.5, "mas": 2.0}],
+                 "measure.spheres[0]: unknown fields ['mas']", id="measure-sphere-extra"),
+    pytest.param("measure", "radial",
+                 [{"center": [0.0, 0.0], "coeffs": [1.0], "outer": 0.5, "power": 2.5}],
+                 "measure.radial[0]: unknown fields ['power']", id="measure-radial-extra"),
+    pytest.param("function", "charges", [{"point": [0.3, 0.1], "weight": 1.0, "mass": 1.0}],
+                 "functions[0].charges[0]: unknown fields ['mass']",
+                 id="function-charge-extra"),
 ])
 def test_non_list_component_field_exit_code(tmp_path, capsys, where, field, value,
                                             message):

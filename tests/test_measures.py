@@ -21,7 +21,7 @@ from nevkit.measures import (
     radial_counting,
     sup_integrated_counting,
 )
-from nevkit.quadrature import integrate_1d
+from nevkit.quadrature import ErrorBudget, QuadSpec, integrate_1d
 
 
 def circle(mass=1.0, radius=1.0, center=(0.0, 0.0)):
@@ -279,6 +279,20 @@ def test_sup_cache_reuses_result():
     first = sup_integrated_counting(mu, Ball(np.zeros(2), 1.0), 1.0, 13)
     second = sup_integrated_counting(mu, Ball(np.zeros(2), 1.0), 1.0, 13)
     assert first is second
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(), QuadSpec(abs_tol=1e-300, rel_tol=1e-300)],
+                         ids=["default", "unreachable"])
+def test_sup_cache_hit_charges_the_scan_again(spec):
+    # An off-centre density needs quadrature; a scan served from the cache
+    # charges the second budget what the scan charged the first.
+    mu = Measure(dimension=2, radial=(RadialDensity([0.3, -0.2], (0.3, 0.9), 0.6),))
+    budgets = [ErrorBudget(), ErrorBudget()]
+    for budget in budgets:
+        sup_integrated_counting(mu, Ball(np.zeros(2), 1.0), 1.0, 5, spec, budget=budget)
+    first, second = budgets
+    assert first.error > 0.0 or first.failures
+    assert (second.error, second.failures) == (first.error, first.failures)
 
 
 # ------------------------------------------------------------------- JSON

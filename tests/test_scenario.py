@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,73 @@ def test_quad_overrides():
     assert sc.quad.abs_tol == 1e-8
     with pytest.raises(ScenarioError):
         scenario_from_json(variant(quad={"nodes": 10}))
+
+
+# One scenario holding every kind of JSON object the schema has.
+EVERY_OBJECT = {
+    "name": "every",
+    "dimension": 2,
+    "measure": {"dimension": 2,
+                "atoms": [{"point": [0.5, 0.0], "mass": 0.5}],
+                "spheres": [{"center": [0.0, 0.0], "radius": 0.5, "mass": 1.0}],
+                "radial": [{"center": [0.0, 0.0], "coeffs": [0.0, 2.0], "outer": 0.5}]},
+    "functions": [{"label": "f", "rational": {"zeros": [0.5], "poles": [2.0]}},
+                  {"label": "u", "dimension": 2,
+                   "charges": [{"point": [0.3, 0.1], "weight": 1.0}]}],
+    "radii": {"r": 1.0, "R": 2.0},
+    "checks": [{"check": "statement_II", "tight": True}],
+    "quad": {"abs_tol": 1e-9},
+}
+
+
+BAD_FIELDS = [
+    ((), "bogus", 1, "scenario: unknown fields ['bogus']"),
+    (("radii",), "bogus", 1, "scenario.radii: unknown fields ['bogus']"),
+    (("quad",), "bogus", 1, "scenario.quad: unknown fields ['bogus']"),
+    (("checks", 0), "R_star_", 1, "scenario.checks[0]: unknown fields ['R_star_']"),
+    (("functions", 0), "bogus", 1, "scenario.functions[0]: unknown fields ['bogus']"),
+    (("functions", 0, "rational"), "bogus", 1,
+     "scenario.functions[0].rational: unknown fields ['bogus']"),
+    (("functions", 1), "bogus", 1, "scenario.functions[1]: unknown fields ['bogus']"),
+    (("functions", 1, "charges", 0), "mass", 1,
+     "scenario.functions[1].charges[0]: unknown fields ['mass']"),
+    (("measure",), "bogus", 1, "scenario.measure: unknown fields ['bogus']"),
+    (("measure", "atoms", 0), "weight", 1,
+     "scenario.measure.atoms[0]: unknown fields ['weight']"),
+    (("measure", "spheres", 0), "mas", 2.0,
+     "scenario.measure.spheres[0]: unknown fields ['mas']"),
+    (("measure", "radial", 0), "power", 2.5,
+     "scenario.measure.radial[0]: unknown fields ['power']"),
+    # Integers must be JSON integers wherever they appear.
+    ((), "dimension", 2.0, "scenario.dimension: expected an integer >= 2"),
+    (("measure",), "dimension", 2.0, "scenario.measure.dimension: expected an integer >= 2"),
+    (("functions", 1), "dimension", 2.0,
+     "scenario.functions[1].dimension: expected an integer >= 2"),
+    ((), "grid", 9.0, "scenario.grid: expected an integer >= 3"),
+    (("quad",), "circle_nodes", 256.0, "scenario.quad.circle_nodes: expected an integer >= 4"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, message", BAD_FIELDS,
+                         ids=[case[3].split(":")[0] for case in BAD_FIELDS])
+def test_every_object_names_a_bad_field(where, key, value, message):
+    data = copy.deepcopy(EVERY_OBJECT)
+    scenario_from_json(data)
+    target = data
+    for step in where:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario_from_json(data)
+
+
+def test_null_lists_read_as_empty():
+    data = copy.deepcopy(EVERY_OBJECT)
+    data["expect_fail"] = None
+    data["functions"][0]["rational"]["poles"] = None
+    sc = scenario_from_json(data)
+    assert sc.expect_fail == frozenset()
+    assert sc.functions[0].rational.poles == ()
 
 
 def test_load_scenario_reports_path(tmp_path):
