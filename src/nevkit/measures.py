@@ -379,7 +379,10 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
 
     Each integral runs over fixed panels between the kernel's kinks
     |a - r|, a and a + r, inside the window [a - r, a + r] where the kernel
-    is nonzero.
+    is nonzero.  Every point gets the batch's panel edges, clipped to its
+    own window, so many of its panels collapse to zero width: the density
+    and the kernel are evaluated on the live panels only, and the dead ones
+    contribute exact zeros.
     """
     lo = np.maximum(a - r, 0.0)
     hi = np.maximum(np.minimum(a + r, comp.outer), lo)
@@ -391,14 +394,21 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     for k in range(1, min(math.ceil(math.log(ratio, 4.0)), _GRADED_LEVELS) + 1):
         kinks.append(np.minimum(a * 4.0 ** k, np.abs(a - r)))
     edges = np.sort(np.clip(np.column_stack(kinks), lo[:, None], hi[:, None]), axis=1)
-    left, width = edges[:, :-1, None], np.diff(edges, axis=1)
-    center_dist = a[:, None, None]
+    width = np.diff(edges, axis=1)
+    live = width > 0.0
+    left = edges[:, :-1][live][:, None]
+    live_width = width[live][:, None]
+    center_dist = np.broadcast_to(a[:, None], live.shape)[live][:, None]
 
     def panel_integrals(n: int) -> np.ndarray:
         u, w = _cosine_panel_rule(n)
-        s = left + width[:, :, None] * u
-        f = comp.density(s) * _shell_counting_kernel(center_dist, s, r, d)
-        return np.where(width > 0.0, width * (f @ w), 0.0)
+        s = left + live_width * u
+        # Scattered back into the full (points, panels, nodes) layout, so
+        # that f @ w and the panel sums add in the same order as over all
+        # panels, bit for bit.
+        f = np.zeros(live.shape + (n,))
+        f[live] = comp.density(s) * _shell_counting_kernel(center_dist, s, r, d)
+        return np.where(live, width * (f @ w), 0.0)
 
     coarse = panel_integrals(_PANEL_NODES)
     fine = panel_integrals(2 * _PANEL_NODES)

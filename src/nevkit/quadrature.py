@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -31,8 +32,6 @@ from scipy.optimize import elementwise
 from .kernels import as_point, validate_dimension
 
 TWO_PI = 2.0 * math.pi
-
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # Gauss-Legendre nodes per positive arc in the coarse rule of a kinked planar
 # positive-part mean; the fine rule uses twice as many.
@@ -58,10 +57,18 @@ _ROOT_XATOL = 1e-12
 _CENTROID_RTOL = 1e-8
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# Node sets are cached, and every caller shares the same arrays, so they are
+# read-only.  A QuadSpec uses about a dozen Gauss-Legendre rules and six
+# sphere grids (the retry ladder's three, each with its doubled check).
+@lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return _read_only(x), _read_only(w)
 
 
 # Caps on the integer QuadSpec fields.  scipy's quad allocates work arrays of
@@ -243,15 +250,23 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
     return result
 
 
+@lru_cache(maxsize=8)
 def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarray:
     """Unit vectors of the Gauss-Legendre (polar) x trapezoid (azimuthal)
-    product grid, polar-major, as an (n_polar * n_azimuth, 3) array."""
+    product grid, polar-major, as a read-only (n_polar * n_azimuth, 3) array."""
     u, _ = _leggauss(n_polar)
     phi = (np.arange(n_azimuth) + shift) * (TWO_PI / n_azimuth)
     su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return np.column_stack((np.outer(su, np.cos(phi)).ravel(),
-                            np.outer(su, np.sin(phi)).ravel(),
-                            np.repeat(u, n_azimuth)))
+    return _read_only(np.column_stack((np.outer(su, np.cos(phi)).ravel(),
+                                       np.outer(su, np.sin(phi)).ravel(),
+                                       np.repeat(u, n_azimuth))))
+
+
+@lru_cache(maxsize=8)
+def _sphere3_area(n_polar: int, n_azimuth: int) -> np.ndarray:
+    """Polar Gauss-Legendre weights of the product grid's nodes, polar-major,
+    read-only (they sum to 2 * n_azimuth)."""
+    return _read_only(np.repeat(_leggauss(n_polar)[1], n_azimuth))
 
 
 def _sphere3_grid_mean(vals: np.ndarray, n_polar: int, n_azimuth: int) -> float | None:
@@ -323,7 +338,7 @@ def _product_grid(g, center, radius, n_polar, n_azimuth):
     """Unit directions, area weights and values of g on the product grid
     (shift 0), polar-major."""
     dirs = _sphere3_directions(n_polar, n_azimuth, 0.0)
-    area = np.repeat(_leggauss(n_polar)[1], n_azimuth)
+    area = _sphere3_area(n_polar, n_azimuth)
     return dirs, area, np.asarray(g(radius * dirs + center), dtype=float)
 
 
@@ -528,8 +543,9 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     g maps (n, d) point arrays to (n,) value arrays.  Failures are flagged
     or raised as in ``sphere_mean``.
 
-    In the plane the trapezoid doubling check of ``circle_mean`` runs first.
-    If it fails, the sign changes of g between neighbouring nodes are
+    In the plane g is evaluated on ``circle_mean``'s grid first.  Where it
+    keeps one sign there, the trapezoid doubling check may settle the mean.
+    Otherwise the sign changes of g between neighbouring nodes are
     refined to roots (Chandrupatla's method), and the arcs on which g is
     positive are integrated with Gauss-Legendre rules of ``_ARC_NODES`` and
     of twice as many nodes, whose difference is the error estimate.  The
@@ -588,9 +604,14 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
             break
         fine = np.maximum(values, 0.0)
         if np.all(np.isfinite(fine)):
-            result = _doubling_check(fine, spec)
-            if result is not None:
-                return _settle(result, budget, label)
+            # A kink between the nodes can fool the doubling check: the
+            # trapezoid errors of the two grids may agree while both are
+            # wrong.  So only a grid of one sign may settle it.
+            positive = values > 0.0
+            if positive.all() or not positive.any():
+                result = _doubling_check(fine, spec)
+                if result is not None:
+                    return _settle(result, budget, label)
             break
     else:
         # Non-finite values on both the original and the rotated grid.

@@ -6,16 +6,21 @@ positive-part means and the bound constant A against mpmath."""
 
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import special_ortho_group
 
+from nevkit import measures
 from nevkit.cli import bundled_scenario_paths
 from nevkit.dsh import RationalFunction, from_rational, positive_part_integral
 from nevkit.kernels import constant_A
 from nevkit.measures import (
+    _GRADED_LEVELS,
+    _PANEL_NODES,
     SUPPORT,
     Atom,
     Ball,
@@ -25,6 +30,8 @@ from nevkit.measures import (
     _CountingWalk,
     _ball_lattice,
     _cap_fraction,
+    _cosine_panel_rule,
+    _radial_block,
     _shell_counting_kernel,
     difference_counting,
     integrated_counting,
@@ -372,6 +379,114 @@ def test_batch_charges_the_budget_and_rejects_bad_shapes():
     assert budget.ok and budget.error == pytest.approx(errors.sum(), rel=1e-12)
     with pytest.raises(ValueError):
         integrated_counting(_disc_area(), np.zeros((2, 3)), 1.0)
+
+
+def _radial_block_on_all_panels(comp, a, r, d):
+    """_radial_block with the density and the kernel evaluated on every
+    panel, the zero-width ones included, and the number of live panels."""
+    lo = np.maximum(a - r, 0.0)
+    hi = np.maximum(np.minimum(a + r, comp.outer), lo)
+    kinks = [lo, np.abs(a - r), a, a + r, hi]
+    ratio = float(np.max((r - a) / a, initial=1.0))
+    for k in range(1, min(math.ceil(math.log(ratio, 4.0)), _GRADED_LEVELS) + 1):
+        kinks.append(np.minimum(a * 4.0 ** k, np.abs(a - r)))
+    edges = np.sort(np.clip(np.column_stack(kinks), lo[:, None], hi[:, None]), axis=1)
+    left, width = edges[:, :-1, None], np.diff(edges, axis=1)
+
+    def panel_integrals(n):
+        u, w = _cosine_panel_rule(n)
+        s = left + width[:, :, None] * u
+        f = comp.density(s) * _shell_counting_kernel(a[:, None, None], s, r, d)
+        return np.where(width > 0.0, width * (f @ w), 0.0)
+
+    coarse = panel_integrals(_PANEL_NODES)
+    fine = panel_integrals(2 * _PANEL_NODES)
+    value = fine.sum(axis=1)
+    error = np.maximum(np.abs(fine - coarse).sum(axis=1), 1e-16 * np.abs(value))
+    return value, error, int(np.count_nonzero(width > 0.0))
+
+
+@pytest.mark.parametrize("d, coeffs", [(2, (0.3, 0.9)), (3, (0.0, 1.0, 2.0)),
+                                       (3, (0.5, 0.0, 1.0))])
+def test_radial_block_skips_dead_panels_bit_for_bit(monkeypatch, d, coeffs):
+    # A point 1e-6 from the center gives the batch 10 graded kinks, which
+    # the far points clip to their windows' ends: most panels are dead.
+    comp = RadialDensity(np.zeros(d), coeffs, 0.8)
+    a = np.array([1e-6, 0.05, 0.3, 0.55, 0.9, 1.2, 1.6])
+    r = 0.5
+    value, error, live = _radial_block_on_all_panels(comp, a, r, d)
+    panels = len(a) * (5 + 10 - 1)
+    assert live < panels / 2
+    got = _radial_block(comp, a, r, d)
+    assert np.array_equal(got[0], value) and np.array_equal(got[1], error)
+
+    nodes = []
+
+    def counted(center_dist, s, r, d):
+        nodes.append(np.broadcast(center_dist, s).size)
+        return _shell_counting_kernel(center_dist, s, r, d)
+
+    monkeypatch.setattr(measures, "_shell_counting_kernel", counted)
+    _radial_block(comp, a, r, d)
+    assert sum(nodes) == 3 * _PANEL_NODES * live
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def _counting_cases(draw):
+    """A shell and a density in d = 2 or 3, and up to four points in the
+    cube of side 4 about the origin."""
+    d = draw(st.sampled_from([2, 3]))
+    point = st.lists(_unit, min_size=d, max_size=d).map(np.array)
+    coeffs = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1,
+                           max_size=3).filter(any))
+    density = RadialDensity(draw(point), tuple(coeffs),
+                            draw(st.floats(min_value=0.1, max_value=1.0)))
+    shell = SphereShell(draw(point), draw(st.floats(min_value=0.1, max_value=1.0)),
+                        draw(st.floats(min_value=0.1, max_value=2.0)))
+    pts = 2.0 * np.array(draw(st.lists(point, min_size=1, max_size=4)))
+    return Measure(d, spheres=(shell,), radial=(density,)), pts
+
+
+_radius = st.floats(min_value=0.05, max_value=2.0)
+
+
+@given(_counting_cases(), _radius, _radius)
+def test_batched_counting_is_nondecreasing_in_r(case, r1, r2):
+    mu, pts = case
+    r1, r2 = sorted((r1, r2))
+    e1, e2 = np.empty(len(pts)), np.empty(len(pts))
+    n1 = integrated_counting(mu, pts, r1, errors=e1)
+    n2 = integrated_counting(mu, pts, r2, errors=e2)
+    assert np.all(n2 >= n1 - (e1 + e2)), (n1, n2, e1, e2)
+
+
+def _turn(q, v):
+    """The rows of v times q transposed, elementwise, so that equal rows
+    turn into equal rows whatever array they sit in."""
+    return sum(v[..., j, None] * q[:, j] for j in range(q.shape[1]))
+
+
+@given(_counting_cases(), _radius, st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_batched_counting_is_rotation_invariant(case, r, seed):
+    mu, pts = case
+    q = special_ortho_group.rvs(mu.dimension, random_state=seed)
+    turned = Measure(
+        mu.dimension,
+        spheres=tuple(replace(s, center=_turn(q, s.center)) for s in mu.spheres),
+        radial=tuple(replace(c, center=_turn(q, c.center)) for c in mu.radial))
+    e, e_turned = np.empty(len(pts)), np.empty(len(pts))
+    n = integrated_counting(mu, pts, r, errors=e)
+    n_turned = integrated_counting(turned, _turn(q, pts), r, errors=e_turned)
+    finite = np.isfinite(n)  # +inf at the center of a d = 3 density with c0 > 0
+    assert np.array_equal(n_turned[~finite], n[~finite])
+    # Turning moves every distance by a few ulps, and the closed forms carry
+    # no error estimate to cover that.
+    rounding = 1e-13 * (1.0 + np.abs(n))
+    assert np.all(np.abs(n_turned[finite] - n[finite])
+                  <= (e + e_turned + rounding)[finite]), (n, n_turned, e, e_turned)
 
 
 # -------------------------------------------------- bundled scans, pinned

@@ -58,6 +58,26 @@ def test_charges_merge_and_cancel():
     assert v.charges[0].weight == 1.5
 
 
+@given(st.data())
+def test_charge_merging_is_idempotent(data):
+    # Charges drawn from a pool of at most three locations, so most merge.
+    d = data.draw(st.sampled_from([2, 3]))
+    pool = data.draw(st.lists(st.lists(_coord, min_size=d, max_size=d), min_size=1,
+                              max_size=3))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), _coord),
+                               max_size=8))
+    u = DshFunction(d, tuple(Charge(np.array(pool[i]), w) for i, w in picks))
+    summed: dict[tuple, float] = {}  # -0.0 and 0.0 are one key, as one location
+    for i, w in picks:
+        summed[tuple(pool[i])] = summed.get(tuple(pool[i]), 0.0) + w
+
+    def listed(charges):
+        return [(tuple(c.location.tolist()), c.weight) for c in charges]
+
+    assert listed(u.charges) == [(loc, w) for loc, w in summed.items() if w != 0.0]
+    assert listed(DshFunction(d, u.charges, u.harmonic).charges) == listed(u.charges)
+
+
 def test_evaluate_single_and_batch_agree():
     u = DshFunction(2, (Charge(np.array([0.3, 0.1]), 1.0),
                         Charge(np.array([-0.2, 0.4]), -0.5)),

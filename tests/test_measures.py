@@ -139,6 +139,19 @@ def test_radial_counting_centered_radial_component():
         assert radial_counting(mu, np.zeros(2), t) == pytest.approx(min(t * t, 1.0), rel=1e-12)
 
 
+@given(st.data())
+def test_radial_counting_is_nondecreasing_in_t(data):
+    mu = data.draw(measures())
+    y = np.array(data.draw(st.lists(_coord, min_size=mu.dimension, max_size=mu.dimension)))
+    t1, t2 = sorted(data.draw(st.lists(st.floats(min_value=0.0, max_value=10.0),
+                                       min_size=2, max_size=2)))
+    b1, b2 = ErrorBudget(), ErrorBudget()
+    m1 = radial_counting(mu, y, t1, budget=b1)
+    m2 = radial_counting(mu, y, t2, budget=b2)
+    assert b1.ok and b2.ok
+    assert m2 >= m1 - (b1.error + b2.error), (m1, m2, b1.error, b2.error)
+
+
 # ------------------------------------------------- integrated counting N(y, r)
 
 

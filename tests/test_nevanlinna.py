@@ -1,9 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from scipy.stats import special_ortho_group
 
 from nevkit.dsh import (
+    Charge,
     DshFunction,
     HarmonicPart,
     RationalFunction,
@@ -11,7 +15,7 @@ from nevkit.dsh import (
     kernel_witness,
 )
 from nevkit.kernels import kappa
-from nevkit.quadrature import integrate_1d
+from nevkit.quadrature import ErrorBudget, integrate_1d
 from nevkit.nevanlinna import (
     classical_N,
     classical_T,
@@ -112,6 +116,50 @@ def test_proximity_handles_root_on_circle():
         lambda t: max(math.log(4.0 * math.sin(t)), 0.0), 0.0, math.pi / 2.0,
         points=(math.asin(0.25),)).value
     assert proximity(u, 2.0) == pytest.approx(oracle, rel=1e-7)
+
+
+def test_proximity_of_a_kink_pair_the_doubling_check_misses():
+    # Charges on the x-axis make u symmetric, and its two kinks on the
+    # circle sit where the trapezoid errors of the 512- and 1024-node grids
+    # agree to 3e-10 while both are 1.8e-7 off.
+    R, c = 0.558641345991925, -1.8082537170759352
+    charges = ((2.34197749, 1.6494258311650603), (1e-06, -1.248787813127947))
+    u = DshFunction(2, tuple(Charge(np.array([x, 0.0]), w) for x, w in charges),
+                    HarmonicPart((("const", c),)))
+
+    def g(t):
+        z = R * mpmath.expj(t)
+        return c + sum(w * mpmath.log(abs(z - x)) for x, w in charges)
+
+    root = mpmath.findroot(g, (0.5, 0.8), solver="anderson")  # u > 0 on (root, 2 pi - root)
+    exact = mpmath.quad(g, [root, mpmath.pi]) / mpmath.pi
+    budget = ErrorBudget()
+    assert proximity(u, R, budget=budget) == pytest.approx(float(exact), abs=1e-12)
+    assert budget.ok and budget.error < 1e-12
+
+
+_weight = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@given(st.data())
+def test_proximity_is_rotation_invariant(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    R = data.draw(st.floats(min_value=0.5, max_value=2.0))
+    point = st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=d,
+                     max_size=d).map(np.array)
+    charges = data.draw(st.lists(st.builds(Charge, point, _weight), max_size=4))
+    harmonic = HarmonicPart((("const", data.draw(_weight)),))
+    q = special_ortho_group.rvs(d, random_state=data.draw(st.integers(0, 2 ** 32 - 1)))
+    u = DshFunction(d, tuple(charges), harmonic)
+    turned = DshFunction(d, tuple(Charge(q @ c.location, c.weight) for c in charges),
+                         harmonic)
+    b, b_turned = ErrorBudget(), ErrorBudget()
+    m = proximity(u, R, budget=b)
+    m_turned = proximity(turned, R, budget=b_turned)
+    assume(b.ok and b_turned.ok)  # a flagged mean claims nothing, as on a charge
+    rounding = 1e-13 * (1.0 + abs(m))  # the turned charges sit a few ulps off
+    assert abs(m_turned - m) <= b.error + b_turned.error + rounding, \
+        (m, m_turned, b.error, b_turned.error)
 
 
 def test_difference_counting_part_monotone_in_R():
