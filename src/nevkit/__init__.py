@@ -30,12 +30,10 @@ from .dsh import (
     HarmonicPart,
     RationalFunction,
     dsh_from_json,
-    dsh_to_json,
     from_rational,
     kernel_witness,
     positive_part_integral,
     rational_from_json,
-    rational_to_json,
 )
 from .kernels import (
     constant_A,
@@ -48,7 +46,6 @@ from .kernels import (
 from .measures import (
     SUPPORT,
     Atom,
-    Ball,
     CountingFunction,
     Measure,
     RadialDensity,
@@ -57,17 +54,14 @@ from .measures import (
     difference_counting,
     integrated_counting,
     measure_from_json,
-    measure_to_json,
     potential,
     radial_counting,
     sup_integrated_counting,
 )
 from .nevanlinna import (
-    Characteristic,
     classical_N,
     classical_T,
     difference_T,
-    difference_characteristic,
     proximity,
 )
 from .quadrature import (
@@ -94,7 +88,7 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Ball", "BASE_TOLERANCE", "Characteristic", "Charge",
+    "Atom", "BASE_TOLERANCE", "Charge",
     "CheckReport", "CheckRequest", "CountingFunction", "DEFAULT_SPEC",
     "DshFunction", "ErrorBudget", "FAILS", "FunctionEntry", "HOLDS",
     "HarmonicPart", "Measure", "QuadResult", "QuadSpec",
@@ -103,14 +97,13 @@ __all__ = [
     "SupResult", "UNDETERMINED", "check_corollary", "check_statement_I",
     "check_statement_II", "check_statement_IV", "check_statement_V",
     "circle_mean", "classical_N", "classical_T", "constant_A",
-    "difference_T", "difference_characteristic", "difference_counting",
-    "dsh_from_json", "dsh_to_json",
+    "difference_T", "difference_counting", "dsh_from_json",
     "falsify_statement_III", "from_rational", "green_ball", "hat_d",
     "integrate_1d", "integrated_counting", "kappa", "kernel_witness",
-    "load_scenario", "measure_from_json", "measure_to_json",
+    "load_scenario", "measure_from_json",
     "poisson_kernel", "positive_part_integral", "positive_part_mean",
     "potential", "proximity",
-    "radial_counting", "rational_from_json", "rational_to_json",
+    "radial_counting", "rational_from_json",
     "scenario_from_json", "sphere_area", "sphere_mean",
     "statement_ii_bounds", "stieltjes_against_jumps",
     "sup_integrated_counting", "verify_lemma3", "verify_poisson_jensen",

@@ -3,8 +3,8 @@ bundled scenarios.
 
 Reports are written as JSON lines plus a CSV summary, and planar scenarios
 additionally get a counting-function grid as CSV plot data.  Runs are
-deterministic: fixed grids, fixed summation order, and any randomized point
-sampling is driven by the NEVKIT_SEED environment variable (default 0).
+deterministic: fixed grids, fixed summation order, and default Poisson-Jensen
+evaluation points drawn from a generator with the fixed seed 0.
 
 Exit codes: 0 all verdicts as expected; 1 a check failed unexpectedly (or a
 declared expected failure held); 2 invalid scenario or arguments; 3 no
@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -46,7 +45,9 @@ from .scenario import (
     CHECK_KINDS,
     Scenario,
     ScenarioError,
+    expect_grid,
     load_scenario,
+    read_scenario_json,
     scenario_from_json,
 )
 
@@ -62,9 +63,7 @@ COUNTING_GRID_RESOLUTION = 21
 class RunOptions:
     tol: float | None = None
     grid: int | None = None
-    tight: bool = False
     expect_fail: tuple[str, ...] = ()
-    seed: int = 0
 
 
 def bundled_scenario_paths() -> list:
@@ -113,7 +112,7 @@ def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
     """Run every requested check of one scenario, in order."""
     spec = _quad_spec(sc, options)
     grid = options.grid if options.grid is not None else sc.grid
-    rng = np.random.default_rng(options.seed)
+    rng = np.random.default_rng(0)
     mu = sc.measure
     reports: list[CheckReport] = []
     for req in sc.checks:
@@ -122,12 +121,10 @@ def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
             reports.append(check_statement_I(mu, sc.r0, sc.R, resolution=grid,
                                              spec=spec))
         elif kind == "statement_II":
-            tight = options.tight or bool(req.options.get("tight", False))
-            r_star = req.options.get("R_star")
             for entry in sc.functions:
                 reports.append(check_statement_II(
                     mu, entry.dsh, sc.r, sc.R, resolution=grid, spec=spec,
-                    tight=tight, R_star=r_star,
+                    R_star=req.options.get("R_star"),
                     name=f"statement_II[{entry.label}]"))
         elif kind == "statement_III":
             t_cap = float(req.options.get("t_cap", 1.0))
@@ -252,6 +249,9 @@ def _load_run_scenarios(args) -> list[Scenario]:
 
 def _run_all(scenarios: list[Scenario], options: RunOptions
              ) -> list[tuple[Scenario, list[CheckReport]]]:
+    if options.grid is not None:  # before any scan allocates its lattice
+        for sc in scenarios:
+            expect_grid(options.grid, sc.dimension, "--grid")
     return [(sc, execute_scenario(sc, options)) for sc in scenarios]
 
 
@@ -266,9 +266,8 @@ def _parse_expect_fail(text: str) -> tuple[str, ...]:
 
 
 def _options_from_args(args) -> RunOptions:
-    seed = int(os.environ.get("NEVKIT_SEED", "0"))
-    return RunOptions(tol=args.tol, grid=args.grid, tight=args.tight,
-                      expect_fail=_parse_expect_fail(args.expect_fail), seed=seed)
+    return RunOptions(tol=args.tol, grid=args.grid,
+                      expect_fail=_parse_expect_fail(args.expect_fail))
 
 
 def _cmd_run(args) -> int:
@@ -286,8 +285,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     options = _options_from_args(args)
-    base = load_scenario(args.scenario)
-    raw_values = [v for v in args.values.split(",") if v.strip()]
+    if args.param == "grid" and options.grid is not None:
+        raise ScenarioError("sweep: --grid would replace every swept grid value")
+    data = read_scenario_json(args.scenario)
+    stem = Path(args.scenario).stem
+    scenario_from_json(data, path=stem)
+    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ScenarioError("sweep: --values must list at least one value")
     variants: list[Scenario] = []
@@ -297,12 +300,11 @@ def _cmd_sweep(args) -> int:
             value = int(v) if args.param == "grid" else float(v)
         except ValueError:
             raise ScenarioError(f"sweep: bad value {v!r} for {args.param}") from None
-        sc = replace(base, **{args.param: value})
-        if not (0.0 < sc.r < sc.R) or sc.r0 <= 0.0:
-            raise ScenarioError(f"sweep: value {v} breaks 0 < r < R (or r0 > 0)")
-        if args.param == "grid" and value < 3:
-            raise ScenarioError("sweep: grid values must be at least 3")
-        variants.append(sc)
+        # Each variant is the file with one value changed, validated afresh,
+        # so defaults that follow the value (r0 follows r) follow it here too.
+        edited = ({**data, "grid": value} if args.param == "grid"
+                  else {**data, "radii": {**data["radii"], args.param: value}})
+        variants.append(scenario_from_json(edited, path=f"{stem}[{args.param}={v}]"))
         values.append(float(value))
     results = _run_all(variants, options)
     out_dir = Path(args.out)
@@ -340,8 +342,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override the absolute quadrature tolerance")
     parser.add_argument("--grid", type=int, default=None, metavar="N",
                         help="override the supremum-scan grid resolution")
-    parser.add_argument("--tight", action="store_true",
-                        help="also report the intermediate-radius bound")
     parser.add_argument("--expect-fail", default="", metavar="KINDS",
                         dest="expect_fail",
                         help="comma-separated check kinds whose failure is "

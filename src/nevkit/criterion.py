@@ -27,7 +27,6 @@ from .kernels import (
 )
 from .measures import (
     SUPPORT,
-    Ball,
     Measure,
     _support_samples,
     difference_counting,
@@ -149,8 +148,7 @@ def check_statement_I(mu: Measure, r0: float, R: float, *,
     if not (R > mu.support_radius * (1.0 - BOUNDARY_RTOL)) or R <= 0.0:
         raise ValueError("statement I: R must exceed the support radius of mu")
     budget = ErrorBudget()
-    sup = sup_integrated_counting(mu, Ball(np.zeros(mu.dimension), R), r0,
-                                  resolution, spec, budget=budget)
+    sup = sup_integrated_counting(mu, R, r0, resolution, spec, budget=budget)
     diag = [f"sup {_fmt(sup.value)} over ball radius {_fmt(R)}",
             f"grid resolution {sup.resolution}, {sup.evaluations} evaluations"]
     if sup.argmax is not None:
@@ -162,10 +160,9 @@ def check_statement_I(mu: Measure, r0: float, R: float, *,
 class StatementIIBounds:
     """Both sides of the statement-II inequality, with the factors exposed.
 
-    ``rhs`` uses the published constant.  When a strict intermediate radius
-    R_* is supplied (or defaulted in tight mode) the sharper two-term bound
-    is reported as ``rhs_tight`` alongside the lower-variation radial count
-    it uses.
+    ``rhs`` uses the published constant.  ``rhs_tight`` is the sharper
+    two-term bound at the strict intermediate radius ``R_star``, reported
+    alongside the lower-variation radial count it uses.
     """
 
     lhs: float
@@ -174,16 +171,18 @@ class StatementIIBounds:
     mu_radial: float
     sup_counting: float
     constant: float
-    rhs_tight: float | None = None
-    R_star: float | None = None
-    lower_radial: float | None = None
+    rhs_tight: float
+    R_star: float
+    lower_radial: float
 
 
 def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
                         resolution: int = DEFAULT_RESOLUTION,
                         spec: QuadSpec = DEFAULT_SPEC,
-                        tight: bool = False, R_star: float | None = None,
+                        R_star: float | None = None,
                         budget: ErrorBudget | None = None) -> StatementIIBounds:
+    """The statement-II bounds; R_star defaults to sqrt(r R) in the plane
+    and to (r + R) / 2 in space."""
     if not (0.0 < r < R):
         raise ValueError("statement II: need 0 < r < R")
     d = mu.dimension
@@ -196,24 +195,24 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
     lhs = positive_part_integral(U, mu, spec, budget=budget)
     T = difference_T(U, r, R, spec, budget=budget)
     mu_rad = radial_counting(mu, np.zeros(d), r, spec, budget=budget)
-    sup = sup_integrated_counting(mu, Ball(np.zeros(d), r), r, resolution,
-                                  spec, budget=budget)
+    sup = sup_integrated_counting(mu, r, r, resolution, spec, budget=budget)
     const = constant_A(r, R, d)
-    rhs = const * T * (mu_rad * max(1.0, r ** (2 - d)) + sup.value)
-    rhs_tight = None
-    lower_rad = None
-    if tight or R_star is not None:
-        if R_star is None:
-            R_star = math.sqrt(r * R) if d == 2 else 0.5 * (R + r)
-        if not (r < R_star < R):
-            raise ValueError("statement II: R_star must lie strictly between r and R")
-        lower_rad = radial_counting(U.riesz_lower_variation(), np.zeros(d),
-                                    R_star, spec, budget=budget)
-        head = (R_star ** (d - 2) * (R_star + r) / (R_star - r) ** (d - 1)
-                * T * mu_rad)
-        tail = lower_rad * (mu_rad * (kappa(R_star + r, d) - kappa(r, d))
-                            + sup.value)
-        rhs_tight = head + tail
+    # A factor 0 zeroes its term even against an infinite supremum.  T = 0
+    # leaves no lower-variation mass in B(R) and U <= 0 on the sphere, so
+    # U <= 0 on the ball and lhs = 0; no lower-variation mass in B(R_star)
+    # leaves the tight bound no tail.
+    rhs = 0.0 if T == 0.0 else const * T * (mu_rad * max(1.0, r ** (2 - d)) + sup.value)
+    if R_star is None:
+        R_star = math.sqrt(r * R) if d == 2 else 0.5 * (R + r)
+    if not (r < R_star < R):
+        raise ValueError(f"statement II: R_star {R_star!r} must lie strictly between r and R")
+    lower_rad = radial_counting(U.riesz_lower_variation(), np.zeros(d),
+                                R_star, spec, budget=budget)
+    head = (R_star ** (d - 2) * (R_star + r) / (R_star - r) ** (d - 1)
+            * T * mu_rad)
+    tail = 0.0 if lower_rad == 0.0 else lower_rad * (
+        mu_rad * (kappa(R_star + r, d) - kappa(r, d)) + sup.value)
+    rhs_tight = head + tail
     return StatementIIBounds(lhs, rhs, T, mu_rad, sup.value, const,
                              rhs_tight, R_star, lower_rad)
 
@@ -221,18 +220,17 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
 def check_statement_II(mu: Measure, U: DshFunction, r: float, R: float, *,
                        resolution: int = DEFAULT_RESOLUTION,
                        spec: QuadSpec = DEFAULT_SPEC,
-                       tight: bool = False, R_star: float | None = None,
+                       R_star: float | None = None,
                        name: str = "statement_II") -> CheckReport:
     """Does the positive-part integral obey the characteristic bound?"""
     budget = ErrorBudget()
     b = statement_ii_bounds(mu, U, r, R, resolution=resolution, spec=spec,
-                            tight=tight, R_star=R_star, budget=budget)
+                            R_star=R_star, budget=budget)
     diag = [f"characteristic {_fmt(b.characteristic)}",
             f"radial mass {_fmt(b.mu_radial)}, sup counting {_fmt(b.sup_counting)}",
-            f"constant {_fmt(b.constant)}"]
-    if b.rhs_tight is not None:
-        diag.append(f"tight bound {_fmt(b.rhs_tight)} at intermediate radius "
-                    f"{_fmt(b.R_star)} (lower-charge mass {_fmt(b.lower_radial)})")
+            f"constant {_fmt(b.constant)}",
+            f"tight bound {_fmt(b.rhs_tight)} at intermediate radius "
+            f"{_fmt(b.R_star)} (lower-charge mass {_fmt(b.lower_radial)})"]
     return _inequality_report(name, b.lhs, b.rhs, budget, diag)
 
 
@@ -409,9 +407,9 @@ def check_corollary(f: RationalFunction, mu: Measure, r: float, R: float, *,
     t_gap = classical_T(f, R, spec, budget=budget) - classical_N(f, r)
     t_diff = difference_T(u, r, R, spec, budget=budget)
     mass = radial_counting(mu, np.zeros(2), r, spec, budget=budget)
-    sup = sup_integrated_counting(mu, Ball(np.zeros(2), R), r, resolution,
-                                  spec, budget=budget)
-    rhs = 5.0 * (R + r) / (R - r) * t_gap * (mass + sup.value)
+    sup = sup_integrated_counting(mu, R, r, resolution, spec, budget=budget)
+    # As in statement II: a zero gap leaves |f| <= 1 on the disc.
+    rhs = 0.0 if t_gap == 0.0 else 5.0 * (R + r) / (R - r) * t_gap * (mass + sup.value)
     diag = [f"characteristic gap {_fmt(t_gap)} "
             f"(difference form {_fmt(t_diff)}, discrepancy {abs(t_gap - t_diff):.3e})",
             f"mass {_fmt(mass)}, sup counting {_fmt(sup.value)}"]

@@ -246,10 +246,6 @@ def kernel_witness(y, r: float, R: float, d: int) -> DshFunction:
 # Rational maps of one complex variable
 
 
-def _as_complex_tuple(values) -> tuple[complex, ...]:
-    return tuple(complex(v) for v in values)
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Rational map given by zero and pole multisets and a scale factor.
@@ -264,8 +260,8 @@ class RationalFunction:
     scale: complex = 1.0
 
     def __post_init__(self):
-        zeros = list(_as_complex_tuple(self.zeros))
-        poles = list(_as_complex_tuple(self.poles))
+        zeros = [complex(v) for v in self.zeros]
+        poles = [complex(v) for v in self.poles]
         reduced_poles: list[complex] = []
         for p in poles:
             if p in zeros:
@@ -278,14 +274,6 @@ class RationalFunction:
         object.__setattr__(self, "zeros", tuple(sorted(zeros, key=lambda z: (z.real, z.imag))))
         object.__setattr__(self, "poles", tuple(sorted(reduced_poles, key=lambda z: (z.real, z.imag))))
         object.__setattr__(self, "scale", s)
-
-    @property
-    def degree(self) -> int:
-        return max(len(self.zeros), len(self.poles))
-
-    @property
-    def n_poles(self) -> int:
-        return len(self.poles)
 
     def log_abs(self, z: complex) -> float:
         """ln|f(z)| as a sum of log distances; -inf at zeros, +inf at poles."""
@@ -309,17 +297,7 @@ def from_rational(f: RationalFunction) -> DshFunction:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def dsh_to_json(u: DshFunction) -> dict:
-    out: dict = {"dimension": u.dimension}
-    if u.charges:
-        out["charges"] = [{"point": [float(v) for v in c.location],
-                           "weight": c.weight} for c in u.charges]
-    if u.harmonic.terms:
-        out["harmonic"] = [[label, coeff] for label, coeff in u.harmonic.terms]
-    return out
+# JSON schema
 
 
 def dsh_from_json(data, *, path: str = "function") -> DshFunction:
@@ -358,15 +336,6 @@ def _expect_complex(value, path: str) -> complex:
         return complex(expect_number(value[0], f"{path}[0]"),
                        expect_number(value[1], f"{path}[1]"))
     raise ValueError(f"{path}: expected a number or [re, im] pair")
-
-
-def rational_to_json(f: RationalFunction) -> dict:
-    def enc(z: complex):
-        return z.real if z.imag == 0.0 else [z.real, z.imag]
-
-    return {"zeros": [enc(z) for z in f.zeros],
-            "poles": [enc(p) for p in f.poles],
-            "scale": enc(f.scale)}
 
 
 def rational_from_json(data, *, path: str = "rational") -> RationalFunction:

@@ -155,22 +155,6 @@ class RadialDensity:
 
 
 @dataclass(frozen=True, eq=False)
-class Ball:
-    """Closed ball region used by supremum scans."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("Ball.radius must be positive and finite")
-
-    def contains(self, p: np.ndarray) -> bool:
-        return float(np.linalg.norm(p - self.center)) <= self.radius * (1.0 + BOUNDARY_RTOL)
-
-
-@dataclass(frozen=True, eq=False)
 class Measure:
     """Finite nonnegative measure: atoms + uniform shells + radial densities."""
 
@@ -599,12 +583,18 @@ def potential(mu: Measure, x) -> float:
     return float(total)
 
 
-def _ball_lattice(ball: Ball, d: int, resolution: int) -> list[np.ndarray]:
-    axes = [np.linspace(c - ball.radius, c + ball.radius, resolution)
-            for c in ball.center]
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _in_ball(p: np.ndarray, radius: float) -> bool:
+    """Whether p lies in the closed ball of the given radius about the origin."""
+    return float(np.linalg.norm(p)) <= radius * (1.0 + BOUNDARY_RTOL)
+
+
+def _ball_lattice(radius: float, d: int, resolution: int) -> list[np.ndarray]:
+    """The points of the uniform lattice on [-radius, radius]**d that lie in
+    the closed ball of that radius about the origin."""
+    axis = np.linspace(-radius, radius, resolution)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    keep = row_norms(pts - ball.center) <= ball.radius * (1.0 + BOUNDARY_RTOL)
+    keep = row_norms(pts) <= radius * (1.0 + BOUNDARY_RTOL)
     return list(pts[keep])
 
 
@@ -733,8 +723,9 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
     walk found: each value is a quadrature approximation whose error
     estimate is charged to ``budget``, and the grid maximum is not a bound
     on the supremum.  +inf is returned as soon as any evaluation is +inf.
-    Regions: a Ball or SUPPORT.  A repeated scan returns the result cached on
-    ``mu`` and charges ``budget`` the same errors and failures again.
+    Regions: the radius of a closed ball about the origin, or SUPPORT.  A
+    repeated scan returns the result cached on ``mu`` and charges ``budget``
+    the same errors and failures again.
     """
     d = mu.dimension
     if d not in (2, 3):
@@ -743,11 +734,10 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
         raise ValueError("sup_integrated_counting: resolution must be at least 3")
     if region == SUPPORT:
         key = ("sup", SUPPORT, r, resolution, spec.abs_tol, spec.rel_tol)
-    elif isinstance(region, Ball):
-        key = ("sup", "ball", tuple(region.center), region.radius, r, resolution,
-               spec.abs_tol, spec.rel_tol)
+    elif isinstance(region, (int, float)) and 0.0 < region < math.inf:
+        key = ("sup", "ball", float(region), r, resolution, spec.abs_tol, spec.rel_tol)
     else:
-        raise ValueError("region must be a Ball or the SUPPORT marker")
+        raise ValueError("region must be a positive finite ball radius or the SUPPORT marker")
     cached = mu._cache.get(key)
     if cached is None:
         cached = mu._cache[key] = _scan(mu, region, r, resolution, spec)
@@ -771,18 +761,14 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
         step = max(step, max((s.radius for s in mu.spheres), default=0.0))
         step = max(step / max(resolution - 1, 1), 1e-6)
     else:
-        in_region = region.contains
         candidates = [(p, None) for p in _ball_lattice(region, d, resolution)]
         for atom in mu.atoms:
-            if in_region(atom.location):
+            if _in_ball(atom.location, region):
                 candidates.append((atom.location, atom))
-        for shell in mu.spheres:
-            if in_region(shell.center):
-                candidates.append((shell.center, None))
-        for comp in mu.radial:
-            if in_region(comp.center):
+        for comp in (*mu.spheres, *mu.radial):
+            if _in_ball(comp.center, region):
                 candidates.append((comp.center, None))
-        step = 2.0 * region.radius / (resolution - 1)
+        step = 2.0 * region / (resolution - 1)
 
     best_src: object = None
     values, errors = walk.evaluate([p for p, _ in candidates])
@@ -811,7 +797,7 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
                         q = _project_to_component(q, best_src)
                         if q is None:
                             continue
-                    elif not region.contains(q):
+                    elif not _in_ball(q, region):
                         continue
                     batch.append((k, q))  # k: where the walk resumes after q
                 start = k
@@ -830,24 +816,7 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def measure_to_json(mu: Measure) -> dict:
-    """Serialize a measure in the schema ``measure_from_json`` reads."""
-    out: dict = {"dimension": mu.dimension}
-    if mu.atoms:
-        out["atoms"] = [{"point": [float(v) for v in a.location], "mass": a.mass}
-                        for a in mu.atoms]
-    if mu.spheres:
-        out["spheres"] = [{"center": [float(v) for v in s.center],
-                           "radius": s.radius, "mass": s.mass}
-                          for s in mu.spheres]
-    if mu.radial:
-        out["radial"] = [{"center": [float(v) for v in c.center],
-                          "coeffs": list(c.coeffs), "outer": c.outer}
-                         for c in mu.radial]
-    return out
+# JSON schema
 
 
 def measure_from_json(data, *, path: str = "measure") -> Measure:

@@ -10,7 +10,6 @@ charge between the radii).  Both are centred at the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,20 +17,6 @@ from .dsh import DshFunction, RationalFunction, from_rational
 from .kernels import BOUNDARY_RTOL
 from .measures import difference_counting
 from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec, positive_part_mean
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Proximity and counting parts of a characteristic at radii (r, R)."""
-
-    proximity: float
-    counting: float
-    r: float
-    R: float
-
-    @property
-    def total(self) -> float:
-        return self.proximity + self.counting
 
 
 def proximity(u: DshFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -86,14 +71,7 @@ def difference_T(u: DshFunction, r: float, R: float,
     negative charge weights.  With r = 0 and a negative charge at the origin
     the counting part is +inf, and so is the characteristic.
     """
-    return difference_characteristic(u, r, R, spec, budget=budget).total
-
-
-def difference_characteristic(u: DshFunction, r: float, R: float,
-                              spec: QuadSpec = DEFAULT_SPEC, *,
-                              budget: ErrorBudget | None = None) -> Characteristic:
     if not (0.0 <= r < R and math.isfinite(R)):
         raise ValueError("difference characteristic needs 0 <= r < R < inf")
     m = proximity(u, R, spec, budget=budget, label="difference-T")
-    n = difference_counting(u.riesz_lower_variation(), r, R, spec, budget=budget)
-    return Characteristic(m, n, r, R)
+    return m + difference_counting(u.riesz_lower_variation(), r, R, spec, budget=budget)

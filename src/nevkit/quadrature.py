@@ -63,7 +63,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # Node sets are cached, and every caller shares the same arrays, so they are
-# read-only.  A QuadSpec uses about a dozen Gauss-Legendre rules and six
+# read-only.  The package uses about a dozen Gauss-Legendre rules and six
 # sphere grids (the retry ladder's three, each with its doubled check).
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,38 +71,33 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(x), _read_only(w)
 
 
-# Caps on the integer QuadSpec fields.  scipy's quad allocates work arrays of
-# max_subdivisions entries (and cannot take a number beyond a C long), and the
-# node counts size the circle grids and the polar x azimuth sphere grids.
+# The fixed grids: circle means check the trapezoid rule on 2 * _CIRCLE_NODES
+# nodes against every other node, and sphere means in R^3 check the
+# _POLAR_NODES x _AZIMUTH_NODES product rule against the doubled grid.
+_CIRCLE_NODES = 512
+_POLAR_NODES = 64
+_AZIMUTH_NODES = 128
+
+# scipy's quad allocates work arrays of max_subdivisions entries (and cannot
+# take a number beyond a C long).
 MAX_SUBDIVISIONS = 2 ** 20
-MAX_GRID_NODES = 2 ** 20
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances, budgets, and node counts for all integration in the package."""
+    """Tolerances and the adaptive rule's budget for all integration in the package."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2 ** 15
-    circle_nodes: int = 512
-    polar_nodes: int = 64
-    azimuth_nodes: int = 128
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):  # NaN fails too
             raise ValueError("QuadSpec tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("QuadSpec.max_subdivisions must be at least 8")
-        if min(self.circle_nodes, self.polar_nodes, self.azimuth_nodes) < 4:
-            raise ValueError("QuadSpec node counts must be at least 4")
         if self.max_subdivisions > MAX_SUBDIVISIONS:
             raise ValueError(f"QuadSpec.max_subdivisions must be at most {MAX_SUBDIVISIONS}")
-        if self.circle_nodes > MAX_GRID_NODES:
-            raise ValueError(f"QuadSpec.circle_nodes must be at most {MAX_GRID_NODES}")
-        if self.polar_nodes * self.azimuth_nodes > MAX_GRID_NODES:
-            raise ValueError("QuadSpec.polar_nodes * azimuth_nodes must be at most "
-                             f"{MAX_GRID_NODES}")
 
 
 DEFAULT_SPEC = QuadSpec()
@@ -220,7 +215,7 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
 
     f maps (n, 2) point arrays to (n,) value arrays.  With singular angles
     supplied the adaptive rule is used directly.  Otherwise the trapezoid
-    rule on 2 * ``spec.circle_nodes`` nodes is checked against the rule on
+    rule on 2 * ``_CIRCLE_NODES`` nodes is checked against the rule on
     every other node; a non-finite node triggers one half-step grid
     rotation, and a finite but non-converged doubling check falls back to
     the adaptive rule.
@@ -234,7 +229,7 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
             budget.add(result, label)
         return result
 
-    n = 2 * spec.circle_nodes
+    n = 2 * _CIRCLE_NODES
     for shift in (0.0, 0.5):
         fine = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
         if np.all(np.isfinite(fine)):
@@ -282,15 +277,15 @@ def _sphere3_product_mean(f, center, radius, n_polar, n_azimuth, shift):
     return _sphere3_grid_mean(np.asarray(f(pts), dtype=float), n_polar, n_azimuth)
 
 
-def _sphere3_mean(f, center, radius, spec, label, first=None):
+def _sphere3_mean(f, center, radius, spec, first=None):
     """Product-rule mean with a doubling check; ``first`` is f's values on
     the first attempt's coarse and fine grids when the caller has them
     already (the fine ones are read only when the coarse ones are finite)."""
     # Retry ladder: plain grid, rotated azimuth, then a different polar rule.
     attempts = (
-        (spec.polar_nodes, spec.azimuth_nodes, 0.0),
-        (spec.polar_nodes, spec.azimuth_nodes, 0.5),
-        (spec.polar_nodes + 1, spec.azimuth_nodes, 0.5),
+        (_POLAR_NODES, _AZIMUTH_NODES, 0.0),
+        (_POLAR_NODES, _AZIMUTH_NODES, 0.5),
+        (_POLAR_NODES + 1, _AZIMUTH_NODES, 0.5),
     )
     for i, (n_pol, n_azi, shift) in enumerate(attempts):
         given = i == 0 and first is not None
@@ -312,18 +307,18 @@ def _sphere3_mean(f, center, radius, spec, label, first=None):
     return QuadResult(math.nan, math.inf, False)
 
 
-def _sphere3_positive_mean(g, center, radius, spec, label) -> QuadResult:
+def _sphere3_positive_mean(g, center, radius, spec) -> QuadResult:
     """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
-    coarse = _product_grid(g, center, radius, spec.polar_nodes, spec.azimuth_nodes)
+    coarse = _product_grid(g, center, radius, _POLAR_NODES, _AZIMUTH_NODES)
     result = _meridian_mean_on_grid(g, center, radius, spec, *coarse)
     if result is not None:
         return result
     fine = None
     if np.all(np.isfinite(coarse[2])):
-        fine = _product_grid(g, center, radius, 2 * spec.polar_nodes, 2 * spec.azimuth_nodes)
+        fine = _product_grid(g, center, radius, 2 * _POLAR_NODES, 2 * _AZIMUTH_NODES)
     product = _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec,
-                            label, first=(np.maximum(coarse[2], 0.0),
-                                          None if fine is None else np.maximum(fine[2], 0.0)))
+                            first=(np.maximum(coarse[2], 0.0),
+                                   None if fine is None else np.maximum(fine[2], 0.0)))
     if not product.converged and fine is not None:
         # The doubling check saw what the coarse grid missed, such as a
         # patch of one sign narrower than its spacing: look again on the
@@ -531,7 +526,7 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         result = circle_mean(f, center, r, spec, singular_angles=singular_angles,
                              label=label)
     else:
-        result = _sphere3_mean(f, center, r, spec, label)
+        result = _sphere3_mean(f, center, r, spec)
     return _settle(result, budget, label)
 
 
@@ -553,7 +548,7 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     tolerance, and handles declared singular angles directly.
 
     For d = 3, g is first evaluated on the product grid of
-    ``spec.polar_nodes`` x ``spec.azimuth_nodes`` nodes.  Where it keeps one
+    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  Where it keeps one
     sign there, the result is ``sphere_mean`` of max(g, 0), bit for bit.
     Otherwise the polar axis goes to the area-weighted centroid of the nodes
     where g > 0, or, if that axis fails, to the node of the smaller sign
@@ -587,7 +582,7 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         raise ValueError("positive_part_mean: radius must be positive")
     center = np.zeros(d) if center is None else as_point(center, d)
     if d == 3:
-        return _settle(_sphere3_positive_mean(g, center, r, spec, label), budget, label)
+        return _settle(_sphere3_positive_mean(g, center, r, spec), budget, label)
 
     def g_at(theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -596,7 +591,7 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         return np.asarray(g(pts), dtype=float).reshape(theta.shape)
 
     # circle_mean's grids and doubling check, on one evaluation of g.
-    n = 2 * spec.circle_nodes
+    n = 2 * _CIRCLE_NODES
     for shift in (0.0,) if singular_angles else (0.0, 0.5):
         theta = (np.arange(n) + shift) * (TWO_PI / n)
         values = g_at(theta)

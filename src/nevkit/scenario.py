@@ -25,7 +25,7 @@ CHECK_KINDS = ("statement_I", "statement_II", "statement_III", "statement_IV",
 
 _CHECK_OPTIONS = {
     "statement_I": set(),
-    "statement_II": {"tight", "R_star"},
+    "statement_II": {"R_star"},
     "statement_III": {"t_cap"},
     "statement_IV": set(),
     "statement_V": set(),
@@ -35,6 +35,9 @@ _CHECK_OPTIONS = {
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+# Most lattice points a supremum scan may allocate at once: grid**d of them.
+MAX_SCAN_POINTS = 2 ** 20
 
 
 class ScenarioError(ValueError):
@@ -87,8 +90,8 @@ def _parse_quad(data, path: str) -> QuadSpec:
         return QuadSpec()
     defaults = {f.name: f.default for f in dataclass_fields(QuadSpec)}
     expect_object(data, path, (), defaults)
-    # Integer fields need only be JSON integers here; QuadSpec checks their range.
-    kwargs = {key: expect_int(value, f"{path}.{key}", 4) if isinstance(defaults[key], int)
+    # The integer field need only be a JSON integer here; QuadSpec checks its ceiling.
+    kwargs = {key: expect_int(value, f"{path}.{key}", 8) if isinstance(defaults[key], int)
               else expect_number(value, f"{path}.{key}")
               for key, value in data.items()}
     try:
@@ -147,8 +150,6 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
             options["R_star"] = r_star
         if "t_cap" in options:
             options["t_cap"] = expect_number(options["t_cap"], f"{p}.t_cap", positive=True)
-        if "tight" in options and not isinstance(options["tight"], bool):
-            raise ScenarioError(f"{p}.tight: expected true or false")
         if "points" in options:
             pts = options["points"]
             if not isinstance(pts, list) or not pts:
@@ -159,6 +160,16 @@ def _parse_checks(data, functions: tuple[FunctionEntry, ...], dimension: int,
                     raise ScenarioError(f"{p}.points[{j}]: must lie strictly inside radius R")
         out.append(CheckRequest(kind, options))
     return tuple(out)
+
+
+def expect_grid(value, dimension: int, path: str) -> int:
+    """Validate a scan grid resolution: an integer >= 3 whose lattice of
+    grid**d points stays within MAX_SCAN_POINTS where scans run (d in {2, 3})."""
+    grid = expect_int(value, path, 3)
+    if dimension in (2, 3) and grid ** dimension > MAX_SCAN_POINTS:
+        raise ScenarioError(f"{path}: grid**{dimension} must be at most {MAX_SCAN_POINTS}, "
+                            f"got {grid}")
+    return grid
 
 
 def scenario_from_json(data, *, path: str = "scenario") -> Scenario:
@@ -186,7 +197,7 @@ def _parse_scenario(data, path: str) -> Scenario:
     checks = _parse_checks(data["checks"], functions, dimension, r, R,
                            f"{path}.checks")
     quad = _parse_quad(data.get("quad"), f"{path}.quad")
-    grid = expect_int(data.get("grid", DEFAULT_RESOLUTION), f"{path}.grid", 3)
+    grid = expect_grid(data.get("grid", DEFAULT_RESOLUTION), dimension, f"{path}.grid")
     expect_raw = expect_list(data.get("expect_fail"), f"{path}.expect_fail")
     for i, entry in enumerate(expect_raw):
         if entry not in CHECK_KINDS:
@@ -195,14 +206,18 @@ def _parse_scenario(data, path: str) -> Scenario:
                     quad, grid, frozenset(expect_raw))
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def read_scenario_json(path: str | Path):
+    """The parsed JSON of a scenario file, not yet validated."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         raise ScenarioError(f"{p}: cannot read scenario file ({exc})") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: invalid JSON ({exc})") from None
-    return scenario_from_json(data, path=p.stem)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_json(read_scenario_json(path), path=Path(path).stem)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nevkit import measures
 from nevkit.cli import (
     EXIT_FAILED,
     EXIT_INVALID,
@@ -192,24 +193,15 @@ def test_classify_precedence():
     assert other == EXIT_FAILED
 
 
-def test_seed_changes_default_sample_points(tmp_path, monkeypatch):
+def test_default_sample_points_are_fixed(tmp_path):
+    # SHELL_PJ gives no Poisson-Jensen points, so both runs draw their own.
     sc = write_scenario(tmp_path, SHELL_PJ)
-
-    def lhs_values(out_name, seed):
-        if seed is None:
-            monkeypatch.delenv("NEVKIT_SEED", raising=False)
-        else:
-            monkeypatch.setenv("NEVKIT_SEED", str(seed))
-        out = tmp_path / out_name
+    reports = []
+    for out in (tmp_path / "s0", tmp_path / "s1"):
         assert main(["run", "--scenario", sc, "--out", str(out)]) == EXIT_OK
-        return [json.loads(line)["lhs"]
-                for line in (out / "reports.jsonl").read_text().splitlines()]
-
-    base = lhs_values("s0", None)
-    again = lhs_values("s0b", None)
-    other = lhs_values("s1", 1)
-    assert base == again
-    assert base != other
+        reports.append((out / "reports.jsonl").read_bytes())
+    assert reports[0] == reports[1]
+    assert len(reports[0].splitlines()) == 3
 
 
 def test_jobs_flag_is_rejected(tmp_path, capsys):
@@ -217,6 +209,14 @@ def test_jobs_flag_is_rejected(tmp_path, capsys):
         main(["run", "--bundled", "--out", str(tmp_path / "o"), "--jobs", "2"])
     assert exc.value.code == EXIT_INVALID
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_tight_flag_is_rejected(tmp_path, capsys):
+    # The tight statement-II bound is always reported; there is no switch.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--bundled", "--out", str(tmp_path / "o"), "--tight"])
+    assert exc.value.code == EXIT_INVALID
+    assert "--tight" in capsys.readouterr().err
 
 
 def test_sweep_writes_long_format(tmp_path):
@@ -236,3 +236,48 @@ def test_sweep_rejects_invalid_values(tmp_path):
                  "--values", "0.1", "--out", str(tmp_path / "s")])
     # R = 0.1 < r makes the scenario invalid
     assert code == EXIT_INVALID
+
+
+SHELL_I = {
+    "name": "shell",
+    "dimension": 2,
+    "measure": {"dimension": 2,
+                "spheres": [{"center": [0.0, 0.0], "radius": 0.5, "mass": 1.0}]},
+    "radii": {"r": 1.0, "R": 2.0},
+    "checks": ["statement_I"],
+    "grid": 5,
+}
+
+
+def test_sweep_matches_run_on_the_edited_file(tmp_path):
+    # r0 is left out, so it follows r in the swept variant as in the file.
+    sc = write_scenario(tmp_path, SHELL_I)
+    assert main(["sweep", "--scenario", sc, "--param", "r", "--values", "0.6",
+                 "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    edited = write_scenario(tmp_path, dict(SHELL_I, radii={"r": 0.6, "R": 2.0}),
+                            "edited.json")
+    assert main(["run", "--scenario", edited, "--out", str(tmp_path / "run")]) == EXIT_OK
+    swept = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+    ran = (tmp_path / "run" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert swept[4:] == ran[1:]  # lhs, rhs, margin, verdict
+    assert float(ran[1]) == pytest.approx(0.390495, abs=1e-6)
+
+
+def _no_scan(*args):
+    raise AssertionError("a scan lattice was built")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--grid", "1025"], "--grid: grid**2 must be at most"),
+    (["run", "--grid", "2"], "--grid: expected an integer >= 3"),
+    (["sweep", "--param", "grid", "--values", "5,1025"], "[grid=1025].grid: grid**2"),
+    (["sweep", "--param", "grid", "--values", "5", "--grid", "7"], "--grid would replace"),
+    (["sweep", "--param", "R", "--values", "3", "--grid", "1025"], "--grid: grid**2"),
+], ids=["run-grid", "run-grid-floor", "sweep-values", "sweep-grid-twice", "sweep-grid"])
+def test_grid_bounds_exit_before_any_scan(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(measures, "_ball_lattice", _no_scan)
+    sc = write_scenario(tmp_path, SHELL_I)
+    code = main([*argv, "--scenario", sc, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

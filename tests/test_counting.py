@@ -23,7 +23,6 @@ from nevkit.measures import (
     _PANEL_NODES,
     SUPPORT,
     Atom,
-    Ball,
     Measure,
     RadialDensity,
     SphereShell,
@@ -327,7 +326,7 @@ def _batch_against_adaptive(mu, pts, r):
 
 
 def test_batch_matches_adaptive_on_corollary_lattice():
-    lattice = _ball_lattice(Ball(np.zeros(2), 2.0), 2, 13)
+    lattice = _ball_lattice(2.0, 2, 13)
     _batch_against_adaptive(_disc_area(), lattice, 1.0)
 
 
@@ -335,7 +334,7 @@ def test_batch_matches_adaptive_on_off_center_density_d3():
     mu = Measure(dimension=3,
                  spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
                  radial=(RadialDensity([0.11, 0.25, 0.1], (0.0, 0.0, 40.0), 0.33),))
-    lattice = _ball_lattice(Ball(np.zeros(3), 2.0), 3, 5)
+    lattice = _ball_lattice(2.0, 3, 5)
     _batch_against_adaptive(mu, lattice, 1.0)
     _batch_against_adaptive(mu, np.array(lattice) * 0.2, 0.3)
 
@@ -346,7 +345,7 @@ def test_batch_matches_adaptive_with_mass_density_at_center():
                  radial=(RadialDensity([0.0, 0.0], (0.3, 0.9), 0.8),))
     rng = np.random.default_rng(7)
     near = [v * 10.0 ** -k for k, v in zip(range(1, 8), rng.normal(size=(7, 2)))]
-    lattice = _ball_lattice(Ball(np.zeros(2), 1.8), 2, 9)
+    lattice = _ball_lattice(1.8, 2, 9)
     _batch_against_adaptive(mu, [*lattice, *near], 0.5)
     # Closer in, both paths converge, to the value at the center: the
     # adaptive path integrates the shells inside the ball in closed form.
@@ -525,8 +524,7 @@ def test_bundled_scans_replay_the_pointwise_walk():
         scenarios[sc.name] = sc
     for name, radius, r, resolution, value, argmax, evaluations in BUNDLED_SCANS:
         sc = scenarios[name]
-        region = SUPPORT if radius is SUPPORT else Ball(np.zeros(sc.dimension), radius)
-        res = sup_integrated_counting(sc.measure, region, r, resolution, sc.quad,
+        res = sup_integrated_counting(sc.measure, radius, r, resolution, sc.quad,
                                       budget=ErrorBudget())
         assert (res.argmax, res.evaluations) == (argmax, evaluations), name
         if math.isinf(value):
@@ -549,7 +547,7 @@ def test_scans_of_closed_forms_replay_no_tie(monkeypatch):
     for d in (2, 3):
         mu = Measure(dimension=d, spheres=(SphereShell(np.zeros(d), 0.6, 1.0),
                                            SphereShell(np.full(d, 0.1), 0.3, 0.5)))
-        sup_integrated_counting(mu, Ball(np.zeros(d), 1.0), 1.0, 5)
+        sup_integrated_counting(mu, 1.0, 1.0, 5)
         sup_integrated_counting(mu, SUPPORT, 1.0, 5)
     assert replays == []
 

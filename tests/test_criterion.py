@@ -242,11 +242,40 @@ def test_statement_II_holds_on_witness_pair():
 def test_statement_II_tight_mode_sharper_here():
     mu = circle()
     u = kernel_witness(np.array([0.3, 0.2]), 1.0, 2.0, 2)
-    loose = statement_ii_bounds(mu, u, 1.0, 2.0, resolution=9)
-    tight = statement_ii_bounds(mu, u, 1.0, 2.0, resolution=9, tight=True)
-    assert tight.rhs_tight < loose.rhs
-    assert tight.lhs <= tight.rhs_tight
-    assert tight.R_star == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    b = statement_ii_bounds(mu, u, 1.0, 2.0, resolution=9)
+    assert b.lhs <= b.rhs_tight < b.rhs
+    assert b.R_star == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    rep = check_statement_II(mu, u, 1.0, 2.0, resolution=9)
+    assert sum(line.startswith("tight bound ") for line in rep.diagnostics) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_statement_II_tight_bound_without_lower_charge_is_finite(d):
+    # An atom makes the supremum of the counting infinite, and with no
+    # negative charge the tail of the tight bound is 0 times that: no tail.
+    mu = Measure(dimension=d, atoms=(Atom(np.r_[0.5, np.zeros(d - 1)], 1.0),))
+    u = DshFunction(d, (Charge(np.r_[0.2, 0.1, np.zeros(d - 2)], 1.0),),
+                    HarmonicPart((("const", 4.0),)))
+    b = statement_ii_bounds(mu, u, 1.0, 2.0, resolution=9)
+    assert b.sup_counting == math.inf and b.lower_radial == 0.0
+    assert 0.0 < b.lhs <= b.rhs_tight < math.inf
+    rep = check_statement_II(mu, u, 1.0, 2.0, resolution=9)
+    assert not any("nan" in line for line in rep.diagnostics)
+
+
+def test_zero_characteristic_bounds_are_zero_against_an_atom():
+    # u <= 0 on the disc of radius R and no lower-variation mass: both
+    # bounds are 0 times an infinite supremum, which is 0, and hold.
+    mu = Measure(dimension=2, atoms=(Atom(np.array([0.5, 0.0]), 1.0),))
+    u = DshFunction(2, (Charge(np.array([0.2, 0.1]), 1.0),),
+                    HarmonicPart((("const", -3.0),)))
+    b = statement_ii_bounds(mu, u, 1.0, 2.0, resolution=9)
+    assert (b.characteristic, b.sup_counting) == (0.0, math.inf)
+    assert (b.lhs, b.rhs, b.rhs_tight) == (0.0, 0.0, 0.0)
+    assert check_statement_II(mu, u, 1.0, 2.0, resolution=9).verdict == HOLDS
+    f = RationalFunction(zeros=(0.3,), scale=0.1)
+    rep = check_corollary(f, mu, 1.0, 2.0, resolution=9)
+    assert (rep.lhs, rep.rhs, rep.verdict) == (0.0, 0.0, HOLDS)
 
 
 def test_statement_II_rejects_unsupported_measure():
@@ -261,7 +290,7 @@ def test_statement_II_custom_R_star_validated():
     mu = circle()
     u = kernel_witness(np.zeros(2), 1.0, 2.0, 2)
     with pytest.raises(ValueError):
-        statement_ii_bounds(mu, u, 1.0, 2.0, tight=True, R_star=2.5)
+        statement_ii_bounds(mu, u, 1.0, 2.0, R_star=2.5)
 
 
 def test_statement_III_clean_family_holds():
@@ -427,8 +456,8 @@ def test_corollary_rhs_composition():
     rep = check_corollary(f, mu, 1.0, 2.0, resolution=9)
     t_gap = classical_T(f, 2.0) - classical_N(f, 1.0)
     # 5 (R+r)/(R-r) with r=1, R=2 is 15; mass is 1
-    from nevkit.measures import Ball, sup_integrated_counting
-    sup = sup_integrated_counting(mu, Ball(np.zeros(2), 2.0), 1.0, 9).value
+    from nevkit.measures import sup_integrated_counting
+    sup = sup_integrated_counting(mu, 2.0, 1.0, 9).value
     assert rep.rhs == pytest.approx(15.0 * t_gap * (1.0 + sup), rel=1e-9)
 
 

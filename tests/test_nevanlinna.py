@@ -20,9 +20,9 @@ from nevkit.nevanlinna import (
     classical_N,
     classical_T,
     difference_T,
-    difference_characteristic,
     proximity,
 )
+from nevkit.measures import difference_counting
 
 
 def test_classical_N_counts_poles_with_multiplicity():
@@ -55,10 +55,9 @@ def test_classical_T_first_main_theorem_flavor():
 
 def test_constant_function_characteristic_is_one():
     one = DshFunction(2, (), HarmonicPart((("const", 1.0),)))
-    ch = difference_characteristic(one, 1.0, 2.0)
-    assert ch.proximity == pytest.approx(1.0, rel=1e-13)
-    assert ch.counting == 0.0
-    assert ch.total == pytest.approx(1.0, rel=1e-13)
+    assert proximity(one, 2.0) == pytest.approx(1.0, rel=1e-13)
+    assert difference_counting(one.riesz_lower_variation(), 1.0, 2.0) == 0.0
+    assert difference_T(one, 1.0, 2.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_kernel_witness_characteristic_closed_form():
@@ -67,10 +66,11 @@ def test_kernel_witness_characteristic_closed_form():
     r, R = 1.0, 2.0
     for d, y in ((2, np.array([0.3, 0.2])), (3, np.array([0.3, 0.2, -0.1]))):
         u = kernel_witness(y, r, R, d)
-        ch = difference_characteristic(u, r, R)
-        assert ch.proximity == pytest.approx(kappa(R + r, d) - kappa(R, d), rel=1e-10)
-        assert ch.counting == pytest.approx(kappa(R, d) - kappa(r, d), rel=1e-13)
-        assert ch.total == pytest.approx(kappa(R + r, d) - kappa(r, d), rel=1e-10)
+        counting = difference_counting(u.riesz_lower_variation(), r, R)
+        assert proximity(u, R) == pytest.approx(kappa(R + r, d) - kappa(R, d), rel=1e-10)
+        assert counting == pytest.approx(kappa(R, d) - kappa(r, d), rel=1e-13)
+        assert difference_T(u, r, R) == pytest.approx(kappa(R + r, d) - kappa(r, d),
+                                                      rel=1e-10)
 
 
 def test_kernel_witness_characteristic_independent_of_y():
@@ -164,13 +164,14 @@ def test_proximity_is_rotation_invariant(data):
 
 def test_difference_counting_part_monotone_in_R():
     u = from_rational(RationalFunction(zeros=(0.5,), poles=(1.2, -0.8), scale=2.0))
-    values = [difference_characteristic(u, 0.5, R).counting for R in (0.9, 1.5, 2.5, 4.0)]
+    lower = u.riesz_lower_variation()
+    values = [difference_counting(lower, 0.5, R) for R in (0.9, 1.5, 2.5, 4.0)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_difference_characteristic_validates_radii():
     u = from_rational(RationalFunction(zeros=(0.5,)))
     with pytest.raises(ValueError):
-        difference_characteristic(u, 2.0, 1.0)
+        difference_T(u, 2.0, 1.0)
     with pytest.raises(ValueError):
-        difference_characteristic(u, -1.0, 1.0)
+        difference_T(u, -1.0, 1.0)

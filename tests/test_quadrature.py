@@ -39,7 +39,7 @@ def test_trapezoid_mean_value_of_harmonic_polynomial():
         y = pts[:, 1] - center[1]
         return 2.0 + x ** 3 - 3.0 * x * y ** 2
 
-    res = circle_mean(f, center, 1.7, QuadSpec(circle_nodes=64))
+    res = circle_mean(f, center, 1.7)
     assert res.value == pytest.approx(2.0, abs=1e-13)
     assert res.converged
 
@@ -96,8 +96,6 @@ def test_integrate_1d_rejects_reversed_interval():
 
 
 def test_sphere_mean_dimension_three():
-    spec = QuadSpec(polar_nodes=48, azimuth_nodes=96)
-
     def one(pts):
         return np.ones(len(pts))
 
@@ -107,10 +105,10 @@ def test_sphere_mean_dimension_three():
     def bilinear(pts):
         return pts[:, 0] * pts[:, 1]
 
-    assert sphere_mean(one, 1.3, 3, spec) == pytest.approx(1.0, rel=1e-12)
+    assert sphere_mean(one, 1.3, 3) == pytest.approx(1.0, rel=1e-12)
     # mean of x0^2 over the sphere of radius R is R^2 / 3
-    assert sphere_mean(x0sq, 1.5, 3, spec) == pytest.approx(0.75, rel=1e-9)
-    assert sphere_mean(bilinear, 1.5, 3, spec) == pytest.approx(0.0, abs=1e-12)
+    assert sphere_mean(x0sq, 1.5, 3) == pytest.approx(0.75, rel=1e-9)
+    assert sphere_mean(bilinear, 1.5, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sphere_mean_dimension_three_off_center():
@@ -215,12 +213,12 @@ def test_sphere_positive_part_mean_of_a_plane_cut(offset):
 
 def test_sphere_positive_part_mean_finds_a_cap_the_coarse_grid_misses():
     # The positive cap of this plane cut, of angular radius 0.015, is centred
-    # on a node of the doubled product grid and holds no node of the spec's
+    # on a node of the doubled product grid and holds no node of the coarse
     # grid.  The product rule's doubling check fails on it, and the meridian
     # rule about a pole from the doubled grid takes over.
-    spec = QuadSpec()
-    u = quadrature._leggauss(2 * spec.polar_nodes)[0][spec.polar_nodes]
-    phi = math.pi / spec.azimuth_nodes
+    n_polar = quadrature._POLAR_NODES
+    u = quadrature._leggauss(2 * n_polar)[0][n_polar]
+    phi = math.pi / quadrature._AZIMUTH_NODES
     axis = np.array([math.sqrt(1.0 - u * u) * math.cos(phi),
                      math.sqrt(1.0 - u * u) * math.sin(phi), u])
     height = math.cos(0.015)
@@ -335,14 +333,14 @@ def test_stieltjes_jumps_half_open_interval():
 
 @pytest.mark.parametrize("fields", [
     {"abs_tol": math.nan}, {"rel_tol": 0.0}, {"max_subdivisions": 2 ** 20 + 1},
-    {"circle_nodes": 2 ** 20 + 1}, {"polar_nodes": 2 ** 10, "azimuth_nodes": 2 ** 10 + 1},
+    {"max_subdivisions": 7}, {"abs_tol": -1e-10},
 ])
 def test_quad_spec_rejects_out_of_range_fields(fields):
     with pytest.raises(ValueError):
         QuadSpec(**fields)
-    # The caps themselves are allowed; nothing is allocated here.
-    QuadSpec(max_subdivisions=2 ** 20, circle_nodes=2 ** 20,
-             polar_nodes=2 ** 10, azimuth_nodes=2 ** 10)
+    # The bounds themselves are allowed; nothing is allocated here.
+    QuadSpec(max_subdivisions=2 ** 20)
+    QuadSpec(max_subdivisions=8)
 
 
 def test_error_budget_flags_failures():

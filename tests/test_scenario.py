@@ -104,7 +104,7 @@ def test_corollary_requires_planar_rational():
 
 
 def test_check_option_validation():
-    ok = variant(checks=[{"check": "statement_II", "tight": True, "R_star": 1.5}])
+    ok = variant(checks=[{"check": "statement_II", "R_star": 1.5}])
     sc = scenario_from_json(ok)
     assert sc.checks[0].options["R_star"] == 1.5
 
@@ -138,11 +138,19 @@ def test_grid_bounds():
     assert sc.grid == 9
     with pytest.raises(ScenarioError):
         scenario_from_json(variant(grid=2))
+    # A scan lattice has grid**d points, at most 2**20 of them.
+    spatial = variant(dimension=3, functions=[], checks=["statement_I"],
+                      measure={"dimension": 3, "spheres": [
+                          {"center": [0.0, 0.0, 0.0], "radius": 1.0, "mass": 1.0}]})
+    for data, top in ((variant(), 1024), (spatial, 101)):
+        assert scenario_from_json(dict(data, grid=top)).grid == top
+        with pytest.raises(ScenarioError, match=re.escape("scenario.grid: grid**")):
+            scenario_from_json(dict(data, grid=top + 1))
 
 
 def test_quad_overrides():
-    sc = scenario_from_json(variant(quad={"circle_nodes": 256, "abs_tol": 1e-8}))
-    assert sc.quad.circle_nodes == 256
+    sc = scenario_from_json(variant(quad={"max_subdivisions": 256, "abs_tol": 1e-8}))
+    assert sc.quad.max_subdivisions == 256
     assert sc.quad.abs_tol == 1e-8
     with pytest.raises(ScenarioError):
         scenario_from_json(variant(quad={"nodes": 10}))
@@ -160,7 +168,7 @@ EVERY_OBJECT = {
                   {"label": "u", "dimension": 2,
                    "charges": [{"point": [0.3, 0.1], "weight": 1.0}]}],
     "radii": {"r": 1.0, "R": 2.0},
-    "checks": [{"check": "statement_II", "tight": True}],
+    "checks": [{"check": "statement_II", "R_star": 1.5}],
     "quad": {"abs_tol": 1e-9},
 }
 
@@ -189,12 +197,28 @@ BAD_FIELDS = [
     (("functions", 1), "dimension", 2.0,
      "scenario.functions[1].dimension: expected an integer >= 2"),
     ((), "grid", 9.0, "scenario.grid: expected an integer >= 3"),
-    (("quad",), "circle_nodes", 256.0, "scenario.quad.circle_nodes: expected an integer >= 4"),
+    (("quad",), "max_subdivisions", 64.0,
+     "scenario.quad.max_subdivisions: expected an integer >= 8"),
+    # Settings that no longer exist: the fixed grid sizes and the
+    # statement-II switch for the bound that is now always reported.
+    (("quad",), "circle_nodes", 512, "scenario.quad: unknown fields ['circle_nodes']"),
+    (("quad",), "polar_nodes", 64, "scenario.quad: unknown fields ['polar_nodes']"),
+    (("checks", 0), "tight", True, "scenario.checks[0]: unknown fields ['tight']"),
 ]
 
 
+def _case_ids(cases):
+    """Each case's id is the path its message names, then the key when the
+    path is taken already."""
+    ids = []
+    for _, key, _, message in cases:
+        name = message.split(":")[0]
+        ids.append(f"{name}.{key}" if name in ids else name)
+    return ids
+
+
 @pytest.mark.parametrize("where, key, value, message", BAD_FIELDS,
-                         ids=[case[3].split(":")[0] for case in BAD_FIELDS])
+                         ids=_case_ids(BAD_FIELDS))
 def test_every_object_names_a_bad_field(where, key, value, message):
     data = copy.deepcopy(EVERY_OBJECT)
     scenario_from_json(data)
@@ -234,8 +258,7 @@ BUNDLED = [json.loads(p.read_text()) for p in bundled_scenario_paths()]
 OPTIONAL_FIELDS = [
     ("measure", "atoms"), ("measure", "spheres"), ("measure", "radial"),
     ("functions", 0, "charges"), ("functions", 0, "harmonic"),
-    ("quad",), ("quad", "max_subdivisions"), ("quad", "circle_nodes"),
-    ("quad", "polar_nodes"), ("quad", "azimuth_nodes"), ("quad", "abs_tol"),
+    ("quad",), ("quad", "max_subdivisions"), ("quad", "abs_tol"),
     ("grid",), ("expect_fail",), ("radii", "r0"),
 ]
 
