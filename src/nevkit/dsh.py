@@ -10,10 +10,12 @@ carry positive charge, poles negative, and log|scale| is the harmonic part.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq, minimize
 
 from .kernels import (
     as_point,
@@ -33,6 +35,7 @@ from .quadrature import (
     QuadSpec,
     integrate_1d,
     positive_part_mean,
+    sphere_grid,
 )
 
 # Charges within this relative distance of a circle are declared singular
@@ -40,6 +43,8 @@ from .quadrature import (
 # them.  The trapezoid rule and the positive-part arc rules are only trusted
 # for charges farther off the circle than this.
 NEAR_CIRCLE_RTOL = 0.05
+
+_CONTACT_RADII = 32  # spheres between 0 and outer that bracket contact radii
 
 HARMONIC_LABELS = ("const", "x0", "x1", "x2", "x0*x1", "x0^2-x1^2",
                    "re_z^2", "im_z^2", "re_z^3", "im_z^3")
@@ -190,6 +195,38 @@ class DshFunction:
         return tuple(sorted(angles)) if angles else None
 
 
+def _contact_radii(u: DshFunction, center: np.ndarray, outer: float) -> list[float]:
+    """Radii in (0, outer) where the sphere about ``center`` first or last
+    touches {u > 0}, the zeros of the max and the min of u on it: brentq from
+    sign changes on ``_CONTACT_RADII`` scanned spheres, with Nelder-Mead from
+    the grid's best node.  A missed zero costs the integral time, not accuracy."""
+    dirs = sphere_grid(u.dimension)
+
+    def extremum(s: float, sign: float) -> float:
+        top = dirs[np.argmax(sign * u.evaluate(center + s * dirs))]
+        tangent = np.linalg.svd(top[np.newaxis])[2][1:]
+
+        def drop(t):
+            v = top + t @ tangent
+            return -sign * u.evaluate(center + s * v / np.linalg.norm(v))
+
+        return -sign * minimize(drop, np.zeros(len(tangent)), method="Nelder-Mead",
+                                options={"xatol": 1e-10, "fatol": 1e-15}).fun
+
+    radii = outer * np.arange(_CONTACT_RADII + 1) / _CONTACT_RADII
+    scans = np.array([(v.max(), v.min())  # one sphere at a time
+                      for v in (u.evaluate(center + s * dirs) for s in radii)])
+    found = []
+    for sign, ends in zip((1.0, -1.0), scans.T):
+        for i in np.flatnonzero(np.diff(ends > 0.0) & np.isfinite(ends[:-1] + ends[1:])):
+            # A zero within the grid's shortfall of a radius needs the wider bracket.
+            for lo, hi in ((i, i + 1), (max(i - 1, 0), min(i + 2, _CONTACT_RADII))):
+                with contextlib.suppress(ValueError):
+                    found.append(brentq(extremum, radii[lo], radii[hi], args=(sign,), xtol=1e-13))
+                    break
+    return found
+
+
 def positive_part_integral(u: DshFunction, mu: Measure,
                            spec: QuadSpec = DEFAULT_SPEC, *,
                            budget: ErrorBudget | None = None) -> float:
@@ -197,34 +234,30 @@ def positive_part_integral(u: DshFunction, mu: Measure,
 
     Atoms are evaluated exactly (an atom on a positive charge gives +inf; on
     a negative charge it contributes 0).  Shell components use positive-part
-    sphere means with singular-angle hints, and radial components nest a
-    radius integral over those means.
+    sphere means with singular-angle hints.  A radial component integrates
+    them over the ring radius with the adaptive rule, split at the kinks: the
+    charges' distances from its centre and its contact radii.
     """
     d = mu.dimension
     if u.dimension != d:
         raise ValueError("function and measure dimensions differ")
+
+    def mean(center, s: float) -> float:
+        return positive_part_mean(u.evaluate, s, d, spec, center=center, budget=budget,
+                                  singular_angles=u.singular_angles_on(center, s),
+                                  label="positive-part")
+
     total = 0.0
     for atom in mu.atoms:
         total += atom.mass * max(u.evaluate(atom.location), 0.0)
     for shell in mu.spheres:
-        hints = u.singular_angles_on(shell.center, shell.radius)
-        mean = positive_part_mean(u.evaluate, shell.radius, d, spec,
-                                  center=shell.center, budget=budget,
-                                  singular_angles=hints, label="positive-part")
-        total += shell.mass * mean
+        total += shell.mass * mean(shell.center, shell.radius)
     for comp in mu.radial:
-        # A charge's distance from the center is a kink of the ring means.
         pts = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
-
-        def ring(s: float, comp=comp) -> float:
-            hints = u.singular_angles_on(comp.center, s)
-            return positive_part_mean(u.evaluate, s, d, spec, center=comp.center,
-                                      budget=budget, singular_angles=hints,
-                                      label="positive-part")
-
-        res = integrate_1d(lambda s: comp.density(s) * ring(s), 0.0, comp.outer,
-                           spec, points=pts, budget=budget, label="positive-part")
-        total += res.value
+        pts += _contact_radii(u, comp.center, comp.outer)
+        total += integrate_1d(lambda s: comp.density(s) * mean(comp.center, s), 0.0,
+                              comp.outer, spec, points=pts, budget=budget,
+                              label="positive-part").value
     return float(total)
 
 

@@ -154,7 +154,8 @@ def integrate_1d(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC, *,
     kwargs = {
         "epsabs": spec.abs_tol,
         "epsrel": spec.rel_tol,
-        "limit": spec.max_subdivisions,
+        # QUADPACK refuses a limit that does not exceed the break points.
+        "limit": max(spec.max_subdivisions, len(interior) + 1),
         "full_output": 1,
     }
     if interior:
@@ -255,6 +256,12 @@ def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarra
     return _read_only(np.column_stack((np.outer(su, np.cos(phi)).ravel(),
                                        np.outer(su, np.sin(phi)).ravel(),
                                        np.repeat(u, n_azimuth))))
+
+
+def sphere_grid(d: int) -> np.ndarray:
+    """Unit directions of the first grid a sphere mean in R^d samples."""
+    return (circle_points(np.zeros(2), 1.0, 2 * _CIRCLE_NODES) if d == 2
+            else _sphere3_directions(_POLAR_NODES, _AZIMUTH_NODES, 0.0))
 
 
 @lru_cache(maxsize=8)

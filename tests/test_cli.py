@@ -1,8 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from nevkit import measures
+from nevkit.dsh import _contact_radii
 from nevkit.cli import (
     EXIT_FAILED,
     EXIT_INVALID,
@@ -168,6 +171,35 @@ def test_oversized_quad_override_exit_code(tmp_path, capsys, quad):
     code = main(["run", "--scenario", sc, "--out", str(tmp_path / "o")])
     assert code == EXIT_INVALID
     assert "quad" in capsys.readouterr().err
+
+
+def test_more_break_points_than_subdivisions_still_give_a_verdict(tmp_path, capsys):
+    # Ten charges on the shell are ten singular angles of its positive-part
+    # mean, and its sign changes add more split points, well beyond the
+    # eight subintervals the scenario allows.
+    charges = [{"point": [0.5 * math.cos(0.1 + 0.2 * math.pi * k),
+                          0.5 * math.sin(0.1 + 0.2 * math.pi * k)],
+                "weight": 1.0 if k % 2 else -1.0} for k in range(10)]
+    sc = write_scenario(tmp_path, dict(
+        SHELL_PJ, functions=[{"label": "u", "dimension": 2, "charges": charges}],
+        checks=["statement_II"], quad={"max_subdivisions": 8}))
+    code = main(["run", "--scenario", sc, "--out", str(tmp_path / "o")])
+    assert code != EXIT_INVALID, capsys.readouterr().err
+    (report,) = [json.loads(line)
+                 for line in (tmp_path / "o" / "reports.jsonl").read_text().splitlines()]
+    assert report["name"] == "statement_II[u]"
+    assert report["verdict"] in (HOLDS, FAILS, UNDETERMINED)
+
+
+def test_committed_off_centre_density_scenario_holds(tmp_path):
+    # CI's packaging job runs this file with the installed wheel.  The spheres
+    # about its density's centre touch u = 0 inside the support, so the run
+    # takes the contact split of the ring integral.
+    path = Path(__file__).parent / "scenarios" / "off_centre_density_3d.json"
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    sc = scenario_from_json(json.loads(path.read_text()))
+    (comp,) = sc.measure.radial
+    assert _contact_radii(sc.functions[0].dsh, comp.center, comp.outer)
 
 
 def test_classify_precedence():

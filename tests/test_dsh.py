@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize
 
 from nevkit.dsh import (
     HARMONIC_LABELS,
@@ -11,6 +12,7 @@ from nevkit.dsh import (
     DshFunction,
     HarmonicPart,
     RationalFunction,
+    _contact_radii,
     dsh_from_json,
     from_rational,
     kernel_witness,
@@ -18,8 +20,8 @@ from nevkit.dsh import (
     rational_from_json,
 )
 from nevkit.kernels import kappa
-from nevkit.measures import Measure, SphereShell
-from nevkit.quadrature import sphere_mean
+from nevkit.measures import Measure, RadialDensity, SphereShell
+from nevkit.quadrature import ErrorBudget, QuadSpec, integrate_1d, positive_part_mean, sphere_mean
 
 
 def test_harmonic_labels_are_mean_value_functions():
@@ -248,3 +250,206 @@ def test_rational_json_round_trip(zeros, poles, scale):
     f = rational_from_json(json.loads(json.dumps(data)))
     assert f == RationalFunction(tuple(map(_as_complex, zeros)),
                                  tuple(map(_as_complex, poles)), _as_complex(scale))
+
+
+# ------------------------------------------- ring integrals of densities
+
+# The d = 3 benchmark geometry, unrotated: the spheres about the density's
+# centre first touch {u > 0} at radius 0.2711297 and never leave it.
+SPATIAL_U = DshFunction(3, (Charge([0.4985, -0.5996, 0.6489], 1.0),
+                            Charge([0.3449, 0.0333, 0.6410], -0.5577),
+                            Charge([-0.5161, 0.6410, 0.0425], 0.6610)),
+                        HarmonicPart((("const", 0.3),)))
+SPATIAL_DENSITY = RadialDensity([0.1072, 0.2549, 0.1025], (0.0, 0.0, 1.5 / 0.3312 ** 3),
+                                0.3312)
+# A planar density whose circles first touch {u > 0} and later lie in it:
+# u is negative on a region about the positive charge inside the disc.
+PLANAR_U = DshFunction(2, (Charge([0.25, -0.08], 0.4), Charge([-0.5, 0.8], -0.6)),
+                       HarmonicPart((("const", 0.73),)))
+PLANAR_DENSITY = RadialDensity([0.2, -0.1], (0.5, 1.0), 0.45)
+
+
+def _contact_by_slsqp(u, comp, last=False):
+    """The nearest point of {u > 0} to the density's centre or, with
+    ``last``, the farthest point of {u <= 0} within its support, by SLSQP on
+    u = 0 from the best of 20,000 random directions on 200 radii: an
+    independent route to a first or last contact radius."""
+    dirs = np.random.default_rng(0).normal(size=(20_000, u.dimension))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, np.newaxis]
+    radii = np.linspace(0.0, comp.outer, 201)[1:]
+    sign = -1.0 if last else 1.0
+    for s in radii[::-1] if last else radii:
+        values = sign * u.evaluate(comp.center + s * dirs)
+        if values.max() > 0.0:
+            break
+    start = comp.center + s * dirs[np.argmax(values)]
+    res = minimize(lambda x: sign * np.sum((x - comp.center) ** 2), start, method="SLSQP",
+                   constraints=[{"type": "eq", "fun": u.evaluate}],
+                   options={"ftol": 1e-15, "maxiter": 500})
+    assert res.success
+    return math.sqrt(sign * res.fun)
+
+
+def _panel_rule(u, comp, breaks, cosine=False, tol=1e-12):
+    """The ring integral of ``comp`` against max(u, 0) by bisecting
+    Gauss-Legendre panels, 16 against 32 nodes, between the given breaks.
+    Returns the value and an error bound that includes the ring means' own
+    error estimates.
+
+    Past a contact radius s0 the ring means grow like (s - s0)**2 in space,
+    which plain panels integrate well, and like (s - s0)**1.5 in the plane,
+    which needs ``cosine``: panels mapped by s = a + (b - a)(1 - cos)/2.  The
+    map puts nodes within 1e-7 of s0, where the spatial means drop caps
+    narrower than their grid, so it is not used there."""
+    def panel(a, b, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        if cosine:
+            theta = 0.5 * math.pi * (1.0 + x)
+            nodes = a + 0.5 * (b - a) * (1.0 - np.cos(theta))
+            w = w * 0.5 * math.pi * np.sin(theta)
+        else:
+            nodes = a + 0.5 * (b - a) * (1.0 + x)
+        weights = 0.5 * (b - a) * w * comp.density(nodes)
+        value = error = 0.0
+        for s, weight in zip(nodes, weights):
+            budget = ErrorBudget()
+            mean = positive_part_mean(u.evaluate, s, u.dimension, center=comp.center,
+                                      budget=budget)
+            assert budget.ok
+            value += weight * mean
+            error += weight * budget.error
+        return value, error
+
+    total = bound = 0.0
+    stack = [(a, b, 0) for a, b in zip(breaks, breaks[1:])]
+    while stack:
+        a, b, depth = stack.pop()
+        (coarse, _), (fine, inner) = panel(a, b, 16), panel(a, b, 32)
+        if abs(fine - coarse) <= tol * (b - a):
+            total += fine
+            bound += abs(fine - coarse) + inner
+        else:
+            assert depth < 12
+            stack += [(a, 0.5 * (a + b), depth + 1), (0.5 * (a + b), b, depth + 1)]
+    return total, bound
+
+
+def test_contact_radius_of_the_spatial_density_matches_dense_optimisation():
+    (radius,) = _contact_radii(SPATIAL_U, SPATIAL_DENSITY.center, SPATIAL_DENSITY.outer)
+    assert radius == pytest.approx(0.2711297, abs=1e-7)
+    exact = _contact_by_slsqp(SPATIAL_U, SPATIAL_DENSITY)
+    assert abs(radius - exact) <= 1e-9
+
+
+def test_spatial_density_integral_matches_a_panel_rule():
+    budget = ErrorBudget()
+    mu = Measure(3, radial=(SPATIAL_DENSITY,))
+    value = positive_part_integral(SPATIAL_U, mu, budget=budget)
+    assert budget.ok
+    contact = _contact_by_slsqp(SPATIAL_U, SPATIAL_DENSITY)
+    reference, bound = _panel_rule(SPATIAL_U, SPATIAL_DENSITY,
+                                   [0.0, contact, SPATIAL_DENSITY.outer])
+    assert abs(value - reference) <= budget.error + bound, (value, reference)
+
+
+def test_last_contact_is_found_and_integrated():
+    # u = 0.5 - 0.1 / |x - q| with q = (0.05, 0, 0) is negative exactly in the
+    # ball of radius 0.2 about q.  So the spheres about the origin first touch
+    # {u > 0} at radius 0.15 (where max u = 0) and lie in it beyond 0.25
+    # (where min u = 0).  0.15 is one of the scanned radii, 12 * 0.4 / 32, so
+    # its bracket needs widening.  The positive-part means are closed forms:
+    # M(s) = [0.25 t^2 - 0.1 t] from max(0.2, |s - a|) to s + a, over 2 a s.
+    u = DshFunction(3, (Charge([0.05, 0.0, 0.0], 0.1),), HarmonicPart((("const", 0.5),)))
+    comp = RadialDensity([0.0, 0.0, 0.0], (1.0, 2.0), 0.4)
+    radii = sorted(_contact_radii(u, comp.center, comp.outer))
+    assert radii == pytest.approx([0.15, 0.25], abs=1e-12)
+
+    def ring_mean(s, a=0.05):
+        lo = max(0.2, abs(s - a))
+        if lo >= s + a:
+            return 0.0
+        return ((0.25 * (s + a) ** 2 - 0.1 * (s + a)) - (0.25 * lo ** 2 - 0.1 * lo)) / (2 * a * s)
+
+    exact = integrate_1d(lambda s: comp.density(s) * ring_mean(s), 0.0, comp.outer,
+                         QuadSpec(1e-15, 1e-15), points=(0.15, 0.25)).value
+    budget = ErrorBudget()
+    value = positive_part_integral(u, Measure(3, radial=(comp,)), budget=budget)
+    assert budget.ok
+    assert abs(value - exact) <= budget.error + 1e-15, (value, exact)
+
+
+def test_planar_density_contacts_and_integral():
+    radii = sorted(_contact_radii(PLANAR_U, PLANAR_DENSITY.center, PLANAR_DENSITY.outer))
+    first = _contact_by_slsqp(PLANAR_U, PLANAR_DENSITY)
+    last = _contact_by_slsqp(PLANAR_U, PLANAR_DENSITY, last=True)
+    assert radii == pytest.approx([first, last], abs=1e-9)
+    budget = ErrorBudget()
+    value = positive_part_integral(PLANAR_U, Measure(2, radial=(PLANAR_DENSITY,)),
+                                   budget=budget)
+    assert budget.ok
+    reference, bound = _panel_rule(PLANAR_U, PLANAR_DENSITY,
+                                   [0.0, *radii, PLANAR_DENSITY.outer], cosine=True)
+    assert abs(value - reference) <= budget.error + bound, (value, reference)
+
+
+@st.composite
+def _densities_and_functions(draw):
+    """A density and a function whose harmonic constant puts a zero of u
+    inside the density's support.  The charges stay outside the support: the
+    old route runs the adaptive circle mean on every ring within 5% of a
+    planar charge's distance, and took 9.7 s on one such example."""
+    d = draw(st.sampled_from([2, 3]))
+    unit = st.floats(-1.0, 1.0)
+    center = 0.3 * np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    outer = draw(st.floats(0.15, 0.45))
+    coeffs = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+    assume(max(coeffs) > 0.1)
+    charges = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+        assume(np.linalg.norm(v) > 0.1)
+        where = center + v / np.linalg.norm(v) * draw(st.floats(outer + 0.05, 1.5))
+        charges.append(Charge(where, draw(st.sampled_from([-1.0, 1.0]))
+                              * draw(st.floats(0.2, 1.0))))
+    zero = center + outer * draw(st.floats(0.1, 0.9)) * np.eye(d)[0]
+    level = DshFunction(d, tuple(charges)).evaluate(zero)
+    u = DshFunction(d, tuple(charges), HarmonicPart((("const", -level),)))
+    return u, RadialDensity(center, tuple(coeffs), outer)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_densities_and_functions())
+def test_contact_split_moves_no_value_beyond_the_budgets(case):
+    # The route before the contact split: the adaptive rule over the same
+    # ring means, split only at the charges' distances from the centre.
+    u, comp = case
+    old_budget, new_budget = ErrorBudget(), ErrorBudget()
+
+    def ring(s):
+        return positive_part_mean(u.evaluate, s, u.dimension, center=comp.center,
+                                  budget=old_budget,
+                                  singular_angles=u.singular_angles_on(comp.center, s))
+
+    charges = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
+    old = integrate_1d(lambda s: comp.density(s) * ring(s), 0.0, comp.outer,
+                       points=charges, budget=old_budget).value
+    new = positive_part_integral(u, Measure(u.dimension, radial=(comp,)), budget=new_budget)
+    assume(old_budget.ok and new_budget.ok)
+    assert abs(new - old) <= old_budget.error + new_budget.error, (new, old)
+
+
+def test_contact_split_leaves_one_panel_each_side(monkeypatch):
+    # Split at the contact radius, QUADPACK settles each side of it with one
+    # 21-point panel: 42 ring means, where chasing the kink took 315.
+    radii = []
+
+    def counted(g, s, *args, **kwargs):
+        radii.append(s)
+        return positive_part_mean(g, s, *args, **kwargs)
+
+    monkeypatch.setattr("nevkit.dsh.positive_part_mean", counted)
+    budget = ErrorBudget()
+    positive_part_integral(SPATIAL_U, Measure(3, radial=(SPATIAL_DENSITY,)),
+                           QuadSpec(max_subdivisions=40), budget=budget)
+    assert budget.ok
+    assert len(radii) <= 60
