@@ -35,10 +35,10 @@ from .criterion import (
     check_statement_IV,
     check_statement_V,
     falsify_statement_III,
+    intermediate_radius,
     verify_lemma3,
     verify_poisson_jensen,
 )
-from .dsh import kernel_witness
 from .measures import integrated_counting
 from .quadrature import QuadSpec
 from .scenario import (
@@ -70,18 +70,6 @@ def bundled_scenario_paths() -> list:
     root = resources.files("nevkit").joinpath("scenarios")
     return sorted((p for p in root.iterdir() if p.name.endswith(".json")),
                   key=lambda p: p.name)
-
-
-def _witness_points(sc: Scenario) -> list[np.ndarray]:
-    """Deterministic charge sites for the kernel-witness family."""
-    d = sc.dimension
-    points = [np.zeros(d)]
-    for axis in range(d):
-        for sign in (1.0, -1.0):
-            p = np.zeros(d)
-            p[axis] = sign * sc.r / 2.0
-            points.append(p)
-    return points
 
 
 def _default_pj_points(sc: Scenario, u, rng: np.random.Generator,
@@ -128,11 +116,9 @@ def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
                     name=f"statement_II[{entry.label}]"))
         elif kind == "statement_III":
             t_cap = float(req.options.get("t_cap", 1.0))
-            family = [entry.dsh for entry in sc.functions]
-            family += [kernel_witness(y, sc.r, sc.R, sc.dimension)
-                       for y in _witness_points(sc)]
-            reports.append(falsify_statement_III(mu, family, sc.r, sc.R,
-                                                 t_cap, spec=spec))
+            reports.append(falsify_statement_III(
+                mu, [e.dsh for e in sc.functions], sc.r, sc.R, t_cap,
+                resolution=grid, spec=spec))
         elif kind == "statement_IV":
             reports.append(check_statement_IV(mu, resolution=grid))
         elif kind == "statement_V":
@@ -141,8 +127,7 @@ def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
         elif kind == "lemma3":
             r_star = req.options.get("R_star")
             if r_star is None:
-                r_star = (math.sqrt(sc.r * sc.R) if sc.dimension == 2
-                          else 0.5 * (sc.r + sc.R))
+                r_star = intermediate_radius(sc.r, sc.R, sc.dimension)
             reports.append(verify_lemma3(mu, float(r_star), sc.R, spec=spec))
         elif kind == "poisson_jensen":
             for entry in sc.functions:

@@ -28,6 +28,7 @@ from .kernels import (
 from .measures import (
     SUPPORT,
     Measure,
+    SupResult,
     _support_samples,
     difference_counting,
     potential,
@@ -137,6 +138,21 @@ def _finiteness_report(name: str, value: float, budget: ErrorBudget,
                        tuple(diag))
 
 
+def _scan_lines(sup: SupResult, region: str) -> list[str]:
+    """The diagnostics of one supremum scan of the integrated counting."""
+    lines = [f"sup {_fmt(sup.value)} over {region}",
+             f"grid resolution {sup.resolution}, {sup.evaluations} evaluations"]
+    if sup.argmax is not None:
+        lines.append("argmax (" + ", ".join(_fmt(v) for v in sup.argmax) + ")")
+    return lines
+
+
+def intermediate_radius(r: float, R: float, d: int) -> float:
+    """The default R_star strictly between r and R: sqrt(r R) in the plane,
+    (r + R) / 2 in space."""
+    return math.sqrt(r * R) if d == 2 else 0.5 * (r + R)
+
+
 def check_statement_I(mu: Measure, r0: float, R: float, *,
                       resolution: int = DEFAULT_RESOLUTION,
                       spec: QuadSpec = DEFAULT_SPEC,
@@ -149,11 +165,8 @@ def check_statement_I(mu: Measure, r0: float, R: float, *,
         raise ValueError("statement I: R must exceed the support radius of mu")
     budget = ErrorBudget()
     sup = sup_integrated_counting(mu, R, r0, resolution, spec, budget=budget)
-    diag = [f"sup {_fmt(sup.value)} over ball radius {_fmt(R)}",
-            f"grid resolution {sup.resolution}, {sup.evaluations} evaluations"]
-    if sup.argmax is not None:
-        diag.append("argmax " + "(" + ", ".join(_fmt(v) for v in sup.argmax) + ")")
-    return _finiteness_report(name, sup.value, budget, diag)
+    return _finiteness_report(name, sup.value, budget,
+                              _scan_lines(sup, f"ball radius {_fmt(R)}"))
 
 
 @dataclass(frozen=True)
@@ -181,8 +194,7 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
                         spec: QuadSpec = DEFAULT_SPEC,
                         R_star: float | None = None,
                         budget: ErrorBudget | None = None) -> StatementIIBounds:
-    """The statement-II bounds; R_star defaults to sqrt(r R) in the plane
-    and to (r + R) / 2 in space."""
+    """The statement-II bounds; R_star defaults to ``intermediate_radius``."""
     if not (0.0 < r < R):
         raise ValueError("statement II: need 0 < r < R")
     d = mu.dimension
@@ -203,7 +215,7 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
     # leaves the tight bound no tail.
     rhs = 0.0 if T == 0.0 else const * T * (mu_rad * max(1.0, r ** (2 - d)) + sup.value)
     if R_star is None:
-        R_star = math.sqrt(r * R) if d == 2 else 0.5 * (R + r)
+        R_star = intermediate_radius(r, R, d)
     if not (r < R_star < R):
         raise ValueError(f"statement II: R_star {R_star!r} must lie strictly between r and R")
     lower_rad = radial_counting(U.riesz_lower_variation(), np.zeros(d),
@@ -234,40 +246,46 @@ def check_statement_II(mu: Measure, U: DshFunction, r: float, R: float, *,
     return _inequality_report(name, b.lhs, b.rhs, budget, diag)
 
 
-def falsify_statement_III(mu: Measure, family, r: float, R: float,
+def falsify_statement_III(mu: Measure, functions, r: float, R: float,
                           T_cap: float, *,
+                          resolution: int = DEFAULT_RESOLUTION,
                           spec: QuadSpec = DEFAULT_SPEC,
                           name: str = "statement_III") -> CheckReport:
-    """One-sided scan of sup over a family of the positive-part integral.
+    """Sup over the kernel witnesses and the given functions, each rescaled
+    to characteristic at most T_cap, of the positive-part integral against mu.
 
-    Members are rescaled by positive homogeneity so each characteristic is
-    at most T_cap.  A witnessed +inf (or any single member exceeding every
-    finite budget) falsifies boundedness; a bounded maximum over the family
-    is evidence for it, not a proof.
+    A witness kappa(R + r) - kappa(|x - y|), |y| <= r, has characteristic
+    kappa(R + r) - kappa(r), and its positive part integrates against mu to
+    ``integrated_counting(mu, y, R + r)``: the witnesses are one supremum
+    scan over the ball of radius r.  The functions, possibly none, go through
+    ``difference_T`` and ``positive_part_integral``.  A witnessed +inf
+    falsifies boundedness; a bounded maximum is evidence, not a proof.
     """
-    family = list(family)
-    if not family:
-        raise ValueError("statement III: family must be nonempty")
+    if not (0.0 < r < R):
+        raise ValueError("statement III: need 0 < r < R")
     if not (T_cap > 0.0 and math.isfinite(T_cap)):
         raise ValueError("statement III: T_cap must be positive and finite")
     budget = ErrorBudget()
-    best = -math.inf
+    d = mu.dimension
+    t_w = kappa(R + r, d) - kappa(r, d)
+    sup = sup_integrated_counting(mu, r, R + r, resolution, spec, budget=budget)
+    best = min(1.0, T_cap / t_w) * sup.value
+    diag = [f"kernel witnesses: counting radius {_fmt(R + r)}, "
+            f"characteristic {_fmt(t_w)}, cap {_fmt(T_cap)}",
+            *_scan_lines(sup, f"ball radius {_fmt(r)}")]
     skipped = 0
-    for u in family:
+    for u in functions:
+        if best == math.inf:
+            break
         t = difference_T(u, r, R, spec, budget=budget)
         if t == math.inf:
             skipped += 1
             continue
         if t > T_cap:
             u = u.scale(T_cap / t)
-        val = positive_part_integral(u, mu, spec, budget=budget)
-        if val > best:
-            best = val
-        if best == math.inf:
-            break
-    diag = [f"family size {len(family)}, cap {_fmt(T_cap)}"]
+        best = max(best, positive_part_integral(u, mu, spec, budget=budget))
     if skipped:
-        diag.append(f"skipped {skipped} member(s) with infinite characteristic")
+        diag.append(f"skipped {skipped} function(s) with infinite characteristic")
     return _finiteness_report(name, best, budget, diag)
 
 
@@ -310,11 +328,7 @@ def check_statement_V(mu: Measure, r0: float, *,
     budget = ErrorBudget()
     sup = sup_integrated_counting(mu, SUPPORT, r0, resolution, spec,
                                   budget=budget)
-    diag = [f"sup {_fmt(sup.value)} over support",
-            f"grid resolution {sup.resolution}, {sup.evaluations} evaluations"]
-    if sup.argmax is not None:
-        diag.append("argmax " + "(" + ", ".join(_fmt(v) for v in sup.argmax) + ")")
-    return _finiteness_report(name, sup.value, budget, diag)
+    return _finiteness_report(name, sup.value, budget, _scan_lines(sup, "support"))
 
 
 def verify_lemma3(delta: Measure, R_star: float, R: float, *,

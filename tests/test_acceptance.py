@@ -19,6 +19,7 @@ from nevkit.criterion import (
     check_statement_II,
     check_statement_IV,
     check_statement_V,
+    falsify_statement_III,
     statement_ii_bounds,
     verify_lemma3,
     verify_poisson_jensen,
@@ -282,21 +283,23 @@ def test_acceptance_07_equivalence_coherence():
     for mu in admissible:
         verdicts = _coherence_verdicts(mu)
         disagreements += len(set(verdicts)) != 1
-        assert verdicts == (HOLDS, HOLDS, HOLDS), f"admissible measure: {verdicts}"
+        assert verdicts == (HOLDS,) * 4, f"admissible measure: {verdicts}"
     for mu in atomic:
         verdicts = _coherence_verdicts(mu)
         disagreements += len(set(verdicts)) != 1
-        assert verdicts == (FAILS, FAILS, FAILS), f"atomic measure: {verdicts}"
+        assert verdicts == (FAILS,) * 4, f"atomic measure: {verdicts}"
     assert disagreements == 0
     print("acceptance 07 equivalence coherence: PASS (0 disagreements over 20 measures)")
 
 
 def _coherence_verdicts(mu):
-    R = mu.support_radius + 1.0
+    r = mu.support_radius
+    R = r + 1.0
     rep_I = check_statement_I(mu, 0.5, R, resolution=9)
+    rep_III = falsify_statement_III(mu, [], r, R, 1.0, resolution=9)
     rep_IV = check_statement_IV(mu, resolution=9)
     rep_V = check_statement_V(mu, 0.5, resolution=9)
-    return (rep_I.verdict, rep_IV.verdict, rep_V.verdict)
+    return (rep_I.verdict, rep_III.verdict, rep_IV.verdict, rep_V.verdict)
 
 
 def test_coherence_splits_bounded_singular_and_atomic_measures():
@@ -330,7 +333,7 @@ def test_coherence_splits_bounded_singular_and_atomic_measures():
         for mu in measures:
             verdicts = _coherence_verdicts(mu)
             disagreements += len(set(verdicts)) != 1
-            assert verdicts == (expected,) * 3, (mu, verdicts)
+            assert verdicts == (expected,) * 4, (mu, verdicts)
     assert disagreements == 0
 
 

@@ -202,6 +202,19 @@ def test_committed_off_centre_density_scenario_holds(tmp_path):
     assert _contact_radii(sc.functions[0].dsh, comp.center, comp.outer)
 
 
+def test_committed_atom_between_witnesses_scenario_fails_statement_III(tmp_path):
+    # The atom at (0.1, 0.7) lies off every one of the 2d + 1 fixed charge
+    # sites the kernel witnesses once used, which missed it and printed
+    # statement III `holds`; the scan over the ball of radius r finds it.
+    path = Path(__file__).parent / "scenarios" / "atom_between_witnesses.json"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    verdicts = {rep["name"]: rep["verdict"]
+                for rep in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
+    assert verdicts == dict.fromkeys(
+        ["statement_I", "statement_III", "statement_IV", "statement_V"], FAILS)
+
+
 def test_classify_precedence():
     def rep(name, verdict):
         return CheckReport(name=name, lhs=0.0, rhs=1.0, residual=-1.0,

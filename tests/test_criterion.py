@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import nevkit.criterion as criterion
 from nevkit.criterion import (
     FAILS,
     HOLDS,
@@ -300,6 +301,41 @@ def test_statement_III_clean_family_holds():
     rep = falsify_statement_III(mu, family, 1.0, 2.0, 1.0)
     assert rep.verdict == HOLDS
     assert math.isfinite(rep.lhs)
+    for r, R in ((2.0, 1.0), (0.0, 2.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"statement III: need 0 < r < R"):
+            falsify_statement_III(mu, family, r, R, 1.0)
+
+
+@pytest.mark.parametrize("mu, verdict", [
+    pytest.param(circle(), HOLDS, id="circle"),
+    pytest.param(atom_measure((np.array([0.1, 0.7]), 1.0)), FAILS, id="planar-atom"),
+    pytest.param(Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
+                         radial=(RadialDensity([0.0, 0.2, 0.0], (0.0, 0.0, 1.5 / 0.3 ** 3),
+                                               0.3),)),
+                 HOLDS, id="shell-and-density-3d"),
+])
+def test_statement_III_witnesses_are_the_counting_scan(monkeypatch, mu, verdict):
+    # The witnesses alone run no quadrature: their supremum is statement I's
+    # scan at r0 = R + r over the ball of radius r, scaled to the cap.
+    calls = {"positive_part_integral": 0, "difference_T": 0}
+    for fname in calls:
+        def counted(*args, _f=getattr(criterion, fname), _name=fname, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(criterion, fname, counted)
+    r, R, t_cap = 1.0, 2.0, 0.5
+    rep = falsify_statement_III(mu, [], r, R, t_cap, resolution=9)
+    assert calls == {"positive_part_integral": 0, "difference_T": 0}
+    assert rep.verdict == verdict
+    assert not any("quadrature failure" in line for line in rep.diagnostics)
+    scan = check_statement_I(mu, R + r, r, resolution=9)
+    t_w = kappa(R + r, mu.dimension) - kappa(r, mu.dimension)
+    assert rep.verdict == scan.verdict
+    assert rep.lhs == min(1.0, t_cap / t_w) * scan.lhs
+    constant = DshFunction(mu.dimension, (), HarmonicPart((("const", 1.0),)))
+    falsify_statement_III(mu, [constant], r, R, t_cap, resolution=9)
+    assert calls == {"positive_part_integral": 0 if verdict == FAILS else 1,
+                     "difference_T": 0 if verdict == FAILS else 1}
 
 
 def test_statement_III_witness_on_atom_fails():

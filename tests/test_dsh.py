@@ -20,7 +20,7 @@ from nevkit.dsh import (
     rational_from_json,
 )
 from nevkit.kernels import kappa
-from nevkit.measures import Measure, RadialDensity, SphereShell
+from nevkit.measures import Measure, RadialDensity, SphereShell, integrated_counting
 from nevkit.quadrature import ErrorBudget, QuadSpec, integrate_1d, positive_part_mean, sphere_mean
 
 
@@ -198,6 +198,34 @@ def test_positive_part_integral_atoms_measure():
     u = DshFunction(2, (), HarmonicPart((("x0", 1.0),)))
     # max(x0, 0) weighted by the atom masses: 0.5*2 + 0*1
     assert positive_part_integral(u, mu) == pytest.approx(1.0, rel=1e-14)
+
+
+# A centred shell plus a density off the origin, and witness sites inside
+# the ball of radius 1 but off the density's support.
+WITNESS_ORACLE_CASES = [
+    pytest.param(Measure(dimension=2,
+                         spheres=(SphereShell(np.zeros(2), 0.6, 1.0),),
+                         radial=(RadialDensity([0.0, 0.2], (0.0, 2.0), 0.3),)),
+                 [[0.5, 0.0], [0.0, -0.5], [-0.4, 0.3]], id="d2"),
+    pytest.param(Measure(dimension=3,
+                         spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
+                         radial=(RadialDensity([0.0, 0.2, 0.0],
+                                               (0.0, 0.0, 1.5 / 0.3 ** 3), 0.3),)),
+                 [[0.5, 0.0, 0.0], [0.0, -0.5, 0.0]], id="d3"),
+]
+
+
+@pytest.mark.parametrize("mu, sites", WITNESS_ORACLE_CASES)
+def test_positive_part_integral_of_a_kernel_witness_is_the_integrated_counting(mu, sites):
+    # kappa(R + r) - kappa(|x - y|) is positive exactly on B(y, R + r), so its
+    # positive part integrates to integrated_counting(mu, y, R + r), a closed
+    # form for the shell and a panel rule for the density.
+    r, R = 1.0, 2.0
+    for y in sites:
+        b = ErrorBudget()
+        value = positive_part_integral(kernel_witness(y, r, R, mu.dimension), mu, budget=b)
+        assert b.ok, y
+        assert abs(value - integrated_counting(mu, y, R + r)) <= b.error + 1e-12, y
 
 
 _coord = st.floats(min_value=-5.0, max_value=5.0)
