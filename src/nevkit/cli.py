@@ -39,6 +39,7 @@ from .criterion import (
     verify_lemma3,
     verify_poisson_jensen,
 )
+from .kernels import expect_number
 from .measures import integrated_counting
 from .quadrature import QuadSpec
 from .scenario import (
@@ -251,7 +252,8 @@ def _parse_expect_fail(text: str) -> tuple[str, ...]:
 
 
 def _options_from_args(args) -> RunOptions:
-    return RunOptions(tol=args.tol, grid=args.grid,
+    tol = None if args.tol is None else expect_number(args.tol, "--tol", positive=True)
+    return RunOptions(tol=tol, grid=args.grid,
                       expect_fail=_parse_expect_fail(args.expect_fail))
 
 

@@ -35,7 +35,7 @@ from .measures import (
     radial_counting,
     sup_integrated_counting,
 )
-from .nevanlinna import classical_N, classical_T, difference_T
+from .nevanlinna import classical_N, difference_T, proximity
 from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec, sphere_mean
 
 BASE_TOLERANCE = 1e-7
@@ -298,8 +298,8 @@ def check_statement_IV(mu: Measure, *, resolution: int = DEFAULT_RESOLUTION,
     support grids.  Every potential is a closed form, so no quadrature error
     enters the verdict.
     """
-    points = [p for p, _ in _support_samples(mu, resolution)]
-    if not points:
+    points, _ = _support_samples(mu, resolution)
+    if not len(points):
         return CheckReport(name, math.inf, math.inf, 0.0, BASE_TOLERANCE,
                            HOLDS, ("empty support",))
     inf_val = math.inf
@@ -407,7 +407,9 @@ def check_corollary(f: RationalFunction, mu: Measure, r: float, R: float, *,
     classical characteristic gap T(R) - N(r) and by total mass plus the
     supremum of the integrated counting over the closed disc of radius R.
     The characteristic gap is cross-checked against the difference
-    characteristic of ln|f| and the discrepancy is recorded.
+    characteristic of ln|f| and the discrepancy is recorded.  Both share one
+    circle mean of ln+|f| at R, computed once, so the cross-check compares
+    the pole counting of f with the counting of ln|f|'s negative charges.
     """
     if mu.dimension != 2:
         raise ValueError("corollary: mu must be planar (dimension 2)")
@@ -418,8 +420,9 @@ def check_corollary(f: RationalFunction, mu: Measure, r: float, R: float, *,
     budget = ErrorBudget()
     u = from_rational(f)
     lhs = positive_part_integral(u, mu, spec, budget=budget)
-    t_gap = classical_T(f, R, spec, budget=budget) - classical_N(f, r)
-    t_diff = difference_T(u, r, R, spec, budget=budget)
+    m = proximity(u, R, spec, budget=budget)
+    t_gap = m + classical_N(f, R) - classical_N(f, r)
+    t_diff = m + difference_counting(u.riesz_lower_variation(), r, R, spec, budget=budget)
     mass = radial_counting(mu, np.zeros(2), r, spec, budget=budget)
     sup = sup_integrated_counting(mu, R, r, resolution, spec, budget=budget)
     # As in statement II: a zero gap leaves |f| <= 1 on the disc.

@@ -583,76 +583,76 @@ def potential(mu: Measure, x) -> float:
     return float(total)
 
 
-def _in_ball(p: np.ndarray, radius: float) -> bool:
-    """Whether p lies in the closed ball of the given radius about the origin."""
-    return float(np.linalg.norm(p)) <= radius * (1.0 + BOUNDARY_RTOL)
+def _admissible(qs: np.ndarray, region, src) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``qs`` that a scan of ``region`` may visit: their indices
+    and the points to visit for them.
+
+    A ball radius keeps the rows in the closed ball about the origin.
+    SUPPORT moves every row radially onto the shell or density ``src`` (a
+    density's radius clipped to [1e-9 outer, outer]); it keeps no row for an
+    atom, nor a row at the component's centre.
+    """
+    if region != SUPPORT:
+        rows = np.flatnonzero(row_norms(qs) <= region * (1.0 + BOUNDARY_RTOL))
+        return rows, qs[rows]
+    if not isinstance(src, (SphereShell, RadialDensity)):
+        return np.arange(0), qs[:0]
+    v = qs - src.center
+    nv = row_norms(v)
+    rows = np.flatnonzero(nv != 0.0)
+    v, nv = v[rows], nv[rows, np.newaxis]
+    if isinstance(src, SphereShell):
+        s = src.radius
+    else:
+        s = np.minimum(np.maximum(nv, src.outer * 1e-9), src.outer)
+    return rows, src.center + s * v / nv
 
 
-def _ball_lattice(radius: float, d: int, resolution: int) -> list[np.ndarray]:
+def _ball_lattice(radius: float, d: int, resolution: int) -> np.ndarray:
     """The points of the uniform lattice on [-radius, radius]**d that lie in
     the closed ball of that radius about the origin."""
     axis = np.linspace(-radius, radius, resolution)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    keep = row_norms(pts) <= radius * (1.0 + BOUNDARY_RTOL)
-    return list(pts[keep])
+    return _admissible(np.column_stack([m.ravel() for m in mesh]), radius, None)[1]
 
 
-def _support_samples(mu: Measure, resolution: int) -> list[tuple[np.ndarray, object]]:
-    """Deterministic sample points on supp(mu), tagged with their component."""
+def _sphere_directions(n_pol: int, azimuths: np.ndarray) -> np.ndarray:
+    """Unit vectors (sqrt(1 - u**2) cos phi, sqrt(1 - u**2) sin phi, u) for
+    n_pol values of u evenly spaced in [-1, 1] and each azimuth phi, phi
+    varying fastest.  The azimuths go through ``math.cos`` and ``math.sin``,
+    which numpy's loops may differ from in the last bit, and the pinned
+    scans follow those bits."""
+    u = np.linspace(-1.0, 1.0, n_pol)[:, np.newaxis]
+    su = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    cos, sin = np.array([(math.cos(phi), math.sin(phi)) for phi in azimuths]).T
+    return np.stack(np.broadcast_arrays(su * cos, su * sin, u), axis=-1).reshape(-1, 3)
+
+
+def _support_samples(mu: Measure, resolution: int) -> tuple[np.ndarray, list]:
+    """Deterministic sample points on supp(mu), as the rows of an (n, d)
+    array, and the component each row lies on."""
     d = mu.dimension
-    out: list[tuple[np.ndarray, object]] = []
-    for atom in mu.atoms:
-        out.append((atom.location, atom))
+    blocks = [np.reshape([a.location for a in mu.atoms], (-1, d))]
+    sources: list = list(mu.atoms)
     n_ang = max(16, 2 * resolution)
     theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)
     ring = np.column_stack((np.cos(theta), np.sin(theta)))
+    shell_dirs = ring if d == 2 else _sphere_directions(
+        max(8, resolution), np.arange(n_ang // 2) * (4.0 * math.pi / n_ang))
     for shell in mu.spheres:
-        if d == 2:
-            for w in ring:
-                out.append((shell.center + shell.radius * w, shell))
-        else:
-            n_pol = max(8, resolution)
-            for u in np.linspace(-1.0, 1.0, n_pol):
-                su = math.sqrt(max(1.0 - u * u, 0.0))
-                for phi in np.arange(n_ang // 2) * (4.0 * math.pi / n_ang):
-                    w = np.array([su * math.cos(phi), su * math.sin(phi), u])
-                    out.append((shell.center + shell.radius * w, shell))
+        blocks.append(shell.center + shell.radius * shell_dirs)
+        sources += [shell] * len(shell_dirs)
+    density_dirs = ring if d == 2 else _sphere_directions(
+        max(6, resolution // 2), np.arange(8) * (math.pi / 4.0))
     for comp in mu.radial:
         if comp.kernel_integral(0.0, comp.outer, d) == -math.inf:
-            out.append((comp.center, comp))  # the potential is -inf there
+            blocks.append(comp.center[np.newaxis])  # the potential is -inf there
+            sources.append(comp)
         n_rad = max(4, resolution // 2)
         radii = np.linspace(comp.outer / n_rad, comp.outer, n_rad)
-        if d == 2:
-            dirs = ring
-        else:
-            dirs = []
-            for u in np.linspace(-1.0, 1.0, max(6, resolution // 2)):
-                su = math.sqrt(max(1.0 - u * u, 0.0))
-                for phi in np.arange(8) * (math.pi / 4.0):
-                    dirs.append([su * math.cos(phi), su * math.sin(phi), u])
-            dirs = np.asarray(dirs)
-        for s in radii:
-            for w in dirs:
-                out.append((comp.center + s * np.asarray(w), comp))
-    return out
-
-
-def _project_to_component(p: np.ndarray, comp) -> np.ndarray | None:
-    if isinstance(comp, SphereShell):
-        v = p - comp.center
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return None
-        return comp.center + comp.radius * v / nv
-    if isinstance(comp, RadialDensity):
-        v = p - comp.center
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return None
-        s = min(max(nv, comp.outer * 1e-9), comp.outer)
-        return comp.center + s * v / nv
-    return None
+        blocks.append((comp.center + radii[:, None, None] * density_dirs).reshape(-1, d))
+        sources += [comp] * (n_rad * len(density_dirs))
+    return np.concatenate(blocks), sources
 
 
 class _CountingWalk:
@@ -677,10 +677,9 @@ class _CountingWalk:
         self.evaluations = 0
         self._per_point_cache: dict[tuple[float, ...], tuple[float, float]] = {}
 
-    def evaluate(self, pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         errors = np.empty(len(pts))
-        values = integrated_counting(self.mu, np.array(pts), self.r, self.spec,
-                                     errors=errors)
+        values = integrated_counting(self.mu, pts, self.r, self.spec, errors=errors)
         return values, errors
 
     def _record(self, value: float, error: float) -> None:
@@ -754,25 +753,23 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
     walk = _CountingWalk(mu, r, spec)
     if mu.is_zero:
         return SupResult(0.0, None, resolution, 0), walk.charges
-    candidates: list[tuple[np.ndarray, object]] = []
     if region == SUPPORT:
-        candidates = _support_samples(mu, resolution)
+        candidates, sources = _support_samples(mu, resolution)
         step = max((c.outer for c in mu.radial), default=0.0)
         step = max(step, max((s.radius for s in mu.spheres), default=0.0))
         step = max(step / max(resolution - 1, 1), 1e-6)
     else:
-        candidates = [(p, None) for p in _ball_lattice(region, d, resolution)]
-        for atom in mu.atoms:
-            if _in_ball(atom.location, region):
-                candidates.append((atom.location, atom))
-        for comp in (*mu.spheres, *mu.radial):
-            if _in_ball(comp.center, region):
-                candidates.append((comp.center, None))
+        centres = [a.location for a in mu.atoms]
+        centres += [c.center for c in (*mu.spheres, *mu.radial)]
+        candidates = np.concatenate([
+            _ball_lattice(region, d, resolution),
+            _admissible(np.reshape(centres, (-1, d)), region, None)[1]])
+        sources = [None] * len(candidates)
         step = 2.0 * region / (resolution - 1)
 
     best_src: object = None
-    values, errors = walk.evaluate([p for p, _ in candidates])
-    for (p, src), value, error in zip(candidates, values, errors):
+    values, errors = walk.evaluate(candidates)
+    for p, src, value, error in zip(candidates, sources, values, errors):
         if walk.visit(p, value, error):
             best_src = src
             if math.isinf(walk.best_val):
@@ -784,29 +781,20 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
             offsets = np.linspace(-4.0 * step, 4.0 * step, 9)
             mesh = np.meshgrid(*([offsets] * d), indexing="ij")
             shifts = np.column_stack([m.ravel() for m in mesh])
-            # Speculative batches: the next shifts about the current best,
-            # dropped from the first improvement on and rebuilt about it.
+            # Speculative batches: the first admissible points about the
+            # current best from shift ``start`` on, dropped from the first
+            # improvement on and rebuilt about it.
             start = 0
             while start < len(shifts):
-                batch: list[tuple[int, np.ndarray]] = []
-                k = start
-                while k < len(shifts) and len(batch) < _BATCH_CHUNK:
-                    q = walk.best_pt + shifts[k]
-                    k += 1
-                    if region == SUPPORT:
-                        q = _project_to_component(q, best_src)
-                        if q is None:
-                            continue
-                    elif not _in_ball(q, region):
-                        continue
-                    batch.append((k, q))  # k: where the walk resumes after q
-                start = k
-                if not batch:
+                rows, batch = _admissible(walk.best_pt + shifts[start:], region, best_src)
+                if not len(rows):
                     break
-                values, errors = walk.evaluate([q for _, q in batch])
-                for (k, q), value, error in zip(batch, values, errors):
+                rows, batch = start + rows[:_BATCH_CHUNK], batch[:_BATCH_CHUNK]
+                start = rows[-1] + 1  # where the walk resumes after the batch
+                values, errors = walk.evaluate(batch)
+                for k, q, value, error in zip(rows, batch, values, errors):
                     if walk.visit(q, value, error):
-                        start = k
+                        start = k + 1
                         break
 
     best_pt = walk.best_pt

@@ -92,8 +92,9 @@ class QuadSpec:
     max_subdivisions: int = 2 ** 15
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):  # NaN fails too
-            raise ValueError("QuadSpec tolerances must be positive")
+        # NaN fails the comparisons too.
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("QuadSpec tolerances must be positive and finite")
         if self.max_subdivisions < 8:
             raise ValueError("QuadSpec.max_subdivisions must be at least 8")
         if self.max_subdivisions > MAX_SUBDIVISIONS:

@@ -256,6 +256,14 @@ def test_jobs_flag_is_rejected(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400", "-1", "nan"])
+def test_tol_flag_must_be_positive_and_finite(tmp_path, capsys, tol):
+    code = main(["run", "--bundled", "--out", str(tmp_path / "o"), "--tol", tol])
+    assert code == EXIT_INVALID
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_tight_flag_is_rejected(tmp_path, capsys):
     # The tight statement-II bound is always reported; there is no switch.
     with pytest.raises(SystemExit) as exc:

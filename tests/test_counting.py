@@ -496,7 +496,8 @@ def test_batched_counting_is_rotation_invariant(case, r, seed):
 # scan repeats statement I's and comes from the measure's cache.  The support
 # scan of the area measure settles ties between samples at one distance from
 # the density's center, whose values agree up to rounding, so its argmax
-# follows the last bits of the adaptive values there.
+# follows the last bits of the adaptive values, and of the projection onto
+# the density, there.
 BUNDLED_SCANS = [
     ("atomic_statements_expected_fail", 2.0, 0.5, 9, math.inf, (0.5, 0.0), 33),
     ("atomic_statements_expected_fail", SUPPORT, 0.5, 9, math.inf, (0.5, 0.0), 1),
@@ -505,7 +506,7 @@ BUNDLED_SCANS = [
     ("corollary_rational_area_measure", 1.0, 1.0, 13, 0.49999999999999983,
      (0.0, 0.0), 357),
     ("corollary_rational_area_measure", SUPPORT, 1.0, 13, 0.49999973849260404,
-     (0.000507064507089287, 0.0008881237809024336), 399),
+     (0.000507064507089287, 0.0008881237809024354), 399),
     ("corollary_rational_area_measure", 2.0, 1.0, 13, 0.49999999999999983,
      (0.0, 0.0), 357),
     ("poisson_jensen_harmonic_disc", 1.0, 0.75, 13, 0.4954435528810475,
@@ -531,6 +532,27 @@ def test_bundled_scans_replay_the_pointwise_walk():
             assert res.value == value
         else:
             assert res.value == pytest.approx(value, abs=1e-12)
+
+
+# (region radius or SUPPORT, value, argmax, evaluations) of two d = 3 walks
+# at r = 0.5 and resolution 7 over a centred shell plus an off-centre
+# density; the support walk projects its refinements onto the density.
+SPATIAL_SCANS = [
+    (SUPPORT, 1.345141929375398,
+     (0.13434517664977294, 0.29778267664977304, 0.11962500000000002), 2443),
+    (1.0, 1.3439237350443647,
+     (0.14645833333333336, 0.2968749999999999, 0.12083333333333333), 2312),
+]
+
+
+@pytest.mark.parametrize("radius, value, argmax, evaluations", SPATIAL_SCANS,
+                         ids=["support", "ball"])
+def test_spatial_scans_are_pinned(radius, value, argmax, evaluations):
+    mu = Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
+                 radial=(RadialDensity([0.11, 0.25, 0.1], (0.0, 0.0, 40.0), 0.33),))
+    res = sup_integrated_counting(mu, radius, 0.5, 7, budget=ErrorBudget())
+    assert (res.argmax, res.evaluations) == (argmax, evaluations)
+    assert res.value == pytest.approx(value, abs=1e-12)
 
 
 def test_scans_of_closed_forms_replay_no_tie(monkeypatch):

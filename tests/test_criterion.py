@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nevkit.criterion as criterion
+import nevkit.nevanlinna as nevanlinna
 from nevkit.criterion import (
     FAILS,
     HOLDS,
@@ -392,8 +393,9 @@ def test_support_samples_add_only_singular_centers():
     flat2 = RadialDensity([0.1, 0.0], (1.0,), 0.5)
     singular = RadialDensity([0.0, 0.2, 0.0], (0.3, 1.0), 0.5)
     for comp, d in ((flat3, 3), (flat2, 2), (singular, 3)):
-        samples = _support_samples(Measure(dimension=d, radial=(comp,)), 5)
-        centers = [src for p, src in samples if np.array_equal(p, comp.center)]
+        points, components = _support_samples(Measure(dimension=d, radial=(comp,)), 5)
+        centers = [src for p, src in zip(points, components)
+                   if np.array_equal(p, comp.center)]
         assert centers == ([comp] if comp is singular else [])
 
 
@@ -495,6 +497,24 @@ def test_corollary_rhs_composition():
     from nevkit.measures import sup_integrated_counting
     sup = sup_integrated_counting(mu, 2.0, 1.0, 9).value
     assert rep.rhs == pytest.approx(15.0 * t_gap * (1.0 + sup), rel=1e-9)
+
+
+def test_corollary_computes_the_mean_of_ln_f_once(monkeypatch):
+    # classical_T and difference_T each compute the circle mean of ln+|f| at
+    # R; the corollary's gap and its cross-check share one.
+    radii = []
+    real = nevanlinna.proximity
+
+    def counted(u, R, *args, **kwargs):
+        radii.append(R)
+        return real(u, R, *args, **kwargs)
+
+    monkeypatch.setattr(nevanlinna, "proximity", counted)
+    monkeypatch.setattr(criterion, "proximity", counted, raising=False)
+    f = RationalFunction(zeros=(0.5,), poles=(2.0, 2.0), scale=1.0)
+    rep = check_corollary(f, circle(), 1.0, 2.0, resolution=9)
+    assert radii == [2.0]
+    assert rep.verdict == HOLDS
 
 
 def test_corollary_rejects_dimension_three():

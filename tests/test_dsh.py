@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -464,6 +465,32 @@ def test_contact_split_moves_no_value_beyond_the_budgets(case):
     new = positive_part_integral(u, Measure(u.dimension, radial=(comp,)), budget=new_budget)
     assume(old_budget.ok and new_budget.ok)
     assert abs(new - old) <= old_budget.error + new_budget.error, (new, old)
+
+
+def test_contact_split_matches_the_exact_ring_integral():
+    # A case the property above fails on (seed 3): its pre-split route gives
+    # 0.0013090867135003654 with an error estimate of 1.0e-15, 9.7e-12 from
+    # the exact value.  With u = 1/|x - e3| - c, the mean of u+ over the
+    # sphere S(0, s) is M(s) = ((sqrt(s^2 + 1 - 2 s t0) - (1 - s)) / s
+    # - c (1 - t0)) / 2, where u > 0 exactly for cos(angle to e3) > t0.
+    c = 0.9995120760870788
+    u = DshFunction(3, (Charge(np.array([0.0, 0.0, 1.0]), -1.0),),
+                    HarmonicPart((("const", -c),)))
+    comp = RadialDensity(np.zeros(3), (0.0, 1.0), 0.25)
+    budget = ErrorBudget()
+    value = positive_part_integral(u, Measure(3, radial=(comp,)), budget=budget)
+    assert budget.ok
+
+    with mpmath.workdps(30):
+        cm = mpmath.mpf(c)
+
+        def ring(s):
+            t0 = min(max((s * s + 1 - 1 / cm ** 2) / (2 * s), -1), 1)
+            return ((mpmath.sqrt(s * s + 1 - 2 * s * t0) - (1 - s)) / s - cm * (1 - t0)) / 2
+
+        # Split where the sphere first touches u = 0.
+        exact = float(mpmath.quad(lambda s: s * ring(s), [0, 1 / cm - 1, mpmath.mpf(1) / 4]))
+    assert abs(value - exact) <= budget.error, (value, exact, budget.error)
 
 
 def test_contact_split_leaves_one_panel_each_side(monkeypatch):

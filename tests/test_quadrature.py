@@ -333,7 +333,8 @@ def test_stieltjes_jumps_half_open_interval():
 
 @pytest.mark.parametrize("fields", [
     {"abs_tol": math.nan}, {"rel_tol": 0.0}, {"max_subdivisions": 2 ** 20 + 1},
-    {"max_subdivisions": 7}, {"abs_tol": -1e-10},
+    {"max_subdivisions": 7}, {"abs_tol": -1e-10}, {"abs_tol": math.inf},
+    {"rel_tol": math.inf},
 ])
 def test_quad_spec_rejects_out_of_range_fields(fields):
     with pytest.raises(ValueError):
