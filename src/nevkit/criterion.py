@@ -302,17 +302,11 @@ def check_statement_IV(mu: Measure, *, resolution: int = DEFAULT_RESOLUTION,
     if not len(points):
         return CheckReport(name, math.inf, math.inf, 0.0, BASE_TOLERANCE,
                            HOLDS, ("empty support",))
-    inf_val = math.inf
-    argmin = None
-    for p in points:
-        v = potential(mu, p)
-        if v < inf_val:
-            inf_val, argmin = v, p
-            if v == -math.inf:
-                break
-    diag = [f"grid infimum {_fmt(inf_val)} over {len(points)} support points"]
-    if argmin is not None:
-        diag.append("argmin " + "(" + ", ".join(_fmt(v) for v in argmin) + ")")
+    values = potential(mu, points)
+    i = int(np.argmin(values))  # the first minimum
+    inf_val = float(values[i])
+    diag = [f"grid infimum {_fmt(inf_val)} over {len(points)} support points",
+            "argmin (" + ", ".join(_fmt(v) for v in points[i]) + ")"]
     verdict = FAILS if inf_val == -math.inf else HOLDS
     return CheckReport(name, inf_val, math.inf, 0.0, BASE_TOLERANCE, verdict,
                        tuple(diag))

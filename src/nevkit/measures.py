@@ -69,6 +69,11 @@ class SphereShell:
             raise ValueError("SphereShell.mass must be positive and finite")
 
 
+def _float_or_array(x):
+    """A 0-d result as a float, anything else as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _critical_radii(coeffs: tuple[float, ...], outer: float) -> np.ndarray:
     """Points of (0, outer) that cover the critical points of the polynomial.
 
@@ -119,35 +124,40 @@ class RadialDensity:
             total = total * t + c
         return total
 
-    def mass_within(self, t: float) -> float:
-        """Mass of the component within distance t of its own center."""
-        hi = min(max(t, 0.0), self.outer)
+    def mass_within(self, t):
+        """Mass of the component within distance t of its own center; t is a
+        float, which gives a float, or an array."""
+        hi = np.minimum(np.maximum(t, 0.0), self.outer)
         total = 0.0
         for k in reversed(range(len(self.coeffs))):
             total = total * hi + self.coeffs[k] / (k + 1)
-        return float(total * hi)
+        return _float_or_array(total * hi)
 
-    def kernel_integral(self, lo: float, hi: float, d: int) -> float:
-        """integral_lo^hi density(s) * kappa(s) ds for 0 <= lo <= hi, d in {2, 3}.
+    def kernel_integral(self, lo, hi, d: int):
+        """integral_lo^hi density(s) * kappa(s) ds for 0 <= lo and d in {2, 3};
+        0 where lo >= hi.  Floats give a float, arrays an array.
 
         Term k has the antiderivative s**(k+1) * (ln s / (k+1) - 1 / (k+1)**2)
         for d = 2 and -s**k / k (-ln s for k = 0) for d = 3.  Each vanishes at
         s = 0 except -ln s, so from lo = 0 the d = 3 integral is -inf when
-        coeffs[0] > 0.
+        coeffs[0] > 0.  Logarithms come from numpy's loop, as in ``kappa``.
         """
-        if lo >= hi:
-            return 0.0
-        if lo == 0.0 and d == 3 and self.coeffs[0] > 0.0:
-            return -math.inf
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
-        def primitive(s: float) -> float:
-            ls = math.log(s) if s > 0.0 else 0.0  # every term left is 0 at s = 0
-            if d == 2:
-                return sum(c * s ** (k + 1) * (ls / (k + 1) - 1.0 / (k + 1) ** 2)
-                           for k, c in enumerate(self.coeffs))
-            return -sum(c * (s ** k / k if k else ls) for k, c in enumerate(self.coeffs))
+        def primitive(s: np.ndarray) -> np.ndarray:
+            ls = np.log(np.where(s > 0.0, s, 1.0))  # every term left is 0 at s = 0
+            total = 0.0
+            for k, c in enumerate(self.coeffs):
+                if d == 2:
+                    total = total + c * s ** (k + 1) * (ls / (k + 1) - 1.0 / (k + 1) ** 2)
+                else:
+                    total = total - c * (s ** k / k if k else ls)
+            return total
 
-        return primitive(hi) - primitive(lo)
+        value = primitive(hi) - primitive(lo)
+        if d == 3 and self.coeffs[0] > 0.0:
+            value = np.where(lo == 0.0, -math.inf, value)
+        return _float_or_array(np.where(lo < hi, value, 0.0))
 
     @property
     def total(self) -> float:
@@ -337,13 +347,10 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
 # Batched integrated counting.  _PANEL_NODES: Gauss-Legendre nodes per panel
 # of the coarse rule (the fine rule has twice as many).  _BATCH_CHUNK: points
 # per vectorised block, which bounds the temporaries at about
-# _BATCH_CHUNK * panels * 3 * _PANEL_NODES values.  _GRADED_LEVELS: most
-# geometric kinks per panel set, enough for center distances down to about
-# 4**-16 r.  _TIE_ULPS: rounding slack, in ulps, below which two scan values
-# count as tied.
+# _BATCH_CHUNK * 2 panels * 3 * _PANEL_NODES values.  _TIE_ULPS: rounding
+# slack, in ulps, below which two scan values count as tied.
 _PANEL_NODES = 16
 _BATCH_CHUNK = 64
-_GRADED_LEVELS = 16
 _TIE_ULPS = 16
 
 
@@ -356,28 +363,36 @@ def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - np.cos(phi)), w * (0.25 * math.pi) * np.sin(phi)
 
 
+def _inner_rings(comp: RadialDensity, a, r: float, d: int):
+    """Integral of density(s) * _shell_counting_kernel(a, s, r) over the rings
+    inside the ball, s <= r - a, for center distances a >= 0 (a float or an
+    array): there the kernel is kappa(r) - kappa(max(a, s)) (Gauss mean
+    value), which integrates to kappa(r) m(inner) - kappa(a) m(split) -
+    kernel_integral(split, inner) with inner = min(r - a, outer) and split =
+    min(a, inner).  +inf at the centre of a d = 3 density with coeffs[0] > 0.
+    """
+    inner = np.minimum(np.maximum(r - a, 0.0), comp.outer)
+    split = np.minimum(a, inner)
+    # m(split) is exactly 0 at a = 0, where kappa(a) would be -inf.
+    near = kappa(np.where(a > 0.0, a, 1.0), d) * comp.mass_within(split)
+    return (kappa(r, d) * comp.mass_within(inner) - near
+            - comp.kernel_integral(split, inner, d))
+
+
 def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of density(s) * _shell_counting_kernel(a, s, r) over s for
-    each center distance a > 0, with their n-against-2n error estimates.
+    """Integrals of density(s) * _shell_counting_kernel(a, s, r) over the
+    rings that cross the sphere, |r - a| < s < min(r + a, outer), for each
+    center distance a, with their n-against-2n error estimates.
 
-    Each integral runs over fixed panels between the kernel's kinks
-    |a - r|, a and a + r, inside the window [a - r, a + r] where the kernel
-    is nonzero.  Every point gets the batch's panel edges, clipped to its
-    own window, so many of its panels collapse to zero width: the density
-    and the kernel are evaluated on the live panels only, and the dead ones
-    contribute exact zeros.
+    The window is two panels split at the kernel's kink s = a, each
+    cosine-mapped.  A panel that the window clips to zero width is dead: the
+    density and the kernel are evaluated on the live panels only, and the
+    dead ones contribute exact zeros.
     """
-    lo = np.maximum(a - r, 0.0)
-    hi = np.maximum(np.minimum(a + r, comp.outer), lo)
-    kinks = [lo, np.abs(a - r), a, a + r, hi]
-    # Where the shell is inside the ball, kappa(s) is singular at s = 0, a
-    # distance a below the panel [a, r - a]; geometric kinks a * 4**k keep
-    # every panel at least a third of its width away from it.
-    ratio = float(np.max((r - a) / a, initial=1.0))
-    for k in range(1, min(math.ceil(math.log(ratio, 4.0)), _GRADED_LEVELS) + 1):
-        kinks.append(np.minimum(a * 4.0 ** k, np.abs(a - r)))
-    edges = np.sort(np.clip(np.column_stack(kinks), lo[:, None], hi[:, None]), axis=1)
+    lo = np.abs(r - a)
+    hi = np.maximum(np.minimum(r + a, comp.outer), lo)
+    edges = np.column_stack((lo, np.minimum(np.maximum(a, lo), hi), hi))
     width = np.diff(edges, axis=1)
     live = width > 0.0
     left = edges[:, :-1][live][:, None]
@@ -387,12 +402,10 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     def panel_integrals(n: int) -> np.ndarray:
         u, w = _cosine_panel_rule(n)
         s = left + live_width * u
-        # Scattered back into the full (points, panels, nodes) layout, so
-        # that f @ w and the panel sums add in the same order as over all
-        # panels, bit for bit.
-        f = np.zeros(live.shape + (n,))
-        f[live] = comp.density(s) * _shell_counting_kernel(center_dist, s, r, d)
-        return np.where(live, width * (f @ w), 0.0)
+        out = np.zeros(live.shape)
+        out[live] = live_width[:, 0] * (
+            (comp.density(s) * _shell_counting_kernel(center_dist, s, r, d)) @ w)
+        return out
 
     coarse = panel_integrals(_PANEL_NODES)
     fine = panel_integrals(2 * _PANEL_NODES)
@@ -402,8 +415,7 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
 
 def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
     """The integrated counting at each row of ``pts`` from atoms (+inf at an
-    atom), shells, and densities at their own center, where it is
-    kappa(r) m(h) - kernel_integral(0, h) with h = min(r, outer)."""
+    atom), shells, and each density's rings inside the ball."""
     d = mu.dimension
     kr = kappa(r, d)
     total = np.zeros(len(pts))
@@ -415,10 +427,7 @@ def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
         a = row_norms(pts - shell.center)
         total += shell.mass * _shell_counting_kernel(a, shell.radius, r, d)
     for comp in mu.radial:
-        centre = row_norms(pts - comp.center) == 0.0
-        if centre.any():
-            h = min(r, comp.outer)
-            total[centre] += kr * comp.mass_within(h) - comp.kernel_integral(0.0, h, d)
+        total += _inner_rings(comp, row_norms(pts - comp.center), r, d)
     return total
 
 
@@ -433,12 +442,9 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
     total = _closed_counting(mu, pts, r)
     err = np.zeros(len(pts))
     for comp in mu.radial:
-        a = row_norms(pts - comp.center)
-        off = a > 0.0
-        if off.any():
-            value, error = _radial_block(comp, a[off], r, mu.dimension)
-            total[off] += value
-            err[off] += error
+        value, error = _radial_block(comp, row_norms(pts - comp.center), r, mu.dimension)
+        total += value
+        err += error
     ok = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
     return total, np.where(ok, err, 0.0), ok
 
@@ -446,27 +452,15 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
 def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
                  ) -> tuple[float, float]:
     """The integrated counting at one point and its error estimate (+inf
-    when a quadrature failed): closed forms, plus adaptive quadrature for
-    each density the point is off the center of.
-
-    Shells of such a density that lie inside the ball, s <= r - a, have the
-    kernel kappa(r) - kappa(max(a, s)) (Gauss mean value), which integrates
-    in closed form; quadrature covers only the shells that cross the sphere,
-    |r - a| < s < r + a.
+    when a quadrature failed): the closed forms of ``_closed_counting``,
+    plus one adaptive quadrature over the rings of each density that cross
+    the sphere, |r - a| < s < min(r + a, outer).
     """
     d = mu.dimension
     point = ErrorBudget()
     total = float(_closed_counting(mu, y[np.newaxis, :], r)[0])
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - y))
-        if a == 0.0:
-            continue
-        inner = min(r - a, comp.outer)
-        if inner > 0.0:
-            split = min(a, inner)
-            total += (kappa(r, d) * comp.mass_within(inner)
-                      - kappa(a, d) * comp.mass_within(split)
-                      - comp.kernel_integral(split, inner, d))
         lo, hi = abs(r - a), min(r + a, comp.outer)
         if lo < hi:
             res = integrate_1d(
@@ -474,6 +468,16 @@ def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
                 lo, hi, spec, points=(a,), budget=point, label="integrated-counting")
             total += res.value
     return total, point.error if point.ok else math.inf
+
+
+def _as_points(y, d: int) -> tuple[np.ndarray, bool]:
+    """``y`` as an (n, d) array of points, and whether it was one point (d,)."""
+    pts = np.asarray(y, dtype=float)
+    if pts.ndim < 2:
+        return as_point(y, d)[np.newaxis], True
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
+    return pts, False
 
 
 def _charge(budget: ErrorBudget | None, value: float, error: float) -> None:
@@ -489,12 +493,13 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     Evaluated per component through the equivalent form
     integral over the closed ball B(y, r) of (kappa(r) - kappa(|x - y|)) dmu:
     closed form for atoms (and +inf when an atom sits exactly at y), for
-    shells and for densities at their own center, and a radial integral of
-    the shell kernel for densities off their center.
+    shells and for each density's rings inside the ball, and a radial
+    integral of the shell kernel over the density's rings that cross the
+    sphere |x - y| = r.
 
     ``y`` is one point (d,), which gives a float by adaptive quadrature, or
     an (n, d) array of points, which gives an (n,) array.  The array form
-    integrates off-center densities on fixed panels, charges each point's
+    integrates the crossing rings on fixed panels, charges each point's
     n-against-2n error estimate, and sends any point whose estimate misses
     the spec's tolerance to the adaptive path.
     ``errors``, an (n,) array, receives each point's error estimate, with
@@ -502,14 +507,11 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     """
     if r <= 0.0:
         raise ValueError("integrated_counting: r must be positive")
-    d = mu.dimension
-    pts = np.asarray(y, dtype=float)
-    if pts.ndim < 2:
-        value, error = _counting_at(mu, as_point(y, d), r, spec)
+    pts, one = _as_points(y, mu.dimension)
+    if one:
+        value, error = _counting_at(mu, pts[0], r, spec)
         _charge(budget, value, error)
         return value
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
     values = np.empty(len(pts))
     errs = np.empty(len(pts))
     for start in range(0, len(pts), _BATCH_CHUNK):
@@ -560,27 +562,29 @@ def difference_counting(mu: Measure, r: float, R: float,
     return float(total)
 
 
-def potential(mu: Measure, x) -> float:
+def potential(mu: Measure, x):
     """Kernel potential integral of kappa(|y - x|) dmu(y); -inf is legitimate.
 
     Shells contribute the closed form mass * kappa(max(radius, |x - center|)),
     and densities, through the same mean-value fact, kappa(a) m(a) plus
-    ``kernel_integral`` from a = |x - center| to the outer radius.
+    ``kernel_integral`` from a = |x - center| to the outer radius.  ``x`` is
+    one point (d,), which gives a float, or an (n, d) array of points, which
+    gives an (n,) array.
     """
     d = mu.dimension
-    x = as_point(x, d)
-    total = 0.0
+    pts, one = _as_points(x, d)
+    total = np.zeros(len(pts))
     for atom in mu.atoms:
-        total += atom.mass * kappa(float(np.linalg.norm(atom.location - x)), d)
+        total += atom.mass * kappa(row_norms(pts - atom.location), d)
     for shell in mu.spheres:
-        a = float(np.linalg.norm(shell.center - x))
-        total += shell.mass * kappa(max(a, shell.radius), d)
+        a = row_norms(pts - shell.center)
+        total += shell.mass * kappa(np.maximum(a, shell.radius), d)
     for comp in mu.radial:
-        a = float(np.linalg.norm(comp.center - x))
-        if a > 0.0:
-            total += kappa(a, d) * comp.mass_within(a)
-        total += comp.kernel_integral(min(a, comp.outer), comp.outer, d)
-    return float(total)
+        a = row_norms(pts - comp.center)
+        # m(a) is exactly 0 at a = 0, where kappa(a) would be -inf.
+        total += kappa(np.where(a > 0.0, a, 1.0), d) * comp.mass_within(a)
+        total += comp.kernel_integral(np.minimum(a, comp.outer), comp.outer, d)
+    return float(total[0]) if one else total
 
 
 def _admissible(qs: np.ndarray, region, src) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from nevkit.cli import bundled_scenario_paths
 from nevkit.dsh import RationalFunction, from_rational, positive_part_integral
 from nevkit.kernels import constant_A
 from nevkit.measures import (
-    _GRADED_LEVELS,
     _PANEL_NODES,
     SUPPORT,
     Atom,
@@ -30,6 +29,7 @@ from nevkit.measures import (
     _ball_lattice,
     _cap_fraction,
     _cosine_panel_rule,
+    _inner_rings,
     _radial_block,
     _shell_counting_kernel,
     difference_counting,
@@ -232,6 +232,128 @@ def test_potential_of_off_center_density_matches_mpmath(d):
     assert math.isfinite(potential(singular, [0.1, 0.0, 1e-9]))
 
 
+# Center distances for r = 0.6 and outer = 0.5: the centre, r - a >= outer
+# (the whole density inside the ball), 0 < a < r / 2, r / 2 < a < r and
+# a > r.
+INNER_RING_DISTANCES = [0.0, 0.05, 0.2, 0.45, 0.7]
+INNER_RING_DENSITIES = [(2, (0.3, 0.9, 0.5)), (3, (0.0, 1.0, 2.0)), (3, (0.5, 0.0, 1.0))]
+
+
+def _mp_inner_rings(coeffs, a, r, outer, d):
+    """integral over 0 <= s <= min(r - a, outer) of
+    density(s) * (kappa(r) - kappa(max(a, s))), by mpmath quadrature."""
+    a, r, outer = mpmath.mpf(a), mpmath.mpf(r), mpmath.mpf(outer)
+    inner = min(r - a, outer)
+    if inner <= 0:
+        return mpmath.mpf(0)
+    f = _mp_density(coeffs)
+    knots = [0, a, inner] if 0 < a < inner else [0, inner]
+    return mpmath.quad(lambda s: f(s) * (_mp_kappa(r, d) - _mp_kappa(max(a, s), d)), knots)
+
+
+def _mp_crossing_rings(coeffs, a, r, outer, d):
+    """integral over |r - a| < s < min(r + a, outer) of density(s) times the
+    shell kernel: the mpmath quadrature ``_oracle_kernel`` in the plane, and
+    in d = 3 its integral over the polar angle, where sin(phi) / dist is
+    d(dist) / (a s): (r - |a - s|) / (2 a s) - (1 - c0) / (2 r)."""
+    lo, hi = abs(r - a), min(r + a, outer)
+    if lo >= hi:
+        return mpmath.mpf(0)
+    f = _mp_density(coeffs)
+    a, r = mpmath.mpf(a), mpmath.mpf(r)
+
+    def kernel(s):
+        if d == 2:
+            return _oracle_kernel(a, s, r, d)
+        c0 = (a * a + s * s - r * r) / (2 * a * s)
+        return (r - abs(a - s)) / (2 * a * s) - (1 - c0) / (2 * r)
+
+    knots = [lo, a, hi] if lo < a < hi else [lo, hi]
+    with mpmath.workdps(15):
+        return mpmath.quad(lambda s: f(s) * kernel(s), knots)
+
+
+@pytest.mark.parametrize("d, coeffs", INNER_RING_DENSITIES)
+def test_inner_rings_match_mpmath(d, coeffs):
+    comp = RadialDensity(np.zeros(d), coeffs, 0.5)
+    r = 0.6
+    values = _inner_rings(comp, np.array(INNER_RING_DISTANCES), r, d)
+    for a, from_array in zip(INNER_RING_DISTANCES, values):
+        value = _inner_rings(comp, a, r, d)
+        assert isinstance(value, float) and value == from_array
+        if a == 0.0 and d == 3 and coeffs[0] > 0.0:
+            assert value == math.inf  # the volume density is c0 / (4 pi t**2)
+            continue
+        exact = _mp_inner_rings(coeffs, a, r, comp.outer, d)
+        assert value == pytest.approx(float(exact), rel=1e-13, abs=1e-15), a
+
+
+@pytest.mark.parametrize("d, coeffs", INNER_RING_DENSITIES)
+def test_integrated_counting_of_a_density_matches_mpmath(d, coeffs):
+    # Both forms, against the inner rings plus the crossing rings, each
+    # within its reported error and a few ulps of rounding.
+    comp = RadialDensity(np.zeros(d), coeffs, 0.5)
+    mu = Measure(dimension=d, radial=(comp,))
+    r = 0.6
+    direction = np.array([0.6, 0.8, 0.0][:d]) if d == 2 else np.array([0.48, 0.6, 0.64])
+    pts = np.outer(INNER_RING_DISTANCES, direction)
+    errors = np.empty(len(pts))
+    batch = integrated_counting(mu, pts, r, errors=errors)
+    for p, value, error in zip(pts, batch, errors):
+        point = ErrorBudget()
+        single = integrated_counting(mu, p, r, budget=point)
+        assert point.ok
+        a = float(np.linalg.norm(p))
+        if a == 0.0 and d == 3 and coeffs[0] > 0.0:
+            assert value == single == math.inf
+            continue
+        exact = float(_mp_inner_rings(coeffs, a, r, comp.outer, d)
+                      + _mp_crossing_rings(coeffs, a, r, comp.outer, d))
+        slack = 1e-14 * (1.0 + abs(exact))
+        assert abs(value - exact) <= error + slack, (a, value, exact, error)
+        assert abs(single - exact) <= point.error + slack, (a, single, exact, point.error)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_density_primitives_on_arrays_equal_their_float_calls(d):
+    rng = np.random.default_rng(60 + d)
+    for i in range(8):
+        comp = _random_density(rng, d, c0_zero=i % 2 == 0)
+        t = np.concatenate([[0.0, comp.outer, -0.5, 2.0 * comp.outer],
+                            rng.uniform(0.0, comp.outer, size=12)])
+        masses = comp.mass_within(t)
+        assert [comp.mass_within(float(v)) for v in t] == masses.tolist()
+        lo = np.concatenate([[0.0, 0.0, 0.3 * comp.outer], rng.uniform(0.0, comp.outer, 12)])
+        hi = np.concatenate([[comp.outer, 0.0, 0.1 * comp.outer],
+                             rng.uniform(0.0, comp.outer, 12)])
+        integrals = comp.kernel_integral(lo, hi, d)
+        floats = [comp.kernel_integral(float(u), float(v), d) for u, v in zip(lo, hi)]
+        assert all(isinstance(v, float) for v in floats)
+        assert floats == integrals.tolist()
+        assert integrals[1] == 0.0 and integrals[2] == 0.0  # lo >= hi
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_potential_on_arrays_equals_its_point_calls(d):
+    rng = np.random.default_rng(70 + d)
+    atom = Atom(rng.uniform(-0.5, 0.5, size=d), 0.7)
+    shell = SphereShell(rng.uniform(-0.5, 0.5, size=d), 0.4, 1.3)
+    off = _random_density(rng, d)
+    centred = RadialDensity(np.zeros(d), (0.5, 0.0, 1.0), 0.6)  # singular in d = 3
+    mu = Measure(dimension=d, atoms=(atom,), spheres=(shell,), radial=(off, centred))
+    pts = np.concatenate([rng.uniform(-1.5, 1.5, size=(20, d)),
+                          [atom.location, np.zeros(d), off.center, shell.center]])
+    values = potential(mu, pts)
+    singles = [potential(mu, p) for p in pts]
+    assert all(isinstance(v, float) for v in singles)
+    assert singles == values.tolist()
+    assert values[-4] == -math.inf
+    assert (values[-3] == -math.inf) == (d == 3)
+    assert np.all(np.isfinite(values[:20]))
+    with pytest.raises(ValueError):
+        potential(mu, np.zeros((2, d + 1)))
+
+
 def _mp_cap(a, s, t, d):
     """Fraction of the sphere of radius s, centred at distance a from y,
     inside the closed ball of radius t about y."""
@@ -380,44 +502,17 @@ def test_batch_charges_the_budget_and_rejects_bad_shapes():
         integrated_counting(_disc_area(), np.zeros((2, 3)), 1.0)
 
 
-def _radial_block_on_all_panels(comp, a, r, d):
-    """_radial_block with the density and the kernel evaluated on every
-    panel, the zero-width ones included, and the number of live panels."""
-    lo = np.maximum(a - r, 0.0)
-    hi = np.maximum(np.minimum(a + r, comp.outer), lo)
-    kinks = [lo, np.abs(a - r), a, a + r, hi]
-    ratio = float(np.max((r - a) / a, initial=1.0))
-    for k in range(1, min(math.ceil(math.log(ratio, 4.0)), _GRADED_LEVELS) + 1):
-        kinks.append(np.minimum(a * 4.0 ** k, np.abs(a - r)))
-    edges = np.sort(np.clip(np.column_stack(kinks), lo[:, None], hi[:, None]), axis=1)
-    left, width = edges[:, :-1, None], np.diff(edges, axis=1)
-
-    def panel_integrals(n):
-        u, w = _cosine_panel_rule(n)
-        s = left + width[:, :, None] * u
-        f = comp.density(s) * _shell_counting_kernel(a[:, None, None], s, r, d)
-        return np.where(width > 0.0, width * (f @ w), 0.0)
-
-    coarse = panel_integrals(_PANEL_NODES)
-    fine = panel_integrals(2 * _PANEL_NODES)
-    value = fine.sum(axis=1)
-    error = np.maximum(np.abs(fine - coarse).sum(axis=1), 1e-16 * np.abs(value))
-    return value, error, int(np.count_nonzero(width > 0.0))
-
-
 @pytest.mark.parametrize("d, coeffs", [(2, (0.3, 0.9)), (3, (0.0, 1.0, 2.0)),
                                        (3, (0.5, 0.0, 1.0))])
-def test_radial_block_skips_dead_panels_bit_for_bit(monkeypatch, d, coeffs):
-    # A point 1e-6 from the center gives the batch 10 graded kinks, which
-    # the far points clip to their windows' ends: most panels are dead.
+def test_radial_block_runs_the_kernel_on_live_panels_only(monkeypatch, d, coeffs):
+    # The crossing window |r - a| < s < min(r + a, outer) splits at s = a.
+    # Distance 0 (the centre), 0.2 (the ball holds the whole density) and
+    # 1.9 (the ball misses it) leave no crossing ring; 0.3 (a < r / 2) and
+    # 1.2 (a > outer) have one panel, 0.6 and 0.7 two.
     comp = RadialDensity(np.zeros(d), coeffs, 0.8)
-    a = np.array([1e-6, 0.05, 0.3, 0.55, 0.9, 1.2, 1.6])
-    r = 0.5
-    value, error, live = _radial_block_on_all_panels(comp, a, r, d)
-    panels = len(a) * (5 + 10 - 1)
-    assert live < panels / 2
-    got = _radial_block(comp, a, r, d)
-    assert np.array_equal(got[0], value) and np.array_equal(got[1], error)
+    a = np.array([0.0, 0.2, 0.3, 0.6, 0.7, 1.2, 1.9])
+    r = 1.0
+    live = np.array([0, 0, 1, 2, 2, 1, 0])
 
     nodes = []
 
@@ -426,8 +521,11 @@ def test_radial_block_skips_dead_panels_bit_for_bit(monkeypatch, d, coeffs):
         return _shell_counting_kernel(center_dist, s, r, d)
 
     monkeypatch.setattr(measures, "_shell_counting_kernel", counted)
-    _radial_block(comp, a, r, d)
-    assert sum(nodes) == 3 * _PANEL_NODES * live
+    value, error = _radial_block(comp, a, r, d)
+    assert sum(nodes) == 3 * _PANEL_NODES * live.sum()
+    dead = live == 0
+    assert np.all(value[dead] == 0.0) and np.all(error[dead] == 0.0)
+    assert np.all(value[~dead] > 0.0)
 
 
 _unit = st.floats(min_value=-1.0, max_value=1.0)

@@ -38,6 +38,7 @@ from nevkit.measures import (
     SphereShell,
     _support_samples,
     difference_counting,
+    potential,
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
 from nevkit.quadrature import ErrorBudget, QuadSpec
@@ -373,6 +374,21 @@ def test_statement_IV_atom_fails():
 def test_statement_IV_empty_support_holds():
     rep = check_statement_IV(Measure(dimension=2))
     assert rep.verdict == HOLDS
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_statement_IV_reports_the_first_of_equal_minima(d):
+    # On a centred shell of radius 0.5 the potential is the same float at
+    # every support sample, so the argmin is the first sample, as a
+    # point-by-point strict-< scan finds it.
+    mu = Measure(dimension=d, spheres=(SphereShell(np.zeros(d), 0.5, 1.0),))
+    points, _ = _support_samples(mu, 5)
+    values = potential(mu, points)
+    assert np.all(values == values[0])
+    rep = check_statement_IV(mu, resolution=5)
+    assert rep.lhs == values[0]
+    first = "argmin (" + ", ".join(f"{v:.9g}" for v in points[0]) + ")"
+    assert rep.diagnostics[1] == first
 
 
 def test_singular_density_center_fails_I_IV_V():
