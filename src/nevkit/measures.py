@@ -275,7 +275,10 @@ def _shell_window(a, s, r: float, kr: float, d: int):
 
     Floats or arrays: the d = 3 window integrates in closed form and the
     d = 2 window reduces to the imaginary part of a dilogarithm,
-    Li2(z) = spence(1 - z).
+    Li2(z) = spence(1 - z), which costs about 2 microseconds an element.
+    So a density's planar crossing rings are integrated by parts against
+    ``_window_slope``, and reach this only for the end term of a window
+    that the density's ``outer`` cuts.
     """
     if d == 3:
         gap = r - np.abs(a - s)
@@ -285,6 +288,25 @@ def _shell_window(a, s, r: float, kr: float, d: int):
     mx = np.maximum(a, s)
     z = np.minimum(a, s) / mx * np.exp(1j * theta)
     return (theta * (kr - np.log(mx)) + spence(1.0 - z).imag) / np.pi
+
+
+def _window_slope(a, s, r: float):
+    """d/ds of the planar window kernel ``_shell_window(a, s, r, kr, 2)``
+    for a shell that crosses the circle |x - y| = r; floats or arrays.
+
+    The kernel is the arc mean of log r - log|x - y| over the arc of
+    half-angle theta, cos theta = (a**2 + s**2 - r**2) / (2 a s), that lies
+    within r of y.  The integrand vanishes at the arc's ends, so the slope
+    is the arc integral of -d/ds log|x - y|:
+    -(theta + 2 sgn(s - a) atan((s + a) / |s - a| tan(theta / 2))) / (2 pi s).
+    At s = a the slope jumps by 1 / s, and the formula gives the mean of
+    its two sides.
+    """
+    c0 = (a * a + s * s - r * r) / (2.0 * a * s)
+    theta = np.arccos(np.minimum(np.maximum(c0, -1.0), 1.0))
+    # atan2 needs no division by |s - a|: at s = a it is pi / 2, its sign 0.
+    turn = np.sign(s - a) * np.arctan2((s + a) * np.tan(0.5 * theta), np.abs(s - a))
+    return -(theta + 2.0 * turn) / (2.0 * math.pi * s)
 
 
 def _shell_counting_kernel(a, s, r: float, d: int):
@@ -345,13 +367,17 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
 
 
 # Batched integrated counting.  _PANEL_NODES: Gauss-Legendre nodes per panel
-# of the coarse rule (the fine rule has twice as many).  _BATCH_CHUNK: points
-# per vectorised block, which bounds the temporaries at about
-# _BATCH_CHUNK * 2 panels * 3 * _PANEL_NODES values.  _TIE_ULPS: rounding
-# slack, in ulps, below which two scan values count as tied.
+# of the coarse rule in d = 3 (the fine rule has twice as many).  The planar
+# by-parts integrand takes twice as many in both rules, 32 and 64: at 16
+# against 32 its error estimates reached 1e-9.  _BATCH_CHUNK: points per
+# vectorised block, which bounds the temporaries at about _BATCH_CHUNK * 2
+# panels * 6 * _PANEL_NODES values.  _TIE_ULPS: rounding slack, in ulps,
+# below which two scan values count as tied; _TIE_SLACK is that slack
+# relative to the larger value.
 _PANEL_NODES = 16
 _BATCH_CHUNK = 64
 _TIE_ULPS = 16
+_TIE_SLACK = _TIE_ULPS * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -379,6 +405,36 @@ def _inner_rings(comp: RadialDensity, a, r: float, d: int):
             - comp.kernel_integral(split, inner, d))
 
 
+def _crossing_integrand(comp: RadialDensity, a, lo, r: float, d: int):
+    """The integrand over s of a density's rings that cross the sphere,
+    lo = |r - a| < s < min(r + a, outer), at center distance a (floats, or
+    arrays that broadcast against s).
+
+    In d = 3 it is density(s) * _shell_counting_kernel(a, s, r).  In the
+    plane it is the by-parts form -m(s) * _window_slope(a, s, r), with
+    m(s) = mass_within(s) - mass_within(lo), whose integral plus
+    ``_planar_window_end`` is the same integral without a dilogarithm.
+    """
+    if d == 3:
+        return lambda s: comp.density(s) * _shell_counting_kernel(a, s, r, d)
+    below = comp.mass_within(lo)
+    return lambda s: (below - comp.mass_within(s)) * _window_slope(a, s, r)
+
+
+def _planar_window_end(comp: RadialDensity, a: np.ndarray, lo: np.ndarray, r: float
+                       ) -> np.ndarray:
+    """The end term m(hi) * K(a, hi, r) of the planar crossing rings by
+    parts, at each center distance a with lo = |r - a|.  K vanishes at
+    hi = r + a and m at hi = lo, so only a window that ``outer`` cuts,
+    lo < outer < r + a, calls ``_shell_window``; every other term is 0.
+    """
+    cut = (comp.outer < r + a) & (lo < comp.outer)
+    end = np.zeros(a.shape)
+    end[cut] = ((comp.total - comp.mass_within(lo[cut]))
+                * _shell_window(a[cut], comp.outer, r, kappa(r, 2), 2))
+    return end
+
+
 def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of density(s) * _shell_counting_kernel(a, s, r) over the
@@ -386,9 +442,11 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     center distance a, with their n-against-2n error estimates.
 
     The window is two panels split at the kernel's kink s = a, each
-    cosine-mapped.  A panel that the window clips to zero width is dead: the
-    density and the kernel are evaluated on the live panels only, and the
-    dead ones contribute exact zeros.
+    cosine-mapped, with ``_crossing_integrand`` on 16 against 32 nodes in
+    d = 3; in the plane its by-parts form runs on 32 against 64 nodes, plus
+    the exact end term of a cut window.  A panel that the window clips to
+    zero width is dead: the integrand is evaluated on the live panels only,
+    and the dead ones contribute exact zeros.
     """
     lo = np.abs(r - a)
     hi = np.maximum(np.minimum(r + a, comp.outer), lo)
@@ -397,19 +455,24 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     live = width > 0.0
     left = edges[:, :-1][live][:, None]
     live_width = width[live][:, None]
-    center_dist = np.broadcast_to(a[:, None], live.shape)[live][:, None]
+
+    def on_live(v: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(v[:, None], live.shape)[live][:, None]
+
+    integrand = _crossing_integrand(comp, on_live(a), on_live(lo), r, d)
+    n = _PANEL_NODES if d == 3 else 2 * _PANEL_NODES
 
     def panel_integrals(n: int) -> np.ndarray:
         u, w = _cosine_panel_rule(n)
-        s = left + live_width * u
         out = np.zeros(live.shape)
-        out[live] = live_width[:, 0] * (
-            (comp.density(s) * _shell_counting_kernel(center_dist, s, r, d)) @ w)
+        out[live] = live_width[:, 0] * (integrand(left + live_width * u) @ w)
         return out
 
-    coarse = panel_integrals(_PANEL_NODES)
-    fine = panel_integrals(2 * _PANEL_NODES)
+    coarse = panel_integrals(n)
+    fine = panel_integrals(2 * n)
     value = fine.sum(axis=1)
+    if d == 2:
+        value += _planar_window_end(comp, a, lo, r)
     return value, np.maximum(np.abs(fine - coarse).sum(axis=1), 1e-16 * np.abs(value))
 
 
@@ -453,8 +516,9 @@ def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
                  ) -> tuple[float, float]:
     """The integrated counting at one point and its error estimate (+inf
     when a quadrature failed): the closed forms of ``_closed_counting``,
-    plus one adaptive quadrature over the rings of each density that cross
-    the sphere, |r - a| < s < min(r + a, outer).
+    plus one adaptive quadrature of ``_crossing_integrand`` over the rings
+    of each density that cross the sphere, |r - a| < s < min(r + a, outer),
+    and in the plane the end term of a cut window.
     """
     d = mu.dimension
     point = ErrorBudget()
@@ -463,10 +527,11 @@ def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
         a = float(np.linalg.norm(comp.center - y))
         lo, hi = abs(r - a), min(r + a, comp.outer)
         if lo < hi:
-            res = integrate_1d(
-                lambda s: comp.density(s) * _shell_counting_kernel(a, s, r, d),
-                lo, hi, spec, points=(a,), budget=point, label="integrated-counting")
+            res = integrate_1d(_crossing_integrand(comp, a, lo, r, d), lo, hi, spec,
+                               points=(a,), budget=point, label="integrated-counting")
             total += res.value
+            if d == 2:
+                total += float(_planar_window_end(comp, np.array([a]), np.array([lo]), r)[0])
     return total, point.error if point.ok else math.inf
 
 
@@ -703,7 +768,7 @@ class _CountingWalk:
         self.evaluations += 1
         self._record(value, error)
         scale = max(abs(value), abs(self.best_val))
-        slack = error + self.best_err + _TIE_ULPS * np.finfo(float).eps * scale
+        slack = error + self.best_err + _TIE_SLACK * scale
         if ((error > 0.0 or self.best_err > 0.0) and math.isfinite(slack)
                 and abs(value - self.best_val) <= slack):
             value, error = self._per_point(p)

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nevkit import measures
@@ -200,6 +201,24 @@ def test_committed_off_centre_density_scenario_holds(tmp_path):
     sc = scenario_from_json(json.loads(path.read_text()))
     (comp,) = sc.measure.radial
     assert _contact_radii(sc.functions[0].dsh, comp.center, comp.outer)
+
+
+def test_committed_planar_density_scenario_holds(tmp_path):
+    # CI's packaging job runs this file with the installed wheel.  The
+    # density's outer cuts the crossing window |r0 - a| < s < r0 + a at
+    # lattice points of both scans, so they take the end term of the planar
+    # window by parts as well as its slope.
+    path = Path(__file__).parent / "scenarios" / "off_centre_density_2d.json"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    verdicts = {rep["name"]: rep["verdict"]
+                for rep in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
+    assert verdicts == dict.fromkeys(["statement_I", "statement_IV", "statement_V"], HOLDS)
+    sc = scenario_from_json(json.loads(path.read_text()))
+    (comp,) = sc.measure.radial
+    a = np.linalg.norm(measures._ball_lattice(sc.R, 2, sc.grid) - comp.center, axis=1)
+    cut = (abs(sc.r0 - a) < comp.outer) & (comp.outer < sc.r0 + a)
+    assert cut.any()
 
 
 def test_committed_atom_between_witnesses_scenario_fails_statement_III(tmp_path):

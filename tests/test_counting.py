@@ -6,6 +6,7 @@ positive-part means and the bound constant A against mpmath."""
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -32,6 +33,8 @@ from nevkit.measures import (
     _inner_rings,
     _radial_block,
     _shell_counting_kernel,
+    _shell_window,
+    _window_slope,
     difference_counting,
     integrated_counting,
     potential,
@@ -91,6 +94,22 @@ def test_shell_kernel_random_points_match_mpmath(d):
         exact = float(_oracle_kernel(a, s, r, d))
         assert _shell_counting_kernel(float(a), float(s), float(r), d) == pytest.approx(
             exact, rel=1e-12, abs=1e-14)
+
+
+def test_window_slope_matches_mpmath():
+    # The planar by-parts integrand's slope against mpmath's derivative of
+    # the window kernel, at random shells that cross the circle; at s = a,
+    # where the slope jumps, mpmath's central difference is the mean of its
+    # two sides, and so is the formula.
+    rng = np.random.default_rng(41)
+    cases = [(a, s, r) for a, s, r in rng.uniform(0.05, 2.0, size=(60, 3))
+             if abs(a - s) < r < a + s][:8]
+    cases.append((0.7, 0.7, 0.3))
+    for a, s, r in cases:
+        exact = mpmath.diff(lambda v: _oracle_kernel(a, v, r, 2), mpmath.mpf(s))
+        assert _window_slope(a, s, r) == pytest.approx(float(exact), rel=1e-11, abs=1e-13)
+    a, s, r = np.array(cases).T
+    assert _window_slope(a, s, r).tolist() == [_window_slope(*c) for c in cases]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -288,15 +307,23 @@ def test_inner_rings_match_mpmath(d, coeffs):
         assert value == pytest.approx(float(exact), rel=1e-13, abs=1e-15), a
 
 
-@pytest.mark.parametrize("d, coeffs", INNER_RING_DENSITIES)
-def test_integrated_counting_of_a_density_matches_mpmath(d, coeffs):
-    # Both forms, against the inner rings plus the crossing rings, each
-    # within its reported error and a few ulps of rounding.
-    comp = RadialDensity(np.zeros(d), coeffs, 0.5)
+# Crossing windows beyond INNER_RING_DISTANCES, for r = 0.6, as (outer,
+# center distance): a window that outer does not cut, a = r (lo = 0),
+# lo -> 0 from either side, a window of width 2e-9, and
+# a = r / 2 + 1e-12, where the left panel [r - a, a] is so narrow that
+# quadrature nodes round onto the slope's jump at s = a.
+CROSSING_WINDOWS = [(1.5, 0.3), (0.5, 0.6), (0.5, 0.6 - 1e-9), (0.5, 0.6 + 1e-9),
+                    (1.5, 1e-9), (0.5, 0.3 + 1e-12)]
+
+
+def _counting_against_mpmath(d, coeffs, outer, distances, r=0.6):
+    """Both forms of the integrated counting of one density at the given
+    center distances, against the inner rings plus the crossing rings,
+    each within its reported error and a few ulps of rounding."""
+    comp = RadialDensity(np.zeros(d), coeffs, outer)
     mu = Measure(dimension=d, radial=(comp,))
-    r = 0.6
     direction = np.array([0.6, 0.8, 0.0][:d]) if d == 2 else np.array([0.48, 0.6, 0.64])
-    pts = np.outer(INNER_RING_DISTANCES, direction)
+    pts = np.outer(distances, direction)
     errors = np.empty(len(pts))
     batch = integrated_counting(mu, pts, r, errors=errors)
     for p, value, error in zip(pts, batch, errors):
@@ -312,6 +339,23 @@ def test_integrated_counting_of_a_density_matches_mpmath(d, coeffs):
         slack = 1e-14 * (1.0 + abs(exact))
         assert abs(value - exact) <= error + slack, (a, value, exact, error)
         assert abs(single - exact) <= point.error + slack, (a, single, exact, point.error)
+
+
+@pytest.mark.parametrize("d, coeffs", INNER_RING_DENSITIES)
+def test_integrated_counting_of_a_density_matches_mpmath(monkeypatch, d, coeffs):
+    _counting_against_mpmath(d, coeffs, 0.5, INNER_RING_DISTANCES)
+    on_jump = []
+
+    def slope(a, s, r):
+        on_jump.append(bool(np.any(s == a)))
+        return _window_slope(a, s, r)
+
+    monkeypatch.setattr(measures, "_window_slope", slope)
+    for outer, a in CROSSING_WINDOWS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero at s = a
+            _counting_against_mpmath(d, coeffs, outer, [a])
+    assert any(on_jump) == (d == 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -515,14 +559,41 @@ def test_radial_block_runs_the_kernel_on_live_panels_only(monkeypatch, d, coeffs
     live = np.array([0, 0, 1, 2, 2, 1, 0])
 
     nodes = []
+    if d == 3:
+        def counted(center_dist, s, r, d):
+            nodes.append(np.broadcast(center_dist, s).size)
+            return _shell_counting_kernel(center_dist, s, r, d)
 
-    def counted(center_dist, s, r, d):
-        nodes.append(np.broadcast(center_dist, s).size)
-        return _shell_counting_kernel(center_dist, s, r, d)
+        monkeypatch.setattr(measures, "_shell_counting_kernel", counted)
+        value, error = _radial_block(comp, a, r, d)
+        assert sum(nodes) == 3 * _PANEL_NODES * live.sum()
+    else:
+        # In the plane the rings are integrated by parts: the slope runs on
+        # 32 + 64 nodes per live panel, and the dilogarithm window only at
+        # the end of a window that outer cuts, lo < outer < r + a.  Every
+        # live window of this density is cut.  The wide one (outer 2.0) has
+        # one live panel at 0.2 and 0.3 and two beyond, and cuts only the
+        # windows of 1.2 and 1.9.
+        windows = []
 
-    monkeypatch.setattr(measures, "_shell_counting_kernel", counted)
-    value, error = _radial_block(comp, a, r, d)
-    assert sum(nodes) == 3 * _PANEL_NODES * live.sum()
+        def slope(center_dist, s, r):
+            nodes.append(np.broadcast(center_dist, s).size)
+            return _window_slope(center_dist, s, r)
+
+        def window(center_dist, s, r, kr, d):
+            windows.extend(np.atleast_1d(center_dist).tolist())
+            return _shell_window(center_dist, s, r, kr, d)
+
+        monkeypatch.setattr(measures, "_window_slope", slope)
+        monkeypatch.setattr(measures, "_shell_window", window)
+        value, error = _radial_block(comp, a, r, d)
+        assert sum(nodes) == 3 * 2 * _PANEL_NODES * live.sum()
+        assert windows == a[live > 0].tolist()
+        nodes.clear(), windows.clear()
+        wide = RadialDensity(np.zeros(d), coeffs, 2.0)
+        _radial_block(wide, a, r, d)
+        assert sum(nodes) == 3 * 2 * _PANEL_NODES * np.array([0, 1, 1, 2, 2, 2, 2]).sum()
+        assert windows == [1.2, 1.9]
     dead = live == 0
     assert np.all(value[dead] == 0.0) and np.all(error[dead] == 0.0)
     assert np.all(value[~dead] > 0.0)
