@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from .kernels import (
     as_point,
@@ -24,6 +24,7 @@ from .kernels import (
     expect_number,
     expect_object,
     expect_point,
+    hat_d,
     kappa,
     row_norms,
     validate_dimension,
@@ -45,6 +46,7 @@ from .quadrature import (
 NEAR_CIRCLE_RTOL = 0.05
 
 _CONTACT_RADII = 32  # spheres between 0 and outer that bracket contact radii
+_PATCH_STEP_MIN = 1e-10  # the patch search's last step, in the tangent plane
 
 HARMONIC_LABELS = ("const", "x0", "x1", "x2", "x0*x1", "x0^2-x1^2",
                    "re_z^2", "im_z^2", "re_z^3", "im_z^3")
@@ -71,6 +73,23 @@ def _harmonic_term(label: str, pts: np.ndarray, d: int) -> np.ndarray:
         w = z ** k
         return w.real if label.startswith("re") else w.imag
     raise ValueError(f"unknown harmonic term label {label!r}")
+
+
+def _harmonic_gradient_bound(label: str, pts: np.ndarray, rho: float):
+    """An upper bound on |grad| of one labeled harmonic basis term over the
+    ball of radius rho about each row of an (n, d) point array."""
+    if label == "const":
+        return 0.0
+    if label in ("x0", "x1", "x2"):
+        return 1.0
+    # |(x0, x1)| over the ball: the gradients below grow with it.
+    q = np.hypot(pts[:, 0], pts[:, 1]) + rho
+    if label == "x0*x1":
+        return q
+    if label == "x0^2-x1^2":
+        return 2.0 * q
+    k = int(label.split("^")[1])  # re_z^k, im_z^k: |grad| = k |z|**(k - 1)
+    return k * q ** (k - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +129,13 @@ class HarmonicPart:
         out = np.zeros(pts.shape[0])
         for label, coeff in self.terms:
             out += coeff * _harmonic_term(label, pts, d)
+        return out
+
+    def gradient_bound(self, pts: np.ndarray, rho: float) -> np.ndarray:
+        """An upper bound on |grad| over the ball of radius rho about each row."""
+        out = np.zeros(pts.shape[0])
+        for label, coeff in self.terms:
+            out += abs(coeff) * _harmonic_gradient_bound(label, pts, rho)
         return out
 
     def scaled(self, factor: float) -> "HarmonicPart":
@@ -159,6 +185,19 @@ class DshFunction:
             out = out + ch.weight * kappa(dist, self.dimension)
         return float(out[0]) if single else out
 
+    def gradient_bound(self, pts: np.ndarray, rho: float) -> np.ndarray:
+        """An upper bound on |grad u| over the ball of radius rho about each
+        row of the (n, d) array pts: the harmonic part's bound plus
+        sum |w_j| hat_d / max(|p - c_j| - rho, 0)**(d - 1), which is +inf
+        where a ball holds a charge."""
+        d = self.dimension
+        out = self.harmonic.gradient_bound(pts, rho)
+        with np.errstate(divide="ignore"):
+            for ch in self.charges:
+                gap = np.maximum(row_norms(pts - ch.location) - rho, 0.0)
+                out = out + abs(ch.weight) * hat_d(d) / gap ** (d - 1)
+        return out
+
     def __call__(self, x):
         return self.evaluate(x)
 
@@ -198,20 +237,33 @@ class DshFunction:
 def _contact_radii(u: DshFunction, center: np.ndarray, outer: float) -> list[float]:
     """Radii in (0, outer) where the sphere about ``center`` first or last
     touches {u > 0}, the zeros of the max and the min of u on it: brentq from
-    sign changes on ``_CONTACT_RADII`` scanned spheres, with Nelder-Mead from
-    the grid's best node.  A missed zero costs the integral time, not accuracy."""
+    sign changes on ``_CONTACT_RADII`` scanned spheres.  At each radius the
+    extremum comes from a patch search in the tangent plane at the grid's
+    best node: u is evaluated on a 5**(d - 1) patch about the best point so
+    far, which moves to the patch's best point, or, when that is the centre,
+    shrinks by 4, until its step is below ``_PATCH_STEP_MIN``.  A missed
+    zero costs the integral time, not accuracy."""
     dirs = sphere_grid(u.dimension)
+    offsets = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * (u.dimension - 1),
+                                   indexing="ij"), axis=-1).reshape(-1, u.dimension - 1)
+    centre = len(offsets) // 2
+    # About one spacing of the grid.
+    first_step = 2.0 * math.pi / len(dirs) ** (1.0 / (u.dimension - 1))
 
     def extremum(s: float, sign: float) -> float:
         top = dirs[np.argmax(sign * u.evaluate(center + s * dirs))]
         tangent = np.linalg.svd(top[np.newaxis])[2][1:]
-
-        def drop(t):
-            v = top + t @ tangent
-            return -sign * u.evaluate(center + s * v / np.linalg.norm(v))
-
-        return -sign * minimize(drop, np.zeros(len(tangent)), method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-15}).fun
+        best, step = np.zeros(len(tangent)), first_step
+        while True:
+            v = top + (best + step * offsets) @ tangent
+            values = sign * u.evaluate(center + s * v / row_norms(v)[:, np.newaxis])
+            i = int(np.argmax(values))
+            if values[i] > values[centre]:
+                best = best + step * offsets[i]
+            else:
+                step /= 4.0
+            if step < _PATCH_STEP_MIN:
+                return sign * float(values[i])
 
     radii = outer * np.arange(_CONTACT_RADII + 1) / _CONTACT_RADII
     scans = np.array([(v.max(), v.min())  # one sphere at a time
@@ -234,9 +286,10 @@ def positive_part_integral(u: DshFunction, mu: Measure,
 
     Atoms are evaluated exactly (an atom on a positive charge gives +inf; on
     a negative charge it contributes 0).  Shell components use positive-part
-    sphere means with singular-angle hints.  A radial component integrates
-    them over the ring radius with the adaptive rule, split at the kinks: the
-    charges' distances from its centre and its contact radii.
+    sphere means with singular-angle hints and u's gradient bound.  A radial
+    component integrates them over the ring radius with the adaptive rule,
+    split at the kinks: the charges' distances from its centre and its
+    contact radii.
     """
     d = mu.dimension
     if u.dimension != d:
@@ -245,7 +298,7 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     def mean(center, s: float) -> float:
         return positive_part_mean(u.evaluate, s, d, spec, center=center, budget=budget,
                                   singular_angles=u.singular_angles_on(center, s),
-                                  label="positive-part")
+                                  gradient_bound=u.gradient_bound, label="positive-part")
 
     total = 0.0
     for atom in mu.atoms:

@@ -27,7 +27,8 @@ def proximity(u: DshFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
     d = u.dimension
     hints = u.singular_angles_on(np.zeros(d), R)
     return positive_part_mean(u.evaluate, R, d, spec, budget=budget,
-                              singular_angles=hints, label=label)
+                              singular_angles=hints, gradient_bound=u.gradient_bound,
+                              label=label)
 
 
 def classical_N(f: RationalFunction, r: float) -> float:

@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import elementwise
 
 from .kernels import as_point, validate_dimension
 
@@ -43,11 +42,14 @@ _ARC_NODES = 128
 # _SEGMENT_NODES Gauss-Legendre nodes per positive polar segment in the coarse
 # polar rule (the fine one has twice as many).  Each further rung doubles the
 # nodes when the polar error dominates and the meridians otherwise, up to
-# _MAX_SEGMENT_NODES in the fine polar rule and _MAX_MERIDIANS.  Roots are refined to _ROOT_XATOL radians: a root off by delta moves a
-# segment integral by about |dg/dtheta| delta**2 / 2, and the default
-# tolerance of a few ulps can take three times as many iterations.  A sign
-# class whose area-weighted centroid is shorter than _CENTROID_RTOL times its
-# area gives no pole.
+# _MAX_SEGMENT_NODES in the fine polar rule and _MAX_MERIDIANS.  A sign class
+# whose area-weighted centroid is shorter than _CENTROID_RTOL times its area
+# gives no pole.
+#
+# Meridian roots are refined to _ROOT_XATOL radians (plus _bracketed_roots'
+# relative 4 eps): a root off by delta moves a segment integral by about
+# |dg/dtheta| delta**2 / 2, and the default absolute tolerance of four
+# times the smallest normal number can take three times as many iterations.
 _MERIDIANS = 128
 _MAX_MERIDIANS = 1024
 _SIGN_NODES = 33
@@ -288,7 +290,7 @@ def _sphere3_product_mean(f, center, radius, n_polar, n_azimuth, shift):
 def _sphere3_mean(f, center, radius, spec, first=None):
     """Product-rule mean with a doubling check; ``first`` is f's values on
     the first attempt's coarse and fine grids when the caller has them
-    already (the fine ones are read only when the coarse ones are finite)."""
+    already (the fine ones may be None; then f is evaluated there)."""
     # Retry ladder: plain grid, rotated azimuth, then a different polar rule.
     attempts = (
         (_POLAR_NODES, _AZIMUTH_NODES, 0.0),
@@ -303,7 +305,7 @@ def _sphere3_mean(f, center, radius, spec, first=None):
             coarse = _sphere3_product_mean(f, center, radius, n_pol, n_azi, shift)
         if coarse is None:
             continue
-        if given:
+        if given and first[1] is not None:
             fine = _sphere3_grid_mean(first[1], 2 * n_pol, 2 * n_azi)
         else:
             fine = _sphere3_product_mean(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
@@ -315,9 +317,13 @@ def _sphere3_mean(f, center, radius, spec, first=None):
     return QuadResult(math.nan, math.inf, False)
 
 
-def _sphere3_positive_mean(g, center, radius, spec) -> QuadResult:
+def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> QuadResult:
     """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
     coarse = _product_grid(g, center, radius, _POLAR_NODES, _AZIMUTH_NODES)
+    if gradient_bound is not None and _negative_certified(gradient_bound, center, radius,
+                                                          coarse[0], coarse[2]):
+        # What the product rule returns on a grid of negative values.
+        return QuadResult(0.0, 0.0, True)
     result = _meridian_mean_on_grid(g, center, radius, spec, *coarse)
     if result is not None:
         return result
@@ -335,6 +341,29 @@ def _sphere3_positive_mean(g, center, radius, spec) -> QuadResult:
         if result is not None:
             return result
     return product
+
+
+@lru_cache(maxsize=1)
+def _sphere3_cover() -> float:
+    """An angle such that every point of the unit sphere lies within it of a
+    node of the first product grid: the largest polar gap, the caps about
+    the poles included, plus half the azimuthal step."""
+    theta = np.arccos(_leggauss(_POLAR_NODES)[0][::-1])
+    gaps = np.diff(np.concatenate(([0.0], theta, [math.pi])))
+    return float(gaps.max()) + math.pi / _AZIMUTH_NODES
+
+
+def _negative_certified(gradient_bound, center, radius, dirs, values) -> bool:
+    """Whether g < 0 on the whole sphere follows from g's values on the
+    first product grid (unit directions ``dirs``).  Every point of the
+    sphere lies within rho, the grid's covering radius, of a node p, so
+    g < 0 there when g(p) + rho * gradient_bound(p, rho) < 0; the bound is
+    +inf where the ball about p holds a singularity of g."""
+    if not np.all(np.isfinite(values) & (values < 0.0)):
+        return False
+    rho = radius * _sphere3_cover()
+    bound = np.asarray(gradient_bound(radius * dirs + center, rho), dtype=float)
+    return bool(np.all(values + rho * bound < 0.0))
 
 
 def _product_grid(g, center, radius, n_polar, n_azimuth):
@@ -429,9 +458,8 @@ def _meridian_mean(g, center, radius, pole, spec, dirs, positive) -> QuadResult 
         if crossings == 0 or np.any(counts != crossings):
             return None
         rows, cols = np.nonzero(cells)
-        roots = np.asarray(elementwise.find_root(
-            at, (theta[cols], theta[cols + 1]), args=(phi[rows],),
-            tolerances={"xatol": _ROOT_XATOL}).x, dtype=float)
+        roots = _bracketed_roots(at, theta[cols], theta[cols + 1], (phi[rows],),
+                                 xatol=_ROOT_XATOL)
         if not np.all(np.isfinite(roots)):
             return None
         # The segments alternate in sign from the pole's, which all share.
@@ -540,24 +568,32 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
 
 def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
                        center=None, budget: ErrorBudget | None = None,
-                       singular_angles=None, label: str = "positive-part") -> float:
+                       singular_angles=None, gradient_bound=None,
+                       label: str = "positive-part") -> float:
     """Mean of max(g, 0) over the sphere of radius r about ``center``.
 
     g maps (n, d) point arrays to (n,) value arrays.  Failures are flagged
-    or raised as in ``sphere_mean``.
+    or raised as in ``sphere_mean``.  ``gradient_bound``, used for d = 3
+    only, maps an (n, d) point array and a radius rho to upper bounds on
+    |grad g| over the balls of radius rho about the points.
 
     In the plane g is evaluated on ``circle_mean``'s grid first.  Where it
     keeps one sign there, the trapezoid doubling check may settle the mean.
     Otherwise the sign changes of g between neighbouring nodes are
-    refined to roots (Chandrupatla's method), and the arcs on which g is
+    refined to roots (Chandrupatla's method, ``_bracketed_roots``, all
+    cells in one batched solve), and the arcs on which g is
     positive are integrated with Gauss-Legendre rules of ``_ARC_NODES`` and
     of twice as many nodes, whose difference is the error estimate.  The
     adaptive rule, split at the roots, takes over when that estimate misses
     tolerance, and handles declared singular angles directly.
 
     For d = 3, g is first evaluated on the product grid of
-    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  Where it keeps one
-    sign there, the result is ``sphere_mean`` of max(g, 0), bit for bit.
+    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  Where g is finite and
+    negative there, and g + rho * gradient_bound < 0 at every node, where
+    rho is the grid's covering radius, g < 0 on the whole sphere: the
+    result is 0 with error 0, which is what the product rule returns then,
+    without its doubled grid.  Otherwise, where g keeps one sign on the
+    grid, the result is ``sphere_mean`` of max(g, 0), bit for bit.
     Otherwise the polar axis goes to the area-weighted centroid of the nodes
     where g > 0, or, if that axis fails, to the node of the smaller sign
     class where |g| is largest.  An axis holds when every meridian crosses
@@ -590,7 +626,8 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         raise ValueError("positive_part_mean: radius must be positive")
     center = np.zeros(d) if center is None else as_point(center, d)
     if d == 3:
-        return _settle(_sphere3_positive_mean(g, center, r, spec), budget, label)
+        return _settle(_sphere3_positive_mean(g, center, r, spec, gradient_bound),
+                       budget, label)
 
     def g_at(theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -638,8 +675,81 @@ def _sign_change_roots(g_at, theta: np.ndarray, values: np.ndarray) -> np.ndarra
              & ((values > 0.0) != (right > 0.0)))
     if not cells.any():
         return np.empty(0)
-    return np.asarray(elementwise.find_root(g_at, (theta[cells], ends[cells])).x,
+    return _bracketed_roots(g_at, theta[cells], ends[cells])
+
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Chandrupatla's method falls back to bisection, and this many halvings take
+# any finite bracket below the smallest normal number.
+_ROOT_MAXITER = int(math.log2(np.finfo(float).max) - math.log2(_TINY))
+
+
+def _bracketed_roots(f, a, b, args=(), *, xatol: float = 4.0 * _TINY,
+                     xrtol: float = 4.0 * _EPS, maxiter: int = _ROOT_MAXITER) -> np.ndarray:
+    """Roots of f in the brackets [a[i], b[i]], all at once, by Chandrupatla's
+    method (inverse quadratic interpolation where it is safe, else bisection).
+
+    f maps a 1-D array of abscissae, and the matching entries of the 1-D
+    arrays in ``args``, to values; each round evaluates it once on the
+    brackets still open.  A bracket closes when an end has |f| <= tiny, or
+    when it is shorter than xatol + xrtol |x|, where x is the end with the
+    smaller |f|, which is the root returned.  The root is nan where the ends
+    are not finite, f has one sign at both ends, f is nan at both, or the
+    bracket is still open after ``maxiter`` rounds.
+    """
+    x1 = np.array(a, dtype=float).ravel()
+    x2 = np.array(b, dtype=float).ravel()
+    args = tuple(np.asarray(v).ravel() for v in args)
+    active = np.arange(x1.size)
+    roots = np.full(x1.size, math.nan)
+    both = np.asarray(f(np.concatenate((x1, x2)), *(np.concatenate((v, v)) for v in args)),
                       dtype=float)
+    f1, f2 = both[:x1.size], both[x1.size:]
+    x3 = f3 = None
+    # Only the solver's own arithmetic is silenced (an infinite end, a
+    # degenerate interpolation), not f's.
+    for nit in range(maxiter + 1):
+        lower = np.abs(f1) < np.abs(f2)
+        xmin = np.where(lower, x1, x2)
+        fmin = np.where(lower, f1, f2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dx = np.abs(x2 - x1)
+            tol = np.abs(xmin) * xrtol + xatol
+        hit = np.abs(fmin) <= _TINY
+        bad = ~hit & ((np.sign(f1) == np.sign(f2))
+                      | ~(np.isfinite(x1) & np.isfinite(x2))
+                      | (np.isnan(f1) & np.isnan(f2)))
+        stop = hit | bad | (dx < tol)
+        roots[active[stop]] = np.where(bad, math.nan, xmin)[stop]
+        if stop.all() or nit == maxiter:
+            break
+        keep = ~stop
+        active, x1, x2, f1, f2, dx, tol = (v[keep] for v in (active, x1, x2, f1, f2, dx, tol))
+        args = tuple(v[keep] for v in args)
+        if nit == 0:
+            t = np.full(x1.size, 0.5)
+        else:
+            x3, f3 = x3[keep], f3[keep]
+            with np.errstate(all="ignore"):
+                # Chandrupatla's test: interpolate only where the three
+                # points make the inverse quadratic monotone.
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quad = ((1.0 - np.sqrt(1.0 - xi)) < phi) & (phi < np.sqrt(xi))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+                # Keep the next point off the bracket's ends.
+                tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1.0 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = np.asarray(f(x, *args), dtype=float)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    return roots
 
 
 def _positive_arc_mean(g_at, roots: np.ndarray, spec: QuadSpec) -> QuadResult | None:

@@ -13,6 +13,7 @@ from nevkit.dsh import (
     DshFunction,
     HarmonicPart,
     RationalFunction,
+    _CONTACT_RADII,
     _contact_radii,
     dsh_from_json,
     from_rational,
@@ -22,7 +23,14 @@ from nevkit.dsh import (
 )
 from nevkit.kernels import kappa
 from nevkit.measures import Measure, RadialDensity, SphereShell, integrated_counting
-from nevkit.quadrature import ErrorBudget, QuadSpec, integrate_1d, positive_part_mean, sphere_mean
+from nevkit.quadrature import (
+    ErrorBudget,
+    QuadSpec,
+    integrate_1d,
+    positive_part_mean,
+    sphere_grid,
+    sphere_mean,
+)
 
 
 def test_harmonic_labels_are_mean_value_functions():
@@ -135,6 +143,58 @@ def test_kernel_witness_values_and_bounds():
     assert u(y) == math.inf
     with pytest.raises(ValueError):
         kernel_witness(y, 2.0, 1.0, 2)
+
+
+def _gradient(u, x):
+    """grad u at x: the kernel terms in closed form, the harmonic part by
+    central differences (exact up to rounding for its quadratic terms)."""
+    d = u.dimension
+    grad = np.zeros(d)
+    for ch in u.charges:
+        v = x - ch.location
+        t = float(np.linalg.norm(v))
+        grad += ch.weight * max(1, d - 2) * v / t ** d
+    h = 1e-6
+    for i in range(d):
+        e = h * np.eye(d)[i]
+        grad[i] += float(u.harmonic.evaluate(np.array([x + e, x - e]), d) @ [1.0, -1.0]) / (2 * h)
+    return grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gradient_bound_covers_the_gradient_in_the_ball(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    labels = [lb for lb in HARMONIC_LABELS
+              if d == 2 and lb != "x2" or d == 3 and not lb.startswith(("re_", "im_"))]
+    unit = st.floats(-1.0, 1.0)
+    point = st.lists(unit, min_size=d, max_size=d).map(np.array)
+    charges = data.draw(st.lists(st.builds(Charge, point, st.floats(-2.0, 2.0).filter(bool)),
+                                 max_size=3))
+    terms = tuple((lb, data.draw(st.floats(-2.0, 2.0))) for lb in
+                  data.draw(st.lists(st.sampled_from(labels), unique=True)))
+    u = DshFunction(d, tuple(charges), HarmonicPart(terms))
+    p = 1.5 * data.draw(point)
+    rho = data.draw(st.floats(0.0, 0.5))
+    step = data.draw(point)
+    x = p + rho * data.draw(st.floats(0.0, 1.0)) * step / max(float(np.linalg.norm(step)), 1.0)
+    assume(all(np.linalg.norm(x - ch.location) > 1e-3 for ch in u.charges))
+    bound = float(u.gradient_bound(p[np.newaxis], rho)[0])
+    assert np.linalg.norm(_gradient(u, x)) <= bound * (1.0 + 1e-9) + 1e-6
+
+
+@pytest.mark.parametrize("label", HARMONIC_LABELS)
+def test_gradient_bound_of_each_harmonic_label_is_attained_or_exceeded(label):
+    # Every label, every point of a ball about a fixed centre.
+    d = 2 if label.startswith(("re_", "im_")) else 3
+    u = DshFunction(d, harmonic=HarmonicPart(((label, -1.5),)))
+    p, rho = np.array([0.4, -0.7, 0.2][:d]), 0.3
+    rng = np.random.default_rng(0)
+    steps = rng.normal(size=(200, d))
+    steps *= rho * rng.uniform(0.0, 1.0, (200, 1)) / np.linalg.norm(steps, axis=1)[:, np.newaxis]
+    bound = float(u.gradient_bound(p[np.newaxis], rho)[0])
+    worst = max(np.linalg.norm(_gradient(u, p + v)) for v in steps)
+    assert worst <= bound * (1.0 + 1e-9) + 1e-6
 
 
 def test_rational_function_algebra():
@@ -394,6 +454,26 @@ def test_contact_radius_of_the_spatial_density_matches_dense_optimisation():
     assert radius == pytest.approx(0.2711297, abs=1e-7)
     exact = _contact_along_rays(SPATIAL_U, SPATIAL_DENSITY)
     assert abs(radius - exact) <= 1e-9
+
+
+def test_contact_extrema_take_few_vectorised_calls(monkeypatch):
+    # Each extremum is one grid call and a patch search of 25-point calls;
+    # the 33 scan spheres are grid calls too.
+    sizes = []
+    evaluate = DshFunction.evaluate
+
+    def counted(self, x):
+        sizes.append(len(np.atleast_2d(x)))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(DshFunction, "evaluate", counted)
+    (radius,) = _contact_radii(SPATIAL_U, SPATIAL_DENSITY.center, SPATIAL_DENSITY.outer)
+    grid = len(sphere_grid(3))
+    extrema = sizes.count(grid) - (_CONTACT_RADII + 1)
+    assert extrema > 0
+    assert sizes.count(25) + sizes.count(grid) == len(sizes)
+    assert sizes.count(25) <= 40 * extrema
+    assert radius == pytest.approx(0.2711297, abs=1e-7)
 
 
 def test_spatial_density_integral_matches_a_panel_rule():

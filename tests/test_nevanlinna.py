@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from nevkit.dsh import (
@@ -141,6 +141,9 @@ def test_proximity_of_a_kink_pair_the_doubling_check_misses():
 _weight = st.floats(min_value=-2.0, max_value=2.0)
 
 
+# No deadline: the first call builds the node caches, about 0.5 s when the
+# test runs alone.
+@settings(deadline=None)
 @given(st.data())
 def test_proximity_is_rotation_invariant(data):
     d = data.draw(st.sampled_from([2, 3]))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cubature
+from scipy.optimize import brentq
 
 from nevkit import quadrature
 from nevkit.dsh import Charge, DshFunction, HarmonicPart
@@ -322,6 +323,170 @@ def test_sphere_positive_part_mean_is_rotation_invariant(quat):
         value, error = _positive_mean3(SPATIAL_U.evaluate, radius, center)
         rotated, rotated_error = _positive_mean3(turned.evaluate, radius, rot @ center)
         assert abs(value - rotated) <= error + rotated_error + 1e-15
+
+
+# --------------------------------------------- certified zero rings (d = 3)
+
+# The contact radius of the spheres about SPATIAL_CENTRE (tests/test_dsh.py
+# pins it against a dense optimisation).
+SPATIAL_CONTACT = 0.2711296618993035
+
+
+def _counted(g):
+    """g, and a list that records the number of points of each call."""
+    sizes = []
+
+    def wrapped(pts):
+        sizes.append(len(pts))
+        return g(pts)
+
+    return wrapped, sizes
+
+
+@pytest.mark.parametrize("radius", [0.001, 0.05, 0.15, 0.24])
+def test_certified_zero_rings_equal_the_fine_grid_path_bit_for_bit(radius):
+    # Rings inside the contact radius: u < 0 on the whole sphere, and the
+    # gradient bound proves it from the coarse grid, so g is evaluated once.
+    results = []
+    for bound in (None, SPATIAL_U.gradient_bound):
+        g, sizes = _counted(SPATIAL_U.evaluate)
+        budget = ErrorBudget()
+        value = positive_part_mean(g, radius, 3, center=SPATIAL_CENTRE, budget=budget,
+                                   gradient_bound=bound)
+        results.append((value, budget.error, budget.failures, len(sizes)))
+    (plain, certified) = results
+    assert plain[3] > 1 and certified[3] == 1
+    assert certified[:3] == plain[:3] == (0.0, 0.0, [])
+    assert math.copysign(1.0, certified[0]) == math.copysign(1.0, plain[0])
+
+
+def test_every_point_of_the_sphere_lies_within_the_cover_of_a_node():
+    # The certificate's rho: random directions, the poles, and the points
+    # midway between polar rows and between meridians.
+    dirs = quadrature.sphere_grid(3)
+    rng = np.random.default_rng(0)
+    probes = rng.normal(size=(20_000, 3))
+    u = quadrature._leggauss(quadrature._POLAR_NODES)[0]
+    theta = np.arccos(np.clip(np.concatenate(([1.0, -1.0], 0.5 * (u[1:] + u[:-1]))), -1, 1))
+    phi = (np.arange(quadrature._AZIMUTH_NODES) + 0.5) * (2 * math.pi / quadrature._AZIMUTH_NODES)
+    t, p = np.meshgrid(theta, phi)
+    probes = np.vstack((probes, np.column_stack(((np.sin(t) * np.cos(p)).ravel(),
+                                                 (np.sin(t) * np.sin(p)).ravel(),
+                                                 np.cos(t).ravel()))))
+    probes /= np.linalg.norm(probes, axis=1)[:, np.newaxis]
+    nearest = np.sqrt(np.maximum(2.0 - 2.0 * (probes @ dirs.T).max(axis=1), 0.0))
+    cover = quadrature._sphere3_cover()
+    assert nearest.max() <= cover
+    assert nearest.max() > 0.4 * cover  # the poles are 0.51 cover from a node
+
+
+def test_no_certificate_with_a_positive_charge_on_the_sphere():
+    # u = -1 - 0.1 / |x - c| with c on a node of the coarse grid: u < 0 on the
+    # sphere, but the node's value is -inf, so no bound covers its ball.
+    c = 0.5 * quadrature.sphere_grid(3)[1000]
+    u = DshFunction(3, (Charge(c, 0.1),), HarmonicPart((("const", -1.0),)))
+    dirs = quadrature.sphere_grid(3)
+    assert np.isneginf(u.evaluate(0.5 * dirs)).any()
+    assert not quadrature._negative_certified(u.gradient_bound, np.zeros(3), 0.5, dirs,
+                                              u.evaluate(0.5 * dirs))
+    g, sizes = _counted(u.evaluate)
+    budget = ErrorBudget()
+    with_bound = positive_part_mean(g, 0.5, 3, budget=budget, gradient_bound=u.gradient_bound)
+    plain_budget = ErrorBudget()
+    plain = positive_part_mean(u.evaluate, 0.5, 3, budget=plain_budget)
+    assert len(sizes) > 1
+    assert (with_bound, budget.error, budget.failures) == (
+        plain, plain_budget.error, plain_budget.failures)
+
+
+def test_no_certificate_on_a_positive_cap_the_coarse_grid_misses():
+    # Just past the contact radius u > 0 on a tiny cap that holds no node of
+    # the coarse grid: every node is negative, yet the true mean is about
+    # 2e-10, so the certificate must not fire.
+    radius = SPATIAL_CONTACT + 1e-5
+    dirs = quadrature.sphere_grid(3)
+    values = SPATIAL_U.evaluate(radius * dirs + SPATIAL_CENTRE)
+    assert np.all(values < 0.0)
+    assert not quadrature._negative_certified(SPATIAL_U.gradient_bound, SPATIAL_CENTRE,
+                                              radius, dirs, values)
+    g, sizes = _counted(SPATIAL_U.evaluate)
+    positive_part_mean(g, radius, 3, center=SPATIAL_CENTRE, budget=ErrorBudget(),
+                       gradient_bound=SPATIAL_U.gradient_bound)
+    assert len(sizes) > 1
+
+
+def test_no_certificate_for_a_spike_between_the_nodes():
+    # u = 0.01 / |x - c| - 0.999 with c 0.01 above the north pole: u > 0 on a
+    # cap of angular radius about 4e-4, inside the polar cap the grid leaves
+    # empty, and u < -0.7 at every node.  The charge lies within rho of the
+    # nearest nodes, so their bound is +inf; with a tenth of rho the bound
+    # there would be finite and would wrongly certify the sphere.
+    u = DshFunction(3, (Charge([0.0, 0.0, 1.01], -0.01),), HarmonicPart((("const", -0.999),)))
+    dirs = quadrature.sphere_grid(3)
+    values = u.evaluate(dirs)
+    assert values.max() < -0.7 and u.evaluate([0.0, 0.0, 1.0]) > 0.0
+    assert not quadrature._negative_certified(u.gradient_bound, np.zeros(3), 1.0, dirs, values)
+
+
+# ------------------------------------------------ the batched root solver
+
+_TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
+
+
+def _wave(x, c, k):
+    return np.sin(k * x) - 0.999 * np.sin(k * c) + 0.3 * (x - c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+                          st.floats(1e-3, 0.3), st.floats(1e-3, 0.3)),
+                min_size=1, max_size=16),
+       st.sampled_from([4.0 * _TINY, 1e-12]))
+@example([(4.63836974315619e-298, 1.0, 0.25, 0.140625)], 4.0 * _TINY)  # brentq stalls
+def test_bracketed_roots_agree_with_brentq(brackets, xatol):
+    c, k, left, right = map(np.array, zip(*brackets))
+    a, b = c - left, c + right
+    roots = quadrature._bracketed_roots(_wave, a, b, (c, k), xatol=xatol)
+    for i, root in enumerate(roots):
+        if np.sign(_wave(a[i], c[i], k[i])) == np.sign(_wave(b[i], c[i], k[i])):
+            assert math.isnan(root)
+            continue
+        ref, info = brentq(_wave, a[i], b[i], args=(c[i], k[i]), xtol=4.0 * _TINY,
+                           maxiter=quadrature._ROOT_MAXITER, full_output=True, disp=False)
+        if not info.converged:
+            # brentq can stall on a root of about 1e-298 (subnormal steps);
+            # then check the root's own property: f is within tiny of 0, or
+            # changes sign within the tolerance.
+            tol = xatol + 4.0 * _EPS * abs(root)
+            ends = _wave(np.array([root - tol, root + tol]), c[i], k[i])
+            assert abs(_wave(root, c[i], k[i])) <= _TINY or ends[0] * ends[1] <= 0.0
+            continue
+        # Each solver stops within its own tolerance of the sign change:
+        # xatol + 4 eps |x| here, 4 tiny + 4 eps |x| for brentq.
+        assert abs(root - ref) <= xatol + 4.0 * _TINY + 8.0 * _EPS * abs(ref), (root, ref)
+
+
+def test_bracketed_roots_return_an_exact_zero_at_a_bracket_end():
+    roots = quadrature._bracketed_roots(lambda x: x * x - 0.25, np.array([0.5, -2.0, 0.0]),
+                                        np.array([1.0, -0.5, 0.5]))
+    assert roots.tolist() == [0.5, -0.5, 0.5]
+
+
+def test_bracketed_roots_are_nan_without_a_usable_bracket():
+    def f(x):
+        return x - 0.3
+
+    a = np.array([0.0, -np.inf, 0.0, np.nan, 0.5])
+    b = np.array([1.0, 1.0, np.inf, 1.0, 1.0])
+    roots = quadrature._bracketed_roots(f, a, b)
+    # Non-finite ends, and one sign at both ends, give nan; the good
+    # bracket beside them still closes.
+    assert np.isnan(roots[1:]).all()
+    assert abs(roots[0] - 0.3) <= 4.0 * _EPS
+    # So does a bracket still open when the rounds run out.
+    assert np.isnan(quadrature._bracketed_roots(np.tan, np.array([1.0]), np.array([2.0]),
+                                                maxiter=3)).all()
 
 
 def test_stieltjes_jumps_half_open_interval():
