@@ -47,7 +47,7 @@ _ARC_NODES = 128
 # gives no pole.
 #
 # Meridian roots are refined to _ROOT_XATOL radians (plus _bracketed_roots'
-# relative 4 eps): a root off by delta moves a segment integral by about
+# relative _ROOT_XRTOL): a root off by delta moves a segment integral by about
 # |dg/dtheta| delta**2 / 2, and the default absolute tolerance of four
 # times the smallest normal number can take three times as many iterations.
 _MERIDIANS = 128
@@ -683,20 +683,20 @@ _TINY = float(np.finfo(float).tiny)
 # Chandrupatla's method falls back to bisection, and this many halvings take
 # any finite bracket below the smallest normal number.
 _ROOT_MAXITER = int(math.log2(np.finfo(float).max) - math.log2(_TINY))
+_ROOT_XRTOL = 4.0 * _EPS
 
 
-def _bracketed_roots(f, a, b, args=(), *, xatol: float = 4.0 * _TINY,
-                     xrtol: float = 4.0 * _EPS, maxiter: int = _ROOT_MAXITER) -> np.ndarray:
+def _bracketed_roots(f, a, b, args=(), *, xatol: float = 4.0 * _TINY) -> np.ndarray:
     """Roots of f in the brackets [a[i], b[i]], all at once, by Chandrupatla's
     method (inverse quadratic interpolation where it is safe, else bisection).
 
     f maps a 1-D array of abscissae, and the matching entries of the 1-D
     arrays in ``args``, to values; each round evaluates it once on the
     brackets still open.  A bracket closes when an end has |f| <= tiny, or
-    when it is shorter than xatol + xrtol |x|, where x is the end with the
-    smaller |f|, which is the root returned.  The root is nan where the ends
-    are not finite, f has one sign at both ends, f is nan at both, or the
-    bracket is still open after ``maxiter`` rounds.
+    when it is shorter than xatol + _ROOT_XRTOL |x|, where x is the end with
+    the smaller |f|, which is the root returned.  The root is nan where the
+    ends are not finite, f has one sign at both ends, f is nan at both, or
+    the bracket is still open after _ROOT_MAXITER rounds.
     """
     x1 = np.array(a, dtype=float).ravel()
     x2 = np.array(b, dtype=float).ravel()
@@ -709,20 +709,20 @@ def _bracketed_roots(f, a, b, args=(), *, xatol: float = 4.0 * _TINY,
     x3 = f3 = None
     # Only the solver's own arithmetic is silenced (an infinite end, a
     # degenerate interpolation), not f's.
-    for nit in range(maxiter + 1):
+    for nit in range(_ROOT_MAXITER + 1):
         lower = np.abs(f1) < np.abs(f2)
         xmin = np.where(lower, x1, x2)
         fmin = np.where(lower, f1, f2)
         with np.errstate(invalid="ignore", over="ignore"):
             dx = np.abs(x2 - x1)
-            tol = np.abs(xmin) * xrtol + xatol
+            tol = np.abs(xmin) * _ROOT_XRTOL + xatol
         hit = np.abs(fmin) <= _TINY
         bad = ~hit & ((np.sign(f1) == np.sign(f2))
                       | ~(np.isfinite(x1) & np.isfinite(x2))
                       | (np.isnan(f1) & np.isnan(f2)))
         stop = hit | bad | (dx < tol)
         roots[active[stop]] = np.where(bad, math.nan, xmin)[stop]
-        if stop.all() or nit == maxiter:
+        if stop.all() or nit == _ROOT_MAXITER:
             break
         keep = ~stop
         active, x1, x2, f1, f2, dx, tol = (v[keep] for v in (active, x1, x2, f1, f2, dx, tol))

@@ -473,7 +473,7 @@ def test_bracketed_roots_return_an_exact_zero_at_a_bracket_end():
     assert roots.tolist() == [0.5, -0.5, 0.5]
 
 
-def test_bracketed_roots_are_nan_without_a_usable_bracket():
+def test_bracketed_roots_are_nan_without_a_usable_bracket(monkeypatch):
     def f(x):
         return x - 0.3
 
@@ -485,8 +485,8 @@ def test_bracketed_roots_are_nan_without_a_usable_bracket():
     assert np.isnan(roots[1:]).all()
     assert abs(roots[0] - 0.3) <= 4.0 * _EPS
     # So does a bracket still open when the rounds run out.
-    assert np.isnan(quadrature._bracketed_roots(np.tan, np.array([1.0]), np.array([2.0]),
-                                                maxiter=3)).all()
+    monkeypatch.setattr(quadrature, "_ROOT_MAXITER", 3)
+    assert np.isnan(quadrature._bracketed_roots(np.tan, np.array([1.0]), np.array([2.0]))).all()
 
 
 def test_stieltjes_jumps_half_open_interval():
