@@ -371,13 +371,9 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
 # by-parts integrand takes twice as many in both rules, 32 and 64: at 16
 # against 32 its error estimates reached 1e-9.  _BATCH_CHUNK: points per
 # vectorised block, which bounds the temporaries at about _BATCH_CHUNK * 2
-# panels * 6 * _PANEL_NODES values.  _TIE_ULPS: rounding slack, in ulps,
-# below which two scan values count as tied; _TIE_SLACK is that slack
-# relative to the larger value.
+# panels * 6 * _PANEL_NODES values.
 _PANEL_NODES = 16
 _BATCH_CHUNK = 64
-_TIE_ULPS = 16
-_TIE_SLACK = _TIE_ULPS * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -724,61 +720,6 @@ def _support_samples(mu: Measure, resolution: int) -> tuple[np.ndarray, list]:
     return np.concatenate(blocks), sources
 
 
-class _CountingWalk:
-    """State of a supremum scan that evaluates points in batches and then
-    visits them one by one, in the order of a point-by-point scan.
-
-    Only visited points count as evaluations; their nonzero error estimates
-    go to ``charges``, in the order a point-by-point scan charges them.
-    Two values that lie within their combined error estimates (plus a few
-    ulps of rounding) are compared again through the adaptive per-point
-    path, the arbiter of a point-by-point scan, so the batch's rounding
-    never settles a near-tie; two error-free values are closed forms, which
-    that path would return bit for bit, so they are not replayed.
-    """
-
-    def __init__(self, mu: Measure, r: float, spec: QuadSpec):
-        self.mu, self.r, self.spec = mu, r, spec
-        self.charges: list[tuple[float, float]] = []
-        self.best_val = -math.inf
-        self.best_err = 0.0
-        self.best_pt: np.ndarray | None = None
-        self.evaluations = 0
-        self._per_point_cache: dict[tuple[float, ...], tuple[float, float]] = {}
-
-    def evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        errors = np.empty(len(pts))
-        values = integrated_counting(self.mu, pts, self.r, self.spec, errors=errors)
-        return values, errors
-
-    def _record(self, value: float, error: float) -> None:
-        if error > 0.0:  # what _charge would charge
-            self.charges.append((value, error))
-
-    def _per_point(self, p: np.ndarray) -> tuple[float, float]:
-        key = tuple(p)
-        if key not in self._per_point_cache:
-            value, error = _counting_at(self.mu, p, self.r, self.spec)
-            self._record(value, error)
-            self._per_point_cache[key] = (value, error)
-        return self._per_point_cache[key]
-
-    def visit(self, p: np.ndarray, value: float, error: float) -> bool:
-        """Count, charge and compare one point; True when it becomes the best."""
-        self.evaluations += 1
-        self._record(value, error)
-        scale = max(abs(value), abs(self.best_val))
-        slack = error + self.best_err + _TIE_SLACK * scale
-        if ((error > 0.0 or self.best_err > 0.0) and math.isfinite(slack)
-                and abs(value - self.best_val) <= slack):
-            value, error = self._per_point(p)
-            self.best_val, self.best_err = self._per_point(self.best_pt)
-        if value > self.best_val:
-            self.best_val, self.best_err, self.best_pt = value, error, p
-            return True
-        return False
-
-
 def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
                             spec: QuadSpec = DEFAULT_SPEC, *,
                             budget: ErrorBudget | None = None) -> SupResult:
@@ -787,10 +728,13 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
     Evaluates at every atom location in the region, at component witness
     points, and on a uniform lattice of the given per-axis resolution, then
     walks locally around the best point (3 levels, factor 4 each), moving
-    as soon as a point improves on it.  The result is the largest value the
-    walk found: each value is a quadrature approximation whose error
-    estimate is charged to ``budget``, and the grid maximum is not a bound
-    on the supremum.  +inf is returned as soon as any evaluation is +inf.
+    as soon as a point improves on it by a strict ``>``.  The points are
+    evaluated in batches, and each batch counts only the points that a
+    point-by-point walk reaches, so ``evaluations`` and the charged errors
+    are that walk's.  The result is the largest value the walk found: each
+    value is a quadrature approximation whose error estimate is charged to
+    ``budget``, and the grid maximum is not a bound on the supremum.  +inf
+    is returned as soon as any evaluation is +inf.
     Regions: the radius of a closed ball about the origin, or SUPPORT.  A
     repeated scan returns the result cached on ``mu`` and charges ``budget``
     the same errors and failures again.
@@ -817,11 +761,19 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
 
 def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
           ) -> tuple[SupResult, list[tuple[float, float]]]:
-    """The scan behind ``sup_integrated_counting``, with its charges."""
+    """The scan behind ``sup_integrated_counting``, with its charges.
+
+    Each batch is evaluated at once and settled with array comparisons in
+    the order of a point-by-point walk: the candidates up to the first +inf
+    count, and the first strict maximum among them is the best; a
+    refinement batch counts up to its first row above the best, which the
+    walk then moves to.  Only counted points are evaluations, and their
+    nonzero error estimates are the charges, in order.  NaN never wins.
+    """
     d = mu.dimension
-    walk = _CountingWalk(mu, r, spec)
+    charges: list[tuple[float, float]] = []
     if mu.is_zero:
-        return SupResult(0.0, None, resolution, 0), walk.charges
+        return SupResult(0.0, None, resolution, 0), charges
     if region == SUPPORT:
         candidates, sources = _support_samples(mu, resolution)
         step = max((c.outer for c in mu.radial), default=0.0)
@@ -836,15 +788,24 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
         sources = [None] * len(candidates)
         step = 2.0 * region / (resolution - 1)
 
-    best_src: object = None
-    values, errors = walk.evaluate(candidates)
-    for p, src, value, error in zip(candidates, sources, values, errors):
-        if walk.visit(p, value, error):
-            best_src = src
-            if math.isinf(walk.best_val):
-                break
+    def evaluate(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        errors = np.empty(len(pts))
+        return integrated_counting(mu, pts, r, spec, errors=errors), errors
 
-    if walk.best_pt is not None and not math.isinf(walk.best_val):
+    def count(values: np.ndarray, errors: np.ndarray, hits: np.ndarray) -> int:
+        """Charge the rows up to the first hit, or all rows; return how many."""
+        n = int(hits[0]) + 1 if len(hits) else len(values)
+        charged = np.flatnonzero(errors[:n] > 0.0)
+        charges.extend(zip(values[charged].tolist(), errors[charged].tolist()))
+        return n
+
+    values, errors = evaluate(candidates)
+    evaluations = count(values, errors, np.flatnonzero(values == math.inf))
+    counted = np.where(np.isnan(values[:evaluations]), -math.inf, values[:evaluations])
+    k = int(np.argmax(counted))
+    best_val, best_pt, best_src = counted[k], candidates[k], sources[k]
+
+    if math.isfinite(best_val):
         for _ in range(3):
             step /= 4.0
             offsets = np.linspace(-4.0 * step, 4.0 * step, 9)
@@ -855,21 +816,21 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
             # improvement on and rebuilt about it.
             start = 0
             while start < len(shifts):
-                rows, batch = _admissible(walk.best_pt + shifts[start:], region, best_src)
+                rows, batch = _admissible(best_pt + shifts[start:], region, best_src)
                 if not len(rows):
                     break
                 rows, batch = start + rows[:_BATCH_CHUNK], batch[:_BATCH_CHUNK]
                 start = rows[-1] + 1  # where the walk resumes after the batch
-                values, errors = walk.evaluate(batch)
-                for k, q, value, error in zip(rows, batch, values, errors):
-                    if walk.visit(q, value, error):
-                        start = k + 1
-                        break
+                values, errors = evaluate(batch)
+                hits = np.flatnonzero(values > best_val)
+                evaluations += count(values, errors, hits)
+                if len(hits):
+                    k = hits[0]
+                    best_val, best_pt, start = values[k], batch[k], rows[k] + 1
 
-    best_pt = walk.best_pt
-    return SupResult(float(walk.best_val),
-                     None if best_pt is None else tuple(float(v) for v in best_pt),
-                     resolution, walk.evaluations), walk.charges
+    return SupResult(float(best_val),
+                     None if best_val == -math.inf else tuple(float(v) for v in best_pt),
+                     resolution, evaluations), charges
 
 
 # ---------------------------------------------------------------------------

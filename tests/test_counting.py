@@ -1,6 +1,6 @@
 """Integrated counting: closed-form kernels against mpmath, the batched
-fixed-panel path against the adaptive per-point path, and the bundled
-supremum scans pinned to the values of the point-by-point walk.  Also the
+fixed-panel path against the adaptive per-point path, and the supremum
+scans pinned and checked against a point-by-point walk.  Also the
 density-kernel integrals, potentials and difference counting, the planar
 positive-part means and the bound constant A against mpmath."""
 
@@ -26,7 +26,6 @@ from nevkit.measures import (
     Measure,
     RadialDensity,
     SphereShell,
-    _CountingWalk,
     _ball_lattice,
     _cap_fraction,
     _cosine_panel_rule,
@@ -41,7 +40,7 @@ from nevkit.measures import (
     sup_integrated_counting,
 )
 from nevkit.nevanlinna import classical_N
-from nevkit.quadrature import ErrorBudget
+from nevkit.quadrature import ErrorBudget, QuadResult
 from nevkit.scenario import scenario_from_json
 
 mpmath.mp.dps = 30
@@ -660,12 +659,13 @@ def test_batched_counting_is_rotation_invariant(case, r, seed):
 # -------------------------------------------------- bundled scans, pinned
 
 # (scenario, region radius or SUPPORT, r, resolution, value, argmax,
-# evaluations) for every scan of `nevkit run --bundled`, in run order, as the
-# point-by-point walk of adaptive evaluations found them.  The corollary's
-# scan repeats statement I's and comes from the measure's cache.  The support
+# evaluations) for every scan of `nevkit run --bundled`, in run order.  The
+# batched scans reach these rows unchanged from the walk that evaluated one
+# point at a time, so they visit the same points.  The corollary's scan
+# repeats statement I's and comes from the measure's cache.  The support
 # scan of the area measure settles ties between samples at one distance from
 # the density's center, whose values agree up to rounding, so its argmax
-# follows the last bits of the adaptive values, and of the projection onto
+# follows the last bits of the batched values, and of the projection onto
 # the density, there.
 BUNDLED_SCANS = [
     ("atomic_statements_expected_fail", 2.0, 0.5, 9, math.inf, (0.5, 0.0), 33),
@@ -687,7 +687,7 @@ BUNDLED_SCANS = [
 ]
 
 
-def test_bundled_scans_replay_the_pointwise_walk():
+def test_bundled_scans_are_pinned():
     scenarios = {}
     for path in bundled_scenario_paths():
         sc = scenario_from_json(json.loads(path.read_text()), path=path.name[:-5])
@@ -703,44 +703,87 @@ def test_bundled_scans_replay_the_pointwise_walk():
             assert res.value == pytest.approx(value, abs=1e-12)
 
 
-# (region radius or SUPPORT, value, argmax, evaluations) of two d = 3 walks
-# at r = 0.5 and resolution 7 over a centred shell plus an off-centre
-# density; the support walk projects its refinements onto the density.
+def _spatial_measure():
+    return Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
+                   radial=(RadialDensity([0.11, 0.25, 0.1], (0.0, 0.0, 40.0), 0.33),))
+
+
+# `many_small` seed 7 scenario 31: a centred shell in d = 3, on which N(y, 1)
+# is the constant mass / (4 radius**2) (the mean of 1/t - 1 over t <= 1 with
+# the density t / (2 radius**2) of t = |x - y|), so its support scan walks a
+# constant function and keeps the first of its rounding-level maxima.
+CENTRED_SHELL = SphereShell(np.zeros(3), 0.5126793219154806, 1.0217062332883202)
+
+# (measure, region radius or SUPPORT, r, resolution, value, argmax,
+# evaluations) of d = 3 walks: two at r = 0.5 and resolution 7 over a
+# centred shell plus an off-centre density, where the support walk projects
+# its refinements onto the density, and the centred shell's support walk.
 SPATIAL_SCANS = [
-    (SUPPORT, 1.345141929375398,
+    (_spatial_measure, SUPPORT, 0.5, 7, 1.345141929375398,
      (0.13434517664977294, 0.29778267664977304, 0.11962500000000002), 2443),
-    (1.0, 1.3439237350443647,
+    (_spatial_measure, 1.0, 0.5, 7, 1.3439237350443647,
      (0.14645833333333336, 0.2968749999999999, 0.12083333333333333), 2312),
+    (lambda: Measure(dimension=3, spheres=(CENTRED_SHELL,)), SUPPORT, 1.0, 5,
+     CENTRED_SHELL.mass / (4.0 * CENTRED_SHELL.radius ** 2),
+     (-0.015072285840216592, 0.0, -0.512457718567364), 2251),
 ]
 
 
-@pytest.mark.parametrize("radius, value, argmax, evaluations", SPATIAL_SCANS,
-                         ids=["support", "ball"])
-def test_spatial_scans_are_pinned(radius, value, argmax, evaluations):
-    mu = Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
-                 radial=(RadialDensity([0.11, 0.25, 0.1], (0.0, 0.0, 40.0), 0.33),))
-    res = sup_integrated_counting(mu, radius, 0.5, 7, budget=ErrorBudget())
+@pytest.mark.parametrize("measure, radius, r, resolution, value, argmax, evaluations",
+                         SPATIAL_SCANS, ids=["support", "ball", "centred-shell-support"])
+def test_spatial_scans_are_pinned(measure, radius, r, resolution, value, argmax,
+                                  evaluations):
+    mu = measure()
+    res = sup_integrated_counting(mu, radius, r, resolution, budget=ErrorBudget())
     assert (res.argmax, res.evaluations) == (argmax, evaluations)
     assert res.value == pytest.approx(value, abs=1e-12)
+    if not mu.radial:  # the centred shell's argmax lies on the shell
+        assert np.linalg.norm(argmax) == pytest.approx(CENTRED_SHELL.radius, abs=1e-12)
 
 
-def test_scans_of_closed_forms_replay_no_tie(monkeypatch):
-    # Every value of these scans is a closed form with no error estimate, so
-    # the lattice's symmetric ties are settled without the per-point path.
-    replays = []
-    per_point = _CountingWalk._per_point
+def _pointwise_walk(batches):
+    """Walk recorded (points, values, errors) batches one point at a time:
+    count each point, charge its error if nonzero, and take it only when it
+    beats the best by a strict ``>``.  The first batch holds the candidates,
+    whose walk stops at +inf; every later batch is a refinement batch, whose
+    walk stops at its first improvement."""
+    budget = ErrorBudget()
+    best, argmax, evaluations = -math.inf, None, 0
+    for i, (points, values, errors) in enumerate(batches):
+        for p, value, error in zip(points, values, errors):
+            evaluations += 1
+            if error > 0.0:
+                budget.add(QuadResult(value, error, math.isfinite(error)),
+                           "integrated-counting")
+            if value > best:
+                best, argmax = value, tuple(float(v) for v in p)
+                if i or value == math.inf:
+                    break
+    return best, argmax, evaluations, budget
 
-    def counted(self, p):
-        replays.append(p)
-        return per_point(self, p)
 
-    monkeypatch.setattr(_CountingWalk, "_per_point", counted)
-    for d in (2, 3):
-        mu = Measure(dimension=d, spheres=(SphereShell(np.zeros(d), 0.6, 1.0),
-                                           SphereShell(np.full(d, 0.1), 0.3, 0.5)))
-        sup_integrated_counting(mu, 1.0, 1.0, 5)
-        sup_integrated_counting(mu, SUPPORT, 1.0, 5)
-    assert replays == []
+@pytest.mark.parametrize("measure, r, resolution", [
+    (lambda: Measure(dimension=2, radial=(
+        RadialDensity([0.3512, -0.2174], (0.4, 2.0, -1.5), 0.3),)), 0.2, 9),
+    (_spatial_measure, 0.5, 5),
+], ids=["planar-density", "d3"])
+@pytest.mark.parametrize("region", [1.0, SUPPORT], ids=["ball", "support"])
+def test_scans_settle_batches_as_the_pointwise_walk(monkeypatch, measure, r,
+                                                    resolution, region):
+    batches = []
+
+    def recorded(mu, pts, r, spec, *, errors):
+        values = integrated_counting(mu, pts, r, spec, errors=errors)
+        batches.append((pts.copy(), values.copy(), errors.copy()))
+        return values
+
+    monkeypatch.setattr(measures, "integrated_counting", recorded)
+    budget = ErrorBudget()
+    res = sup_integrated_counting(measure(), region, r, resolution, budget=budget)
+    best, argmax, evaluations, walked = _pointwise_walk(batches)
+    assert len(batches) > 1 and walked.error > 0.0
+    assert (res.value, res.argmax, res.evaluations) == (best, argmax, evaluations)
+    assert budget.error == walked.error and budget.failures == walked.failures
 
 
 # ------------------------------------------------- positive-part means
