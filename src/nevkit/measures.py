@@ -313,25 +313,19 @@ def _shell_counting_kernel(a, s, r: float, d: int):
     """Mean over a unit-mass shell of radius s, center distance a, of
     (kappa(r) - kappa(|x - y|)) restricted to |x - y| <= r.
 
-    ``a`` and ``s`` are floats or broadcastable arrays; floats give a float.
-    Exact in every regime: the mean-value property covers a shell entirely
-    inside the ball, and ``_shell_window`` covers a shell that crosses it.
+    ``a`` and ``s`` are broadcastable arrays, or floats, which give a float
+    through the same array code.  Exact in every regime: the mean-value
+    property covers a shell entirely inside the ball, and ``_shell_window``
+    covers a shell that crosses it.
     """
     kr = kappa(r, d)
-    if isinstance(a, (float, int)) and isinstance(s, (float, int)):
-        a, s = float(a), float(s)
-        if abs(a - s) >= r:
-            return 0.0
-        if a + s <= r:
-            return kr - kappa(max(a, s), d)
-        return float(_shell_window(a, s, r, kr, d))
     a, s = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(s, dtype=float))
     out = np.zeros(a.shape)
     inside = a + s <= r
     out[inside] = kr - kappa(np.maximum(a, s)[inside], d)
     window = (np.abs(a - s) < r) & ~inside
     out[window] = _shell_window(a[window], s[window], r, kr, d)
-    return out
+    return _float_or_array(out)
 
 
 def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -367,12 +361,14 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
 
 
 # Batched integrated counting.  _PANEL_NODES: Gauss-Legendre nodes per panel
-# of the coarse rule in d = 3 (the fine rule has twice as many).  The planar
-# by-parts integrand takes twice as many in both rules, 32 and 64: at 16
-# against 32 its error estimates reached 1e-9.  _BATCH_CHUNK: points per
-# vectorised block, which bounds the temporaries at about _BATCH_CHUNK * 2
-# panels * 6 * _PANEL_NODES values.
-_PANEL_NODES = 16
+# of the coarse rule (the fine rule has twice as many), in both dimensions.
+# At 16 against 32 the planar by-parts integrand's estimates reached 1e-9,
+# and a d = 3 density with coeffs[0] > 0 missed the default tolerance at 29%
+# of random points within 5% of r from its centre (by up to 31 times); at 32
+# against 64 neither misses it, and a missed tolerance is a failed check.
+# _BATCH_CHUNK: points per vectorised block, which bounds the temporaries at
+# about _BATCH_CHUNK * 2 panels * 3 * _PANEL_NODES values.
+_PANEL_NODES = 32
 _BATCH_CHUNK = 64
 
 
@@ -403,8 +399,8 @@ def _inner_rings(comp: RadialDensity, a, r: float, d: int):
 
 def _crossing_integrand(comp: RadialDensity, a, lo, r: float, d: int):
     """The integrand over s of a density's rings that cross the sphere,
-    lo = |r - a| < s < min(r + a, outer), at center distance a (floats, or
-    arrays that broadcast against s).
+    lo = |r - a| < s < min(r + a, outer), at center distances a (arrays that
+    broadcast against the array s).
 
     In d = 3 it is density(s) * _shell_counting_kernel(a, s, r).  In the
     plane it is the by-parts form -m(s) * _window_slope(a, s, r), with
@@ -438,9 +434,9 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     center distance a, with their n-against-2n error estimates.
 
     The window is two panels split at the kernel's kink s = a, each
-    cosine-mapped, with ``_crossing_integrand`` on 16 against 32 nodes in
-    d = 3; in the plane its by-parts form runs on 32 against 64 nodes, plus
-    the exact end term of a cut window.  A panel that the window clips to
+    cosine-mapped, with ``_crossing_integrand`` on _PANEL_NODES against
+    2 * _PANEL_NODES nodes; in the plane that is the by-parts form, plus the
+    exact end term of a cut window.  A panel that the window clips to
     zero width is dead: the integrand is evaluated on the live panels only,
     and the dead ones contribute exact zeros.
     """
@@ -456,7 +452,6 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
         return np.broadcast_to(v[:, None], live.shape)[live][:, None]
 
     integrand = _crossing_integrand(comp, on_live(a), on_live(lo), r, d)
-    n = _PANEL_NODES if d == 3 else 2 * _PANEL_NODES
 
     def panel_integrals(n: int) -> np.ndarray:
         u, w = _cosine_panel_rule(n)
@@ -464,8 +459,8 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
         out[live] = live_width[:, 0] * (integrand(left + live_width * u) @ w)
         return out
 
-    coarse = panel_integrals(n)
-    fine = panel_integrals(2 * n)
+    coarse = panel_integrals(_PANEL_NODES)
+    fine = panel_integrals(2 * _PANEL_NODES)
     value = fine.sum(axis=1)
     if d == 2:
         value += _planar_window_end(comp, a, lo, r)
@@ -491,12 +486,10 @@ def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
 
 
 def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, error estimates and acceptance flags of the integrated
-    counting at each row of ``pts``, without any per-point quadrature.
-
-    Rejected points are those whose error estimate misses the spec's
-    tolerance; their values are meaningless.
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of the integrated counting at each row of
+    ``pts``.  A row whose estimate misses the spec's tolerance keeps its
+    value, and its error is +inf: a failed quadrature.
     """
     total = _closed_counting(mu, pts, r)
     err = np.zeros(len(pts))
@@ -505,30 +498,7 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
         total += value
         err += error
     ok = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-    return total, np.where(ok, err, 0.0), ok
-
-
-def _counting_at(mu: Measure, y: np.ndarray, r: float, spec: QuadSpec
-                 ) -> tuple[float, float]:
-    """The integrated counting at one point and its error estimate (+inf
-    when a quadrature failed): the closed forms of ``_closed_counting``,
-    plus one adaptive quadrature of ``_crossing_integrand`` over the rings
-    of each density that cross the sphere, |r - a| < s < min(r + a, outer),
-    and in the plane the end term of a cut window.
-    """
-    d = mu.dimension
-    point = ErrorBudget()
-    total = float(_closed_counting(mu, y[np.newaxis, :], r)[0])
-    for comp in mu.radial:
-        a = float(np.linalg.norm(comp.center - y))
-        lo, hi = abs(r - a), min(r + a, comp.outer)
-        if lo < hi:
-            res = integrate_1d(_crossing_integrand(comp, a, lo, r, d), lo, hi, spec,
-                               points=(a,), budget=point, label="integrated-counting")
-            total += res.value
-            if d == 2:
-                total += float(_planar_window_end(comp, np.array([a]), np.array([lo]), r)[0])
-    return total, point.error if point.ok else math.inf
+    return total, np.where(ok, err, math.inf)
 
 
 def _as_points(y, d: int) -> tuple[np.ndarray, bool]:
@@ -558,33 +528,28 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     integral of the shell kernel over the density's rings that cross the
     sphere |x - y| = r.
 
-    ``y`` is one point (d,), which gives a float by adaptive quadrature, or
-    an (n, d) array of points, which gives an (n,) array.  The array form
-    integrates the crossing rings on fixed panels, charges each point's
-    n-against-2n error estimate, and sends any point whose estimate misses
-    the spec's tolerance to the adaptive path.
-    ``errors``, an (n,) array, receives each point's error estimate, with
-    +inf where the quadrature failed.
+    ``y`` is one point (d,), which gives a float, or an (n, d) array of
+    points, which gives an (n,) array; one point is a batch of one.  The
+    crossing rings are integrated on fixed panels, and each point's
+    n-against-2n error estimate is charged.  Only the spec's two tolerances
+    are read: a point whose estimate misses them keeps its value and is
+    charged as a failure.
+    ``errors``, an (n,) array, or (1,) for one point, receives each point's
+    error estimate, with +inf where the quadrature failed.
     """
     if r <= 0.0:
         raise ValueError("integrated_counting: r must be positive")
     pts, one = _as_points(y, mu.dimension)
-    if one:
-        value, error = _counting_at(mu, pts[0], r, spec)
-        _charge(budget, value, error)
-        return value
     values = np.empty(len(pts))
     errs = np.empty(len(pts))
     for start in range(0, len(pts), _BATCH_CHUNK):
         block = slice(start, start + _BATCH_CHUNK)
-        values[block], errs[block], ok = _counting_block(mu, pts[block], r, spec)
-        for i in np.flatnonzero(~ok) + start:
-            values[i], errs[i] = _counting_at(mu, pts[i], r, spec)
+        values[block], errs[block] = _counting_block(mu, pts[block], r, spec)
     for value, error in zip(values, errs):
         _charge(budget, value, error)
     if errors is not None:
         errors[:] = errs
-    return values
+    return float(values[0]) if one else values
 
 
 def difference_counting(mu: Measure, r: float, R: float,
@@ -744,6 +709,8 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
         raise ValueError("sup_integrated_counting scans are provided for d in {2, 3}")
     if resolution < 3:
         raise ValueError("sup_integrated_counting: resolution must be at least 3")
+    # Integrated counting reads only the two tolerances, so the key omits
+    # spec.max_subdivisions.
     if region == SUPPORT:
         key = ("sup", SUPPORT, r, resolution, spec.abs_tol, spec.rel_tol)
     elif isinstance(region, (int, float)) and 0.0 < region < math.inf:

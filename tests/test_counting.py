@@ -1,8 +1,8 @@
-"""Integrated counting: closed-form kernels against mpmath, the batched
-fixed-panel path against the adaptive per-point path, and the supremum
-scans pinned and checked against a point-by-point walk.  Also the
-density-kernel integrals, potentials and difference counting, the planar
-positive-part means and the bound constant A against mpmath."""
+"""Integrated counting: closed-form kernels against mpmath, the fixed-panel
+rule against mpmath and against the same rule with four times the nodes,
+and the supremum scans pinned and checked against a point-by-point walk.
+Also the density-kernel integrals, potentials and difference counting, the
+planar positive-part means and the bound constant A against mpmath."""
 
 import json
 import math
@@ -40,7 +40,7 @@ from nevkit.measures import (
     sup_integrated_counting,
 )
 from nevkit.nevanlinna import classical_N
-from nevkit.quadrature import ErrorBudget, QuadResult
+from nevkit.quadrature import DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec
 from nevkit.scenario import scenario_from_json
 
 mpmath.mp.dps = 30
@@ -287,7 +287,9 @@ def _mp_crossing_rings(coeffs, a, r, outer, d):
         return (r - abs(a - s)) / (2 * a * s) - (1 - c0) / (2 * r)
 
     knots = [lo, a, hi] if lo < a < hi else [lo, hi]
-    with mpmath.workdps(15):
+    # The planar kernel is itself a quadrature, so its outer one runs at 15
+    # digits; the d = 3 kernel cancels near s = |r - a| and keeps all 30.
+    with mpmath.workdps(15 if d == 2 else mpmath.mp.dps):
         return mpmath.quad(lambda s: f(s) * kernel(s), knots)
 
 
@@ -315,34 +317,76 @@ CROSSING_WINDOWS = [(1.5, 0.3), (0.5, 0.6), (0.5, 0.6 - 1e-9), (0.5, 0.6 + 1e-9)
                     (1.5, 1e-9), (0.5, 0.3 + 1e-12)]
 
 
-def _counting_against_mpmath(d, coeffs, outer, distances, r=0.6):
-    """Both forms of the integrated counting of one density at the given
-    center distances, against the inner rings plus the crossing rings,
-    each within its reported error and a few ulps of rounding."""
+def _mp_shell(a, s, r, d):
+    """``_oracle_kernel``, with the mean-value form at the shell's center."""
+    if a == 0.0:
+        return _mp_kappa(mpmath.mpf(r), d) - _mp_kappa(mpmath.mpf(s), d) if s <= r else 0
+    return _oracle_kernel(a, s, r, d)
+
+
+def _mp_counting(mu, pts, r):
+    """The integrated counting of shells and densities at each row of
+    ``pts`` by mpmath: a shell's ``_mp_shell``, and a density's inner plus
+    crossing rings, each computed once per distinct center distance."""
+    d = mu.dimension
+    parts = {}
+    exact = []
+    for p in pts:
+        total = mpmath.mpf(0)
+        for i, comp in enumerate((*mu.spheres, *mu.radial)):
+            a = float(np.linalg.norm(p - comp.center))
+            if (i, a) not in parts:
+                if isinstance(comp, SphereShell):
+                    parts[i, a] = comp.mass * _mp_shell(a, comp.radius, r, d)
+                elif a == 0.0 and d == 3 and comp.coeffs[0] > 0.0:
+                    parts[i, a] = mpmath.inf  # the volume density is c0 / (4 pi t**2)
+                else:
+                    parts[i, a] = (_mp_inner_rings(comp.coeffs, a, r, comp.outer, d)
+                                   + _mp_crossing_rings(comp.coeffs, a, r, comp.outer, d))
+            total += parts[i, a]
+        exact.append(float(total))
+    return np.array(exact)
+
+
+def _counting_against_references(monkeypatch, mu, pts, r, oracle_rows=slice(None)):
+    """The integrated counting at the rows of ``pts``, each value within its
+    reported error and a few ulps of rounding of mpmath on ``oracle_rows``,
+    and within its error plus the finer rule's of the same rule on four
+    times the panel nodes on every row.  Returns the values and errors."""
+    pts = np.asarray(pts, dtype=float)
+    errors = np.empty(len(pts))
+    values = integrated_counting(mu, pts, r, errors=errors)
+    assert values.shape == (len(pts),)
+    assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
+    exact = _mp_counting(mu, pts[oracle_rows], r)
+    near = values[oracle_rows]
+    infinite = exact == math.inf
+    assert np.array_equal(near[infinite], exact[infinite])
+    slack = 1e-14 * (1.0 + np.abs(exact[~infinite]))
+    assert np.all(np.abs(near[~infinite] - exact[~infinite])
+                  <= errors[oracle_rows][~infinite] + slack), (near, exact, errors)
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_PANEL_NODES", 4 * _PANEL_NODES)
+        fine_errors = np.empty(len(pts))
+        fine = integrated_counting(mu, pts, r, errors=fine_errors)
+    finite = np.isfinite(values)
+    assert np.array_equal(fine[~finite], values[~finite])
+    assert np.all(np.abs(fine[finite] - values[finite]) <= (errors + fine_errors)[finite])
+    return values, errors
+
+
+def _counting_against_mpmath(monkeypatch, d, coeffs, outer, distances, r=0.6):
+    """The integrated counting of one density at the given center
+    distances against its references."""
     comp = RadialDensity(np.zeros(d), coeffs, outer)
     mu = Measure(dimension=d, radial=(comp,))
     direction = np.array([0.6, 0.8, 0.0][:d]) if d == 2 else np.array([0.48, 0.6, 0.64])
-    pts = np.outer(distances, direction)
-    errors = np.empty(len(pts))
-    batch = integrated_counting(mu, pts, r, errors=errors)
-    for p, value, error in zip(pts, batch, errors):
-        point = ErrorBudget()
-        single = integrated_counting(mu, p, r, budget=point)
-        assert point.ok
-        a = float(np.linalg.norm(p))
-        if a == 0.0 and d == 3 and coeffs[0] > 0.0:
-            assert value == single == math.inf
-            continue
-        exact = float(_mp_inner_rings(coeffs, a, r, comp.outer, d)
-                      + _mp_crossing_rings(coeffs, a, r, comp.outer, d))
-        slack = 1e-14 * (1.0 + abs(exact))
-        assert abs(value - exact) <= error + slack, (a, value, exact, error)
-        assert abs(single - exact) <= point.error + slack, (a, single, exact, point.error)
+    _counting_against_references(monkeypatch, mu, np.outer(distances, direction), r)
 
 
 @pytest.mark.parametrize("d, coeffs", INNER_RING_DENSITIES)
 def test_integrated_counting_of_a_density_matches_mpmath(monkeypatch, d, coeffs):
-    _counting_against_mpmath(d, coeffs, 0.5, INNER_RING_DISTANCES)
+    _counting_against_mpmath(monkeypatch, d, coeffs, 0.5, INNER_RING_DISTANCES)
     on_jump = []
 
     def slope(a, s, r):
@@ -353,7 +397,7 @@ def test_integrated_counting_of_a_density_matches_mpmath(monkeypatch, d, coeffs)
     for outer, a in CROSSING_WINDOWS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero at s = a
-            _counting_against_mpmath(d, coeffs, outer, [a])
+            _counting_against_mpmath(monkeypatch, d, coeffs, outer, [a])
     assert any(on_jump) == (d == 2)
 
 
@@ -469,7 +513,7 @@ def test_difference_counting_from_zero_at_a_singular_center():
     assert math.isfinite(difference_counting(singular, 0.2, R))
 
 
-# ------------------------------------------------- batched against adaptive
+# ------------------------------------------- the panel rule, end to end
 
 
 def _disc_area():
@@ -477,52 +521,100 @@ def _disc_area():
                    radial=(RadialDensity([0.0, 0.0], (0.0, 2.0), 1.0),))
 
 
-def _batch_against_adaptive(mu, pts, r):
-    pts = np.asarray(pts, dtype=float)
-    errors = np.empty(len(pts))
-    batch = integrated_counting(mu, pts, r, errors=errors)
-    assert batch.shape == (len(pts),)
-    assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
-    for p, value, error in zip(pts, batch, errors):
-        point = ErrorBudget()
-        adaptive = integrated_counting(mu, p, r, budget=point)
-        assert point.ok
-        assert abs(value - adaptive) <= error + point.error, (p, value, adaptive)
-
-
-def test_batch_matches_adaptive_on_corollary_lattice():
+def test_counting_on_corollary_lattice_matches_references(monkeypatch):
+    # The planar oracle costs about half a second a distance, so mpmath
+    # checks one row of each regime for r = 1 = outer: the centre, a < r / 2
+    # (one live panel), r / 2 < a < r (two), a > r (one) and a = r + outer
+    # (none).
     lattice = _ball_lattice(2.0, 2, 13)
-    _batch_against_adaptive(_disc_area(), lattice, 1.0)
+    distances = np.linalg.norm(lattice, axis=1)
+    rows = [int(np.argmin(np.abs(distances - a))) for a in (0.0, 0.4, 0.75, 1.5, 2.0)]
+    a = distances[rows]
+    assert a[0] == 0.0 and 0.0 < a[1] < 0.5 < a[2] < 1.0 < a[3] < 2.0 == a[4]
+    _counting_against_references(monkeypatch, _disc_area(), lattice, 1.0, rows)
 
 
-def test_batch_matches_adaptive_on_off_center_density_d3():
+def test_counting_on_off_center_density_d3_matches_references(monkeypatch):
     mu = Measure(dimension=3,
                  spheres=(SphereShell(np.zeros(3), 0.6, 1.0),),
                  radial=(RadialDensity([0.11, 0.25, 0.1], (0.0, 0.0, 40.0), 0.33),))
     lattice = _ball_lattice(2.0, 3, 5)
-    _batch_against_adaptive(mu, lattice, 1.0)
-    _batch_against_adaptive(mu, np.array(lattice) * 0.2, 0.3)
+    _counting_against_references(monkeypatch, mu, lattice, 1.0)
+    _counting_against_references(monkeypatch, mu, np.array(lattice) * 0.2, 0.3)
 
 
-def test_batch_matches_adaptive_with_mass_density_at_center():
+def test_counting_with_mass_density_at_center_matches_references(monkeypatch):
     # Density 0.3 + 0.9 t: its planar mass density is singular at the center.
     mu = Measure(dimension=2,
                  radial=(RadialDensity([0.0, 0.0], (0.3, 0.9), 0.8),))
     rng = np.random.default_rng(7)
     near = [v * 10.0 ** -k for k, v in zip(range(1, 8), rng.normal(size=(7, 2)))]
     lattice = _ball_lattice(1.8, 2, 9)
-    _batch_against_adaptive(mu, [*lattice, *near], 0.5)
-    # Closer in, both paths converge, to the value at the center: the
-    # adaptive path integrates the shells inside the ball in closed form.
+    # mpmath on the closest of these points, 1e-7 from the center.
+    _counting_against_references(monkeypatch, mu, [*lattice, *near], 0.5, [-1])
+    # Closer in the rule converges, to the value at the center: the shells
+    # inside the ball are one closed form.
     tiny = np.array([[7e-9, 0.0], [0.0, -1.4e-9]])
-    errors = np.empty(2)
-    values = integrated_counting(mu, tiny, 0.5, errors=errors)
+    values, errors = _counting_against_references(monkeypatch, mu, tiny, 0.5)
     assert np.all(errors < 1e-13)
     assert values == pytest.approx(integrated_counting(mu, np.zeros(2), 0.5), abs=1e-7)
-    for y, batch in zip(tiny, values):
-        point = ErrorBudget()
-        assert integrated_counting(mu, y, 0.5, budget=point) == pytest.approx(batch, abs=1e-12)
-        assert point.ok
+
+
+def test_counting_near_r_of_a_singular_density_d3_meets_the_tolerance(monkeypatch):
+    # A d = 3 density with coeffs[0] > 0 at center distances within 1e-9 to
+    # 5% of r, on both sides, and a point of the coherence tests' singular
+    # measure at a = 0.498, r = 0.5.  The panel rule settles every row within
+    # the default tolerance, with no adaptive quadrature, and mpmath agrees
+    # within each row's estimate.  Where the window starts within 1e-5 r of
+    # s = 0 the two rules agree more closely than the fine one is right, by
+    # up to 6e-14, hence the slack.
+    def no_adaptive(*args, **kwargs):
+        raise AssertionError("integrated counting ran an adaptive quadrature")
+
+    monkeypatch.setattr(measures, "integrate_1d", no_adaptive)
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(8):
+        comp = _random_density(rng, 3)
+        comp = replace(comp, coeffs=(float(rng.uniform(0.1, 2.0)), *comp.coeffs[1:]))
+        r = float(rng.uniform(0.3, 1.2))
+        gaps = r * 10.0 ** rng.uniform(-9.0, math.log10(0.05), size=8)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        pts = comp.center + np.outer(r + gaps * rng.choice([-1.0, 1.0], size=8), direction)
+        cases.append((Measure(dimension=3, radial=(comp,)), pts, r))
+    cases.append((Measure(dimension=3, radial=(
+        RadialDensity([0.2, -0.1, 0.3], (0.5, 1.0), 0.4),)), np.array([[0.0, -0.4435, 0.0]]),
+        0.5))
+    for mu, pts, r in cases:
+        budget = ErrorBudget()
+        errors = np.empty(len(pts))
+        values = integrated_counting(mu, pts, r, budget=budget, errors=errors)
+        assert budget.ok
+        assert np.all(errors <= np.maximum(DEFAULT_SPEC.abs_tol,
+                                           DEFAULT_SPEC.rel_tol * np.abs(values)))
+        exact = _mp_counting(mu, pts, r)
+        assert np.all(np.abs(values - exact) <= errors + 1e-13 * (1.0 + np.abs(exact))), (
+            values, exact, errors)
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadSpec(abs_tol=1e-300, rel_tol=1e-300)],
+                         ids=["default", "unreachable"])
+def test_one_point_is_a_batch_of_one(spec):
+    shell = SphereShell(np.array([0.1, 0.0, -0.2]), 0.5, 1.2)
+    density = RadialDensity([0.11, 0.25, 0.1], (0.4, 0.0, 2.0), 0.6)
+    for mu, y in [(Measure(dimension=3, spheres=(shell,), radial=(density,)),
+                   np.array([0.3, 0.5, 0.2])),
+                  (Measure(dimension=2, radial=(RadialDensity([0.2, -0.1], (0.3, 0.9), 0.8),)),
+                   np.array([0.5, 0.4]))]:
+        one, batch = ErrorBudget(), ErrorBudget()
+        e_one, e_batch = np.full(1, math.nan), np.empty(1)
+        value = integrated_counting(mu, y, 0.7, spec, budget=one, errors=e_one)
+        values = integrated_counting(mu, y[np.newaxis], 0.7, spec, budget=batch, errors=e_batch)
+        assert isinstance(value, float) and value == values[0]
+        assert e_one[0] == e_batch[0] > 0.0
+        assert (one.error, one.failures) == (batch.error, batch.failures)
+        assert one.ok == (spec is DEFAULT_SPEC)
 
 
 def test_batch_point_at_center_and_atoms():
@@ -568,11 +660,11 @@ def test_radial_block_runs_the_kernel_on_live_panels_only(monkeypatch, d, coeffs
         assert sum(nodes) == 3 * _PANEL_NODES * live.sum()
     else:
         # In the plane the rings are integrated by parts: the slope runs on
-        # 32 + 64 nodes per live panel, and the dilogarithm window only at
-        # the end of a window that outer cuts, lo < outer < r + a.  Every
-        # live window of this density is cut.  The wide one (outer 2.0) has
-        # one live panel at 0.2 and 0.3 and two beyond, and cuts only the
-        # windows of 1.2 and 1.9.
+        # the same 32 + 64 nodes per live panel, and the dilogarithm window
+        # only at the end of a window that outer cuts, lo < outer < r + a.
+        # Every live window of this density is cut.  The wide one (outer
+        # 2.0) has one live panel at 0.2 and 0.3 and two beyond, and cuts
+        # only the windows of 1.2 and 1.9.
         windows = []
 
         def slope(center_dist, s, r):
@@ -586,12 +678,12 @@ def test_radial_block_runs_the_kernel_on_live_panels_only(monkeypatch, d, coeffs
         monkeypatch.setattr(measures, "_window_slope", slope)
         monkeypatch.setattr(measures, "_shell_window", window)
         value, error = _radial_block(comp, a, r, d)
-        assert sum(nodes) == 3 * 2 * _PANEL_NODES * live.sum()
+        assert sum(nodes) == 3 * _PANEL_NODES * live.sum()
         assert windows == a[live > 0].tolist()
         nodes.clear(), windows.clear()
         wide = RadialDensity(np.zeros(d), coeffs, 2.0)
         _radial_block(wide, a, r, d)
-        assert sum(nodes) == 3 * 2 * _PANEL_NODES * np.array([0, 1, 1, 2, 2, 2, 2]).sum()
+        assert sum(nodes) == 3 * _PANEL_NODES * np.array([0, 1, 1, 2, 2, 2, 2]).sum()
         assert windows == [1.2, 1.9]
     dead = live == 0
     assert np.all(value[dead] == 0.0) and np.all(error[dead] == 0.0)

@@ -36,8 +36,10 @@ from nevkit.measures import (
     Measure,
     RadialDensity,
     SphereShell,
+    _ball_lattice,
     _support_samples,
     difference_counting,
+    integrated_counting,
     potential,
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
@@ -120,15 +122,26 @@ def test_lemma3_off_center_density_with_failing_quadrature_is_undetermined():
     assert "integrated-counting" in budget.failures
 
 
-def test_statement_V_batched_fallback_with_failing_quadrature_is_undetermined():
+def test_statement_V_with_rejected_counting_rows_is_undetermined():
     mu = Measure(dimension=3,
                  radial=(RadialDensity([0.3, -0.2, 0.1], (0.0, 0.0, 3.0), 0.5),))
     assert check_statement_V(mu, 0.4, resolution=3).verdict == HOLDS
-    # The batched scan sends every point back to the adaptive path, which
-    # fails there; the visited points carry the failure to the verdict.
+    # The spec only decides which rows the panel rule accepts.  A rejected
+    # row keeps its value and its error is +inf; a row in closed form (the
+    # density's center, or a ball that misses it) has no estimate and no
+    # spec rejects it.
+    pts = np.vstack([_ball_lattice(1.5, 3, 7), mu.radial[0].center])
+    errors, strict = np.empty(len(pts)), np.empty(len(pts))
+    values = integrated_counting(mu, pts, 0.4, errors=errors)
+    assert 0 < np.count_nonzero(errors) < len(pts)
+    assert np.array_equal(integrated_counting(mu, pts, 0.4, UNREACHABLE, errors=strict),
+                          values)
+    assert np.array_equal(strict == math.inf, errors > 0.0)
+    assert np.all(strict[errors == 0.0] == 0.0)
+    # The visited rows carry their failures to the verdict.
     rep = check_statement_V(mu, 0.4, resolution=3, spec=UNREACHABLE)
     assert rep.verdict == UNDETERMINED
-    # Every visited point fails; the label is listed once, with its count.
+    # The label is listed once, with its count.
     failures = [line for line in rep.diagnostics if "quadrature failure" in line]
     assert len(failures) == 1
     assert re.fullmatch(r"quadrature failure: integrated-counting \(x\d{3,}\)", failures[0])
