@@ -4,17 +4,20 @@ counting functions.
 
 Circle means use the periodic trapezoid rule (spectrally accurate for smooth
 integrands) with a node-doubling convergence check.  Integrands that are
-kinked or singular on the circle either get declared singular angles, in
-which case the adaptive rule splits there directly, or fail the doubling
-check and fall back to the adaptive rule.  Planar positive-part means locate
+kinked or singular on the circle either get declared singular angles or fail
+the doubling check; either way a tanh-sinh (double-exponential) rule on the
+arcs between break angles takes over, evaluating the integrand on whole
+arrays of nodes, one call per level.  Planar positive-part means locate
 their kinks (the sign changes of the function) and integrate between them
-with Gauss-Legendre rules before any fallback.  Sphere means in dimension 3
-use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
-same doubling check.  Positive-part means in dimension 3 whose function
-changes sign on that grid turn the polar axis to the centroid of the
-positive part and integrate one meridian at a time: Gauss-Legendre between
-the roots along each meridian, and the trapezoid rule across meridians, which
-converges fast because no meridian is tangent to the zero curve.
+with Gauss-Legendre rules before the tanh-sinh rule.  No circle or sphere
+mean calls the adaptive 1-D rule (scipy's QUADPACK), which serves integrals
+over a radius.  Sphere means in dimension 3 use a Gauss-Legendre (polar) x
+trapezoid (azimuthal) product rule with the same doubling check.
+Positive-part means in dimension 3 whose function changes sign on that grid
+turn the polar axis to the centroid of the positive part and integrate one
+meridian at a time: Gauss-Legendre between the roots along each meridian,
+and the trapezoid rule across meridians, which converges fast because no
+meridian is tangent to the zero curve.
 Non-convergence is always flagged, never silently absorbed.
 """
 
@@ -57,6 +60,14 @@ _SEGMENT_NODES = 16
 _MAX_SEGMENT_NODES = 256
 _ROOT_XATOL = 1e-12
 _CENTROID_RTOL = 1e-8
+
+# The tanh-sinh rule of a planar mean split at break angles: abscissae t in
+# [-_DE_SPAN, _DE_SPAN], where the outermost nodes lie about 1e-23 of their
+# arc from its ends, in steps of 2**-level for levels _DE_FIRST_LEVEL up to
+# _DE_MAX_LEVEL (57 to 7,169 nodes per arc).
+_DE_SPAN = 3.5
+_DE_FIRST_LEVEL = 3
+_DE_MAX_LEVEL = 10
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -181,24 +192,68 @@ def circle_points(center: np.ndarray, radius: float, n: int, shift: float = 0.0)
     return center + radius * np.column_stack((np.cos(theta), np.sin(theta)))
 
 
-def _adaptive_circle_mean(f, center, radius, spec, singular_angles, label):
-    angles = sorted(float(a) % TWO_PI for a in (singular_angles or ()))
-    if angles:
-        # Start the period at a singular angle: interval endpoints are never
-        # evaluated, and the remaining angles become declared split points.
-        a0 = angles[0]
-        interior = [t for t in (a + TWO_PI if a <= a0 else a for a in angles[1:])
-                    if a0 < t < a0 + TWO_PI]
-    else:
-        a0 = 0.0
-        interior = []
+def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec) -> QuadResult:
+    """Mean of f over the circle |x - center| = radius, which may be kinked
+    or integrably singular at the angles ``breaks``: the tanh-sinh rule on
+    every arc between consecutive breaks.
 
-    def g(theta: float) -> float:
-        p = center + radius * np.array([math.cos(theta), math.sin(theta)])
-        return float(np.asarray(f(p[np.newaxis, :]), dtype=float)[0])
-
-    res = integrate_1d(g, a0, a0 + TWO_PI, spec, points=interior, label=label)
-    return QuadResult(res.value / TWO_PI, res.error / TWO_PI, res.converged)
+    A node is placed as an offset from the nearer end of its arc and applied
+    to that break's own direction, so the two arcs that meet at a break
+    measure from the same point, and the wrap-around arc ends at the first
+    break's direction, not at its angle + 2 pi.  A node within rounding of
+    its break whose value is not finite has landed on the singularity there
+    and is dropped.  Each level halves the step in t and evaluates f once,
+    on the new nodes of every arc.  The error is the difference of the last
+    two levels plus a rounding floor: 50 eps times the mean of |f| (as in
+    QUADPACK's rules), and the mean's change when every node moves by its
+    rounding, bounded by the variation of f along the nodes.  A mean that
+    misses tolerance at _DE_MAX_LEVEL is flagged as not converged.
+    """
+    raw = np.asarray(breaks, dtype=float).ravel()
+    ends, index = np.unique(raw % TWO_PI, return_index=True)
+    lengths = np.diff(np.append(ends, ends[0] + TWO_PI))
+    dirs = np.column_stack((np.cos(raw[index]), np.sin(raw[index])))
+    # One row per arc and side: the nodes near an arc's start turn its own
+    # break's direction forwards, those near its end the next one's back.
+    turned = np.concatenate((dirs, np.roll(dirs, -1, axis=0)))
+    span = np.concatenate((lengths, -lengths))[:, np.newaxis]
+    # How far in angle a node's rounding can move it.
+    blur = _EPS * (1.0 + float(np.max(np.abs(center))) / radius)
+    total = magnitude = 0.0
+    for level in range(_DE_FIRST_LEVEL, _DE_MAX_LEVEL + 1):
+        step = 2.0 ** -level
+        first = level == _DE_FIRST_LEVEL
+        # The first level takes every multiple of its step in [0, _DE_SPAN],
+        # each later one the odd multiples of its own.
+        t = np.arange(0.0 if first else step, _DE_SPAN + step / 2, step if first else 2 * step)
+        e = np.exp(-math.pi * np.sinh(t))  # exp(-2u), u = (pi / 2) sinh t
+        # Per unit of arc length, the node's distance from its break and its
+        # weight: (1 - tanh u) / 2 and (pi / 4) cosh t / cosh(u)**2.
+        delta = span * (e / (1.0 + e))
+        weight = math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+        if first:
+            # Both sides place the arc's midpoint (t = 0); each takes half.
+            weight[0] *= 0.5
+        w = step * np.abs(span) * weight
+        c, s = np.cos(delta), np.sin(delta)
+        u0, u1 = turned[:, :1], turned[:, 1:]
+        nodes = np.stack((u0 * c - u1 * s, u1 * c + u0 * s), axis=-1)
+        vals = np.asarray(f(center + radius * nodes.reshape(-1, 2)),
+                          dtype=float).reshape(w.shape)
+        vals = np.where(~np.isfinite(vals) & (np.abs(delta) <= 8.0 * blur), 0.0, vals)
+        # A level's sum is half the last one's plus its new nodes' terms.
+        previous = total
+        total = 0.5 * total + float(np.sum(w * vals)) / TWO_PI
+        magnitude = 0.5 * magnitude + float(np.sum(w * np.abs(vals))) / TWO_PI
+        if not math.isfinite(total):
+            return QuadResult(total, math.inf, False)
+        if first:
+            continue
+        variation = float(np.abs(np.diff(vals, axis=1)).sum())
+        err = abs(total - previous) + _EPS * 50.0 * magnitude + blur * variation / TWO_PI
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            return QuadResult(total, err, True)
+    return QuadResult(total, err, False)
 
 
 def _doubling_check(fine: np.ndarray, spec: QuadSpec) -> QuadResult | None:
@@ -218,17 +273,18 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
     """Mean of f over the circle |x - center| = radius.
 
     f maps (n, 2) point arrays to (n,) value arrays.  With singular angles
-    supplied the adaptive rule is used directly.  Otherwise the trapezoid
-    rule on 2 * ``_CIRCLE_NODES`` nodes is checked against the rule on
-    every other node; a non-finite node triggers one half-step grid
-    rotation, and a finite but non-converged doubling check falls back to
-    the adaptive rule.
+    supplied, the tanh-sinh rule split at them (``_break_angle_mean``) is
+    used directly.  Otherwise the trapezoid rule on 2 * ``_CIRCLE_NODES``
+    nodes is checked against the rule on every other node; a non-finite
+    node triggers one half-step grid rotation, and a finite but
+    non-converged doubling check hands the mean to the tanh-sinh rule with
+    one break, at the node where |f| is largest.
     """
     center = as_point(center, 2)
     if radius <= 0.0:
         raise ValueError("circle_mean: radius must be positive")
     if singular_angles:
-        result = _adaptive_circle_mean(f, center, radius, spec, singular_angles, label)
+        result = _break_angle_mean(f, center, radius, singular_angles, spec)
         if budget is not None:
             budget.add(result, label)
         return result
@@ -239,7 +295,8 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
         if np.all(np.isfinite(fine)):
             result = _doubling_check(fine, spec)
             if result is None:
-                result = _adaptive_circle_mean(f, center, radius, spec, None, label)
+                peak = (np.argmax(np.abs(fine)) + shift) * (TWO_PI / n)
+                result = _break_angle_mean(f, center, radius, (peak,), spec)
             break
     else:
         # Non-finite values on both the original and the rotated grid.
@@ -577,15 +634,20 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     only, maps an (n, d) point array and a radius rho to upper bounds on
     |grad g| over the balls of radius rho about the points.
 
-    In the plane g is evaluated on ``circle_mean``'s grid first.  Where it
-    keeps one sign there, the trapezoid doubling check may settle the mean.
-    Otherwise the sign changes of g between neighbouring nodes are
-    refined to roots (Chandrupatla's method, ``_bracketed_roots``, all
-    cells in one batched solve), and the arcs on which g is
-    positive are integrated with Gauss-Legendre rules of ``_ARC_NODES`` and
-    of twice as many nodes, whose difference is the error estimate.  The
-    adaptive rule, split at the roots, takes over when that estimate misses
-    tolerance, and handles declared singular angles directly.
+    In the plane g is evaluated on ``circle_mean``'s grid first, and each
+    declared singular angle (a charge on the circle) joins that grid as one
+    more sample.  Without singular angles, where g keeps one sign on the
+    grid, the trapezoid doubling check may settle the mean.  Otherwise the
+    sign changes of g between neighbouring samples, an infinite value at a
+    charge included, are refined to roots (Chandrupatla's method,
+    ``_bracketed_roots``, all cells in one batched solve).  Without singular
+    angles, the arcs on which g is positive are integrated with
+    Gauss-Legendre rules of ``_ARC_NODES`` and of twice as many nodes, whose
+    difference is the error estimate.  The tanh-sinh rule of
+    ``_break_angle_mean`` takes over when that estimate misses tolerance or
+    a root is unusable, and handles singular angles directly: its break
+    angles are the singular angles and the finite roots, or, when there are
+    none, the node where |g| is largest.
 
     For d = 3, g is first evaluated on the product grid of
     ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  Where g is finite and
@@ -656,22 +718,31 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     else:
         # Non-finite values on both the original and the rotated grid.
         return _settle(QuadResult(math.nan, math.inf, False), budget, label)
+    if singular_angles:
+        # Each singular angle is a sample of the sign grid too, so a root
+        # between it and its neighbouring nodes is bracketed like any other.
+        extra = np.mod(np.asarray(singular_angles, dtype=float), TWO_PI)
+        theta, index = np.unique(np.concatenate((theta, extra)), return_index=True)
+        values = np.concatenate((values, g_at(extra)))[index]
     roots = _sign_change_roots(g_at, theta, values)
     result = None
     if roots.size and not singular_angles:
         result = _positive_arc_mean(g_at, roots, spec)
     if result is None:
-        angles = (*(singular_angles or ()), *roots[np.isfinite(roots)])
-        result = _adaptive_circle_mean(plus, center, r, spec, angles, label)
+        breaks = (*(singular_angles or ()), *roots[np.isfinite(roots)])
+        if not breaks:
+            breaks = (theta[np.argmax(np.abs(values))],)
+        result = _break_angle_mean(plus, center, r, breaks, spec)
     return _settle(result, budget, label)
 
 
 def _sign_change_roots(g_at, theta: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Roots of g(theta) in each grid cell (cyclically) whose ends differ in
-    sign, in increasing order; cells with a non-finite end are skipped."""
+    sign, in increasing order; cells with a nan end are skipped (an infinite
+    end, at a charge, has a sign)."""
     right = np.roll(values, -1)
     ends = np.append(theta[1:], theta[0] + TWO_PI)
-    cells = (np.isfinite(values) & np.isfinite(right)
+    cells = (~np.isnan(values) & ~np.isnan(right)
              & ((values > 0.0) != (right > 0.0)))
     if not cells.any():
         return np.empty(0)

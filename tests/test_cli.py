@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nevkit import measures
+from nevkit import dsh, measures, quadrature
 from nevkit.dsh import _contact_radii
 from nevkit.cli import (
     EXIT_FAILED,
@@ -78,6 +78,20 @@ def test_run_bundled_outputs(tmp_path, capsys):
     # plot data: one counting grid per planar scenario
     for path in bundled_scenario_paths():
         assert (out_dir / f"{path.stem}.counting.csv").exists()
+
+
+def test_bundled_run_integrates_only_density_rings(tmp_path, monkeypatch):
+    # Circle means never call integrate_1d; a bundled run calls it once per
+    # density ring integral, for statement_II[f] and corollary[f].
+    labels = []
+    for module in (quadrature, dsh, measures):
+        def counted(*args, _wrapped=module.integrate_1d, **kwargs):
+            labels.append(kwargs.get("label"))
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate_1d", counted)
+    assert main(["run", "--bundled", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert labels == ["positive-part", "positive-part"]
 
 
 def test_run_unexpected_failure_exit_code(tmp_path):

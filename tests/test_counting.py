@@ -914,7 +914,7 @@ def _oracle_positive_part_mean(f, radius, start):
 def test_positive_part_integral_matches_mpmath(on_circle):
     # ln|f| changes sign twice on the circle, so ln+|f| has two kinks there.
     # With on_circle the shell passes through a pole of f, a declared
-    # singular angle, and the adaptive rule runs split at it and the kinks.
+    # singular angle, and the tanh-sinh rule runs split at it and the kinks.
     pole = POSITIVE_PART_F.poles[1]
     radius, start = ((abs(pole), math.atan2(pole.imag, pole.real)) if on_circle
                      else (0.5990793563813949, 0.0))

@@ -530,9 +530,9 @@ def test_planar_density_contacts_and_integral():
 @st.composite
 def _densities_and_functions(draw):
     """A density and a function whose harmonic constant puts a zero of u
-    inside the density's support.  The charges stay outside the support: the
-    old route runs the adaptive circle mean on every ring within 5% of a
-    planar charge's distance, and took 9.7 s on one such example."""
+    inside the density's support.  The charges stay outside the support, so
+    no ring passes through one; a planar ring within 5% of a charge's
+    distance still takes the tanh-sinh rule split at the charge's angle."""
     d = draw(st.sampled_from([2, 3]))
     unit = st.floats(-1.0, 1.0)
     center = 0.3 * np.array(draw(st.lists(unit, min_size=d, max_size=d)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
+from nevkit import quadrature
 from nevkit.dsh import (
     Charge,
     DshFunction,
@@ -116,6 +117,48 @@ def test_proximity_handles_root_on_circle():
         lambda t: max(math.log(4.0 * math.sin(t)), 0.0), 0.0, math.pi / 2.0,
         points=(math.asin(0.25),)).value
     assert proximity(u, 2.0) == pytest.approx(oracle, rel=1e-7)
+
+
+def test_proximity_through_a_double_pole_on_the_circle(monkeypatch):
+    # The bundled corollary's f = (z - 0.5) / (z - 2)**2 at R = 2: ln+|f| is
+    # log-singular at angle 0, where the wrap-around arc of the break-angle
+    # rule must end at the pole's own direction, not at the float 2 pi, which
+    # is 2.4e-16 short of it.  Nodes placed at float angles near 2 pi leave a
+    # bias of about 3e-15, inside the error bound's rounding floor, so the
+    # value must also match mpmath to a few ulps.  No circle mean falls back
+    # to integrate_1d.
+    def g(t):
+        z = 2 * mpmath.expj(t)
+        return mpmath.log(abs(z - 0.5)) - 2 * mpmath.log(abs(z - 2))
+
+    with mpmath.workdps(30):
+        root = mpmath.findroot(g, 1.0)  # ln|f| > 0 on (-root, root)
+        exact = float(mpmath.quad(g, [0, root]) / mpmath.pi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_1d called")
+
+    monkeypatch.setattr(quadrature, "integrate_1d", refuse)
+    u = from_rational(RationalFunction(zeros=(0.5,), poles=(2.0, 2.0), scale=1.0))
+    budget = ErrorBudget()
+    value = proximity(u, 2.0, budget=budget)
+    assert budget.ok
+    assert abs(value - exact) <= budget.error, (value, exact, budget.error)
+    assert abs(value - exact) <= 8 * math.ulp(exact), (value, exact)
+
+
+@pytest.mark.parametrize("c", [special_ortho_group.rvs(2, random_state=0) @ np.array([0.0, 1.0]),
+                               np.array([0.0, 1.0])])
+def test_proximity_of_a_charge_on_the_circle(c):
+    # u = 1 + 0.125 ln|x - c| is negative only on an arc of half-width about
+    # 3.4e-4 about c, between the nodes of the sign grid.  The charge's angle
+    # is a sample of that grid, so both roots are bracketed.
+    u = DshFunction(2, (Charge(c, 0.125),), HarmonicPart((("const", 1.0),)))
+    budget = ErrorBudget()
+    value = proximity(u, 1.0, budget=budget)
+    assert budget.ok
+    assert abs(value - 1.0000133476338842) <= budget.error, (value, budget.error)
+    assert budget.error < 1e-11
 
 
 def test_proximity_of_a_kink_pair_the_doubling_check_misses():

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from nevkit import quadrature
 from nevkit.dsh import Charge, DshFunction, HarmonicPart
+from nevkit.kernels import poisson_kernel
 from nevkit.quadrature import (
     ErrorBudget,
     QuadratureError,
@@ -53,6 +54,19 @@ def test_circle_mean_smooth_nonharmonic():
     res = circle_mean(f, np.zeros(2), 1.5)
     assert res.value == pytest.approx(2.25, rel=1e-12)
     assert res.converged
+
+
+def test_circle_mean_of_a_poisson_kernel_near_its_pole():
+    # At |x| = 0.999 R the kernel's peak, of width about 1e-3, fails the
+    # trapezoid doubling check; the break-angle rule, split at the largest
+    # node, takes over.  Its weights must not overflow: a RuntimeWarning is
+    # an error under the test configuration.
+    R = 1.3
+    x = 0.999 * R * np.array([math.cos(0.4), math.sin(0.4)])
+    res = circle_mean(lambda pts: 2.0 * math.pi * R * poisson_kernel(x, pts, R, 2),
+                      np.zeros(2), R)
+    assert res.converged
+    assert abs(res.value - 1.0) <= res.error, res
 
 
 def test_circle_mean_log_singularity_on_circle():
@@ -138,12 +152,12 @@ class _Jumps:
 
 def test_positive_part_mean_splits_at_the_kinks(monkeypatch):
     # max(x0 - 0.3, 0) on the unit circle: kinks at +-acos(0.3), mean
-    # (sin t - 0.3 t) / pi at t = acos(0.3).  The arc rules settle it without
-    # the adaptive fallback.
-    def adaptive(*args):
-        raise AssertionError("adaptive fallback used")
+    # (sin t - 0.3 t) / pi at t = acos(0.3).  The Gauss-Legendre arc rules
+    # settle it without the tanh-sinh rule split at break angles.
+    def split(*args):
+        raise AssertionError("break-angle rule used")
 
-    monkeypatch.setattr(quadrature, "_adaptive_circle_mean", adaptive)
+    monkeypatch.setattr(quadrature, "_break_angle_mean", split)
     t = math.acos(0.3)
     budget = ErrorBudget()
     value = positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, budget=budget)
