@@ -71,7 +71,6 @@ from .quadrature import (
     QuadResult,
     QuadSpec,
     circle_mean,
-    integrate_1d,
     positive_part_mean,
     sphere_mean,
     stieltjes_against_jumps,
@@ -99,7 +98,7 @@ __all__ = [
     "circle_mean", "classical_N", "classical_T", "constant_A",
     "difference_T", "difference_counting", "dsh_from_json",
     "falsify_statement_III", "from_rational", "green_ball", "hat_d",
-    "integrate_1d", "integrated_counting", "kappa", "kernel_witness",
+    "integrated_counting", "kappa", "kernel_witness",
     "load_scenario", "measure_from_json",
     "poisson_kernel", "positive_part_integral", "positive_part_mean",
     "potential", "proximity",

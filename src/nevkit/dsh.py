@@ -10,12 +10,10 @@ carry positive charge, poles negative, and log|scale| is the harmonic part.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import (
     as_point,
@@ -34,8 +32,9 @@ from .quadrature import (
     DEFAULT_SPEC,
     ErrorBudget,
     QuadSpec,
-    integrate_1d,
+    _bracketed_roots,
     positive_part_mean,
+    radius_integral,
     sphere_grid,
 )
 
@@ -236,13 +235,14 @@ class DshFunction:
 
 def _contact_radii(u: DshFunction, center: np.ndarray, outer: float) -> list[float]:
     """Radii in (0, outer) where the sphere about ``center`` first or last
-    touches {u > 0}, the zeros of the max and the min of u on it: brentq from
-    sign changes on ``_CONTACT_RADII`` scanned spheres.  At each radius the
-    extremum comes from a patch search in the tangent plane at the grid's
-    best node: u is evaluated on a 5**(d - 1) patch about the best point so
-    far, which moves to the patch's best point, or, when that is the centre,
-    shrinks by 4, until its step is below ``_PATCH_STEP_MIN``.  A missed
-    zero costs the integral time, not accuracy."""
+    touches {u > 0}, the zeros of the max and the min of u on it: one batched
+    Chandrupatla solve (``_bracketed_roots``) over the sign changes on
+    ``_CONTACT_RADII`` scanned spheres.  At each radius the extremum comes
+    from a patch search in the tangent plane at the grid's best node: u is
+    evaluated on a 5**(d - 1) patch about the best point so far, which moves
+    to the patch's best point, or, when that is the centre, shrinks by 4,
+    until its step is below ``_PATCH_STEP_MIN``.  A missed zero costs the
+    integral time, not accuracy."""
     dirs = sphere_grid(u.dimension)
     offsets = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * (u.dimension - 1),
                                    indexing="ij"), axis=-1).reshape(-1, u.dimension - 1)
@@ -265,18 +265,22 @@ def _contact_radii(u: DshFunction, center: np.ndarray, outer: float) -> list[flo
             if step < _PATCH_STEP_MIN:
                 return sign * float(values[i])
 
+    extrema = np.vectorize(extremum, otypes=[float])  # over the open brackets
     radii = outer * np.arange(_CONTACT_RADII + 1) / _CONTACT_RADII
     scans = np.array([(v.max(), v.min())  # one sphere at a time
                       for v in (u.evaluate(center + s * dirs) for s in radii)])
-    found = []
-    for sign, ends in zip((1.0, -1.0), scans.T):
-        for i in np.flatnonzero(np.diff(ends > 0.0) & np.isfinite(ends[:-1] + ends[1:])):
-            # A zero within the grid's shortfall of a radius needs the wider bracket.
-            for lo, hi in ((i, i + 1), (max(i - 1, 0), min(i + 2, _CONTACT_RADII))):
-                with contextlib.suppress(ValueError):
-                    found.append(brentq(extremum, radii[lo], radii[hi], args=(sign,), xtol=1e-13))
-                    break
-    return found
+    # Column 0 brackets the zeros of the max, column 1 those of the min.
+    side, cells = np.nonzero((np.diff(scans > 0.0, axis=0)
+                              & np.isfinite(scans[:-1] + scans[1:])).T)
+    signs = 1.0 - 2.0 * side
+    roots = np.full(len(cells), math.nan)
+    # A zero within the grid's shortfall of a radius needs the wider bracket.
+    for lo, hi in ((cells, cells + 1),
+                   (np.maximum(cells - 1, 0), np.minimum(cells + 2, _CONTACT_RADII))):
+        retry = np.isnan(roots)
+        roots[retry] = _bracketed_roots(extrema, radii[lo[retry]], radii[hi[retry]],
+                                        (signs[retry],), xatol=1e-13)
+    return roots[np.isfinite(roots)].tolist()
 
 
 def positive_part_integral(u: DshFunction, mu: Measure,
@@ -287,7 +291,7 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     Atoms are evaluated exactly (an atom on a positive charge gives +inf; on
     a negative charge it contributes 0).  Shell components use positive-part
     sphere means with singular-angle hints and u's gradient bound.  A radial
-    component integrates them over the ring radius with the adaptive rule,
+    component integrates them over the ring radius with ``radius_integral``,
     split at the kinks: the charges' distances from its centre and its
     contact radii.
     """
@@ -306,11 +310,11 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     for shell in mu.spheres:
         total += shell.mass * mean(shell.center, shell.radius)
     for comp in mu.radial:
-        pts = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
-        pts += _contact_radii(u, comp.center, comp.outer)
-        total += integrate_1d(lambda s: comp.density(s) * mean(comp.center, s), 0.0,
-                              comp.outer, spec, points=pts, budget=budget,
-                              label="positive-part").value
+        breaks = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
+        breaks += _contact_radii(u, comp.center, comp.outer)
+        total += radius_integral(lambda s: comp.density(s) * mean(comp.center, s), 0.0,
+                                 comp.outer, spec, breaks=breaks, budget=budget,
+                                 label="positive-part").value
     return float(total)
 
 

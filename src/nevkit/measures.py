@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as P
-from scipy.special import spence
 
 from .kernels import (
     BOUNDARY_RTOL,
@@ -31,7 +30,8 @@ from .kernels import (
     row_norms,
     validate_dimension,
 )
-from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec, integrate_1d
+from .quadrature import (DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec, _cosine_panel_rule,
+                         radius_integral)
 
 SUPPORT = "support"
 
@@ -283,6 +283,7 @@ def _shell_window(a, s, r: float, kr: float, d: int):
     if d == 3:
         gap = r - np.abs(a - s)
         return gap * gap / (4.0 * a * s * r)
+    from scipy.special import spence  # here, so that d = 3 runs import no scipy
     c0 = (a * a + s * s - r * r) / (2.0 * a * s)
     theta = np.arccos(np.minimum(np.maximum(c0, -1.0), 1.0))
     mx = np.maximum(a, s)
@@ -332,8 +333,10 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
                     budget: ErrorBudget | None = None) -> float:
     """Mass of the closed ball of radius t about y.
 
-    Exact for atoms (closed-ball convention) and for centred components;
-    adaptive quadrature covers off-center density components.
+    Exact for atoms (closed-ball convention), shells and centred components.
+    An off-centre density's rings inside the ball, s <= t - a, are the closed
+    form mass_within(t - a); only those that cross the sphere, |a - t| < s <
+    min(a + t, outer), go to ``radius_integral``.
     """
     if t < 0.0:
         raise ValueError("radial_counting: t must be nonnegative")
@@ -349,14 +352,12 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
         total += shell.mass * _cap_fraction(a, shell.radius, t, d)
     for comp in mu.radial:
         a = float(np.linalg.norm(comp.center - y))
-        if a == 0.0:
-            total += comp.mass_within(thr)
-        elif t > 0.0:
-            res = integrate_1d(
-                lambda s: comp.density(s) * _cap_fraction(a, s, t, d),
-                0.0, comp.outer, spec, points=(abs(a - t), a + t), budget=budget,
-                label="radial-counting")
-            total += res.value
+        total += comp.mass_within(thr if a == 0.0 else t - a)
+        lo, hi = abs(a - t), min(a + t, comp.outer)  # empty for a centred density
+        if lo < hi:
+            total += radius_integral(
+                lambda s: comp.density(s) * _cap_fraction(a, s, t, d), lo, hi, spec,
+                budget=budget, label="radial-counting").value
     return float(total)
 
 
@@ -370,15 +371,6 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
 # about _BATCH_CHUNK * 2 panels * 3 * _PANEL_NODES values.
 _PANEL_NODES = 32
 _BATCH_CHUNK = 64
-
-
-@lru_cache(maxsize=None)
-def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes in (0, 1) and weights of n-point Gauss-Legendre after the change
-    of variable u = (1 - cos phi) / 2, which smooths square-root edges."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    phi = 0.5 * math.pi * (x + 1.0)
-    return 0.5 * (1.0 - np.cos(phi)), w * (0.25 * math.pi) * np.sin(phi)
 
 
 def _inner_rings(comp: RadialDensity, a, r: float, d: int):

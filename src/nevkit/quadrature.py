@@ -1,7 +1,9 @@
-"""Numerical integration: adaptive 1-D rules with declared singular points,
-circle and sphere means, and Riemann-Stieltjes integrals against monotone
-counting functions.
+"""Numerical integration: a piecewise rule over a radius with declared break
+points, circle and sphere means, and Riemann-Stieltjes integrals against
+monotone counting functions.
 
+Integrals over a radius split at their break points and halve the piece
+whose 8- and 16-node cosine-mapped Gauss-Legendre rules disagree most.
 Circle means use the periodic trapezoid rule (spectrally accurate for smooth
 integrands) with a node-doubling convergence check.  Integrands that are
 kinked or singular on the circle either get declared singular angles or fail
@@ -9,10 +11,9 @@ the doubling check; either way a tanh-sinh (double-exponential) rule on the
 arcs between break angles takes over, evaluating the integrand on whole
 arrays of nodes, one call per level.  Planar positive-part means locate
 their kinks (the sign changes of the function) and integrate between them
-with Gauss-Legendre rules before the tanh-sinh rule.  No circle or sphere
-mean calls the adaptive 1-D rule (scipy's QUADPACK), which serves integrals
-over a radius.  Sphere means in dimension 3 use a Gauss-Legendre (polar) x
-trapezoid (azimuthal) product rule with the same doubling check.
+with Gauss-Legendre rules before the tanh-sinh rule.  Sphere means in
+dimension 3 use a Gauss-Legendre (polar) x trapezoid (azimuthal) product
+rule with the same doubling check.
 Positive-part means in dimension 3 whose function changes sign on that grid
 turn the polar axis to the centroid of the positive part and integrate one
 meridian at a time: Gauss-Legendre between the roots along each meridian,
@@ -24,12 +25,10 @@ Non-convergence is always flagged, never silently absorbed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .kernels import as_point, validate_dimension
 
@@ -91,14 +90,15 @@ _CIRCLE_NODES = 512
 _POLAR_NODES = 64
 _AZIMUTH_NODES = 128
 
-# scipy's quad allocates work arrays of max_subdivisions entries (and cannot
-# take a number beyond a C long).
+# Each halving in radius_integral costs 48 evaluations of its integrand, so
+# 2**20 pieces is already 50 million: a larger cap would only hide a runaway.
 MAX_SUBDIVISIONS = 2 ** 20
+_PIECE_NODES = 8  # coarse nodes per piece of radius_integral; the fine rule doubles them
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and the adaptive rule's budget for all integration in the package."""
+    """Tolerances for all integration in the package, and radius_integral's piece cap."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
@@ -154,32 +154,56 @@ class ErrorBudget:
         return not self.failures
 
 
-def integrate_1d(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                 points=(), budget: ErrorBudget | None = None,
-                 label: str = "integrate_1d") -> QuadResult:
-    """Adaptive integral of f over [a, b], splitting at declared singular points.
+@lru_cache(maxsize=8)
+def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights of n-point Gauss-Legendre after the change
+    of variable u = (1 - cos phi) / 2, which smooths square-root edges."""
+    x, w = _leggauss(n)
+    phi = 0.5 * math.pi * (x + 1.0)
+    return (_read_only(0.5 * (1.0 - np.cos(phi))),
+            _read_only(w * (0.25 * math.pi) * np.sin(phi)))
 
-    The integrand is never evaluated exactly at the interior ``points`` or at
-    the interval endpoints, so integrable endpoint singularities are fine.
-    """
-    if not a < b:
-        raise ValueError(f"integrate_1d needs a < b, got [{a}, {b}]")
-    interior = sorted({float(p) for p in points if a < p < b})
-    kwargs = {
-        "epsabs": spec.abs_tol,
-        "epsrel": spec.rel_tol,
-        # QUADPACK refuses a limit that does not exceed the break points.
-        "limit": max(spec.max_subdivisions, len(interior) + 1),
-        "full_output": 1,
-    }
-    if interior:
-        kwargs["points"] = interior
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(f, a, b, **kwargs)
-    value = float(out[0])
-    error = float(out[1])
-    converged = len(out) == 3 and math.isfinite(value) and math.isfinite(error)
+
+def radius_integral(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC, *,
+                    breaks=(), budget: ErrorBudget | None = None,
+                    label: str = "radius-integral") -> QuadResult:
+    """Integral over [lo, hi] of f, a float to a float, which may be kinked or
+    integrably singular at the ``breaks``, where f is never evaluated.  Each
+    piece between breaks runs cosine-mapped Gauss-Legendre rules of
+    ``_PIECE_NODES`` and twice as many nodes; its error estimate is their
+    difference, at least 50 eps times its integral of |f|.  The piece with
+    the largest estimate is halved until their sum meets the tolerance.  A
+    value that is not finite, a piece at that floor or too narrow to halve,
+    or ``spec.max_subdivisions`` pieces (more if the breaks make more) leave
+    the result not converged."""
+    if not lo < hi:
+        raise ValueError(f"radius_integral needs lo < hi, got [{lo}, {hi}]")
+    rules = [_cosine_panel_rule(n) for n in (_PIECE_NODES, 2 * _PIECE_NODES)]
+
+    def piece(a: float, b: float) -> tuple[float, float, float, float, float]:
+        """The piece's value, error estimate, ends and rounding floor."""
+        sums = []
+        for u, w in rules:
+            vals = np.array([f(float(a + (b - a) * x)) for x in u])
+            sums.append((b - a) * np.array([w @ vals, w @ np.abs(vals)]))
+        (coarse, _), (fine, size) = sums
+        floor = 50.0 * _EPS * float(size)
+        return float(fine), max(abs(float(fine - coarse)), floor), a, b, floor
+
+    edges = [lo, *sorted({float(p) for p in breaks if lo < p < hi}), hi]
+    pieces = [piece(a, b) for a, b in zip(edges, edges[1:])]
+    while True:
+        value, error = sum(p[0] for p in pieces), sum(p[1] for p in pieces)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        converged = math.isfinite(value) and error <= tol
+        if converged or not math.isfinite(error) or len(pieces) >= spec.max_subdivisions:
+            break
+        i = max(range(len(pieces)), key=lambda k: pieces[k][1])
+        _, worst, a, b, floor = pieces[i]
+        mid = 0.5 * (a + b)
+        if worst <= floor or not a < mid < b:
+            break
+        pieces[i:i + 1] = piece(a, mid), piece(mid, b)
     result = QuadResult(value, error, converged)
     if budget is not None:
         budget.add(result, label)
@@ -650,33 +674,14 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     none, the node where |g| is largest.
 
     For d = 3, g is first evaluated on the product grid of
-    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  Where g is finite and
-    negative there, and g + rho * gradient_bound < 0 at every node, where
-    rho is the grid's covering radius, g < 0 on the whole sphere: the
-    result is 0 with error 0, which is what the product rule returns then,
-    without its doubled grid.  Otherwise, where g keeps one sign on the
-    grid, the result is ``sphere_mean`` of max(g, 0), bit for bit.
-    Otherwise the polar axis goes to the area-weighted centroid of the nodes
-    where g > 0, or, if that axis fails, to the node of the smaller sign
-    class where |g| is largest.  An axis holds when every meridian crosses
-    g = 0 equally often, at least once, on ``_SIGN_NODES`` polar angles,
-    and every node of the product grid has the sign that the positive
-    segments of its own meridian give it (so a patch of one sign that slips
-    between the polar angles but holds a grid node turns the axis down);
-    then no meridian is tangent to the zero curve.  The crossings of all
-    meridians are refined to roots in one batched Chandrupatla solve, and
-    g sin(theta) is integrated over each positive polar segment with
-    Gauss-Legendre rules of n and 2n nodes.  The trapezoid rule over the
-    meridians is checked against every other meridian; the error estimate is
-    that difference plus the mean Gauss-Legendre difference.  Each rung
-    doubles the nodes or the meridians, whichever error dominates, from
-    ``_SEGMENT_NODES`` nodes in the coarse polar rule and ``_MERIDIANS``
-    meridians up to ``_MAX_SEGMENT_NODES`` nodes in the fine polar rule and
-    ``_MAX_MERIDIANS`` meridians.  With no axis
-    that holds, the product rule runs.  If its doubling check fails, the
-    axis search repeats on the doubled grid, which can see a patch of one
-    sign that the first grid missed; failing that, the product rule's
-    result and its failure stand.
+    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
+    ``_negative_certified`` proves g < 0 on the whole sphere gives 0 with
+    error 0, and a grid of one sign gives ``sphere_mean`` of max(g, 0), bit
+    for bit.  Otherwise ``_meridian_mean`` integrates one meridian at a time
+    about an axis from ``_poles``.  With no axis that holds, the product
+    rule runs; if its doubling check fails, the axis search repeats on the
+    doubled grid, which can see a patch of one sign that the first grid
+    missed, and failing that the product rule's result and failure stand.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nevkit
 from nevkit import dsh, measures, quadrature
 from nevkit.dsh import _contact_radii
 from nevkit.cli import (
@@ -81,15 +85,17 @@ def test_run_bundled_outputs(tmp_path, capsys):
 
 
 def test_bundled_run_integrates_only_density_rings(tmp_path, monkeypatch):
-    # Circle means never call integrate_1d; a bundled run calls it once per
-    # density ring integral, for statement_II[f] and corollary[f].
+    # Circle means never call the rule over a radius; a bundled run calls it
+    # once per density ring integral, for statement_II[f] and corollary[f].
     labels = []
-    for module in (quadrature, dsh, measures):
-        def counted(*args, _wrapped=module.integrate_1d, **kwargs):
-            labels.append(kwargs.get("label"))
-            return _wrapped(*args, **kwargs)
+    rule = quadrature.radius_integral
 
-        monkeypatch.setattr(module, "integrate_1d", counted)
+    def counted(*args, **kwargs):
+        labels.append(kwargs.get("label"))
+        return rule(*args, **kwargs)
+
+    for module in (quadrature, dsh, measures):
+        monkeypatch.setattr(module, "radius_integral", counted)
     assert main(["run", "--bundled", "--out", str(tmp_path / "out")]) == EXIT_OK
     assert labels == ["positive-part", "positive-part"]
 
@@ -215,6 +221,22 @@ def test_committed_off_centre_density_scenario_holds(tmp_path):
     sc = scenario_from_json(json.loads(path.read_text()))
     (comp,) = sc.measure.radial
     assert _contact_radii(sc.functions[0].dsh, comp.center, comp.outer)
+
+
+def test_a_spatial_run_imports_no_scipy(tmp_path):
+    # scipy serves only the planar dilogarithm, imported where it is used,
+    # so importing the CLI and running a d = 3 scenario imports no scipy.
+    path = Path(__file__).parent / "scenarios" / "off_centre_density_3d.json"
+    script = (
+        "import sys\n"
+        "from nevkit.cli import main\n"
+        f"code = main(['run', '--scenario', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nevkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []", proc.stdout
 
 
 def test_committed_planar_density_scenario_holds(tmp_path):

@@ -571,7 +571,7 @@ def test_counting_near_r_of_a_singular_density_d3_meets_the_tolerance(monkeypatc
     def no_adaptive(*args, **kwargs):
         raise AssertionError("integrated counting ran an adaptive quadrature")
 
-    monkeypatch.setattr(measures, "integrate_1d", no_adaptive)
+    monkeypatch.setattr(measures, "radius_integral", no_adaptive)
     rng = np.random.default_rng(19)
     cases = []
     for _ in range(8):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nevkit.criterion as criterion
+import nevkit.dsh as dsh
 import nevkit.nevanlinna as nevanlinna
 from nevkit.criterion import (
     FAILS,
@@ -186,6 +187,27 @@ def test_sphere_positive_part_without_a_pole_is_undetermined():
     rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5)
     assert rep.verdict == UNDETERMINED
     assert "quadrature failure: difference-T" in rep.diagnostics
+
+
+@pytest.mark.parametrize("force", ["nan", "cap"])
+def test_failed_ring_integral_is_undetermined(monkeypatch, force):
+    # A planar density whose rings first touch {u > 0} at s = 0.125 and lie
+    # in it beyond s = 0.308.  Its ring integral fails when a ring mean is
+    # nan, or when the contact radii are withheld and the rule over a radius
+    # may hold only 8 pieces, too few to halve its way onto both kinks.
+    u = DshFunction(2, (Charge(np.array([0.25, -0.08]), 0.4),
+                        Charge(np.array([-0.5, 0.8]), -0.6)),
+                    HarmonicPart((("const", 0.73),)))
+    mu = Measure(dimension=2, radial=(RadialDensity([0.2, -0.1], (0.5, 1.0), 0.45),))
+    spec = QuadSpec(max_subdivisions=8)
+    assert check_statement_II(mu, u, 1.0, 2.0, resolution=5, spec=spec).verdict == HOLDS
+    if force == "nan":
+        monkeypatch.setattr(dsh, "positive_part_mean", lambda *args, **kwargs: math.nan)
+    else:
+        monkeypatch.setattr(dsh, "_contact_radii", lambda *args: [])
+    rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5, spec=spec)
+    assert rep.verdict == UNDETERMINED
+    assert "quadrature failure: positive-part" in rep.diagnostics
 
 
 def test_statement_II_holds_on_the_spatial_geometry():

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.stats import special_ortho_group
 
-from nevkit import quadrature
+from nevkit import dsh, measures, quadrature
 from nevkit.dsh import (
     Charge,
     DshFunction,
@@ -16,7 +17,7 @@ from nevkit.dsh import (
     kernel_witness,
 )
 from nevkit.kernels import kappa
-from nevkit.quadrature import ErrorBudget, integrate_1d
+from nevkit.quadrature import ErrorBudget
 from nevkit.nevanlinna import (
     classical_N,
     classical_T,
@@ -110,12 +111,12 @@ def test_proximity_handles_root_on_circle():
     # A zero sitting exactly on the integration circle produces an
     # integrable logarithmic singularity.  On |z| = 2 the function
     # ln|z - 2| equals ln(4 sin(theta/2)), so the mean of its positive
-    # part has the one-dimensional form below; evaluate that with the
-    # interval integrator as an independent cross-check.
+    # part has the one-dimensional form below; evaluate that with QUADPACK
+    # as an independent cross-check.
     u = from_rational(RationalFunction(zeros=(2.0,)))
-    oracle = (2.0 / math.pi) * integrate_1d(
+    oracle = (2.0 / math.pi) * quad(
         lambda t: max(math.log(4.0 * math.sin(t)), 0.0), 0.0, math.pi / 2.0,
-        points=(math.asin(0.25),)).value
+        points=(math.asin(0.25),), epsabs=1e-10, epsrel=1e-9)[0]
     assert proximity(u, 2.0) == pytest.approx(oracle, rel=1e-7)
 
 
@@ -126,7 +127,7 @@ def test_proximity_through_a_double_pole_on_the_circle(monkeypatch):
     # is 2.4e-16 short of it.  Nodes placed at float angles near 2 pi leave a
     # bias of about 3e-15, inside the error bound's rounding floor, so the
     # value must also match mpmath to a few ulps.  No circle mean falls back
-    # to integrate_1d.
+    # to the rule over a radius.
     def g(t):
         z = 2 * mpmath.expj(t)
         return mpmath.log(abs(z - 0.5)) - 2 * mpmath.log(abs(z - 2))
@@ -136,9 +137,10 @@ def test_proximity_through_a_double_pole_on_the_circle(monkeypatch):
         exact = float(mpmath.quad(g, [0, root]) / mpmath.pi)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("integrate_1d called")
+        raise AssertionError("radius_integral called")
 
-    monkeypatch.setattr(quadrature, "integrate_1d", refuse)
+    for module in (quadrature, dsh, measures):
+        monkeypatch.setattr(module, "radius_integral", refuse)
     u = from_rational(RationalFunction(zeros=(0.5,), poles=(2.0, 2.0), scale=1.0))
     budget = ErrorBudget()
     value = proximity(u, 2.0, budget=budget)

@@ -12,11 +12,12 @@ from nevkit.kernels import poisson_kernel
 from nevkit.quadrature import (
     ErrorBudget,
     QuadratureError,
+    QuadResult,
     QuadSpec,
     circle_mean,
     circle_points,
-    integrate_1d,
     positive_part_mean,
+    radius_integral,
     sphere_mean,
     stieltjes_against_jumps,
 )
@@ -89,25 +90,74 @@ def test_circle_mean_log_singularity_on_circle():
     assert on.value == pytest.approx(0.0, abs=1e-8)
 
 
-def test_integrate_1d_log_endpoint():
-    res = integrate_1d(math.log, 0.0, 1.0)
-    assert res.value == pytest.approx(-1.0, rel=1e-10)
+def test_radius_integral_log_endpoint():
+    res = radius_integral(math.log, 0.0, 1.0)
     assert res.converged
+    assert res.value == pytest.approx(-1.0, rel=1e-10)
 
 
-def test_integrate_1d_interior_kink_with_breakpoint():
-    res = integrate_1d(abs, -1.0, 1.0, points=[0.0])
-    assert res.value == pytest.approx(1.0, rel=1e-12)
+def test_radius_integral_splits_at_a_declared_kink():
+    res = radius_integral(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, breaks=[1.0 / 3.0])
+    assert res.converged
+    assert abs(res.value - 5.0 / 18.0) <= 1e-13
 
 
-def test_integrate_1d_log_singularity_at_declared_point():
-    res = integrate_1d(lambda t: math.log(abs(t - 0.5)), 0.0, 1.0, points=[0.5])
+def test_radius_integral_reaches_an_undeclared_kink_by_halving():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return abs(t - 1.0 / 3.0)
+
+    res = radius_integral(f, 0.0, 1.0)
+    assert res.converged
+    assert abs(res.value - 5.0 / 18.0) <= res.error + 1e-15
+    # One piece is 24 evaluations; halving adds 48 each time.
+    assert len(calls) > 24 and (len(calls) - 24) % 48 == 0
+
+
+def test_radius_integral_of_a_log_singularity_at_a_break():
+    res = radius_integral(lambda t: math.log(abs(t - 0.5)), 0.0, 1.0, breaks=[0.5])
+    assert res.converged
     assert res.value == pytest.approx(-1.0 - math.log(2.0), rel=1e-9)
 
 
-def test_integrate_1d_rejects_reversed_interval():
+def test_radius_integral_flags_a_nan_and_a_capped_kink():
+    budget = ErrorBudget()
+    res = radius_integral(lambda t: math.nan if t > 0.5 else t, 0.0, 1.0, budget=budget,
+                          label="nan")
+    assert not res.converged
+    kinked = radius_integral(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0,
+                             QuadSpec(max_subdivisions=8), budget=budget, label="kink")
+    assert not kinked.converged
+    assert budget.failures == ["nan", "kink"]
+
+
+def test_radius_integral_stops_at_its_rounding_floor():
+    # A tolerance below rounding fails once the piece to halve is at its
+    # floor, about 500 pieces here, not at the cap of 2**15 pieces.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(t)
+
+    res = radius_integral(f, 0.0, 1.0, QuadSpec(abs_tol=1e-300, rel_tol=1e-300))
+    assert not res.converged
+    assert len(calls) <= 48 * 1000
+    assert abs(res.value - (math.e - 1.0)) <= res.error
+
+
+def test_radius_integral_takes_more_breaks_than_the_cap():
+    breaks = np.linspace(0.0, 1.0, 20)[1:-1]
+    res = radius_integral(math.exp, 0.0, 1.0, QuadSpec(max_subdivisions=8), breaks=breaks)
+    assert res.converged
+    assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
+
+
+def test_radius_integral_rejects_reversed_interval():
     with pytest.raises(ValueError):
-        integrate_1d(math.sin, 1.0, 0.0)
+        radius_integral(math.sin, 1.0, 0.0)
 
 
 def test_sphere_mean_dimension_three():
@@ -532,7 +582,8 @@ def test_error_budget_flags_failures():
 
 def test_error_budget_accumulates_error():
     budget = ErrorBudget()
-    integrate_1d(math.log, 0.0, 1.0, budget=budget)
-    integrate_1d(math.exp, 0.0, 1.0, budget=budget)
-    assert budget.error > 0.0
+    budget.add(QuadResult(-1.0, 2e-11, True))
+    budget.add(QuadResult(math.e - 1.0, math.inf, True))
+    budget.add(QuadResult(0.5, 3e-12, True))
+    assert budget.error == 2e-11 + 3e-12
     assert budget.ok

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nevkit.cli import bundled_scenario_paths
-from nevkit.quadrature import integrate_1d
+from nevkit.quadrature import radius_integral
 from nevkit.scenario import ScenarioError, load_scenario, scenario_from_json
 
 
@@ -312,5 +312,6 @@ def test_fuzzed_scenario_loads_or_raises_scenario_error(data):
         sc = scenario_from_json(doc)
     except ScenarioError:
         return
-    # A scenario that loads carries quadrature settings scipy accepts.
-    assert integrate_1d(lambda t: t, 0.0, 1.0, sc.quad).converged
+    # A scenario that loads carries quadrature settings the rule over a
+    # radius accepts.
+    assert radius_integral(lambda t: t, 0.0, 1.0, sc.quad).converged
