@@ -175,7 +175,8 @@ def _counting_grid_rows(sc: Scenario, spec: QuadSpec) -> list[tuple[str, str, st
 
 def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]]],
                   options: RunOptions) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write reports, summary and counting grids into ``out_dir``, which
+    ``_run_all`` has created."""
     with open(out_dir / "reports.jsonl", "w") as fh:
         for sc, reports in results:
             for rep in reports:
@@ -233,11 +234,17 @@ def _load_run_scenarios(args) -> list[Scenario]:
     return scenarios
 
 
-def _run_all(scenarios: list[Scenario], options: RunOptions
+def _run_all(scenarios: list[Scenario], options: RunOptions, out_dir: Path
              ) -> list[tuple[Scenario, list[CheckReport]]]:
+    """Run every scenario into ``out_dir``, which is created first, so a
+    path that cannot be a directory fails before any check runs."""
     if options.grid is not None:  # before any scan allocates its lattice
         for sc in scenarios:
             expect_grid(options.grid, sc.dimension, "--grid")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {out_dir}: {exc.strerror or exc}") from None
     return [(sc, execute_scenario(sc, options)) for sc in scenarios]
 
 
@@ -260,7 +267,7 @@ def _options_from_args(args) -> RunOptions:
 def _cmd_run(args) -> int:
     options = _options_from_args(args)
     scenarios = _load_run_scenarios(args)
-    results = _run_all(scenarios, options)
+    results = _run_all(scenarios, options, Path(args.out))
     write_outputs(Path(args.out), results, options)
     for sc, reports in results:
         for rep in reports:
@@ -293,10 +300,8 @@ def _cmd_sweep(args) -> int:
                   else {**data, "radii": {**data["radii"], args.param: value}})
         variants.append(scenario_from_json(edited, path=f"{stem}[{args.param}={v}]"))
         values.append(float(value))
-    results = _run_all(variants, options)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+    results = _run_all(variants, options, Path(args.out))
+    with open(Path(args.out) / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["scenario", "parameter", "value", "name", "lhs",
                          "rhs", "margin", "verdict"])

@@ -40,8 +40,8 @@ from .quadrature import (
 
 # Charges within this relative distance of a circle are declared singular
 # angles of the circle means there, which then run the tanh-sinh rule split
-# at them.  The trapezoid rule and the positive-part arc rules are only
-# trusted for charges farther off the circle than this.
+# at them.  The trapezoid rule, and the sign grid that finds a positive
+# part's roots, are only trusted for charges farther off the circle than this.
 NEAR_CIRCLE_RTOL = 0.05
 
 _CONTACT_RADII = 32  # spheres between 0 and outer that bracket contact radii

@@ -9,11 +9,11 @@ integrands) with a node-doubling convergence check.  Integrands that are
 kinked or singular on the circle either get declared singular angles or fail
 the doubling check; either way a tanh-sinh (double-exponential) rule on the
 arcs between break angles takes over, evaluating the integrand on whole
-arrays of nodes, one call per level.  Planar positive-part means locate
-their kinks (the sign changes of the function) and integrate between them
-with Gauss-Legendre rules before the tanh-sinh rule.  Sphere means in
-dimension 3 use a Gauss-Legendre (polar) x trapezoid (azimuthal) product
-rule with the same doubling check.
+arrays of nodes, one call per level.  Planar positive-part means sample the
+same grid, locate their kinks (the sign changes of the function) and give
+them to the tanh-sinh rule as break angles.  Sphere means in dimension 3
+use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
+same doubling check.
 Positive-part means in dimension 3 whose function changes sign on that grid
 turn the polar axis to the centroid of the positive part and integrate one
 meridian at a time: Gauss-Legendre between the roots along each meridian,
@@ -33,10 +33,6 @@ import numpy as np
 from .kernels import as_point, validate_dimension
 
 TWO_PI = 2.0 * math.pi
-
-# Gauss-Legendre nodes per positive arc in the coarse rule of a kinked planar
-# positive-part mean; the fine rule uses twice as many.
-_ARC_NODES = 128
 
 # The meridian rule of a 3-D positive-part mean.  It starts with _MERIDIANS
 # meridians in the fine azimuthal trapezoid (the coarse one takes every
@@ -280,15 +276,30 @@ def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec) -> QuadR
     return QuadResult(total, err, False)
 
 
-def _doubling_check(fine: np.ndarray, spec: QuadSpec) -> QuadResult | None:
-    """Trapezoid mean of values on an even grid, checked against the rule on
-    every other node; None when the two miss the spec's tolerance."""
-    i_fine = float(np.mean(fine))
-    i_coarse = float(np.mean(fine[::2]))
-    err = abs(i_fine - i_coarse)
-    if err > max(spec.abs_tol, spec.rel_tol * abs(i_fine)):
-        return None
-    return QuadResult(i_fine, max(err, 1e-16 * abs(i_fine)), True)
+def _circle_samples(f, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of the 2 * ``_CIRCLE_NODES`` grid and f's values there; when a
+    value is not finite, those of the grid rotated by half a step instead."""
+    n = 2 * _CIRCLE_NODES
+    for shift in (0.0, 0.5):
+        theta = (np.arange(n) + shift) * (TWO_PI / n)
+        values = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
+        if np.all(np.isfinite(values)):
+            break
+    return theta, values
+
+
+def _circle_grid_mean(f, center, radius: float, theta, values, spec: QuadSpec) -> QuadResult:
+    """Mean of f from ``_circle_samples``: failed when a value is not finite,
+    else the trapezoid rule checked against the rule on every other node,
+    and when the two miss tolerance the tanh-sinh rule with one break, at
+    the node where |f| is largest."""
+    if not np.all(np.isfinite(values)):
+        return QuadResult(math.nan, math.inf, False)
+    fine, coarse = float(np.mean(values)), float(np.mean(values[::2]))
+    err = abs(fine - coarse)
+    if err <= max(spec.abs_tol, spec.rel_tol * abs(fine)):
+        return QuadResult(fine, max(err, 1e-16 * abs(fine)), True)
+    return _break_angle_mean(f, center, radius, (theta[np.argmax(np.abs(values))],), spec)
 
 
 def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -298,33 +309,20 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
 
     f maps (n, 2) point arrays to (n,) value arrays.  With singular angles
     supplied, the tanh-sinh rule split at them (``_break_angle_mean``) is
-    used directly.  Otherwise the trapezoid rule on 2 * ``_CIRCLE_NODES``
-    nodes is checked against the rule on every other node; a non-finite
-    node triggers one half-step grid rotation, and a finite but
-    non-converged doubling check hands the mean to the tanh-sinh rule with
-    one break, at the node where |f| is largest.
+    used directly.  Otherwise f is sampled on 2 * ``_CIRCLE_NODES`` nodes
+    (``_circle_samples``, which rotates the grid by half a step once if a
+    value is not finite) and ``_circle_grid_mean`` settles the mean: the
+    trapezoid rule checked against the rule on every other node, or, when
+    that check fails, the tanh-sinh rule with one break, at the node where
+    |f| is largest.
     """
     center = as_point(center, 2)
     if radius <= 0.0:
         raise ValueError("circle_mean: radius must be positive")
     if singular_angles:
         result = _break_angle_mean(f, center, radius, singular_angles, spec)
-        if budget is not None:
-            budget.add(result, label)
-        return result
-
-    n = 2 * _CIRCLE_NODES
-    for shift in (0.0, 0.5):
-        fine = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
-        if np.all(np.isfinite(fine)):
-            result = _doubling_check(fine, spec)
-            if result is None:
-                peak = (np.argmax(np.abs(fine)) + shift) * (TWO_PI / n)
-                result = _break_angle_mean(f, center, radius, (peak,), spec)
-            break
     else:
-        # Non-finite values on both the original and the rotated grid.
-        result = QuadResult(math.nan, math.inf, False)
+        result = _circle_grid_mean(f, center, radius, *_circle_samples(f, center, radius), spec)
     if budget is not None:
         budget.add(result, label)
     return result
@@ -355,73 +353,74 @@ def _sphere3_area(n_polar: int, n_azimuth: int) -> np.ndarray:
     return _read_only(np.repeat(_leggauss(n_polar)[1], n_azimuth))
 
 
-def _sphere3_grid_mean(vals: np.ndarray, n_polar: int, n_azimuth: int) -> float | None:
-    """Product-rule mean of f's values on the polar-major product grid."""
-    if not np.all(np.isfinite(vals)):
-        return None
-    grid = vals.reshape(n_polar, n_azimuth)
-    return float(np.dot(_leggauss(n_polar)[1], grid.sum(axis=1)) / (2.0 * n_azimuth))
-
-
-def _sphere3_product_mean(f, center, radius, n_polar, n_azimuth, shift):
+def _sphere3_values(f, center, radius, n_polar: int, n_azimuth: int,
+                    shift: float = 0.0) -> np.ndarray:
+    """f's values on the product grid, polar-major."""
     pts = radius * _sphere3_directions(n_polar, n_azimuth, shift) + center
-    return _sphere3_grid_mean(np.asarray(f(pts), dtype=float), n_polar, n_azimuth)
+    return np.asarray(f(pts), dtype=float)
 
 
-def _sphere3_mean(f, center, radius, spec, first=None):
-    """Product-rule mean with a doubling check; ``first`` is f's values on
-    the first attempt's coarse and fine grids when the caller has them
-    already (the fine ones may be None; then f is evaluated there)."""
-    # Retry ladder: plain grid, rotated azimuth, then a different polar rule.
-    attempts = (
-        (_POLAR_NODES, _AZIMUTH_NODES, 0.0),
-        (_POLAR_NODES, _AZIMUTH_NODES, 0.5),
-        (_POLAR_NODES + 1, _AZIMUTH_NODES, 0.5),
-    )
-    for i, (n_pol, n_azi, shift) in enumerate(attempts):
-        given = i == 0 and first is not None
-        if given:
-            coarse = _sphere3_grid_mean(first[0], n_pol, n_azi)
-        else:
-            coarse = _sphere3_product_mean(f, center, radius, n_pol, n_azi, shift)
-        if coarse is None:
-            continue
-        if given and first[1] is not None:
-            fine = _sphere3_grid_mean(first[1], 2 * n_pol, 2 * n_azi)
-        else:
-            fine = _sphere3_product_mean(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
-        if fine is None:
-            continue
-        err = abs(fine - coarse)
-        converged = err <= max(spec.abs_tol, spec.rel_tol * abs(fine))
-        return QuadResult(fine, max(err, 1e-16 * abs(fine)), converged)
+def _sphere3_checked_mean(coarse, fine, n_polar: int, n_azimuth: int,
+                          spec: QuadSpec) -> QuadResult | None:
+    """Product-rule mean from f's values on the n_polar x n_azimuth grid
+    and on its doubled grid, whose difference is the error; None when a
+    value is not finite."""
+    means = []
+    for vals, n_pol, n_azi in ((coarse, n_polar, n_azimuth), (fine, 2 * n_polar, 2 * n_azimuth)):
+        if not np.all(np.isfinite(vals)):
+            return None
+        rows = vals.reshape(n_pol, n_azi).sum(axis=1)
+        means.append(float(np.dot(_leggauss(n_pol)[1], rows) / (2.0 * n_azi)))
+    low, high = means
+    err = abs(high - low)
+    converged = err <= max(spec.abs_tol, spec.rel_tol * abs(high))
+    return QuadResult(high, max(err, 1e-16 * abs(high)), converged)
+
+
+def _sphere3_mean(f, center, radius, spec) -> QuadResult:
+    """Product-rule mean with a doubling check.  While a grid value is not
+    finite the ladder moves on: plain grid, rotated azimuth, then a
+    different polar rule; a doubled grid is sampled only once the values
+    on its grid are finite."""
+    for n_pol, n_azi, shift in ((_POLAR_NODES, _AZIMUTH_NODES, 0.0),
+                                (_POLAR_NODES, _AZIMUTH_NODES, 0.5),
+                                (_POLAR_NODES + 1, _AZIMUTH_NODES, 0.5)):
+        coarse = _sphere3_values(f, center, radius, n_pol, n_azi, shift)
+        if np.all(np.isfinite(coarse)):
+            fine = _sphere3_values(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
+            result = _sphere3_checked_mean(coarse, fine, n_pol, n_azi, spec)
+            if result is not None:
+                return result
     return QuadResult(math.nan, math.inf, False)
 
 
 def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> QuadResult:
     """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
-    coarse = _product_grid(g, center, radius, _POLAR_NODES, _AZIMUTH_NODES)
+    values = _sphere3_values(g, center, radius, _POLAR_NODES, _AZIMUTH_NODES)
+    dirs = _sphere3_directions(_POLAR_NODES, _AZIMUTH_NODES, 0.0)
     if gradient_bound is not None and _negative_certified(gradient_bound, center, radius,
-                                                          coarse[0], coarse[2]):
+                                                          dirs, values):
         # What the product rule returns on a grid of negative values.
         return QuadResult(0.0, 0.0, True)
-    result = _meridian_mean_on_grid(g, center, radius, spec, *coarse)
+    result = _meridian_mean_on_grid(g, center, radius, spec, _POLAR_NODES, _AZIMUTH_NODES,
+                                    values)
     if result is not None:
         return result
-    fine = None
-    if np.all(np.isfinite(coarse[2])):
-        fine = _product_grid(g, center, radius, 2 * _POLAR_NODES, 2 * _AZIMUTH_NODES)
-    product = _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec,
-                            first=(np.maximum(coarse[2], 0.0),
-                                   None if fine is None else np.maximum(fine[2], 0.0)))
-    if not product.converged and fine is not None:
-        # The doubling check saw what the coarse grid missed, such as a
-        # patch of one sign narrower than its spacing: look again on the
-        # fine grid.
-        result = _meridian_mean_on_grid(g, center, radius, spec, *fine)
+    plus = np.maximum(values, 0.0)
+    if np.all(np.isfinite(plus)):
+        fine = _sphere3_values(g, center, radius, 2 * _POLAR_NODES, 2 * _AZIMUTH_NODES)
+        result = _sphere3_checked_mean(plus, np.maximum(fine, 0.0), _POLAR_NODES,
+                                       _AZIMUTH_NODES, spec)
+        if result is not None and not result.converged:
+            # The doubling check saw what the coarse grid missed, such as a
+            # patch of one sign narrower than its spacing: look again on the
+            # fine grid.
+            result = _meridian_mean_on_grid(g, center, radius, spec, 2 * _POLAR_NODES,
+                                            2 * _AZIMUTH_NODES, fine) or result
         if result is not None:
             return result
-    return product
+    # A grid value is not finite: the retry ladder, from its first rung.
+    return _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec)
 
 
 @lru_cache(maxsize=1)
@@ -447,20 +446,13 @@ def _negative_certified(gradient_bound, center, radius, dirs, values) -> bool:
     return bool(np.all(values + rho * bound < 0.0))
 
 
-def _product_grid(g, center, radius, n_polar, n_azimuth):
-    """Unit directions, area weights and values of g on the product grid
-    (shift 0), polar-major."""
-    dirs = _sphere3_directions(n_polar, n_azimuth, 0.0)
-    area = _sphere3_area(n_polar, n_azimuth)
-    return dirs, area, np.asarray(g(radius * dirs + center), dtype=float)
-
-
-def _meridian_mean_on_grid(g, center, radius, spec, dirs, area, values):
-    """The meridian rule about a pole taken from g's values on a product
-    grid, or None when g keeps one sign there or no pole holds."""
+def _meridian_mean_on_grid(g, center, radius, spec, n_polar, n_azimuth, values):
+    """The meridian rule about a pole taken from g's values on the product
+    grid (shift 0), or None when g keeps one sign there or no pole holds."""
     positive = values > 0.0
     if np.all(np.isfinite(values)) and positive.any() and not positive.all():
-        for pole in _poles(dirs, values, positive, area):
+        dirs = _sphere3_directions(n_polar, n_azimuth, 0.0)
+        for pole in _poles(dirs, values, positive, _sphere3_area(n_polar, n_azimuth)):
             result = _meridian_mean(g, center, radius, pole, spec, dirs, positive)
             if result is not None:
                 return result
@@ -658,20 +650,16 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     only, maps an (n, d) point array and a radius rho to upper bounds on
     |grad g| over the balls of radius rho about the points.
 
-    In the plane g is evaluated on ``circle_mean``'s grid first, and each
-    declared singular angle (a charge on the circle) joins that grid as one
-    more sample.  Without singular angles, where g keeps one sign on the
-    grid, the trapezoid doubling check may settle the mean.  Otherwise the
-    sign changes of g between neighbouring samples, an infinite value at a
-    charge included, are refined to roots (Chandrupatla's method,
-    ``_bracketed_roots``, all cells in one batched solve).  Without singular
-    angles, the arcs on which g is positive are integrated with
-    Gauss-Legendre rules of ``_ARC_NODES`` and of twice as many nodes, whose
-    difference is the error estimate.  The tanh-sinh rule of
-    ``_break_angle_mean`` takes over when that estimate misses tolerance or
-    a root is unusable, and handles singular angles directly: its break
-    angles are the singular angles and the finite roots, or, when there are
-    none, the node where |g| is largest.
+    In the plane max(g, 0) is sampled on ``circle_mean``'s grid
+    (``_circle_samples``), and each declared singular angle (a charge on
+    the circle) joins that grid as one more sample.  The sign changes of g
+    between neighbouring samples, an infinite value at a charge included,
+    are refined to roots (Chandrupatla's method, ``_bracketed_roots``, all
+    cells in one batched solve).  With singular angles or a finite root,
+    the tanh-sinh rule of ``_break_angle_mean`` takes the mean, split at
+    the singular angles and the finite roots.  Otherwise g keeps one sign
+    on the grid, and ``_circle_grid_mean`` settles the mean from the
+    samples as ``circle_mean`` does.
 
     For d = 3, g is first evaluated on the product grid of
     ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
@@ -682,6 +670,8 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     rule runs; if its doubling check fails, the axis search repeats on the
     doubled grid, which can see a patch of one sign that the first grid
     missed, and failing that the product rule's result and failure stand.
+    A grid value of max(g, 0) that is not finite hands the mean to the
+    retry ladder of ``sphere_mean``.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)
@@ -696,48 +686,24 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         return _settle(_sphere3_positive_mean(g, center, r, spec, gradient_bound),
                        budget, label)
 
-    def g_at(theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        flat = theta.ravel()
-        pts = center + r * np.column_stack((np.cos(flat), np.sin(flat)))
-        return np.asarray(g(pts), dtype=float).reshape(theta.shape)
+    def g_at(theta: np.ndarray) -> np.ndarray:
+        return np.asarray(g(center + r * np.column_stack((np.cos(theta), np.sin(theta)))),
+                          dtype=float)
 
-    # circle_mean's grids and doubling check, on one evaluation of g.
-    n = 2 * _CIRCLE_NODES
-    for shift in (0.0,) if singular_angles else (0.0, 0.5):
-        theta = (np.arange(n) + shift) * (TWO_PI / n)
-        values = g_at(theta)
-        if singular_angles:
-            break
-        fine = np.maximum(values, 0.0)
-        if np.all(np.isfinite(fine)):
-            # A kink between the nodes can fool the doubling check: the
-            # trapezoid errors of the two grids may agree while both are
-            # wrong.  So only a grid of one sign may settle it.
-            positive = values > 0.0
-            if positive.all() or not positive.any():
-                result = _doubling_check(fine, spec)
-                if result is not None:
-                    return _settle(result, budget, label)
-            break
-    else:
-        # Non-finite values on both the original and the rotated grid.
-        return _settle(QuadResult(math.nan, math.inf, False), budget, label)
+    theta, values = _circle_samples(plus, center, r)
     if singular_angles:
         # Each singular angle is a sample of the sign grid too, so a root
         # between it and its neighbouring nodes is bracketed like any other.
         extra = np.mod(np.asarray(singular_angles, dtype=float), TWO_PI)
         theta, index = np.unique(np.concatenate((theta, extra)), return_index=True)
-        values = np.concatenate((values, g_at(extra)))[index]
+        values = np.concatenate((values, np.maximum(g_at(extra), 0.0)))[index]
     roots = _sign_change_roots(g_at, theta, values)
-    result = None
-    if roots.size and not singular_angles:
-        result = _positive_arc_mean(g_at, roots, spec)
-    if result is None:
-        breaks = (*(singular_angles or ()), *roots[np.isfinite(roots)])
-        if not breaks:
-            breaks = (theta[np.argmax(np.abs(values))],)
-        result = _break_angle_mean(plus, center, r, breaks, spec)
+    breaks = (*(singular_angles or ()), *roots[np.isfinite(roots)])
+    # A kink between the nodes can fool the doubling check: the trapezoid
+    # errors of the two grids may agree while both are wrong.  So only a
+    # grid of one sign goes to it.
+    result = (_break_angle_mean(plus, center, r, breaks, spec) if breaks
+              else _circle_grid_mean(plus, center, r, theta, values, spec))
     return _settle(result, budget, label)
 
 
@@ -745,12 +711,12 @@ def _sign_change_roots(g_at, theta: np.ndarray, values: np.ndarray) -> np.ndarra
     """Roots of g(theta) in each grid cell (cyclically) whose ends differ in
     sign, in increasing order; cells with a nan end are skipped (an infinite
     end, at a charge, has a sign)."""
-    right = np.roll(values, -1)
-    ends = np.append(theta[1:], theta[0] + TWO_PI)
+    right = np.append(values[1:], values[0])
     cells = (~np.isnan(values) & ~np.isnan(right)
              & ((values > 0.0) != (right > 0.0)))
     if not cells.any():
         return np.empty(0)
+    ends = np.append(theta[1:], theta[0] + TWO_PI)
     return _bracketed_roots(g_at, theta[cells], ends[cells])
 
 
@@ -826,29 +792,6 @@ def _bracketed_roots(f, a, b, args=(), *, xatol: float = 4.0 * _TINY) -> np.ndar
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, fx
     return roots
-
-
-def _positive_arc_mean(g_at, roots: np.ndarray, spec: QuadSpec) -> QuadResult | None:
-    """Gauss-Legendre mean of max(g, 0) over the arcs between consecutive
-    roots whose midpoint has g > 0; None when the roots are unusable or the
-    two rules disagree by more than the spec's tolerance."""
-    if roots.size % 2 or not np.all(np.isfinite(roots)):
-        return None
-    ends = np.append(roots[1:], roots[0] + TWO_PI)
-    mid = 0.5 * (roots + ends)
-    positive = g_at(mid) > 0.0
-    mid = mid[positive, np.newaxis]
-    half = 0.5 * (ends - roots)[positive]
-    means = []
-    for k in (_ARC_NODES, 2 * _ARC_NODES):
-        x, w = _leggauss(k)
-        vals = np.maximum(g_at(mid + half[:, np.newaxis] * x), 0.0)
-        means.append(float(np.dot(half, vals @ w)) / TWO_PI)
-    coarse, fine = means
-    err = abs(fine - coarse)
-    if not (math.isfinite(fine) and err <= max(spec.abs_tol, spec.rel_tol * abs(fine))):
-        return None
-    return QuadResult(fine, max(err, 1e-16 * abs(fine)), True)
 
 
 def stieltjes_against_jumps(g, h, a: float, b: float) -> float:

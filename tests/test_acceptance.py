@@ -5,16 +5,22 @@ tolerance and prints a single summary line; the pytest verdict for the test
 is the pass/fail line for that guarantee.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nevkit import measures, quadrature
+from nevkit.cli import RunOptions, bundled_scenario_paths, execute_scenario
 from nevkit.cli import main as cli_main
 from nevkit.criterion import (
+    BASE_TOLERANCE,
     FAILS,
     HOLDS,
+    IDENTITY_TOLERANCE,
     check_corollary,
     check_statement_I,
     check_statement_II,
@@ -44,6 +50,7 @@ from nevkit.measures import (
 )
 from nevkit.nevanlinna import classical_N, classical_T, difference_T
 from nevkit.quadrature import stieltjes_against_jumps
+from nevkit.scenario import scenario_from_json
 
 
 def _uniform_in_ball(rng, d, radius):
@@ -397,3 +404,69 @@ def test_acceptance_10_cli_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (
             f"{name} differs between identical runs")
     print(f"acceptance 10 determinism: PASS ({len(names1)} files byte-identical)")
+
+
+# Every rule constant whose refinement should move no decided verdict: node
+# counts doubled (the meridian sign grid to 2n - 1 nodes, so its old nodes
+# stay), the tanh-sinh levels one further.
+REFINEMENTS = [
+    (quadrature, "_PIECE_NODES", lambda n: 2 * n),
+    (quadrature, "_CIRCLE_NODES", lambda n: 2 * n),
+    (quadrature, "_SEGMENT_NODES", lambda n: 2 * n),
+    (quadrature, "_MERIDIANS", lambda n: 2 * n),
+    (quadrature, "_SIGN_NODES", lambda n: 2 * n - 1),
+    (quadrature, "_POLAR_NODES", lambda n: 2 * n),
+    (quadrature, "_AZIMUTH_NODES", lambda n: 2 * n),
+    (measures, "_PANEL_NODES", lambda n: 2 * n),
+    (quadrature, "_DE_FIRST_LEVEL", lambda n: n + 1),
+    (quadrature, "_DE_MAX_LEVEL", lambda n: n + 1),
+]
+
+
+def _scenario_reports() -> dict:
+    """Reports of every bundled and committed test scenario, by file and name."""
+    paths = [*bundled_scenario_paths(),
+             *sorted((Path(__file__).parent / "scenarios").glob("*.json"))]
+    reports = {}
+    for p in paths:
+        sc = scenario_from_json(json.loads(p.read_text()), path=p.name[:-5])
+        for rep in execute_scenario(sc, RunOptions()):
+            reports[p.name, rep.name] = rep
+    return reports
+
+
+def _budget_error(rep) -> float:
+    """The quadrature error estimate a report's tolerance adds to its base."""
+    base = IDENTITY_TOLERANCE if rep.name.startswith("poisson_jensen") else BASE_TOLERANCE
+    return rep.tolerance - base
+
+
+@pytest.fixture(scope="module")
+def default_reports():
+    return _scenario_reports()
+
+
+@pytest.mark.parametrize("module, constant, refine", REFINEMENTS,
+                         ids=[name for _, name, _ in REFINEMENTS])
+def test_verdicts_survive_a_refined_rule(monkeypatch, default_reports, module, constant,
+                                         refine):
+    # A decided verdict rests on error estimates (n against 2n nodes, or one
+    # level against the next), not bounds; a finer rule must keep it, and
+    # move each side by no more than both runs' estimates.
+    monkeypatch.setattr(module, constant, refine(getattr(module, constant)))
+    quadrature._sphere3_cover.cache_clear()
+    try:
+        refined = _scenario_reports()
+    finally:
+        quadrature._sphere3_cover.cache_clear()
+    assert refined.keys() == default_reports.keys()
+    for key, before in default_reports.items():
+        after = refined[key]
+        assert after.verdict == before.verdict, key
+        for side in ("lhs", "rhs"):
+            old, new = getattr(before, side), getattr(after, side)
+            if math.isfinite(old):
+                slack = _budget_error(before) + _budget_error(after) + 1e-13 * abs(old)
+                assert abs(new - old) <= slack, (key, side, old, new, slack)
+            else:
+                assert new == old or (math.isnan(old) and math.isnan(new)), (key, side)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nevkit
-from nevkit import dsh, measures, quadrature
+from nevkit import cli, dsh, measures, quadrature
 from nevkit.dsh import _contact_radii
 from nevkit.cli import (
     EXIT_FAILED,
@@ -223,10 +223,12 @@ def test_committed_off_centre_density_scenario_holds(tmp_path):
     assert _contact_radii(sc.functions[0].dsh, comp.center, comp.outer)
 
 
-def test_a_spatial_run_imports_no_scipy(tmp_path):
-    # scipy serves only the planar dilogarithm, imported where it is used,
-    # so importing the CLI and running a d = 3 scenario imports no scipy.
-    path = Path(__file__).parent / "scenarios" / "off_centre_density_3d.json"
+@pytest.mark.parametrize("scenario", ["off_centre_density_3d", "atom_between_witnesses"])
+def test_a_spatial_run_imports_no_scipy(tmp_path, scenario):
+    # scipy serves only the planar dilogarithm of a density, imported where
+    # it is used, so importing the CLI and running a d = 3 scenario, or a
+    # planar one whose measure is atoms only, imports no scipy.
+    path = Path(__file__).parent / "scenarios" / f"{scenario}.json"
     script = (
         "import sys\n"
         "from nevkit.cli import main\n"
@@ -389,3 +391,24 @@ def test_grid_bounds_exit_before_any_scan(tmp_path, capsys, monkeypatch, argv, m
     assert code == EXIT_INVALID
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _no_check(*args):
+    raise AssertionError("a scenario ran")
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("run", "File exists"), ("sweep", "Not a directory")], ids=["run", "sweep"])
+def test_out_that_cannot_be_a_directory_exits_before_any_check(tmp_path, capsys, monkeypatch,
+                                                               command, reason):
+    # A file at --out, or on its path, is bad input: exit 2 with its reason,
+    # not a traceback after every check has run.
+    monkeypatch.setattr(cli, "execute_scenario", _no_check)
+    sc = write_scenario(tmp_path, SHELL_I)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv, out = {"run": (["run", "--bundled"], blocker),
+                 "sweep": (["sweep", "--scenario", sc, "--param", "r", "--values", "0.6"],
+                           blocker / "o")}[command]
+    assert main([*argv, "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"

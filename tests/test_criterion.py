@@ -158,9 +158,8 @@ def test_kinked_positive_part_with_failing_quadrature_is_undetermined():
     budget = ErrorBudget()
     proximity(u, 2.0, budget=budget)
     assert budget.ok
-    # The trapezoid check, the arc rules and the tanh-sinh rule split at the
-    # roots all miss this spec; the failure reaches the budget, and the
-    # verdict.
+    # The tanh-sinh rule split at the roots misses this spec; the failure
+    # reaches the budget, and the verdict.
     budget = ErrorBudget()
     proximity(u, 2.0, UNREACHABLE, budget=budget)
     assert budget.failures == ["proximity"]

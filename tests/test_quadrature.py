@@ -202,15 +202,21 @@ class _Jumps:
 
 def test_positive_part_mean_splits_at_the_kinks(monkeypatch):
     # max(x0 - 0.3, 0) on the unit circle: kinks at +-acos(0.3), mean
-    # (sin t - 0.3 t) / pi at t = acos(0.3).  The Gauss-Legendre arc rules
-    # settle it without the tanh-sinh rule split at break angles.
-    def split(*args):
-        raise AssertionError("break-angle rule used")
+    # (sin t - 0.3 t) / pi at t = acos(0.3).  The sign changes on the grid
+    # send it to the tanh-sinh rule, split once at both roots.
+    calls = []
+    split = quadrature._break_angle_mean
 
-    monkeypatch.setattr(quadrature, "_break_angle_mean", split)
+    def spied(f, center, radius, breaks, spec):
+        calls.append(np.sort(np.mod(np.asarray(breaks, dtype=float), 2.0 * math.pi)))
+        return split(f, center, radius, breaks, spec)
+
+    monkeypatch.setattr(quadrature, "_break_angle_mean", spied)
     t = math.acos(0.3)
     budget = ErrorBudget()
     value = positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, budget=budget)
+    assert len(calls) == 1
+    assert np.allclose(calls[0], [t, 2.0 * math.pi - t], rtol=0.0, atol=1e-12)
     assert budget.ok
     assert abs(value - (math.sin(t) - 0.3 * t) / math.pi) <= budget.error
     assert budget.error < 1e-14
