@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    _kappa_in_place,
     as_point,
     expect_int,
     expect_list,
@@ -51,27 +52,30 @@ HARMONIC_LABELS = ("const", "x0", "x1", "x2", "x0*x1", "x0^2-x1^2",
                    "re_z^2", "im_z^2", "re_z^3", "im_z^3")
 
 
+def _check_harmonic_label(label, d: int) -> None:
+    """Raise ValueError unless ``label`` names a harmonic term in dimension d."""
+    if label not in HARMONIC_LABELS:
+        raise ValueError(f"unknown harmonic term label {label!r}")
+    if label == "x2" and d <= 2:
+        raise ValueError(f"harmonic term {label!r} needs dimension > 2")
+    if label.startswith(("re_z^", "im_z^")) and d != 2:
+        raise ValueError(f"harmonic term {label!r} is two-dimensional only")
+
+
 def _harmonic_term(label: str, pts: np.ndarray, d: int) -> np.ndarray:
     """Evaluate one labeled harmonic basis term on an (n, d) point array."""
+    _check_harmonic_label(label, d)
     if label == "const":
         return np.ones(pts.shape[0])
     if label in ("x0", "x1", "x2"):
-        axis = int(label[1])
-        if axis >= d:
-            raise ValueError(f"harmonic term {label!r} needs dimension > {axis}")
-        return pts[:, axis]
+        return pts[:, int(label[1])]
     if label == "x0*x1":
         return pts[:, 0] * pts[:, 1]
     if label == "x0^2-x1^2":
         return pts[:, 0] ** 2 - pts[:, 1] ** 2
-    if d != 2:
-        raise ValueError(f"harmonic term {label!r} is two-dimensional only")
-    if label.startswith(("re_z^", "im_z^")):
-        k = int(label.split("^")[1])
-        z = pts[:, 0] + 1j * pts[:, 1]
-        w = z ** k
-        return w.real if label.startswith("re") else w.imag
-    raise ValueError(f"unknown harmonic term label {label!r}")
+    k = int(label.split("^")[1])  # re_z^k, im_z^k
+    w = (pts[:, 0] + 1j * pts[:, 1]) ** k
+    return w.real if label.startswith("re") else w.imag
 
 
 def _harmonic_gradient_bound(label: str, pts: np.ndarray, rho: float):
@@ -157,6 +161,8 @@ class DshFunction:
     def __post_init__(self):
         d = validate_dimension(self.dimension)
         object.__setattr__(self, "dimension", d)
+        for label, _ in self.harmonic.terms:
+            _check_harmonic_label(label, d)
         merged: list[Charge] = []
         for ch in self.charges:
             if ch.location.shape != (d,):
@@ -170,8 +176,28 @@ class DshFunction:
         object.__setattr__(
             self, "charges", tuple(c for c in merged if c.weight != 0.0))
 
+    def _charge_distances(self, pts: np.ndarray):
+        """Each charge c with |p - c| for every row p of the (n, d) array
+        pts, in one buffer that the next charge overwrites.  The distances
+        are summed from squared column differences as ``row_norms`` sums
+        them, so they agree bit for bit, without an (n, d) temporary; the
+        columns of a column-major pts are read without a copy."""
+        dist, diff = np.empty(len(pts)), np.empty(len(pts))
+        for ch in self.charges:
+            for j, c in enumerate(ch.location):
+                np.subtract(pts[:, j], c, out=diff)
+                if j == 0:
+                    np.multiply(diff, diff, out=dist)
+                else:
+                    np.add(dist, np.multiply(diff, diff, out=diff), out=dist)
+            yield ch, np.sqrt(dist, out=dist)
+
     def evaluate(self, x) -> float | np.ndarray:
-        """Pointwise value; accepts one point or an (n, d) array of points."""
+        """Pointwise value; accepts one point or an (n, d) array of points.
+
+        The harmonic part, then for each charge in turn its term
+        w kappa(|p - c|), computed in place and added to the sum.
+        """
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
         if single:
@@ -179,9 +205,10 @@ class DshFunction:
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError("points must have shape (d,) or (n, d)")
         out = self.harmonic.evaluate(pts, self.dimension)
-        for ch in self.charges:
-            dist = row_norms(pts - ch.location)
-            out = out + ch.weight * kappa(dist, self.dimension)
+        with np.errstate(divide="ignore"):
+            for ch, dist in self._charge_distances(pts):
+                out += np.multiply(_kappa_in_place(dist, self.dimension), ch.weight,
+                                   out=dist)
         return float(out[0]) if single else out
 
     def gradient_bound(self, pts: np.ndarray, rho: float) -> np.ndarray:
@@ -192,9 +219,10 @@ class DshFunction:
         d = self.dimension
         out = self.harmonic.gradient_bound(pts, rho)
         with np.errstate(divide="ignore"):
-            for ch in self.charges:
-                gap = np.maximum(row_norms(pts - ch.location) - rho, 0.0)
-                out = out + abs(ch.weight) * hat_d(d) / gap ** (d - 1)
+            for ch, gap in self._charge_distances(pts):
+                np.maximum(np.subtract(gap, rho, out=gap), 0.0, out=gap)
+                gap **= d - 1
+                out += np.divide(abs(ch.weight) * hat_d(d), gap, out=gap)
         return out
 
     def __call__(self, x):
@@ -409,8 +437,10 @@ def dsh_from_json(data, *, path: str = "function") -> DshFunction:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"{p}: expected a [label, coefficient] pair")
         label, coeff = entry
-        if label not in HARMONIC_LABELS:
-            raise ValueError(f"{p}: unknown harmonic term label {label!r}")
+        try:
+            _check_harmonic_label(label, d)
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
         terms.append((label, expect_number(coeff, f"{p}[1]")))
     try:
         return DshFunction(d, tuple(charges), HarmonicPart(tuple(terms)))

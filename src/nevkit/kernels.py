@@ -119,17 +119,28 @@ def kappa(t, d: int):
         if d == 2:
             return float(np.log(t))
         return -(1.0 / t) if d == 3 else -float(np.power(t, float(2 - d)))
-    arr = np.asarray(t, dtype=float)
+    arr = np.array(t, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kappa is defined for nonnegative arguments only")
     with np.errstate(divide="ignore"):
-        if d == 2:
-            out = np.log(arr)
-        else:
-            out = -(1.0 / arr) if d == 3 else -np.power(arr, float(2 - d))
+        _kappa_in_place(arr, d)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return float(arr)
+    return arr
+
+
+def _kappa_in_place(t: np.ndarray, d: int) -> np.ndarray:
+    """Overwrite the nonnegative float array t with kappa(t, d) and return it.
+
+    The caller chooses the error state: t = 0 divides by zero.
+    """
+    if d == 2:
+        return np.log(t, out=t)
+    if d == 3:
+        np.divide(1.0, t, out=t)
+    else:
+        np.power(t, float(2 - d), out=t)
+    return np.negative(t, out=t)
 
 
 def hat_d(d: int) -> int:

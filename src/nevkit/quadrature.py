@@ -3,7 +3,8 @@ points, circle and sphere means, and Riemann-Stieltjes integrals against
 monotone counting functions.
 
 Integrals over a radius split at their break points and halve the piece
-whose 8- and 16-node cosine-mapped Gauss-Legendre rules disagree most.
+whose cosine-mapped 8-node Gauss-Legendre rule and its 17-node Kronrod
+extension, which reuses the 8 Gauss nodes, disagree most.
 Circle means use the periodic trapezoid rule (spectrally accurate for smooth
 integrands) with a node-doubling convergence check.  Integrands that are
 kinked or singular on the circle either get declared singular angles or fail
@@ -86,10 +87,11 @@ _CIRCLE_NODES = 512
 _POLAR_NODES = 64
 _AZIMUTH_NODES = 128
 
-# Each halving in radius_integral costs 48 evaluations of its integrand, so
-# 2**20 pieces is already 50 million: a larger cap would only hide a runaway.
+# Each halving in radius_integral costs 34 evaluations of its integrand, so
+# 2**20 pieces is already 35 million: a larger cap would only hide a runaway.
 MAX_SUBDIVISIONS = 2 ** 20
-_PIECE_NODES = 8  # coarse nodes per piece of radius_integral; the fine rule doubles them
+# Gauss nodes per piece of radius_integral; its Kronrod extension adds one more.
+_PIECE_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,67 @@ class ErrorBudget:
 
 
 @lru_cache(maxsize=8)
-def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes in (0, 1) and weights of n-point Gauss-Legendre after the change
-    of variable u = (1 - cos phi) / 2, which smooths square-root edges."""
-    x, w = _leggauss(n)
+def _kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] of the (2n + 1)-point Gauss-Kronrod rule,
+    exact for polynomials of degree 3n + 1: first the n nodes of
+    ``_leggauss(n)``, bit for bit, then the n + 1 nodes the extension adds,
+    ascending.
+
+    The added nodes are eigenvalues of the Jacobi-Kronrod matrix, whose
+    off-diagonal comes from Laurie's algorithm (Math. Comp. 66, 1997); for
+    the Legendre weight its diagonal is zero, and the sorted eigenvalues
+    alternate between added and Gauss nodes.  The weights solve the moment
+    equations of degree 2n in the Legendre basis.
+    """
+    # b[i] is the i-th recurrence coefficient: Legendre's i**2 / (4 i**2 - 1)
+    # up to i = ceil(3n / 2); the second loop fills in the rest.  s and t are
+    # Laurie's two rows of mixed moments.
+    b = np.zeros(2 * n + 1)
+    i = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[1:len(i) + 1] = i * i / (4.0 * i * i - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    eigen = np.linalg.eigvalsh(np.diag(np.sqrt(b[1:]), 1), UPLO="U")
+    x = np.concatenate((_leggauss(n)[0], 0.5 * (eigen - eigen[::-1])[::2]))
+    moments = np.zeros(2 * n + 1)
+    moments[0] = 2.0
+    w = np.linalg.solve(np.polynomial.legendre.legvander(x, 2 * n).T, moments)
+    return _read_only(x), _read_only(w)
+
+
+def _cosine_map(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A rule on [-1, 1] moved to (0, 1) by the change of variable
+    u = (1 - cos phi) / 2, phi = pi (x + 1) / 2, which smooths square-root
+    edges."""
     phi = 0.5 * math.pi * (x + 1.0)
-    return (_read_only(0.5 * (1.0 - np.cos(phi))),
-            _read_only(w * (0.25 * math.pi) * np.sin(phi)))
+    return 0.5 * (1.0 - np.cos(phi)), w * (0.25 * math.pi) * np.sin(phi)
+
+
+@lru_cache(maxsize=8)
+def _cosine_panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights of cosine-mapped n-point Gauss-Legendre."""
+    return tuple(map(_read_only, _cosine_map(*_leggauss(n))))
+
+
+@lru_cache(maxsize=8)
+def _cosine_kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights of the cosine-mapped ``_kronrod(n)``; its
+    first n nodes are ``_cosine_panel_rule(n)``'s, bit for bit."""
+    u, w = _cosine_map(*_kronrod(n))
+    u[:n] = _cosine_panel_rule(n)[0]
+    return _read_only(u), _read_only(w)
 
 
 def radius_integral(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -165,24 +221,24 @@ def radius_integral(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC, *,
                     label: str = "radius-integral") -> QuadResult:
     """Integral over [lo, hi] of f, a float to a float, which may be kinked or
     integrably singular at the ``breaks``, where f is never evaluated.  Each
-    piece between breaks runs cosine-mapped Gauss-Legendre rules of
-    ``_PIECE_NODES`` and twice as many nodes; its error estimate is their
-    difference, at least 50 eps times its integral of |f|.  The piece with
-    the largest estimate is halved until their sum meets the tolerance.  A
-    value that is not finite, a piece at that floor or too narrow to halve,
-    or ``spec.max_subdivisions`` pieces (more if the breaks make more) leave
-    the result not converged."""
+    piece between breaks evaluates f on the 2 ``_PIECE_NODES`` + 1 nodes of
+    the cosine-mapped Gauss-Kronrod rule.  Its value is the Kronrod rule's;
+    its error estimate is the difference from the Gauss rule on the first
+    ``_PIECE_NODES`` of those nodes, at least 50 eps times its integral of
+    |f|.  The piece with the largest estimate is halved until their sum
+    meets the tolerance.  A value that is not finite, a piece at that floor
+    or too narrow to halve, or ``spec.max_subdivisions`` pieces (more if the
+    breaks make more) leave the result not converged."""
     if not lo < hi:
         raise ValueError(f"radius_integral needs lo < hi, got [{lo}, {hi}]")
-    rules = [_cosine_panel_rule(n) for n in (_PIECE_NODES, 2 * _PIECE_NODES)]
+    gauss_w = _cosine_panel_rule(_PIECE_NODES)[1]
+    nodes, kronrod_w = _cosine_kronrod_rule(_PIECE_NODES)
 
     def piece(a: float, b: float) -> tuple[float, float, float, float, float]:
         """The piece's value, error estimate, ends and rounding floor."""
-        sums = []
-        for u, w in rules:
-            vals = np.array([f(float(a + (b - a) * x)) for x in u])
-            sums.append((b - a) * np.array([w @ vals, w @ np.abs(vals)]))
-        (coarse, _), (fine, size) = sums
+        vals = np.array([f(float(a + (b - a) * x)) for x in nodes])
+        coarse = (b - a) * (gauss_w @ vals[:len(gauss_w)])
+        fine, size = (b - a) * np.array([kronrod_w @ vals, kronrod_w @ np.abs(vals)])
         floor = 50.0 * _EPS * float(size)
         return float(fine), max(abs(float(fine - coarse)), floor), a, b, floor
 
@@ -331,13 +387,14 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
 @lru_cache(maxsize=8)
 def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarray:
     """Unit vectors of the Gauss-Legendre (polar) x trapezoid (azimuthal)
-    product grid, polar-major, as a read-only (n_polar * n_azimuth, 3) array."""
+    product grid, polar-major, as a read-only (n_polar * n_azimuth, 3) array
+    in column-major order, so that each coordinate is one contiguous column."""
     u, _ = _leggauss(n_polar)
     phi = (np.arange(n_azimuth) + shift) * (TWO_PI / n_azimuth)
     su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return _read_only(np.column_stack((np.outer(su, np.cos(phi)).ravel(),
-                                       np.outer(su, np.sin(phi)).ravel(),
-                                       np.repeat(u, n_azimuth))))
+    return _read_only(np.array((np.outer(su, np.cos(phi)).ravel(),
+                                np.outer(su, np.sin(phi)).ravel(),
+                                np.repeat(u, n_azimuth))).T)
 
 
 def sphere_grid(d: int) -> np.ndarray:
@@ -499,7 +556,7 @@ def _meridian_mean(g, center, radius, pole, spec, dirs, positive) -> QuadResult 
         shape = np.broadcast_shapes(np.shape(t), np.shape(phi))
         local = [np.broadcast_to(v, shape).ravel()
                  for v in (s * np.cos(phi), s * np.sin(phi), np.cos(t))]
-        pts = np.empty((local[0].size, 3))
+        pts = np.empty((local[0].size, 3), order="F")
         for j in range(3):
             pts[:, j] = (local[0] * frame[0, j] + local[1] * frame[1, j]
                          + local[2] * frame[2, j] + center[j])

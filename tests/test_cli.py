@@ -181,6 +181,30 @@ def test_non_list_component_field_exit_code(tmp_path, capsys, where, field, valu
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dimension, label, message", [
+    pytest.param(2, "x2", "harmonic term 'x2' needs dimension > 2", id="x2-in-the-plane"),
+    pytest.param(3, "re_z^2", "harmonic term 're_z^2' is two-dimensional only",
+                 id="re_z-in-space"),
+])
+def test_harmonic_label_outside_its_dimension_exit_code(tmp_path, capsys, dimension, label,
+                                                        message):
+    # Rejected while the scenario loads, naming the field: no check runs.
+    data = json.loads(json.dumps(SHELL_PJ))
+    pad = [0.0] * (dimension - 2)
+    data["dimension"] = data["measure"]["dimension"] = dimension
+    data["measure"]["spheres"][0]["center"] += pad
+    function = data["functions"][0]
+    function["dimension"] = dimension
+    function["charges"][0]["point"] += pad
+    function["harmonic"] = [["const", 0.1], [label, 0.5]]
+    sc = write_scenario(tmp_path, data, name="bad.json")
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", sc, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert f"error: bad.functions[0].harmonic[1]: {message}" in capsys.readouterr().err
+    assert not (out / "reports.jsonl").exists()
+
+
 @pytest.mark.parametrize("quad", [
     {"max_subdivisions": 10 ** 30},
     {"circle_nodes": 2 ** 40},
