@@ -4,8 +4,8 @@ Each checker returns a CheckReport with an explicit verdict.  Inequality
 verdicts are three-valued: ``holds`` and ``fails`` are asserted only when the
 computed margin clears the accumulated quadrature error estimate, otherwise
 the verdict is ``undetermined``.  Suprema and infima over continua are
-grid-approximate; reports record the resolution used so runs are
-reproducible.
+grid-approximate; reports record the resolution used, or the centre of a
+radial-profile scan, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -140,10 +140,15 @@ def _finiteness_report(name: str, value: float, budget: ErrorBudget,
 
 def _scan_lines(sup: SupResult, region: str) -> list[str]:
     """The diagnostics of one supremum scan of the integrated counting."""
+    def point(p: tuple[float, ...]) -> str:
+        return "(" + ", ".join(_fmt(v) for v in p) + ")"
+
+    engine = (f"grid resolution {sup.resolution}" if sup.centre is None
+              else f"radial profile about {point(sup.centre)}")
     lines = [f"sup {_fmt(sup.value)} over {region}",
-             f"grid resolution {sup.resolution}, {sup.evaluations} evaluations"]
+             f"{engine}, {sup.evaluations} evaluations"]
     if sup.argmax is not None:
-        lines.append("argmax (" + ", ".join(_fmt(v) for v in sup.argmax) + ")")
+        lines.append("argmax " + point(sup.argmax))
     return lines
 
 

@@ -45,6 +45,7 @@ from .quadrature import (
 # part's roots, are only trusted for charges farther off the circle than this.
 NEAR_CIRCLE_RTOL = 0.05
 
+_TINY = float(np.finfo(float).tiny)
 _CONTACT_RADII = 32  # spheres between 0 and outer that bracket contact radii
 _PATCH_STEP_MIN = 1e-10  # the patch search's last step, in the tangent plane
 
@@ -62,11 +63,12 @@ def _check_harmonic_label(label, d: int) -> None:
         raise ValueError(f"harmonic term {label!r} is two-dimensional only")
 
 
-def _harmonic_term(label: str, pts: np.ndarray, d: int) -> np.ndarray:
-    """Evaluate one labeled harmonic basis term on an (n, d) point array."""
+def _harmonic_term(label: str, pts: np.ndarray, d: int) -> np.ndarray | float:
+    """Evaluate one labeled harmonic basis term on an (n, d) point array;
+    the constant term is the float 1.0, which broadcasts."""
     _check_harmonic_label(label, d)
     if label == "const":
-        return np.ones(pts.shape[0])
+        return 1.0
     if label in ("x0", "x1", "x2"):
         return pts[:, int(label[1])]
     if label == "x0*x1":
@@ -181,7 +183,10 @@ class DshFunction:
         pts, in one buffer that the next charge overwrites.  The distances
         are summed from squared column differences as ``row_norms`` sums
         them, so they agree bit for bit, without an (n, d) temporary; the
-        columns of a column-major pts are read without a copy."""
+        columns of a column-major pts are read without a copy.  A row whose
+        squared sum fell below the smallest normal number has lost its
+        digits to underflow, so only such rows are summed again by
+        ``np.hypot``, which scales."""
         dist, diff = np.empty(len(pts)), np.empty(len(pts))
         for ch in self.charges:
             for j, c in enumerate(ch.location):
@@ -190,7 +195,12 @@ class DshFunction:
                     np.multiply(diff, diff, out=dist)
                 else:
                     np.add(dist, np.multiply(diff, diff, out=diff), out=dist)
-            yield ch, np.sqrt(dist, out=dist)
+            underflow = (np.flatnonzero(dist < _TINY)
+                         if dist.min(initial=math.inf) < _TINY else None)
+            np.sqrt(dist, out=dist)
+            if underflow is not None:
+                dist[underflow] = np.hypot.reduce(pts[underflow] - ch.location, axis=1)
+            yield ch, dist
 
     def evaluate(self, x) -> float | np.ndarray:
         """Pointwise value; accepts one point or an (n, d) array of points.
@@ -205,7 +215,9 @@ class DshFunction:
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError("points must have shape (d,) or (n, d)")
         out = self.harmonic.evaluate(pts, self.dimension)
-        with np.errstate(divide="ignore"):
+        # kappa is -inf at a charge, and overflows to it within about
+        # 1e-308 of one in d = 3.
+        with np.errstate(divide="ignore", over="ignore"):
             for ch, dist in self._charge_distances(pts):
                 out += np.multiply(_kappa_in_place(dist, self.dimension), ch.weight,
                                    out=dist)

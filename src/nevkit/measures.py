@@ -251,6 +251,7 @@ class SupResult:
     argmax: tuple[float, ...] | None
     resolution: int
     evaluations: int
+    centre: tuple[float, ...] | None = None  # a radial-profile scan's; None on the lattice
 
 
 def _cap_fraction(a: float, s: float, t: float, d: int) -> float:
@@ -685,13 +686,15 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
     Evaluates at every atom location in the region, at component witness
     points, and on a uniform lattice of the given per-axis resolution, then
     walks locally around the best point (3 levels, factor 4 each), moving
-    as soon as a point improves on it by a strict ``>``.  The points are
-    evaluated in batches, and each batch counts only the points that a
-    point-by-point walk reaches, so ``evaluations`` and the charged errors
-    are that walk's.  The result is the largest value the walk found: each
-    value is a quadrature approximation whose error estimate is charged to
-    ``budget``, and the grid maximum is not a bound on the supremum.  +inf
-    is returned as soon as any evaluation is +inf.
+    as soon as a point improves on it by a strict ``>``.  When every
+    component shares one centre, the walk runs over the distance from it
+    instead (``_profile``), except over the support of a density.  The
+    points are evaluated in batches, and each batch counts only the points
+    that a point-by-point walk reaches, so ``evaluations`` and the charged
+    errors are that walk's.  The result is the largest value the walk
+    found: each value is a quadrature approximation whose error estimate is
+    charged to ``budget``, and the grid maximum is not a bound on the
+    supremum.  +inf is returned as soon as any evaluation is +inf.
     Regions: the radius of a closed ball about the origin, or SUPPORT.  A
     repeated scan returns the result cached on ``mu`` and charges ``budget``
     the same errors and failures again.
@@ -711,28 +714,18 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
         raise ValueError("region must be a positive finite ball radius or the SUPPORT marker")
     cached = mu._cache.get(key)
     if cached is None:
-        cached = mu._cache[key] = _scan(mu, region, r, resolution, spec)
+        walk = _profile(mu, region, r, resolution) or _lattice(mu, region, resolution)
+        cached = mu._cache[key] = _scan(mu, r, resolution, spec, *walk)
     result, charges = cached
     for value, error in charges:
         _charge(budget, value, error)
     return result
 
 
-def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
-          ) -> tuple[SupResult, list[tuple[float, float]]]:
-    """The scan behind ``sup_integrated_counting``, with its charges.
-
-    Each batch is evaluated at once and settled with array comparisons in
-    the order of a point-by-point walk: the candidates up to the first +inf
-    count, and the first strict maximum among them is the best; a
-    refinement batch counts up to its first row above the best, which the
-    walk then moves to.  Only counted points are evaluations, and their
-    nonzero error estimates are the charges, in order.  NaN never wins.
-    """
+def _lattice(mu: Measure, region, resolution: int) -> tuple:
+    """``_scan``'s walk over points: the ball's lattice and the components'
+    centres in it, or the support samples, each moved along its component."""
     d = mu.dimension
-    charges: list[tuple[float, float]] = []
-    if mu.is_zero:
-        return SupResult(0.0, None, resolution, 0), charges
     if region == SUPPORT:
         candidates, sources = _support_samples(mu, resolution)
         step = max((c.outer for c in mu.radial), default=0.0)
@@ -746,10 +739,68 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
             _admissible(np.reshape(centres, (-1, d)), region, None)[1]])
         sources = [None] * len(candidates)
         step = 2.0 * region / (resolution - 1)
+    return (None, candidates, sources, step,
+            lambda qs, src: _admissible(qs, region, src), lambda qs: qs)
 
-    def evaluate(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        errors = np.empty(len(pts))
-        return integrated_counting(mu, pts, r, spec, errors=errors), errors
+
+def _profile(mu: Measure, region, r: float, resolution: int) -> tuple | None:
+    """``_scan``'s walk over a = |y - c| when all components share a centre
+    c, or None.  y = c + a u, u = -c / |c| (e1 at c = 0), so the ball of
+    radius R about 0 is a in [max(0, |c| - R), |c| + R]: ``resolution``
+    evenly spaced values there, and N's kinks among them (0 for an atom or
+    a density, a shell's s and s -+ r, a density's outer, |outer - r| and
+    outer + r).  The support of atoms and shells is each distinct radius
+    once, with no refinement, as N is constant on each sphere about c; a
+    density's support is not a sphere, so it returns None.
+    """
+    centres = [a.location for a in mu.atoms] + [c.center for c in (*mu.spheres, *mu.radial)]
+    if region == SUPPORT and mu.radial or len({c.tobytes() for c in centres}) != 1:
+        return None
+    c = centres[0]
+    norm = float(np.linalg.norm(c))
+    u = np.eye(len(c))[0] if norm == 0.0 else -c / norm
+    if region == SUPPORT:
+        lo = hi = 0.0
+        a = np.unique([0.0] * bool(mu.atoms) + [s.radius for s in mu.spheres])
+    else:
+        lo, hi = max(0.0, norm - region), norm + region
+        kinks = np.array([0.0] * bool(mu.atoms + mu.radial) + [
+            s.radius + t for s in mu.spheres for t in (0.0, -r, r)] + [
+            t for comp in mu.radial for t in (comp.outer, abs(comp.outer - r), comp.outer + r)])
+        a = np.unique(np.concatenate((np.linspace(lo, hi, resolution),
+                                      kinks[(lo <= kinks) & (kinks <= hi)])))
+
+    def admissible(qs: np.ndarray, src) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.flatnonzero((lo <= qs[:, 0]) & (qs[:, 0] <= hi))
+        return rows, qs[rows]
+
+    return (tuple(float(v) for v in c), a[:, np.newaxis], [None] * len(a),
+            (hi - lo) / (resolution - 1), admissible, lambda qs: c + qs * u)
+
+
+def _scan(mu: Measure, r: float, resolution: int, spec: QuadSpec, centre, candidates,
+          sources: list, step: float, admissible, to_points
+          ) -> tuple[SupResult, list[tuple[float, float]]]:
+    """The walk behind ``sup_integrated_counting``, with its charges.
+
+    It walks coordinates q from the rows of ``candidates`` (on the components
+    ``sources``), evaluating N at ``to_points(q)``.  Level k refines about
+    the best q by 9 offsets per coordinate, -4 to 4 steps of step / 4**k, as
+    far as ``admissible(qs, source)`` keeps them (the rows, and what to
+    visit for them).  Each batch is evaluated at once and settled with array
+    comparisons in the order of a point-by-point walk: the candidates up to
+    the first +inf count, and the first strict maximum among them is the
+    best; a refinement batch counts up to its first row above the best,
+    which the walk then moves to.  Only counted points are evaluations, and
+    their nonzero error estimates are the charges, in order.  NaN never wins.
+    """
+    charges: list[tuple[float, float]] = []
+    if mu.is_zero:
+        return SupResult(0.0, None, resolution, 0), charges
+
+    def evaluate(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        errors = np.empty(len(qs))
+        return integrated_counting(mu, to_points(qs), r, spec, errors=errors), errors
 
     def count(values: np.ndarray, errors: np.ndarray, hits: np.ndarray) -> int:
         """Charge the rows up to the first hit, or all rows; return how many."""
@@ -762,20 +813,20 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
     evaluations = count(values, errors, np.flatnonzero(values == math.inf))
     counted = np.where(np.isnan(values[:evaluations]), -math.inf, values[:evaluations])
     k = int(np.argmax(counted))
-    best_val, best_pt, best_src = counted[k], candidates[k], sources[k]
+    best_val, best_q, best_src = counted[k], candidates[k], sources[k]
 
     if math.isfinite(best_val):
         for _ in range(3):
             step /= 4.0
             offsets = np.linspace(-4.0 * step, 4.0 * step, 9)
-            mesh = np.meshgrid(*([offsets] * d), indexing="ij")
+            mesh = np.meshgrid(*([offsets] * candidates.shape[1]), indexing="ij")
             shifts = np.column_stack([m.ravel() for m in mesh])
             # Speculative batches: the first admissible points about the
             # current best from shift ``start`` on, dropped from the first
             # improvement on and rebuilt about it.
             start = 0
             while start < len(shifts):
-                rows, batch = _admissible(best_pt + shifts[start:], region, best_src)
+                rows, batch = admissible(best_q + shifts[start:], best_src)
                 if not len(rows):
                     break
                 rows, batch = start + rows[:_BATCH_CHUNK], batch[:_BATCH_CHUNK]
@@ -785,11 +836,10 @@ def _scan(mu: Measure, region, r: float, resolution: int, spec: QuadSpec
                 evaluations += count(values, errors, hits)
                 if len(hits):
                     k = hits[0]
-                    best_val, best_pt, start = values[k], batch[k], rows[k] + 1
+                    best_val, best_q, start = values[k], batch[k], rows[k] + 1
 
-    return SupResult(float(best_val),
-                     None if best_val == -math.inf else tuple(float(v) for v in best_pt),
-                     resolution, evaluations), charges
+    argmax = None if best_val == -math.inf else tuple(map(float, to_points(best_q[None])[0]))
+    return SupResult(float(best_val), argmax, resolution, evaluations, centre), charges
 
 
 # ---------------------------------------------------------------------------

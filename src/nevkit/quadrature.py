@@ -268,10 +268,17 @@ def circle_points(center: np.ndarray, radius: float, n: int, shift: float = 0.0)
     return center + radius * np.column_stack((np.cos(theta), np.sin(theta)))
 
 
-def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec) -> QuadResult:
+def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec,
+                      samples=None) -> QuadResult:
     """Mean of f over the circle |x - center| = radius, which may be kinked
     or integrably singular at the angles ``breaks``: the tanh-sinh rule on
     every arc between consecutive breaks.
+
+    ``samples``, angles in [0, 2 pi) and f's values there, marks the arcs
+    where f vanishes: an arc that holds samples strictly inside it, all of
+    them 0, gets no nodes.  That is right for a positive part whose sign
+    changes are all breaks, where an arc holding a nonpositive sample is
+    nonpositive throughout.
 
     A node is placed as an offset from the nearer end of its arc and applied
     to that break's own direction, so the two arcs that meet at a break
@@ -289,10 +296,19 @@ def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec) -> QuadR
     ends, index = np.unique(raw % TWO_PI, return_index=True)
     lengths = np.diff(np.append(ends, ends[0] + TWO_PI))
     dirs = np.column_stack((np.cos(raw[index]), np.sin(raw[index])))
-    # One row per arc and side: the nodes near an arc's start turn its own
-    # break's direction forwards, those near its end the next one's back.
-    turned = np.concatenate((dirs, np.roll(dirs, -1, axis=0)))
-    span = np.concatenate((lengths, -lengths))[:, np.newaxis]
+    live = np.ones(len(ends), dtype=bool)
+    if samples is not None:
+        angles, values = samples
+        inside = ~np.isin(angles, ends)
+        arc = (np.searchsorted(ends, angles[inside], side="right") - 1) % len(ends)
+        live[arc] = False
+        live[arc[values[inside] != 0.0]] = True
+        if not live.any():
+            return QuadResult(0.0, 0.0, True)
+    # One row per live arc and side: the nodes near an arc's start turn its
+    # own break's direction forwards, those near its end the next one's back.
+    turned = np.concatenate((dirs[live], np.roll(dirs, -1, axis=0)[live]))
+    span = np.concatenate((lengths[live], -lengths[live]))[:, np.newaxis]
     # How far in angle a node's rounding can move it.
     blur = _EPS * (1.0 + float(np.max(np.abs(center))) / radius)
     total = magnitude = 0.0
@@ -759,7 +775,7 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     # A kink between the nodes can fool the doubling check: the trapezoid
     # errors of the two grids may agree while both are wrong.  So only a
     # grid of one sign goes to it.
-    result = (_break_angle_mean(plus, center, r, breaks, spec) if breaks
+    result = (_break_angle_mean(plus, center, r, breaks, spec, (theta, values)) if breaks
               else _circle_grid_mean(plus, center, r, theta, values, spec))
     return _settle(result, budget, label)
 

@@ -283,6 +283,25 @@ def test_committed_planar_density_scenario_holds(tmp_path):
     assert cut.any()
 
 
+def test_committed_centred_shell_scenario_scans_its_radial_profile(tmp_path):
+    # CI's packaging job runs this file with the installed wheel.  Its one
+    # shell is centred, so both scans walk the distance from the centre, and
+    # the support scan evaluates the shell's radius once: N(y, 1) there is
+    # mass / (4 radius**2) for every y on the shell.
+    path = Path(__file__).parent / "scenarios" / "centred_shell_3d.json"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    reports = {rep["name"]: rep
+               for rep in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
+    assert {name: rep["verdict"] for name, rep in reports.items()} == dict.fromkeys(
+        ["statement_I", "statement_V", "poisson_jensen[u:0]"], HOLDS)
+    (shell,) = scenario_from_json(json.loads(path.read_text())).measure.spheres
+    support = reports["statement_V"]
+    assert support["lhs"] == pytest.approx(shell.mass / (4.0 * shell.radius ** 2), rel=1e-14)
+    assert support["diagnostics"][1] == "radial profile about (0, 0, 0), 1 evaluations"
+    assert reports["statement_I"]["diagnostics"][1].startswith("radial profile about (0, 0, 0)")
+
+
 def test_committed_atom_between_witnesses_scenario_fails_statement_III(tmp_path):
     # The atom at (0.1, 0.7) lies off every one of the 2d + 1 fixed charge
     # sites the kernel witnesses once used, which missed it and printed

@@ -12,13 +12,13 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from nevkit import measures
 from nevkit.cli import bundled_scenario_paths
 from nevkit.dsh import RationalFunction, from_rational, positive_part_integral
-from nevkit.kernels import constant_A
+from nevkit.kernels import BOUNDARY_RTOL, constant_A
 from nevkit.measures import (
     _PANEL_NODES,
     SUPPORT,
@@ -754,28 +754,30 @@ def test_batched_counting_is_rotation_invariant(case, r, seed):
 # evaluations) for every scan of `nevkit run --bundled`, in run order.  The
 # batched scans reach these rows unchanged from the walk that evaluated one
 # point at a time, so they visit the same points.  The corollary's scan
-# repeats statement I's and comes from the measure's cache.  The support
-# scan of the area measure settles ties between samples at one distance from
-# the density's center, whose values agree up to rounding, so its argmax
-# follows the last bits of the batched values, and of the projection onto
-# the density, there.
+# repeats statement I's and comes from the measure's cache.  The area
+# measure's and the harmonic disc's ball scans, and the disc's support scan,
+# are centred and walk the radial profile along e1; the area measure's
+# support scan has a density and stays on the lattice.  It settles ties
+# between samples at one distance from the density's center, whose values
+# agree up to rounding, so its argmax follows the last bits of the batched
+# values, and of the projection onto the density, there.
 BUNDLED_SCANS = [
     ("atomic_statements_expected_fail", 2.0, 0.5, 9, math.inf, (0.5, 0.0), 33),
     ("atomic_statements_expected_fail", SUPPORT, 0.5, 9, math.inf, (0.5, 0.0), 1),
     ("corollary_rational_area_measure", 2.0, 1.0, 13, 0.49999999999999983,
-     (0.0, 0.0), 357),
+     (0.0, 0.0), 28),
     ("corollary_rational_area_measure", 1.0, 1.0, 13, 0.49999999999999983,
-     (0.0, 0.0), 357),
+     (0.0, 0.0), 28),
     ("corollary_rational_area_measure", SUPPORT, 1.0, 13, 0.49999973849260404,
      (0.000507064507089287, 0.0008881237809024354), 399),
     ("corollary_rational_area_measure", 2.0, 1.0, 13, 0.49999999999999983,
-     (0.0, 0.0), 357),
+     (0.0, 0.0), 28),
     ("poisson_jensen_harmonic_disc", 1.0, 0.75, 13, 0.4954435528810475,
-     (-0.5, 0.0), 357),
+     (0.5, 0.0), 40),
     ("poisson_jensen_harmonic_disc", 0.75, 0.75, 13, 0.4954435528810475,
-     (-0.5, 0.0), 357),
+     (0.5, 0.0), 40),
     ("poisson_jensen_harmonic_disc", SUPPORT, 0.75, 13, 0.4954435528810475,
-     (0.5, 0.0), 269),
+     (0.5, 0.0), 1),
 ]
 
 
@@ -802,14 +804,15 @@ def _spatial_measure():
 
 # `many_small` seed 7 scenario 31: a centred shell in d = 3, on which N(y, 1)
 # is the constant mass / (4 radius**2) (the mean of 1/t - 1 over t <= 1 with
-# the density t / (2 radius**2) of t = |x - y|), so its support scan walks a
-# constant function and keeps the first of its rounding-level maxima.
+# the density t / (2 radius**2) of t = |x - y|), so its support scan
+# evaluates the one support radius once, at radius * e1.
 CENTRED_SHELL = SphereShell(np.zeros(3), 0.5126793219154806, 1.0217062332883202)
 
 # (measure, region radius or SUPPORT, r, resolution, value, argmax,
 # evaluations) of d = 3 walks: two at r = 0.5 and resolution 7 over a
 # centred shell plus an off-centre density, where the support walk projects
-# its refinements onto the density, and the centred shell's support walk.
+# its refinements onto the density, and the centred shell's support scan,
+# which runs over its radial profile.
 SPATIAL_SCANS = [
     (_spatial_measure, SUPPORT, 0.5, 7, 1.345141929375398,
      (0.13434517664977294, 0.29778267664977304, 0.11962500000000002), 2443),
@@ -817,7 +820,7 @@ SPATIAL_SCANS = [
      (0.14645833333333336, 0.2968749999999999, 0.12083333333333333), 2312),
     (lambda: Measure(dimension=3, spheres=(CENTRED_SHELL,)), SUPPORT, 1.0, 5,
      CENTRED_SHELL.mass / (4.0 * CENTRED_SHELL.radius ** 2),
-     (-0.015072285840216592, 0.0, -0.512457718567364), 2251),
+     (CENTRED_SHELL.radius, 0.0, 0.0), 1),
 ]
 
 
@@ -876,6 +879,68 @@ def test_scans_settle_batches_as_the_pointwise_walk(monkeypatch, measure, r,
     assert len(batches) > 1 and walked.error > 0.0
     assert (res.value, res.argmax, res.evaluations) == (best, argmax, evaluations)
     assert budget.error == walked.error and budget.failures == walked.failures
+
+
+@st.composite
+def concentric_scans(draw):
+    """A measure whose components share one centre c (at the origin or
+    off it): atoms at c, shells and polynomial densities about c; with a
+    ball region, or the support when there is no density."""
+    d = draw(st.sampled_from([2, 3]))
+    unit = st.floats(-0.8, 0.8)
+    c = np.zeros(d) if draw(st.booleans()) else np.array(draw(st.lists(
+        unit, min_size=d, max_size=d)))
+    size, mass = st.floats(0.05, 1.2), st.floats(0.1, 2.0)
+    atoms = tuple(Atom(c, m) for m in draw(st.lists(mass, max_size=1)))
+    spheres = tuple(SphereShell(c, s, m) for s, m in draw(st.lists(st.tuples(size, mass),
+                                                                   max_size=2)))
+    radial = tuple(RadialDensity(c, coeffs, outer) for coeffs, outer in draw(st.lists(
+        st.tuples(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3), size), max_size=2)))
+    if not (atoms or spheres or radial):
+        spheres = (SphereShell(c, 0.5, 1.0),)
+    regions = [st.floats(0.2, 2.0)] + ([] if radial else [st.just(SUPPORT)])
+    return (lambda: Measure(d, atoms, spheres, radial), draw(st.one_of(regions)),
+            draw(st.floats(0.1, 1.5)), draw(st.integers(5, 9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(concentric_scans())
+def test_profile_scans_reach_the_lattice_scans(scan):
+    # Each scan gets a measure of its own, since scans are cached on it.
+    measure, region, r, resolution = scan
+    mu = measure()
+    res = sup_integrated_counting(mu, region, r, resolution)
+    assert res.centre is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_profile", lambda *args: None)
+        grid = sup_integrated_counting(measure(), region, r, resolution)
+    assert grid.centre is None
+    y = np.array(res.argmax)
+    c = np.array(res.centre)
+    a = float(np.linalg.norm(y - c))
+    if region == SUPPORT:
+        radii = [0.0] * bool(mu.atoms) + [s.radius for s in mu.spheres]
+        assert min(abs(a - t) for t in radii) <= 1e-12
+    else:
+        assert np.linalg.norm(y) <= region * (1.0 + BOUNDARY_RTOL)
+    # One point, not a batch: its panel sums may round apart in the last bit.
+    assert integrated_counting(mu, y, r) == pytest.approx(res.value, rel=1e-13, abs=1e-13)
+    if grid.value == math.inf:
+        assert res.value == math.inf
+        return
+    slack = 1e-13 * (1.0 + abs(grid.value))
+    if mu.radial:
+        # A density's N can peak between kinks, where both walks end on a
+        # grid value: the profile's last step, (hi - lo) / (64 (resolution -
+        # 1)), may then leave it below the lattice's value by up to its own
+        # drop to a neighbour one step away.
+        norm = float(np.linalg.norm(c))
+        lo, hi = max(0.0, norm - region), norm + region
+        step = (hi - lo) / (64 * (resolution - 1))
+        u = (y - c) / a if a > 0.0 else np.eye(len(c))[0]
+        slack += max([res.value - integrated_counting(mu, c + b * u, r)
+                      for b in (a - step, a + step) if lo <= b <= hi] + [0.0])
+    assert res.value >= grid.value - slack, (res, grid)
 
 
 # ------------------------------------------------- positive-part means

@@ -185,11 +185,24 @@ def test_gradient_bound_covers_the_gradient_in_the_ball(data):
     assert np.linalg.norm(_gradient(u, x)) <= bound * (1.0 + 1e-9) + 1e-6
 
 
+def _distances(pts, c):
+    """|p - c| for each row p, from the squares summed one column at a time
+    as ``row_norms`` sums them, except where that sum fell below the
+    smallest normal number: there np.hypot, which does not underflow."""
+    v = pts - c
+    squares = sum(v[:, j] * v[:, j] for j in range(v.shape[1]))
+    dist = np.sqrt(squares)
+    low = squares < np.finfo(float).tiny
+    dist[low] = np.hypot.reduce(v[low], axis=1)
+    return dist
+
+
 def _per_charge_evaluate(u, pts):
-    """u as the plain per-charge sum: h + sum w kappa(row_norms(p - c))."""
+    """u as the plain per-charge sum: h + sum w kappa(|p - c|)."""
     out = u.harmonic.evaluate(pts, u.dimension)
-    for ch in u.charges:
-        out = out + ch.weight * kappa(row_norms(pts - ch.location), u.dimension)
+    with np.errstate(over="ignore"):
+        for ch in u.charges:
+            out = out + ch.weight * kappa(_distances(pts, ch.location), u.dimension)
     return out
 
 
@@ -198,7 +211,7 @@ def _per_charge_gradient_bound(u, pts, rho):
     out = u.harmonic.gradient_bound(pts, rho)
     with np.errstate(divide="ignore"):
         for ch in u.charges:
-            gap = np.maximum(row_norms(pts - ch.location) - rho, 0.0)
+            gap = np.maximum(_distances(pts, ch.location) - rho, 0.0)
             out = out + abs(ch.weight) * hat_d(d) / gap ** (d - 1)
     return out
 
@@ -218,10 +231,11 @@ def test_charge_sum_matches_the_per_charge_sum_bit_for_bit(data):
     terms = tuple((lb, data.draw(st.floats(-2.0, 2.0))) for lb in
                   data.draw(st.lists(st.sampled_from(labels), unique=True)))
     u = DshFunction(d, tuple(charges), HarmonicPart(terms))
-    # Not all merged away.  Two charges closer than about 1e-154 have a
-    # squared distance that underflows: a point on one is then "on" both,
-    # and opposite weights give nan in both sums.
-    assume(u.charges and all(np.linalg.norm(a.location - b.location) > 1e-150
+    # Not all merged away.  In d > 2, kappa overflows to -inf within
+    # max ** (-1 / (d - 2)) of a charge (5.6e-309 in d = 3), so a point that
+    # close to two charges of opposite weight has no float value.
+    reach = np.finfo(float).max ** (-1.0 / (d - 2)) if d > 2 else 0.0
+    assume(u.charges and all(math.dist(a.location, b.location) > 2.0 * reach
                              for a, b in itertools.combinations(u.charges, 2)))
     rows = data.draw(st.lists(point, min_size=1, max_size=12))
     if data.draw(st.booleans()):
@@ -243,6 +257,18 @@ def test_charge_sum_matches_the_per_charge_sum_bit_for_bit(data):
     assert value == expected[0]
     on_charge = u.evaluate(u.charges[0].location)
     assert on_charge == -math.copysign(math.inf, u.charges[0].weight)
+
+
+@pytest.mark.parametrize("point, value", [
+    ([0.0, 0.0], -math.inf),
+    ([0.0, 1e-170], math.log(1e-170) - math.log(1.457e-163 - 1e-170)),
+], ids=["on-one", "between"])
+def test_evaluate_near_two_opposite_charges(point, value):
+    # The two charges are 1.457e-163 apart, so every squared difference
+    # underflows: summed plainly, both distances read 0 and the sum is nan.
+    u = DshFunction(2, (Charge([0.0, 0.0], 1.0), Charge([0.0, 1.457e-163], -1.0)))
+    assert u.evaluate(point) == pytest.approx(value, rel=1e-15)
+    assert u.evaluate(np.array([point, [1.0, 1.0]]))[0] == pytest.approx(value, rel=1e-15)
 
 
 @pytest.mark.parametrize("label", HARMONIC_LABELS)

@@ -257,13 +257,19 @@ class _Jumps:
 def test_positive_part_mean_splits_at_the_kinks(monkeypatch):
     # max(x0 - 0.3, 0) on the unit circle: kinks at +-acos(0.3), mean
     # (sin t - 0.3 t) / pi at t = acos(0.3).  The sign changes on the grid
-    # send it to the tanh-sinh rule, split once at both roots.
-    calls = []
+    # send it to the tanh-sinh rule, split once at both roots, which places
+    # no node on the arc where x0 < 0.3 and the positive part is 0.
+    calls, nodes = [], []
     split = quadrature._break_angle_mean
 
-    def spied(f, center, radius, breaks, spec):
+    def spied(f, center, radius, breaks, spec, samples=None):
         calls.append(np.sort(np.mod(np.asarray(breaks, dtype=float), 2.0 * math.pi)))
-        return split(f, center, radius, breaks, spec)
+
+        def recorded(pts):
+            nodes.append(pts.copy())
+            return f(pts)
+
+        return split(recorded, center, radius, breaks, spec, samples)
 
     monkeypatch.setattr(quadrature, "_break_angle_mean", spied)
     t = math.acos(0.3)
@@ -271,6 +277,7 @@ def test_positive_part_mean_splits_at_the_kinks(monkeypatch):
     value = positive_part_mean(lambda pts: pts[:, 0] - 0.3, 1.0, 2, budget=budget)
     assert len(calls) == 1
     assert np.allclose(calls[0], [t, 2.0 * math.pi - t], rtol=0.0, atol=1e-12)
+    assert np.min(np.concatenate(nodes)[:, 0]) >= 0.3 - 1e-12
     assert budget.ok
     assert abs(value - (math.sin(t) - 0.3 * t) / math.pi) <= budget.error
     assert budget.error < 1e-14
