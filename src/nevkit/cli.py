@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -170,7 +171,9 @@ def _counting_grid_rows(sc: Scenario, spec: QuadSpec) -> list[tuple[str, str, st
     axis = np.linspace(-sc.R, sc.R, COUNTING_GRID_RESOLUTION)
     x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis))
     values = integrated_counting(sc.measure, np.column_stack((x0, x1)), sc.r0, coarse)
-    return [(_num(a), _num(b), _num(v)) for a, b, v in zip(x0, x1, values)]
+    # Python floats format faster than numpy scalars, to the same text.
+    return [(_num(a), _num(b), _num(v))
+            for a, b, v in zip(x0.tolist(), x1.tolist(), values.tolist())]
 
 
 def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]]],
@@ -340,7 +343,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "expected ('all' excuses every failing verdict)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  Parsing leaves it as it
+    was: each call's namespace starts from fresh defaults."""
     parser = argparse.ArgumentParser(
         prog="nevkit",
         description="Run potential-theory check scenarios and emit reports.")

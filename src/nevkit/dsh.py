@@ -186,7 +186,9 @@ class DshFunction:
         columns of a column-major pts are read without a copy.  A row whose
         squared sum fell below the smallest normal number has lost its
         digits to underflow, so only such rows are summed again by
-        ``np.hypot``, which scales."""
+        ``np.hypot``, which scales.  Each charge comes with a third item:
+        the indices of the rows at distance 0 from it, or None when no row
+        underflowed."""
         dist, diff = np.empty(len(pts)), np.empty(len(pts))
         for ch in self.charges:
             for j, c in enumerate(ch.location):
@@ -198,9 +200,11 @@ class DshFunction:
             underflow = (np.flatnonzero(dist < _TINY)
                          if dist.min(initial=math.inf) < _TINY else None)
             np.sqrt(dist, out=dist)
+            on = None
             if underflow is not None:
                 dist[underflow] = np.hypot.reduce(pts[underflow] - ch.location, axis=1)
-            yield ch, dist
+                on = underflow[dist[underflow] == 0.0]
+            yield ch, dist, on
 
     def evaluate(self, x) -> float | np.ndarray:
         """Pointwise value; accepts one point or an (n, d) array of points.
@@ -216,11 +220,19 @@ class DshFunction:
             raise ValueError("points must have shape (d,) or (n, d)")
         out = self.harmonic.evaluate(pts, self.dimension)
         # kappa is -inf at a charge, and overflows to it within about
-        # 1e-308 of one in d = 3.
+        # 1e-308 of one in d = 3.  A row on a charge takes that charge's
+        # infinity after the sum, so that a charge of opposite weight whose
+        # kappa overflows there cannot cancel it to nan.
+        on_charge = []
         with np.errstate(divide="ignore", over="ignore"):
-            for ch, dist in self._charge_distances(pts):
-                out += np.multiply(_kappa_in_place(dist, self.dimension), ch.weight,
-                                   out=dist)
+            for ch, dist, on in self._charge_distances(pts):
+                term = np.multiply(_kappa_in_place(dist, self.dimension), ch.weight, out=dist)
+                if on is not None:
+                    term[on] = 0.0
+                    on_charge.append((on, -math.copysign(math.inf, ch.weight)))
+                out += term
+        for on, value in on_charge:
+            out[on] = value
         return float(out[0]) if single else out
 
     def gradient_bound(self, pts: np.ndarray, rho: float) -> np.ndarray:
@@ -231,7 +243,7 @@ class DshFunction:
         d = self.dimension
         out = self.harmonic.gradient_bound(pts, rho)
         with np.errstate(divide="ignore"):
-            for ch, gap in self._charge_distances(pts):
+            for ch, gap, _ in self._charge_distances(pts):
                 np.maximum(np.subtract(gap, rho, out=gap), 0.0, out=gap)
                 gap **= d - 1
                 out += np.divide(abs(ch.weight) * hat_d(d), gap, out=gap)

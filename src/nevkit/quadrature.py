@@ -14,7 +14,8 @@ arrays of nodes, one call per level.  Planar positive-part means sample the
 same grid, locate their kinks (the sign changes of the function) and give
 them to the tanh-sinh rule as break angles.  Sphere means in dimension 3
 use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
-same doubling check.
+same doubling check, on a ladder of grids that doubles until the check
+passes.
 Positive-part means in dimension 3 whose function changes sign on that grid
 turn the polar axis to the centroid of the positive part and integrate one
 meridian at a time: Gauss-Legendre between the roots along each meridian,
@@ -72,18 +73,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # Node sets are cached, and every caller shares the same arrays, so they are
-# read-only.  The package uses about a dozen Gauss-Legendre rules and six
-# sphere grids (the retry ladder's three, each with its doubled check).
+# read-only.  The package uses about a dozen Gauss-Legendre rules and nine
+# sphere grids (the order ladder's five and the retry rungs' four).
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     return _read_only(x), _read_only(w)
 
 
-# The fixed grids: circle means check the trapezoid rule on 2 * _CIRCLE_NODES
-# nodes against every other node, and sphere means in R^3 check the
-# _POLAR_NODES x _AZIMUTH_NODES product rule against the doubled grid.
+# The grids: circle means check the trapezoid rule on 2 * _CIRCLE_NODES
+# nodes against every other node.  Sphere means in R^3 check a product rule
+# against its doubled grid, climbing from _FIRST_POLAR_NODES polar nodes (and
+# the same share of the azimuthal ones) to the top pair, the
+# _POLAR_NODES x _AZIMUTH_NODES grid against its double; positive-part means
+# start at the top pair, whose first grid is their sign grid.
 _CIRCLE_NODES = 512
+_FIRST_POLAR_NODES = 8
 _POLAR_NODES = 64
 _AZIMUTH_NODES = 128
 
@@ -400,7 +405,7 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
     return result
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarray:
     """Unit vectors of the Gauss-Legendre (polar) x trapezoid (azimuthal)
     product grid, polar-major, as a read-only (n_polar * n_azimuth, 3) array
@@ -414,7 +419,8 @@ def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarra
 
 
 def sphere_grid(d: int) -> np.ndarray:
-    """Unit directions of the first grid a sphere mean in R^d samples."""
+    """Unit directions of the first grid a positive-part mean in R^d
+    samples: the circle grid, or in R^3 the top pair's first grid."""
     return (circle_points(np.zeros(2), 1.0, 2 * _CIRCLE_NODES) if d == 2
             else _sphere3_directions(_POLAR_NODES, _AZIMUTH_NODES, 0.0))
 
@@ -450,18 +456,38 @@ def _sphere3_checked_mean(coarse, fine, n_polar: int, n_azimuth: int,
     return QuadResult(high, max(err, 1e-16 * abs(high)), converged)
 
 
-def _sphere3_mean(f, center, radius, spec) -> QuadResult:
-    """Product-rule mean with a doubling check.  While a grid value is not
-    finite the ladder moves on: plain grid, rotated azimuth, then a
+def _sphere3_mean(f, center, radius, spec, climb: bool = True) -> QuadResult:
+    """Product-rule mean with a doubling check.  The ladder checks each
+    grid against its double, from _FIRST_POLAR_NODES polar nodes (or from
+    the top pair when not ``climb``) up to the top pair, and returns the
+    first pair that converges; each doubled grid is the next pair's first,
+    so no grid is evaluated twice.  While a grid value is not finite the
+    retry ladder moves on: plain top grid, rotated azimuth, then a
     different polar rule; a doubled grid is sampled only once the values
     on its grid are finite."""
-    for n_pol, n_azi, shift in ((_POLAR_NODES, _AZIMUTH_NODES, 0.0),
-                                (_POLAR_NODES, _AZIMUTH_NODES, 0.5),
-                                (_POLAR_NODES + 1, _AZIMUTH_NODES, 0.5)):
-        coarse = _sphere3_values(f, center, radius, n_pol, n_azi, shift)
+    def azimuth(n_polar: int) -> int:
+        return n_polar * _AZIMUTH_NODES // _POLAR_NODES
+
+    n_pol = _FIRST_POLAR_NODES if climb else _POLAR_NODES
+    coarse = _sphere3_values(f, center, radius, n_pol, azimuth(n_pol))
+    while np.all(np.isfinite(coarse)):
+        fine = _sphere3_values(f, center, radius, 2 * n_pol, azimuth(2 * n_pol))
+        result = _sphere3_checked_mean(coarse, fine, n_pol, azimuth(n_pol), spec)
+        if result is None:
+            n_pol *= 2  # the doubled grid is the one that is not finite
+            break
+        if result.converged or n_pol >= _POLAR_NODES:
+            return result
+        coarse, n_pol = fine, 2 * n_pol
+    rungs = [(_POLAR_NODES, 0.5), (_POLAR_NODES + 1, 0.5)]
+    if n_pol < _POLAR_NODES:
+        # The ladder stopped below the top pair, whose grids may be finite.
+        rungs.insert(0, (_POLAR_NODES, 0.0))
+    for n_pol, shift in rungs:
+        coarse = _sphere3_values(f, center, radius, n_pol, _AZIMUTH_NODES, shift)
         if np.all(np.isfinite(coarse)):
-            fine = _sphere3_values(f, center, radius, 2 * n_pol, 2 * n_azi, shift)
-            result = _sphere3_checked_mean(coarse, fine, n_pol, n_azi, spec)
+            fine = _sphere3_values(f, center, radius, 2 * n_pol, 2 * _AZIMUTH_NODES, shift)
+            result = _sphere3_checked_mean(coarse, fine, n_pol, _AZIMUTH_NODES, spec)
             if result is not None:
                 return result
     return QuadResult(math.nan, math.inf, False)
@@ -492,8 +518,10 @@ def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> Quad
                                             2 * _AZIMUTH_NODES, fine) or result
         if result is not None:
             return result
-    # A grid value is not finite: the retry ladder, from its first rung.
-    return _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec)
+    # A grid value is not finite: the retry ladder, from the top pair, since
+    # a coarser pair can agree by chance across the kink.
+    return _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec,
+                         climb=False)
 
 
 @lru_cache(maxsize=1)
@@ -697,6 +725,15 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     f maps (n, d) point arrays to (n,) value arrays.  On non-convergence the
     failure is flagged in ``budget`` when one is supplied and raised as
     QuadratureError otherwise.  ``singular_angles`` applies to d = 2 only.
+
+    For d = 3 the product rule climbs a ladder of grids: the grid of
+    ``_FIRST_POLAR_NODES`` polar nodes (8 x 16) against its double, then
+    that double against its own, up to the top pair, ``_POLAR_NODES`` x
+    ``_AZIMUTH_NODES`` against its double.  The first
+    pair whose doubling check passes gives its finer value.  A grid value
+    that is not finite leaves the ladder for the retry rungs: the top pair,
+    the top pair with its azimuth turned by half a step, then one more
+    polar node.
     """
     d = validate_dimension(d)
     if d not in (2, 3):
@@ -737,14 +774,17 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     For d = 3, g is first evaluated on the product grid of
     ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
     ``_negative_certified`` proves g < 0 on the whole sphere gives 0 with
-    error 0, and a grid of one sign gives ``sphere_mean`` of max(g, 0), bit
-    for bit.  Otherwise ``_meridian_mean`` integrates one meridian at a time
-    about an axis from ``_poles``.  With no axis that holds, the product
+    error 0, and a grid of one sign gives the product rule's top pair of
+    max(g, 0), from the values already computed (``sphere_mean`` of a
+    smooth max(g, 0) stops lower on its ladder and agrees within both
+    error estimates).  Otherwise ``_meridian_mean`` integrates one
+    meridian at a time about an axis from ``_poles``.  With no axis that holds, the product
     rule runs; if its doubling check fails, the axis search repeats on the
     doubled grid, which can see a patch of one sign that the first grid
     missed, and failing that the product rule's result and failure stand.
     A grid value of max(g, 0) that is not finite hands the mean to the
-    retry ladder of ``sphere_mean``.
+    retry rungs of ``sphere_mean``, from the top pair: a coarser pair can
+    agree by chance across the kink.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)

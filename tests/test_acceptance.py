@@ -415,6 +415,7 @@ REFINEMENTS = [
     (quadrature, "_SEGMENT_NODES", lambda n: 2 * n),
     (quadrature, "_MERIDIANS", lambda n: 2 * n),
     (quadrature, "_SIGN_NODES", lambda n: 2 * n - 1),
+    (quadrature, "_FIRST_POLAR_NODES", lambda n: 2 * n),
     (quadrature, "_POLAR_NODES", lambda n: 2 * n),
     (quadrature, "_AZIMUTH_NODES", lambda n: 2 * n),
     (measures, "_PANEL_NODES", lambda n: 2 * n),

@@ -383,6 +383,32 @@ def test_sweep_writes_long_format(tmp_path):
     assert any(",1.25," in row or ",1.25" in row.split(",")[2] for row in rows[1:])
 
 
+def test_one_parser_serves_successive_calls(tmp_path):
+    # The parser is built once per process; the repeatable --scenario list
+    # of one call must not carry over into the next.
+    a = write_scenario(tmp_path, dict(SHELL_PJ, name="first"), "a.json")
+    b = write_scenario(tmp_path, dict(SHELL_PJ, name="second"), "b.json")
+    assert main(["run", "--scenario", a, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["run", "--scenario", b, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert main(["sweep", "--scenario", b, "--param", "R", "--values", "1.25",
+                 "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()
+    for out, name in (("a", "first"), ("b", "second")):
+        lines = (tmp_path / out / "reports.jsonl").read_text().splitlines()
+        assert lines and {json.loads(line)["scenario"] for line in lines} == {name}
+    rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("second,R,1.25,") for row in rows)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                                   2.5e-310, 1.7976931348623157e308, 1e22,
+                                   123456789012345.6, 0.1, 1.0 / 3.0, -2.5e-7])
+def test_counting_grid_text_of_python_floats_matches_numpy_scalars(value):
+    # The counting grid formats the .tolist() floats of numpy arrays, which
+    # must give the text numpy's float64 scalars give.
+    assert cli._num(np.float64(value)) == cli._num(np.array([value]).tolist()[0])
+
+
 def test_sweep_rejects_invalid_values(tmp_path):
     sc = write_scenario(tmp_path, SHELL_PJ)
     code = main(["sweep", "--scenario", sc, "--param", "R",

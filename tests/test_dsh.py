@@ -271,6 +271,18 @@ def test_evaluate_near_two_opposite_charges(point, value):
     assert u.evaluate(np.array([point, [1.0, 1.0]]))[0] == pytest.approx(value, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_on_a_charge_next_to_an_overflowing_one():
+    # In d = 3, kappa of 1e-309 overflows to -inf, so the charge of weight
+    # -1 adds +inf at the origin, where the charge of weight +1 sits: the
+    # value there is that charge's -inf, not inf - inf.
+    u = DshFunction(3, (Charge([0.0, 0.0, 0.0], 1.0), Charge([0.0, 0.0, 1e-309], -1.0)))
+    assert u.evaluate([0.0, 0.0, 0.0]) == -math.inf
+    values = u.evaluate(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-309], [1.0, 0.0, 0.0]]))
+    assert values[0] == -math.inf and values[1] == math.inf
+    assert values[2] == pytest.approx(0.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("label", HARMONIC_LABELS)
 def test_gradient_bound_of_each_harmonic_label_is_attained_or_exceeded(label):
     # Every label, every point of a ball about a fixed centre.

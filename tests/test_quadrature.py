@@ -230,6 +230,63 @@ def test_sphere_mean_dimension_three():
     assert sphere_mean(bilinear, 1.5, 3) == pytest.approx(0.0, abs=1e-12)
 
 
+def _poisson_jensen_integrand(gap: float):
+    """A d = 3 Poisson-Jensen integrand on the sphere of radius 2 about 0,
+    with a charge gap * 2 outside it, and a log of the sizes it is called on."""
+    location = np.array([0.3, -0.5, 0.7])
+    location *= 2.0 * (1.0 + gap) / np.linalg.norm(location)
+    u = DshFunction(3, (Charge(location, 1.0), Charge([0.2, 0.1, -0.3], -0.5)),
+                    HarmonicPart((("const", 0.3),)))
+    x = np.array([0.1, -0.2, 0.25])
+    return _counted(lambda pts: u.evaluate(pts) * poisson_kernel(x, pts, 2.0, 3))
+
+
+@pytest.mark.parametrize("gap, grids", [
+    (0.01, [128, 512, 2048, 8192, 32768]),
+    (0.3, [128, 512, 2048, 8192]),
+], ids=["near-charge", "far-charge"])
+def test_sphere_ladder_climbs_to_the_pair_that_agrees(gap, grids):
+    # Each grid of the ladder is evaluated once and doubles the last; with
+    # the charge 0.01 R from the sphere it climbs to the top pair, whose
+    # check fails as it did with the top pair alone.
+    f, sizes = _poisson_jensen_integrand(gap)
+    spec = quadrature.DEFAULT_SPEC
+    ladder = quadrature._sphere3_mean(f, np.zeros(3), 2.0, spec)
+    assert sizes == grids
+    top = quadrature._sphere3_mean(f, np.zeros(3), 2.0, spec, climb=False)
+    assert sizes[len(grids):] == [8192, 32768]
+    assert ladder.converged == top.converged == (gap > 0.1)
+    assert abs(ladder.value - top.value) <= ladder.error + top.error
+
+
+@pytest.mark.parametrize("n_polar, grids", [
+    (8, [128, 8192, 32768]),
+    (16, [128, 512, 8192, 32768]),
+    (64, [128, 512, 2048, 8192, 8192, 32768]),
+], ids=["first-grid", "its-double", "top-grid"])
+def test_sphere_ladder_leaves_a_grid_that_is_not_finite_for_the_retry_rungs(n_polar, grids):
+    # A charge on a node of one ladder grid: the retry rungs take over from
+    # the plain top pair, which is skipped when it holds that node, and give
+    # what they give without the ladder.
+    node = 0.5 * quadrature._sphere3_directions(n_polar, 2 * n_polar, 0.0)[n_polar + 3]
+    u = DshFunction(3, (Charge(node, 0.1),), HarmonicPart((("const", -1.0),)))
+    g, sizes = _counted(u.evaluate)
+    spec = quadrature.DEFAULT_SPEC
+    ladder = quadrature._sphere3_mean(g, np.zeros(3), 0.5, spec)
+    assert sizes == grids
+    assert ladder == quadrature._sphere3_mean(u.evaluate, np.zeros(3), 0.5, spec, climb=False)
+
+
+def test_positive_part_that_is_not_finite_enters_the_retry_rungs_at_the_top_pair():
+    # A negative charge on a node of the sign grid: u+ is +inf there, and no
+    # coarser pair of the ladder runs, since one could agree across the kink.
+    node = 0.5 * quadrature.sphere_grid(3)[1000]
+    u = DshFunction(3, (Charge(node, -0.1),), HarmonicPart((("const", -1.0),)))
+    g, sizes = _counted(u.evaluate)
+    positive_part_mean(g, 0.5, 3, budget=ErrorBudget())
+    assert sizes == [8192, 8192, 8192, 32768]
+
+
 def test_sphere_mean_dimension_three_off_center():
     center = np.array([0.2, -0.3, 0.1])
 
@@ -290,15 +347,24 @@ def test_positive_part_mean_agrees_with_sphere_mean():
     def plus(pts):
         return np.maximum(g(pts), 0.0)
 
-    # A function that keeps one sign on the sphere passes the product rule's
-    # (d = 3) or the trapezoid's (d = 2) doubling check and gets its bits.
-    for center in ([2.0, -0.2, 0.3], [2.0, 0.5]):
-        d = len(center)
-        ours, theirs = ErrorBudget(), ErrorBudget()
-        assert positive_part_mean(g, 0.7, d, center=center, budget=ours,
-                                  label="probe") == sphere_mean(
-            plus, 0.7, d, center=center, budget=theirs, label="probe")
-        assert (ours.error, ours.failures) == (theirs.error, theirs.failures)
+    # A function that keeps one sign on the circle passes the trapezoid's
+    # doubling check and gets its bits.
+    ours, theirs = ErrorBudget(), ErrorBudget()
+    assert positive_part_mean(g, 0.7, 2, center=[2.0, 0.5], budget=ours,
+                              label="probe") == sphere_mean(
+        plus, 0.7, 2, center=[2.0, 0.5], budget=theirs, label="probe")
+    assert (ours.error, ours.failures) == (theirs.error, theirs.failures)
+    # On the sphere it gets the bits of the product rule's top pair, where
+    # sphere_mean stops lower on its ladder, within both estimates.
+    center = np.array([2.0, -0.2, 0.3])
+    ours = ErrorBudget()
+    value = positive_part_mean(g, 0.7, 3, center=center, budget=ours, label="probe")
+    top = quadrature._sphere3_mean(plus, center, 0.7, quadrature.DEFAULT_SPEC, climb=False)
+    assert (value, ours.error, ours.failures) == (top.value, top.error, [])
+    theirs = ErrorBudget()
+    assert abs(sphere_mean(plus, 0.7, 3, center=center, budget=theirs) - value) <= (
+        ours.error + theirs.error)
+    assert theirs.ok
 
 
 def test_positive_part_mean_failure_raises_without_budget():
