@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -42,7 +41,6 @@ from .criterion import (
 )
 from .kernels import expect_number
 from .measures import integrated_counting
-from .quadrature import QuadSpec
 from .scenario import (
     CHECK_KINDS,
     Scenario,
@@ -93,14 +91,9 @@ def _default_pj_points(sc: Scenario, u, rng: np.random.Generator,
     return pts
 
 
-def _quad_spec(sc: Scenario, options: RunOptions) -> QuadSpec:
-    """The scenario's quadrature spec under the ``--tol`` override."""
-    return sc.quad if options.tol is None else replace(sc.quad, abs_tol=options.tol)
-
-
 def execute_scenario(sc: Scenario, options: RunOptions) -> list[CheckReport]:
     """Run every requested check of one scenario, in order."""
-    spec = _quad_spec(sc, options)
+    spec = sc.quad if options.tol is None else replace(sc.quad, abs_tol=options.tol)
     grid = options.grid if options.grid is not None else sc.grid
     rng = np.random.default_rng(0)
     mu = sc.measure
@@ -158,28 +151,11 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _margin(rep: CheckReport) -> float:
-    if math.isinf(rep.lhs) and math.isinf(rep.rhs) and rep.lhs == rep.rhs:
-        return math.nan
-    return rep.rhs - rep.lhs
-
-
-def _counting_grid_rows(sc: Scenario, spec: QuadSpec) -> list[tuple[str, str, str]]:
-    """Plot data: the integrated counting at r0 over a square around the disc."""
-    coarse = replace(spec, abs_tol=max(spec.abs_tol, 1e-8),
-                     rel_tol=max(spec.rel_tol, 1e-7))
-    axis = np.linspace(-sc.R, sc.R, COUNTING_GRID_RESOLUTION)
-    x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis))
-    values = integrated_counting(sc.measure, np.column_stack((x0, x1)), sc.r0, coarse)
-    # Python floats format faster than numpy scalars, to the same text.
-    return [(_num(a), _num(b), _num(v))
-            for a, b, v in zip(x0.tolist(), x1.tolist(), values.tolist())]
-
-
-def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]]],
-                  options: RunOptions) -> None:
+def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]]]) -> None:
     """Write reports, summary and counting grids into ``out_dir``, which
-    ``_run_all`` has created."""
+    ``_run_all`` has created.  A counting grid is plot data: the integrated
+    counting at r0 over a square around the disc, whose values no spec
+    changes (without a budget, the tolerances only flag failures)."""
     with open(out_dir / "reports.jsonl", "w") as fh:
         for sc, reports in results:
             for rep in reports:
@@ -191,14 +167,19 @@ def write_outputs(out_dir: Path, results: list[tuple[Scenario, list[CheckReport]
         for sc, reports in results:
             for rep in reports:
                 writer.writerow([f"{sc.name}.{rep.name}", _num(rep.lhs),
-                                 _num(rep.rhs), _num(_margin(rep)), rep.verdict])
+                                 _num(rep.rhs), _num(rep.margin), rep.verdict])
     for sc, _ in results:
         if sc.dimension != 2:
             continue
+        axis = np.linspace(-sc.R, sc.R, COUNTING_GRID_RESOLUTION)
+        x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis))
+        values = integrated_counting(sc.measure, np.column_stack((x0, x1)), sc.r0)
         with open(out_dir / f"{sc.name}.counting.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x0", "x1", "counting"])
-            writer.writerows(_counting_grid_rows(sc, _quad_spec(sc, options)))
+            # Python floats format faster than numpy scalars, to the same text.
+            writer.writerows((_num(a), _num(b), _num(v))
+                             for a, b, v in zip(x0.tolist(), x1.tolist(), values.tolist()))
 
 
 def classify(results: list[tuple[Scenario, list[CheckReport]]],
@@ -271,7 +252,7 @@ def _cmd_run(args) -> int:
     options = _options_from_args(args)
     scenarios = _load_run_scenarios(args)
     results = _run_all(scenarios, options, Path(args.out))
-    write_outputs(Path(args.out), results, options)
+    write_outputs(Path(args.out), results)
     for sc, reports in results:
         for rep in reports:
             print(f"{sc.name}.{rep.name}: {rep.verdict}")
@@ -312,7 +293,7 @@ def _cmd_sweep(args) -> int:
             for rep in reports:
                 writer.writerow([sc.name, args.param, _num(value), rep.name,
                                  _num(rep.lhs), _num(rep.rhs),
-                                 _num(_margin(rep)), rep.verdict])
+                                 _num(rep.margin), rep.verdict])
     for value, (sc, reports) in zip(values, results):
         for rep in reports:
             print(f"{sc.name}[{args.param}={value:g}].{rep.name}: {rep.verdict}")

@@ -383,7 +383,8 @@ def verify_poisson_jensen(U: DshFunction, x, R: float, *,
     lhs = U.evaluate(x)
     rhs = boundary_term - green_term
     residual = lhs - rhs
-    tolerance = IDENTITY_TOLERANCE + budget.error
+    # The boundary term is the mean times the surface, and so is its error.
+    tolerance = IDENTITY_TOLERANCE + surface * budget.error
     diag = [f"boundary integral {_fmt(boundary_term)}, charge term {_fmt(green_term)}",
             *_failure_lines(budget)]
     if not budget.ok or math.isnan(residual):

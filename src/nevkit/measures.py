@@ -529,6 +529,10 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     charged as a failure.
     ``errors``, an (n,) array, or (1,) for one point, receives each point's
     error estimate, with +inf where the quadrature failed.
+    A point's value can differ in the last bit from the same point's inside
+    a batch: the panel sums go through a matrix-vector product whose
+    blocking follows the batch, so re-evaluating a scan's argmax need not
+    reproduce its supremum bit for bit.
     """
     if r <= 0.0:
         raise ValueError("integrated_counting: r must be positive")

@@ -14,8 +14,9 @@ arrays of nodes, one call per level.  Planar positive-part means sample the
 same grid, locate their kinks (the sign changes of the function) and give
 them to the tanh-sinh rule as break angles.  Sphere means in dimension 3
 use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
-same doubling check, on a ladder of grids that doubles until the check
-passes.
+same doubling check.  In both dimensions the grids form one family
+(``_grid``), and a smooth mean climbs one ladder of them (``_ladder_mean``)
+until the check passes.
 Positive-part means in dimension 3 whose function changes sign on that grid
 turn the polar axis to the centroid of the positive part and integrate one
 meridian at a time: Gauss-Legendre between the roots along each meridian,
@@ -73,22 +74,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # Node sets are cached, and every caller shares the same arrays, so they are
-# read-only.  The package uses about a dozen Gauss-Legendre rules and nine
-# sphere grids (the order ladder's five and the retry rungs' four).
+# read-only.  The package uses about a dozen Gauss-Legendre rules and seven
+# sphere grids in each dimension (the ladder's five and the turned pair).
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     return _read_only(x), _read_only(w)
 
 
-# The grids: circle means check the trapezoid rule on 2 * _CIRCLE_NODES
-# nodes against every other node.  Sphere means in R^3 check a product rule
-# against its doubled grid, climbing from _FIRST_POLAR_NODES polar nodes (and
-# the same share of the azimuthal ones) to the top pair, the
-# _POLAR_NODES x _AZIMUTH_NODES grid against its double; positive-part means
-# start at the top pair, whose first grid is their sign grid.
+# The grids: a sphere mean checks the rule on one grid against the rule on
+# its double, climbing _LADDER_RUNGS pairs to the top pair, whose first grid
+# has _CIRCLE_NODES nodes in the plane and _POLAR_NODES x _AZIMUTH_NODES in
+# R^3 (every grid of R^3 keeps that ratio of polar to azimuthal nodes).
+# Positive-part means sample a top grid as their sign grid: the plane's
+# finer one, R^3's first one.
+_LADDER_RUNGS = 3
 _CIRCLE_NODES = 512
-_FIRST_POLAR_NODES = 8
 _POLAR_NODES = 64
 _AZIMUTH_NODES = 128
 
@@ -267,10 +268,32 @@ def radius_integral(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC, *,
     return result
 
 
+@lru_cache(maxsize=32)
+def _grid(d: int, n: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and polar weights of the sphere grid in R^d with n
+    azimuthal nodes, turned by ``shift`` node fractions: in the plane the
+    trapezoid rule's n nodes, one polar row of weight 2; in R^3 the
+    Gauss-Legendre (polar) x trapezoid (azimuthal) product grid with
+    n * _POLAR_NODES // _AZIMUTH_NODES polar rows.  The directions are
+    polar-major, a read-only (rows * n, d) array in column-major order, so
+    that each coordinate is one contiguous column; the weights sum to 2."""
+    phi = (np.arange(n) + shift) * (TWO_PI / n)
+    u, w = ((np.zeros(1), np.array([2.0])) if d == 2
+            else _leggauss(n * _POLAR_NODES // _AZIMUTH_NODES))
+    su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    columns = (np.outer(su, np.cos(phi)).ravel(), np.outer(su, np.sin(phi)).ravel(),
+               np.repeat(u, n))
+    return _read_only(np.array(columns[:d]).T), _read_only(w)
+
+
+def _sample(f, center, radius, d: int, n: int, shift: float = 0.0) -> np.ndarray:
+    """f's values on ``_grid(d, n, shift)`` scaled to the sphere."""
+    return np.asarray(f(radius * _grid(d, n, shift)[0] + center), dtype=float)
+
+
 def circle_points(center: np.ndarray, radius: float, n: int, shift: float = 0.0) -> np.ndarray:
     """n equispaced points on the circle, offset by ``shift`` node fractions."""
-    theta = (np.arange(n) + shift) * (TWO_PI / n)
-    return center + radius * np.column_stack((np.cos(theta), np.sin(theta)))
+    return center + radius * _grid(2, n, shift)[0]
 
 
 def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec,
@@ -353,29 +376,68 @@ def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec,
     return QuadResult(total, err, False)
 
 
+def _checked_mean(coarse, fine, d: int, n: int, spec: QuadSpec) -> QuadResult | None:
+    """Mean from f's values on the grid of n azimuthal nodes and on its
+    double (``_grid``, at any turn), whose difference is the error; None
+    when a value is not finite."""
+    means = []
+    for vals, m in ((coarse, n), (fine, 2 * n)):
+        if not np.all(np.isfinite(vals)):
+            return None
+        w = _grid(d, m, 0.0)[1]
+        means.append(float(np.dot(w, vals.reshape(len(w), m).sum(axis=1)) / (2.0 * m)))
+    low, high = means
+    err = abs(high - low)
+    converged = err <= max(spec.abs_tol, spec.rel_tol * abs(high))
+    return QuadResult(high, max(err, 1e-16 * abs(high)), converged)
+
+
+def _ladder_mean(f, center, radius, d: int, spec: QuadSpec, climb: bool = True) -> QuadResult:
+    """Mean of f over the sphere by the trapezoid or product rule with a
+    doubling check (``_checked_mean``).  The ladder checks each grid against
+    its double, from _LADDER_RUNGS pairs below the top pair (or from the
+    top pair when not ``climb``) up to the top pair, and returns the first
+    pair that converges; each doubled grid is the next pair's first, so no
+    grid is evaluated twice, and a doubled grid is sampled only once its
+    first grid's values are finite.  When a value is not finite, the top
+    pair turned by half a step of its finer grid takes over, once: neither
+    of its grids shares a node with the ladder's."""
+    top = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
+    for n, shift in ((top >> _LADDER_RUNGS if climb else top, 0.0), (top, 0.25)):
+        coarse = _sample(f, center, radius, d, n, shift)
+        while np.all(np.isfinite(coarse)):
+            fine = _sample(f, center, radius, d, 2 * n, 2 * shift)
+            result = _checked_mean(coarse, fine, d, n, spec)
+            if result is None:
+                break
+            if result.converged or n >= top:
+                return result
+            coarse, n = fine, 2 * n
+    return QuadResult(math.nan, math.inf, False)
+
+
 def _circle_samples(f, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of the 2 * ``_CIRCLE_NODES`` grid and f's values there; when a
-    value is not finite, those of the grid rotated by half a step instead."""
+    """Angles of the plane's sign grid, the top pair's finer grid, and f's
+    values there; when a value is not finite, those of the grid turned by
+    half a step instead."""
     n = 2 * _CIRCLE_NODES
     for shift in (0.0, 0.5):
-        theta = (np.arange(n) + shift) * (TWO_PI / n)
-        values = np.asarray(f(circle_points(center, radius, n, shift)), dtype=float)
+        values = _sample(f, center, radius, 2, n, shift)
         if np.all(np.isfinite(values)):
             break
-    return theta, values
+    return (np.arange(n) + shift) * (TWO_PI / n), values
 
 
 def _circle_grid_mean(f, center, radius: float, theta, values, spec: QuadSpec) -> QuadResult:
     """Mean of f from ``_circle_samples``: failed when a value is not finite,
-    else the trapezoid rule checked against the rule on every other node,
-    and when the two miss tolerance the tanh-sinh rule with one break, at
-    the node where |f| is largest."""
-    if not np.all(np.isfinite(values)):
+    else the top pair's check, its first grid taken from every other node,
+    and when that misses tolerance the tanh-sinh rule with one break, at the
+    node where |f| is largest."""
+    result = _checked_mean(values[::2], values, 2, _CIRCLE_NODES, spec)
+    if result is None:
         return QuadResult(math.nan, math.inf, False)
-    fine, coarse = float(np.mean(values)), float(np.mean(values[::2]))
-    err = abs(fine - coarse)
-    if err <= max(spec.abs_tol, spec.rel_tol * abs(fine)):
-        return QuadResult(fine, max(err, 1e-16 * abs(fine)), True)
+    if result.converged:
+        return result
     return _break_angle_mean(f, center, radius, (theta[np.argmax(np.abs(values))],), spec)
 
 
@@ -386,12 +448,11 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
 
     f maps (n, 2) point arrays to (n,) value arrays.  With singular angles
     supplied, the tanh-sinh rule split at them (``_break_angle_mean``) is
-    used directly.  Otherwise f is sampled on 2 * ``_CIRCLE_NODES`` nodes
-    (``_circle_samples``, which rotates the grid by half a step once if a
-    value is not finite) and ``_circle_grid_mean`` settles the mean: the
-    trapezoid rule checked against the rule on every other node, or, when
-    that check fails, the tanh-sinh rule with one break, at the node where
-    |f| is largest.
+    used directly.  Otherwise the trapezoid rule climbs ``_ladder_mean``'s
+    grids, from 64 against 128 nodes up to 2 * ``_CIRCLE_NODES``.  Only
+    when the ladder fails does ``_circle_grid_mean`` take the top pair's
+    samples again (``_circle_samples``) and hand the mean to the tanh-sinh
+    rule with one break, at the node where |f| is largest.
     """
     center = as_point(center, 2)
     if radius <= 0.0:
@@ -399,129 +460,47 @@ def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
     if singular_angles:
         result = _break_angle_mean(f, center, radius, singular_angles, spec)
     else:
-        result = _circle_grid_mean(f, center, radius, *_circle_samples(f, center, radius), spec)
+        result = _ladder_mean(f, center, radius, 2, spec)
+        if not result.converged:
+            result = _circle_grid_mean(f, center, radius, *_circle_samples(f, center, radius),
+                                       spec)
     if budget is not None:
         budget.add(result, label)
     return result
 
 
-@lru_cache(maxsize=16)
-def _sphere3_directions(n_polar: int, n_azimuth: int, shift: float) -> np.ndarray:
-    """Unit vectors of the Gauss-Legendre (polar) x trapezoid (azimuthal)
-    product grid, polar-major, as a read-only (n_polar * n_azimuth, 3) array
-    in column-major order, so that each coordinate is one contiguous column."""
-    u, _ = _leggauss(n_polar)
-    phi = (np.arange(n_azimuth) + shift) * (TWO_PI / n_azimuth)
-    su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return _read_only(np.array((np.outer(su, np.cos(phi)).ravel(),
-                                np.outer(su, np.sin(phi)).ravel(),
-                                np.repeat(u, n_azimuth))).T)
-
-
 def sphere_grid(d: int) -> np.ndarray:
-    """Unit directions of the first grid a positive-part mean in R^d
-    samples: the circle grid, or in R^3 the top pair's first grid."""
-    return (circle_points(np.zeros(2), 1.0, 2 * _CIRCLE_NODES) if d == 2
-            else _sphere3_directions(_POLAR_NODES, _AZIMUTH_NODES, 0.0))
-
-
-@lru_cache(maxsize=8)
-def _sphere3_area(n_polar: int, n_azimuth: int) -> np.ndarray:
-    """Polar Gauss-Legendre weights of the product grid's nodes, polar-major,
-    read-only (they sum to 2 * n_azimuth)."""
-    return _read_only(np.repeat(_leggauss(n_polar)[1], n_azimuth))
-
-
-def _sphere3_values(f, center, radius, n_polar: int, n_azimuth: int,
-                    shift: float = 0.0) -> np.ndarray:
-    """f's values on the product grid, polar-major."""
-    pts = radius * _sphere3_directions(n_polar, n_azimuth, shift) + center
-    return np.asarray(f(pts), dtype=float)
-
-
-def _sphere3_checked_mean(coarse, fine, n_polar: int, n_azimuth: int,
-                          spec: QuadSpec) -> QuadResult | None:
-    """Product-rule mean from f's values on the n_polar x n_azimuth grid
-    and on its doubled grid, whose difference is the error; None when a
-    value is not finite."""
-    means = []
-    for vals, n_pol, n_azi in ((coarse, n_polar, n_azimuth), (fine, 2 * n_polar, 2 * n_azimuth)):
-        if not np.all(np.isfinite(vals)):
-            return None
-        rows = vals.reshape(n_pol, n_azi).sum(axis=1)
-        means.append(float(np.dot(_leggauss(n_pol)[1], rows) / (2.0 * n_azi)))
-    low, high = means
-    err = abs(high - low)
-    converged = err <= max(spec.abs_tol, spec.rel_tol * abs(high))
-    return QuadResult(high, max(err, 1e-16 * abs(high)), converged)
-
-
-def _sphere3_mean(f, center, radius, spec, climb: bool = True) -> QuadResult:
-    """Product-rule mean with a doubling check.  The ladder checks each
-    grid against its double, from _FIRST_POLAR_NODES polar nodes (or from
-    the top pair when not ``climb``) up to the top pair, and returns the
-    first pair that converges; each doubled grid is the next pair's first,
-    so no grid is evaluated twice.  While a grid value is not finite the
-    retry ladder moves on: plain top grid, rotated azimuth, then a
-    different polar rule; a doubled grid is sampled only once the values
-    on its grid are finite."""
-    def azimuth(n_polar: int) -> int:
-        return n_polar * _AZIMUTH_NODES // _POLAR_NODES
-
-    n_pol = _FIRST_POLAR_NODES if climb else _POLAR_NODES
-    coarse = _sphere3_values(f, center, radius, n_pol, azimuth(n_pol))
-    while np.all(np.isfinite(coarse)):
-        fine = _sphere3_values(f, center, radius, 2 * n_pol, azimuth(2 * n_pol))
-        result = _sphere3_checked_mean(coarse, fine, n_pol, azimuth(n_pol), spec)
-        if result is None:
-            n_pol *= 2  # the doubled grid is the one that is not finite
-            break
-        if result.converged or n_pol >= _POLAR_NODES:
-            return result
-        coarse, n_pol = fine, 2 * n_pol
-    rungs = [(_POLAR_NODES, 0.5), (_POLAR_NODES + 1, 0.5)]
-    if n_pol < _POLAR_NODES:
-        # The ladder stopped below the top pair, whose grids may be finite.
-        rungs.insert(0, (_POLAR_NODES, 0.0))
-    for n_pol, shift in rungs:
-        coarse = _sphere3_values(f, center, radius, n_pol, _AZIMUTH_NODES, shift)
-        if np.all(np.isfinite(coarse)):
-            fine = _sphere3_values(f, center, radius, 2 * n_pol, 2 * _AZIMUTH_NODES, shift)
-            result = _sphere3_checked_mean(coarse, fine, n_pol, _AZIMUTH_NODES, spec)
-            if result is not None:
-                return result
-    return QuadResult(math.nan, math.inf, False)
+    """Unit directions of the sign grid a positive-part mean in R^d
+    samples: the top pair's finer grid in the plane, its first grid in R^3."""
+    return _grid(d, 2 * _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES, 0.0)[0]
 
 
 def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> QuadResult:
     """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
-    values = _sphere3_values(g, center, radius, _POLAR_NODES, _AZIMUTH_NODES)
-    dirs = _sphere3_directions(_POLAR_NODES, _AZIMUTH_NODES, 0.0)
+    n = _AZIMUTH_NODES
+    values = _sample(g, center, radius, 3, n)
     if gradient_bound is not None and _negative_certified(gradient_bound, center, radius,
-                                                          dirs, values):
+                                                          sphere_grid(3), values):
         # What the product rule returns on a grid of negative values.
         return QuadResult(0.0, 0.0, True)
-    result = _meridian_mean_on_grid(g, center, radius, spec, _POLAR_NODES, _AZIMUTH_NODES,
-                                    values)
+    result = _meridian_mean_on_grid(g, center, radius, spec, n, values)
     if result is not None:
         return result
     plus = np.maximum(values, 0.0)
     if np.all(np.isfinite(plus)):
-        fine = _sphere3_values(g, center, radius, 2 * _POLAR_NODES, 2 * _AZIMUTH_NODES)
-        result = _sphere3_checked_mean(plus, np.maximum(fine, 0.0), _POLAR_NODES,
-                                       _AZIMUTH_NODES, spec)
+        fine = _sample(g, center, radius, 3, 2 * n)
+        result = _checked_mean(plus, np.maximum(fine, 0.0), 3, n, spec)
         if result is not None and not result.converged:
             # The doubling check saw what the coarse grid missed, such as a
             # patch of one sign narrower than its spacing: look again on the
             # fine grid.
-            result = _meridian_mean_on_grid(g, center, radius, spec, 2 * _POLAR_NODES,
-                                            2 * _AZIMUTH_NODES, fine) or result
+            result = _meridian_mean_on_grid(g, center, radius, spec, 2 * n, fine) or result
         if result is not None:
             return result
-    # A grid value is not finite: the retry ladder, from the top pair, since
-    # a coarser pair can agree by chance across the kink.
-    return _sphere3_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, spec,
-                         climb=False)
+    # A grid value is not finite: the ladder from the top pair, since a
+    # coarser pair can agree by chance across the kink.
+    return _ladder_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, 3, spec,
+                        climb=False)
 
 
 @lru_cache(maxsize=1)
@@ -547,13 +526,14 @@ def _negative_certified(gradient_bound, center, radius, dirs, values) -> bool:
     return bool(np.all(values + rho * bound < 0.0))
 
 
-def _meridian_mean_on_grid(g, center, radius, spec, n_polar, n_azimuth, values):
+def _meridian_mean_on_grid(g, center, radius, spec, n: int, values):
     """The meridian rule about a pole taken from g's values on the product
-    grid (shift 0), or None when g keeps one sign there or no pole holds."""
+    grid of n azimuthal nodes (shift 0), or None when g keeps one sign there
+    or no pole holds."""
     positive = values > 0.0
     if np.all(np.isfinite(values)) and positive.any() and not positive.all():
-        dirs = _sphere3_directions(n_polar, n_azimuth, 0.0)
-        for pole in _poles(dirs, values, positive, _sphere3_area(n_polar, n_azimuth)):
+        dirs, w = _grid(3, n, 0.0)
+        for pole in _poles(dirs, values, positive, np.repeat(w, n)):
             result = _meridian_mean(g, center, radius, pole, spec, dirs, positive)
             if result is not None:
                 return result
@@ -726,14 +706,15 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     failure is flagged in ``budget`` when one is supplied and raised as
     QuadratureError otherwise.  ``singular_angles`` applies to d = 2 only.
 
-    For d = 3 the product rule climbs a ladder of grids: the grid of
-    ``_FIRST_POLAR_NODES`` polar nodes (8 x 16) against its double, then
-    that double against its own, up to the top pair, ``_POLAR_NODES`` x
-    ``_AZIMUTH_NODES`` against its double.  The first
-    pair whose doubling check passes gives its finer value.  A grid value
-    that is not finite leaves the ladder for the retry rungs: the top pair,
-    the top pair with its azimuth turned by half a step, then one more
-    polar node.
+    Both dimensions climb one ladder of grids (``_ladder_mean``): a grid
+    against its double, then that double against its own, ``_LADDER_RUNGS``
+    pairs up to the top pair, ``_CIRCLE_NODES`` against 2 *
+    ``_CIRCLE_NODES`` nodes in the plane (through ``circle_mean``) and
+    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` against its double in R^3; the
+    first pairs are 64 against 128 nodes and 8 x 16 against 16 x 32.  The
+    first pair whose doubling check passes gives its finer value.  A grid
+    value that is not finite sends the mean to the top pair turned by half a
+    step of its finer grid, once.
     """
     d = validate_dimension(d)
     if d not in (2, 3):
@@ -745,7 +726,7 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         result = circle_mean(f, center, r, spec, singular_angles=singular_angles,
                              label=label)
     else:
-        result = _sphere3_mean(f, center, r, spec)
+        result = _ladder_mean(f, center, r, 3, spec)
     return _settle(result, budget, label)
 
 
@@ -760,7 +741,7 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     only, maps an (n, d) point array and a radius rho to upper bounds on
     |grad g| over the balls of radius rho about the points.
 
-    In the plane max(g, 0) is sampled on ``circle_mean``'s grid
+    In the plane max(g, 0) is sampled on the top pair's finer grid
     (``_circle_samples``), and each declared singular angle (a charge on
     the circle) joins that grid as one more sample.  The sign changes of g
     between neighbouring samples, an infinite value at a charge included,
@@ -769,7 +750,8 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     the tanh-sinh rule of ``_break_angle_mean`` takes the mean, split at
     the singular angles and the finite roots.  Otherwise g keeps one sign
     on the grid, and ``_circle_grid_mean`` settles the mean from the
-    samples as ``circle_mean`` does.
+    samples with the top pair's check, as ``circle_mean`` does when its
+    ladder fails.
 
     For d = 3, g is first evaluated on the product grid of
     ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
@@ -778,13 +760,14 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     max(g, 0), from the values already computed (``sphere_mean`` of a
     smooth max(g, 0) stops lower on its ladder and agrees within both
     error estimates).  Otherwise ``_meridian_mean`` integrates one
-    meridian at a time about an axis from ``_poles``.  With no axis that holds, the product
-    rule runs; if its doubling check fails, the axis search repeats on the
-    doubled grid, which can see a patch of one sign that the first grid
-    missed, and failing that the product rule's result and failure stand.
-    A grid value of max(g, 0) that is not finite hands the mean to the
-    retry rungs of ``sphere_mean``, from the top pair: a coarser pair can
-    agree by chance across the kink.
+    meridian at a time about an axis from ``_poles``.  With no axis that
+    holds, the product rule runs; if its doubling check fails, the axis
+    search repeats on the doubled grid, which can see a patch of one sign
+    that the first grid missed, and failing that the product rule's result
+    and failure stand.
+    A grid value of max(g, 0) that is not finite hands the mean to
+    ``sphere_mean``'s ladder from the top pair, and so to its turned pair: a
+    coarser pair can agree by chance across the kink.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)

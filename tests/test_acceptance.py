@@ -408,14 +408,15 @@ def test_acceptance_10_cli_determinism(tmp_path):
 
 # Every rule constant whose refinement should move no decided verdict: node
 # counts doubled (the meridian sign grid to 2n - 1 nodes, so its old nodes
-# stay), the tanh-sinh levels one further.
+# stay), the tanh-sinh levels one further, the sphere-mean ladder one rung
+# shorter, so that it starts on a finer pair.
 REFINEMENTS = [
     (quadrature, "_PIECE_NODES", lambda n: 2 * n),
     (quadrature, "_CIRCLE_NODES", lambda n: 2 * n),
     (quadrature, "_SEGMENT_NODES", lambda n: 2 * n),
     (quadrature, "_MERIDIANS", lambda n: 2 * n),
     (quadrature, "_SIGN_NODES", lambda n: 2 * n - 1),
-    (quadrature, "_FIRST_POLAR_NODES", lambda n: 2 * n),
+    (quadrature, "_LADDER_RUNGS", lambda n: n - 1),
     (quadrature, "_POLAR_NODES", lambda n: 2 * n),
     (quadrature, "_AZIMUTH_NODES", lambda n: 2 * n),
     (measures, "_PANEL_NODES", lambda n: 2 * n),
@@ -454,13 +455,18 @@ def test_verdicts_survive_a_refined_rule(monkeypatch, default_reports, module, c
     # A decided verdict rests on error estimates (n against 2n nodes, or one
     # level against the next), not bounds; a finer rule must keep it, and
     # move each side by no more than both runs' estimates.
+    # The cached grids and cover follow the constants.
+    caches = (quadrature._grid, quadrature._sphere3_cover)
     monkeypatch.setattr(module, constant, refine(getattr(module, constant)))
-    quadrature._sphere3_cover.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     try:
         refined = _scenario_reports()
     finally:
-        quadrature._sphere3_cover.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert refined.keys() == default_reports.keys()
+    moved = 0
     for key, before in default_reports.items():
         after = refined[key]
         assert after.verdict == before.verdict, key
@@ -469,5 +475,10 @@ def test_verdicts_survive_a_refined_rule(monkeypatch, default_reports, module, c
             if math.isfinite(old):
                 slack = _budget_error(before) + _budget_error(after) + 1e-13 * abs(old)
                 assert abs(new - old) <= slack, (key, side, old, new, slack)
+                moved += new != old
             else:
                 assert new == old or (math.isnan(old) and math.isnan(new)), (key, side)
+    if constant == "_LADDER_RUNGS":
+        # The bundled planar Poisson-Jensen means climb the ladder, so a
+        # shorter one moves them: this entry checks something.
+        assert moved

@@ -7,6 +7,7 @@ import pytest
 import nevkit.criterion as criterion
 import nevkit.dsh as dsh
 import nevkit.nevanlinna as nevanlinna
+import nevkit.quadrature as quadrature
 from nevkit.criterion import (
     FAILS,
     HOLDS,
@@ -31,7 +32,7 @@ from nevkit.dsh import (
     kernel_witness,
     positive_part_integral,
 )
-from nevkit.kernels import constant_A, kappa
+from nevkit.kernels import constant_A, kappa, sphere_area
 from nevkit.measures import (
     Atom,
     Measure,
@@ -44,7 +45,7 @@ from nevkit.measures import (
     potential,
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
-from nevkit.quadrature import ErrorBudget, QuadSpec
+from nevkit.quadrature import ErrorBudget, QuadSpec, sphere_mean
 from nevkit.scenario import scenario_from_json
 
 
@@ -186,6 +187,34 @@ def test_sphere_positive_part_without_a_pole_is_undetermined():
     rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5)
     assert rep.verdict == UNDETERMINED
     assert "quadrature failure: difference-T" in rep.diagnostics
+
+
+def test_meridian_rule_at_its_caps_is_undetermined(monkeypatch):
+    # The d = 3 benchmark charges about a centred shell: the shell's
+    # positive-part mean takes the meridian rule, which meets this spec only
+    # past its first rung.  With the rule's caps at their starting values it
+    # stops there, flagged, and statement II cannot decide.
+    u = DshFunction(3, (Charge(np.array([0.4985, -0.5996, 0.6489]), 1.0),
+                        Charge(np.array([0.3449, 0.0333, 0.6410]), -0.5577),
+                        Charge(np.array([-0.5161, 0.6410, 0.0425]), 0.6610)),
+                    HarmonicPart((("const", 0.3),)))
+    spec = QuadSpec(abs_tol=1e-15, rel_tol=1e-13)
+
+    def outcome():
+        budget = ErrorBudget()
+        quadrature.positive_part_mean(u.evaluate, 0.6, 3, spec, budget=budget)
+        mu = Measure(dimension=3, spheres=(SphereShell(np.zeros(3), 0.6, 1.0),))
+        rep = check_statement_II(mu, u, 1.0, 2.0, resolution=5, spec=spec)
+        return budget.failures, rep
+
+    failures, rep = outcome()
+    assert (failures, rep.verdict) == ([], HOLDS)
+    monkeypatch.setattr(quadrature, "_MAX_MERIDIANS", quadrature._MERIDIANS)
+    monkeypatch.setattr(quadrature, "_MAX_SEGMENT_NODES", 2 * quadrature._SEGMENT_NODES)
+    failures, rep = outcome()
+    assert failures == ["positive-part"]
+    assert rep.verdict == UNDETERMINED
+    assert "quadrature failure: positive-part" in rep.diagnostics
 
 
 @pytest.mark.parametrize("force", ["nan", "cap"])
@@ -515,6 +544,28 @@ def test_poisson_jensen_dimension_three():
     rep = verify_poisson_jensen(u, [0.1, 0.1, -0.2], 1.0)
     assert rep.verdict == HOLDS
     assert abs(rep.residual) < 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_poisson_jensen_budget_is_the_surface_times_the_mean_error(monkeypatch, d):
+    # The boundary term is the sphere mean times the surface, so the share
+    # of the tolerance the quadrature adds is the surface times the mean's
+    # error estimate.
+    errors = []
+
+    def spied(*args, budget, **kwargs):
+        value = sphere_mean(*args, budget=budget, **kwargs)
+        errors.append(budget.error)
+        return value
+
+    monkeypatch.setattr(criterion, "sphere_mean", spied)
+    u = DshFunction(d, (Charge(np.full(d, 0.3), 1.0),), HarmonicPart((("const", 0.2),)))
+    R = 2.0
+    rep = verify_poisson_jensen(u, np.full(d, -0.2), R)
+    assert rep.verdict == HOLDS
+    assert errors[0] > 0.0
+    surface = sphere_area(d) * R ** (d - 1)
+    assert rep.tolerance == criterion.IDENTITY_TOLERANCE + surface * errors[0]
 
 
 def test_poisson_jensen_validation():

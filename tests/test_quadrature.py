@@ -251,30 +251,61 @@ def test_sphere_ladder_climbs_to_the_pair_that_agrees(gap, grids):
     # check fails as it did with the top pair alone.
     f, sizes = _poisson_jensen_integrand(gap)
     spec = quadrature.DEFAULT_SPEC
-    ladder = quadrature._sphere3_mean(f, np.zeros(3), 2.0, spec)
+    ladder = quadrature._ladder_mean(f, np.zeros(3), 2.0, 3, spec)
     assert sizes == grids
-    top = quadrature._sphere3_mean(f, np.zeros(3), 2.0, spec, climb=False)
+    top = quadrature._ladder_mean(f, np.zeros(3), 2.0, 3, spec, climb=False)
     assert sizes[len(grids):] == [8192, 32768]
     assert ladder.converged == top.converged == (gap > 0.1)
     assert abs(ladder.value - top.value) <= ladder.error + top.error
 
 
-@pytest.mark.parametrize("n_polar, grids", [
-    (8, [128, 8192, 32768]),
-    (16, [128, 512, 8192, 32768]),
-    (64, [128, 512, 2048, 8192, 8192, 32768]),
-], ids=["first-grid", "its-double", "top-grid"])
-def test_sphere_ladder_leaves_a_grid_that_is_not_finite_for_the_retry_rungs(n_polar, grids):
-    # A charge on a node of one ladder grid: the retry rungs take over from
-    # the plain top pair, which is skipped when it holds that node, and give
-    # what they give without the ladder.
-    node = 0.5 * quadrature._sphere3_directions(n_polar, 2 * n_polar, 0.0)[n_polar + 3]
-    u = DshFunction(3, (Charge(node, 0.1),), HarmonicPart((("const", -1.0),)))
-    g, sizes = _counted(u.evaluate)
-    spec = quadrature.DEFAULT_SPEC
-    ladder = quadrature._sphere3_mean(g, np.zeros(3), 0.5, spec)
+@pytest.mark.parametrize("d, azimuth, grids", [
+    (3, 16, [128, 8192, 32768]),
+    (3, 32, [128, 512, 8192, 32768]),
+    (3, 128, [128, 512, 2048, 8192, 8192, 32768]),
+    (3, 256, [128, 512, 2048, 8192, 32768, 8192, 32768]),
+    (2, 64, [64, 512, 1024]),
+    (2, 1024, [64, 128, 256, 512, 1024, 512, 1024]),
+], ids=["first-grid", "its-double", "top-grid", "top-double", "plane-first-grid",
+        "plane-top-double"])
+def test_sphere_ladder_leaves_a_grid_that_is_not_finite_for_the_retry_rungs(d, azimuth,
+                                                                             grids):
+    # The Poisson kernel about a point 0.95 R from the centre, but +inf on
+    # one node of one ladder grid (and of the finer grids, which hold it
+    # too), under a tolerance below rounding, so that every pair climbs: the
+    # top pair turned by half a step of its finer grid takes over, once.
+    # The kernel's mean is 1 / |S|.
+    node = 0.5 * quadrature._grid(d, azimuth, 0.0)[0][azimuth // 2 + 3]
+    x = np.eye(d)[0] * 0.475
+    g, sizes = _counted(lambda pts: np.where(np.all(pts == node, axis=1), np.inf,
+                                             poisson_kernel(x, pts, 0.5, d)))
+    spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
+    ladder = quadrature._ladder_mean(g, np.zeros(d), 0.5, d, spec)
     assert sizes == grids
-    assert ladder == quadrature._sphere3_mean(u.evaluate, np.zeros(3), 0.5, spec, climb=False)
+    top = quadrature._CIRCLE_NODES if d == 2 else quadrature._AZIMUTH_NODES
+    turned = quadrature._checked_mean(quadrature._sample(g, np.zeros(d), 0.5, d, top, 0.25),
+                                      quadrature._sample(g, np.zeros(d), 0.5, d, 2 * top, 0.5),
+                                      d, top, spec)
+    assert ladder == turned and not ladder.converged
+    surface = 2.0 * math.pi * 0.5 if d == 2 else 4.0 * math.pi * 0.25
+    assert ladder.value == pytest.approx(1.0 / surface, rel=0.0, abs=ladder.error + 1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_ladder_turned_pair_shares_no_azimuth_with_the_ladder(d):
+    # No grid node lies at a pole, so nodes at other azimuths are other
+    # nodes: a singular point on a ladder node is off both turned grids.
+    top = quadrature._CIRCLE_NODES if d == 2 else quadrature._AZIMUTH_NODES
+
+    def azimuths(n, shift):
+        dirs = quadrature._grid(d, n, shift)[0]
+        return np.unique(np.round(np.arctan2(dirs[:, 1], dirs[:, 0]) % (2.0 * math.pi), 9))
+
+    ladder = np.concatenate([azimuths(2 * top >> k, 0.0)
+                             for k in range(quadrature._LADDER_RUNGS + 2)])
+    for n, shift in ((top, 0.25), (2 * top, 0.5)):
+        gaps = np.abs(azimuths(n, shift)[:, np.newaxis] - ladder)
+        assert np.min(np.minimum(gaps, 2.0 * math.pi - gaps)) > 0.49 * math.pi / top
 
 
 def test_positive_part_that_is_not_finite_enters_the_retry_rungs_at_the_top_pair():
@@ -347,24 +378,19 @@ def test_positive_part_mean_agrees_with_sphere_mean():
     def plus(pts):
         return np.maximum(g(pts), 0.0)
 
-    # A function that keeps one sign on the circle passes the trapezoid's
-    # doubling check and gets its bits.
-    ours, theirs = ErrorBudget(), ErrorBudget()
-    assert positive_part_mean(g, 0.7, 2, center=[2.0, 0.5], budget=ours,
-                              label="probe") == sphere_mean(
-        plus, 0.7, 2, center=[2.0, 0.5], budget=theirs, label="probe")
-    assert (ours.error, ours.failures) == (theirs.error, theirs.failures)
-    # On the sphere it gets the bits of the product rule's top pair, where
-    # sphere_mean stops lower on its ladder, within both estimates.
-    center = np.array([2.0, -0.2, 0.3])
-    ours = ErrorBudget()
-    value = positive_part_mean(g, 0.7, 3, center=center, budget=ours, label="probe")
-    top = quadrature._sphere3_mean(plus, center, 0.7, quadrature.DEFAULT_SPEC, climb=False)
-    assert (value, ours.error, ours.failures) == (top.value, top.error, [])
-    theirs = ErrorBudget()
-    assert abs(sphere_mean(plus, 0.7, 3, center=center, budget=theirs) - value) <= (
-        ours.error + theirs.error)
-    assert theirs.ok
+    # A function that keeps one sign on the sphere gets the bits of the top
+    # pair's doubling check, from its sign grid; sphere_mean stops lower on
+    # its ladder and agrees within both estimates.
+    for center in ([2.0, 0.5], [2.0, -0.2, 0.3]):
+        d = len(center)
+        ours, theirs = ErrorBudget(), ErrorBudget()
+        value = positive_part_mean(g, 0.7, d, center=center, budget=ours, label="probe")
+        top = quadrature._ladder_mean(plus, np.array(center), 0.7, d, quadrature.DEFAULT_SPEC,
+                                      climb=False)
+        assert (value, ours.error, ours.failures) == (top.value, top.error, [])
+        assert abs(sphere_mean(plus, 0.7, d, center=center, budget=theirs) - value) <= (
+            ours.error + theirs.error)
+        assert theirs.ok
 
 
 def test_positive_part_mean_failure_raises_without_budget():
@@ -432,7 +458,7 @@ def test_sphere_positive_part_mean_sees_a_spike_between_sign_rows():
     # product-grid check must turn that frame down, and the mean must be
     # flagged or right.
     height, spike, steep = 0.3, 0.045, 1000.0
-    dirs = quadrature._sphere3_directions(64, 128, 0.0)
+    dirs = quadrature.sphere_grid(3)
     area = np.repeat(quadrature._leggauss(64)[1], 128)
     theta_c = 22.5 * math.pi / (quadrature._SIGN_NODES - 1)
     c = np.array([math.sin(theta_c), 0.0, math.cos(theta_c)])
@@ -484,10 +510,58 @@ def test_sphere_positive_part_mean_matches_gk21_cubature():
     assert value == pytest.approx(ref.estimate, abs=error + ref.error)
 
 
+def _patched_cap(pole_angle: float, phi: float, spike: float):
+    """x2 - 0.3 (a cap about e3, crossed once by every meridian about e3),
+    with a positive patch of angular radius ``spike`` about the point at
+    polar angle ``pole_angle`` and azimuth ``phi`` of the meridian frame
+    that ``_meridian_mean`` builds about e3, and the patch's centre."""
+    c = np.array([-math.sin(pole_angle) * math.sin(phi), math.sin(pole_angle) * math.cos(phi),
+                  math.cos(pole_angle)])
+    return (lambda pts: np.maximum(pts[:, 2] - 0.3, 1000.0 * (pts @ c - math.cos(spike)))), c
+
+
+def test_meridian_rule_turns_down_a_patch_between_its_meridians(monkeypatch):
+    # A patch on the equator midway between the first two of the 128
+    # meridians, on a point of the sign grid of the meridian between them,
+    # holds no node of the product grid: the first meridians and the grid
+    # agree.  Under a tolerance below rounding, with the Gauss-Legendre
+    # nodes at their cap, the rule halves its azimuthal step; at the
+    # meridians' cap too, the patch goes unseen and the result is flagged.
+    g, c = _patched_cap(math.pi / 2, math.pi / quadrature._MERIDIANS, 0.01)
+    dirs = quadrature.sphere_grid(3)
+    assert np.all(dirs @ c < math.cos(0.01))
+    pole = np.array([0.0, 0.0, 1.0])
+    spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
+    monkeypatch.setattr(quadrature, "_MAX_SEGMENT_NODES", 2 * quadrature._SEGMENT_NODES)
+    monkeypatch.setattr(quadrature, "_MAX_MERIDIANS", quadrature._MERIDIANS)
+    capped = quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, spec, dirs, g(dirs) > 0.0)
+    assert not capped.converged
+    # One halving: the meridian it adds crosses g = 0 two more times, and
+    # the rule gives up on its frame.
+    monkeypatch.setattr(quadrature, "_MAX_MERIDIANS", 2 * quadrature._MERIDIANS)
+    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, spec, dirs,
+                                     g(dirs) > 0.0) is None
+
+
+def test_meridian_rule_gives_up_on_roots_that_do_not_close(monkeypatch):
+    # One round of the root solver leaves every bracket open: nan roots, and
+    # no frame.
+    def g(pts):
+        return pts[:, 2] - 0.3
+
+    dirs = quadrature.sphere_grid(3)
+    pole = np.array([0.0, 0.0, 1.0])
+    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, QuadSpec(), dirs,
+                                     g(dirs) > 0.0).converged
+    monkeypatch.setattr(quadrature, "_ROOT_MAXITER", 1)
+    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, QuadSpec(), dirs,
+                                     g(dirs) > 0.0) is None
+
+
 def test_sphere_positive_part_centroid_frames_agree():
     # The centroids of the positive and of the negative nodes point opposite
     # ways; the two frames share their meridians' great circles but no node.
-    dirs = quadrature._sphere3_directions(64, 128, 0.0)
+    dirs = quadrature.sphere_grid(3)
     area = np.repeat(quadrature._leggauss(64)[1], 128)
     positive = SPATIAL_U.evaluate(0.6 * dirs) > 0.0
     results = []
