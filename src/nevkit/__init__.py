@@ -70,7 +70,6 @@ from .quadrature import (
     QuadratureError,
     QuadResult,
     QuadSpec,
-    circle_mean,
     positive_part_mean,
     sphere_mean,
     stieltjes_against_jumps,
@@ -95,7 +94,7 @@ __all__ = [
     "Scenario", "ScenarioError", "SphereShell", "StatementIIBounds",
     "SupResult", "UNDETERMINED", "check_corollary", "check_statement_I",
     "check_statement_II", "check_statement_IV", "check_statement_V",
-    "circle_mean", "classical_N", "classical_T", "constant_A",
+    "classical_N", "classical_T", "constant_A",
     "difference_T", "difference_counting", "dsh_from_json",
     "falsify_statement_III", "from_rational", "green_ball", "hat_d",
     "integrated_counting", "kappa", "kernel_witness",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    _as_points,
     _kappa_in_place,
     as_point,
     expect_int,
@@ -34,6 +35,7 @@ from .quadrature import (
     ErrorBudget,
     QuadSpec,
     _bracketed_roots,
+    _settle,
     positive_part_mean,
     radius_integral,
     sphere_grid,
@@ -212,12 +214,7 @@ class DshFunction:
         The harmonic part, then for each charge in turn its term
         w kappa(|p - c|), computed in place and added to the sum.
         """
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise ValueError("points must have shape (d,) or (n, d)")
+        pts, single = _as_points(x, self.dimension)
         out = self.harmonic.evaluate(pts, self.dimension)
         # kappa is -inf at a charge, and overflows to it within about
         # 1e-308 of one in d = 3.  A row on a charge takes that charge's
@@ -345,7 +342,8 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     sphere means with singular-angle hints and u's gradient bound.  A radial
     component integrates them over the ring radius with ``radius_integral``,
     split at the kinks: the charges' distances from its centre and its
-    contact radii.
+    contact radii.  Every failure, of a mean or of a ring integral, is
+    charged to ``budget``, or raised as QuadratureError when there is none.
     """
     d = mu.dimension
     if u.dimension != d:
@@ -364,9 +362,9 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     for comp in mu.radial:
         breaks = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
         breaks += _contact_radii(u, comp.center, comp.outer)
-        total += radius_integral(lambda s: comp.density(s) * mean(comp.center, s), 0.0,
-                                 comp.outer, spec, breaks=breaks, budget=budget,
-                                 label="positive-part").value
+        total += _settle(radius_integral(lambda s: comp.density(s) * mean(comp.center, s),
+                                         0.0, comp.outer, spec, breaks=breaks),
+                         budget, "positive-part")
     return float(total)
 
 

@@ -38,6 +38,18 @@ def as_point(x, d: int) -> np.ndarray:
     return p
 
 
+def _as_points(y, d: int) -> tuple[np.ndarray, bool]:
+    """``y`` as an (n, d) array of points, and whether it was one point (d,).
+    A float array passes through without a copy, in its own memory order."""
+    pts = np.asarray(y, dtype=float)
+    if pts.ndim == 2 and pts.shape[1] == d:
+        return pts, False
+    if pts.shape != (d,):
+        raise ValueError(f"expected a point in R^{d} or an (n, {d}) point array, "
+                         f"got shape {pts.shape}")
+    return pts[np.newaxis], True
+
+
 def expect_number(value, path: str, *, positive: bool = False) -> float:
     """Validate a finite JSON number (not a bool) found at ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -172,12 +184,7 @@ def poisson_kernel(x, y, R: float, d: int):
     if R <= 0:
         raise ValueError("poisson_kernel: R must be positive")
     x = as_point(x, d)
-    pts = np.asarray(y, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = as_point(pts, d)[np.newaxis, :]
-    elif pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
+    pts, single = _as_points(y, d)
     nx = float(np.linalg.norm(x))
     if nx >= R:
         raise ValueError("poisson_kernel: x must lie strictly inside the ball")

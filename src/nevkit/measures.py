@@ -20,6 +20,7 @@ import numpy.polynomial.polynomial as P
 
 from .kernels import (
     BOUNDARY_RTOL,
+    _as_points,
     as_point,
     expect_int,
     expect_list,
@@ -31,7 +32,7 @@ from .kernels import (
     validate_dimension,
 )
 from .quadrature import (DEFAULT_SPEC, ErrorBudget, QuadResult, QuadSpec, _cosine_panel_rule,
-                         radius_integral)
+                         _settle, radius_integral)
 
 SUPPORT = "support"
 
@@ -337,7 +338,8 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
     Exact for atoms (closed-ball convention), shells and centred components.
     An off-centre density's rings inside the ball, s <= t - a, are the closed
     form mass_within(t - a); only those that cross the sphere, |a - t| < s <
-    min(a + t, outer), go to ``radius_integral``.
+    min(a + t, outer), go to ``radius_integral``, whose failure is charged
+    to ``budget``, or raised as QuadratureError when there is none.
     """
     if t < 0.0:
         raise ValueError("radial_counting: t must be nonnegative")
@@ -356,9 +358,9 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
         total += comp.mass_within(thr if a == 0.0 else t - a)
         lo, hi = abs(a - t), min(a + t, comp.outer)  # empty for a centred density
         if lo < hi:
-            total += radius_integral(
-                lambda s: comp.density(s) * _cap_fraction(a, s, t, d), lo, hi, spec,
-                budget=budget, label="radial-counting").value
+            total += _settle(radius_integral(
+                lambda s: comp.density(s) * _cap_fraction(a, s, t, d), lo, hi, spec),
+                budget, "radial-counting")
     return float(total)
 
 
@@ -492,16 +494,6 @@ def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
         err += error
     ok = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
     return total, np.where(ok, err, math.inf)
-
-
-def _as_points(y, d: int) -> tuple[np.ndarray, bool]:
-    """``y`` as an (n, d) array of points, and whether it was one point (d,)."""
-    pts = np.asarray(y, dtype=float)
-    if pts.ndim < 2:
-        return as_point(y, d)[np.newaxis], True
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"expected an (n, {d}) point array, got shape {pts.shape}")
-    return pts, False
 
 
 def _charge(budget: ErrorBudget | None, value: float, error: float) -> None:

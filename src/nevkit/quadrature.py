@@ -15,8 +15,8 @@ same grid, locate their kinks (the sign changes of the function) and give
 them to the tanh-sinh rule as break angles.  Sphere means in dimension 3
 use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
 same doubling check.  In both dimensions the grids form one family
-(``_grid``), and a smooth mean climbs one ladder of them (``_ladder_mean``)
-until the check passes.
+(``_grid``), and ``sphere_mean``, the one entry point for a smooth mean,
+goes up one ladder of them (``_ladder_mean``) until the check passes.
 Positive-part means in dimension 3 whose function changes sign on that grid
 turn the polar axis to the centroid of the positive part and integrate one
 meridian at a time: Gauss-Legendre between the roots along each meridian,
@@ -83,7 +83,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The grids: a sphere mean checks the rule on one grid against the rule on
-# its double, climbing _LADDER_RUNGS pairs to the top pair, whose first grid
+# its double, up _LADDER_RUNGS pairs to the top pair, whose first grid
 # has _CIRCLE_NODES nodes in the plane and _POLAR_NODES x _AZIMUTH_NODES in
 # R^3 (every grid of R^3 keeps that ratio of polar to azimuthal nodes).
 # Positive-part means sample a top grid as their sign grid: the plane's
@@ -223,8 +223,7 @@ def _cosine_kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radius_integral(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                    breaks=(), budget: ErrorBudget | None = None,
-                    label: str = "radius-integral") -> QuadResult:
+                    breaks=()) -> QuadResult:
     """Integral over [lo, hi] of f, a float to a float, which may be kinked or
     integrably singular at the ``breaks``, where f is never evaluated.  Each
     piece between breaks evaluates f on the 2 ``_PIECE_NODES`` + 1 nodes of
@@ -262,10 +261,7 @@ def radius_integral(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC, *,
         if worst <= floor or not a < mid < b:
             break
         pieces[i:i + 1] = piece(a, mid), piece(mid, b)
-    result = QuadResult(value, error, converged)
-    if budget is not None:
-        budget.add(result, label)
-    return result
+    return QuadResult(value, error, converged)
 
 
 @lru_cache(maxsize=32)
@@ -289,11 +285,6 @@ def _grid(d: int, n: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
 def _sample(f, center, radius, d: int, n: int, shift: float = 0.0) -> np.ndarray:
     """f's values on ``_grid(d, n, shift)`` scaled to the sphere."""
     return np.asarray(f(radius * _grid(d, n, shift)[0] + center), dtype=float)
-
-
-def circle_points(center: np.ndarray, radius: float, n: int, shift: float = 0.0) -> np.ndarray:
-    """n equispaced points on the circle, offset by ``shift`` node fractions."""
-    return center + radius * _grid(2, n, shift)[0]
 
 
 def _break_angle_mean(f, center, radius: float, breaks, spec: QuadSpec,
@@ -392,27 +383,40 @@ def _checked_mean(coarse, fine, d: int, n: int, spec: QuadSpec) -> QuadResult | 
     return QuadResult(high, max(err, 1e-16 * abs(high)), converged)
 
 
-def _ladder_mean(f, center, radius, d: int, spec: QuadSpec, climb: bool = True) -> QuadResult:
+def _ladder_mean(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
     """Mean of f over the sphere by the trapezoid or product rule with a
     doubling check (``_checked_mean``).  The ladder checks each grid against
-    its double, from _LADDER_RUNGS pairs below the top pair (or from the
-    top pair when not ``climb``) up to the top pair, and returns the first
-    pair that converges; each doubled grid is the next pair's first, so no
-    grid is evaluated twice, and a doubled grid is sampled only once its
-    first grid's values are finite.  When a value is not finite, the top
-    pair turned by half a step of its finer grid takes over, once: neither
-    of its grids shares a node with the ladder's."""
+    its double, from _LADDER_RUNGS pairs below the top pair up to the top
+    pair, and returns the first pair that converges; each doubled grid is
+    the next pair's first, so no grid is evaluated twice, and a doubled grid
+    is sampled only once its first grid's values are finite.  When a value
+    is not finite, ``_turned_pair`` takes over."""
     top = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
-    for n, shift in ((top >> _LADDER_RUNGS if climb else top, 0.0), (top, 0.25)):
-        coarse = _sample(f, center, radius, d, n, shift)
-        while np.all(np.isfinite(coarse)):
-            fine = _sample(f, center, radius, d, 2 * n, 2 * shift)
-            result = _checked_mean(coarse, fine, d, n, spec)
-            if result is None:
-                break
-            if result.converged or n >= top:
-                return result
-            coarse, n = fine, 2 * n
+    n = top >> _LADDER_RUNGS
+    coarse = _sample(f, center, radius, d, n)
+    while np.all(np.isfinite(coarse)):
+        fine = _sample(f, center, radius, d, 2 * n)
+        result = _checked_mean(coarse, fine, d, n, spec)
+        if result is None:
+            break
+        if result.converged or n >= top:
+            return result
+        coarse, n = fine, 2 * n
+    return _turned_pair(f, center, radius, d, spec)
+
+
+def _turned_pair(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
+    """The doubling check of the top pair turned by half a step of its finer
+    grid, for a mean whose ladder met a value that is not finite: neither of
+    its grids shares a node with the ladder's.  Failed when a value is not
+    finite here too; the finer grid is sampled only once the first grid's
+    values are finite."""
+    n = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
+    coarse = _sample(f, center, radius, d, n, 0.25)
+    if np.all(np.isfinite(coarse)):
+        result = _checked_mean(coarse, _sample(f, center, radius, d, 2 * n, 0.5), d, n, spec)
+        if result is not None:
+            return result
     return QuadResult(math.nan, math.inf, False)
 
 
@@ -439,34 +443,6 @@ def _circle_grid_mean(f, center, radius: float, theta, values, spec: QuadSpec) -
     if result.converged:
         return result
     return _break_angle_mean(f, center, radius, (theta[np.argmax(np.abs(values))],), spec)
-
-
-def circle_mean(f, center, radius: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                budget: ErrorBudget | None = None, singular_angles=None,
-                label: str = "circle-mean") -> QuadResult:
-    """Mean of f over the circle |x - center| = radius.
-
-    f maps (n, 2) point arrays to (n,) value arrays.  With singular angles
-    supplied, the tanh-sinh rule split at them (``_break_angle_mean``) is
-    used directly.  Otherwise the trapezoid rule climbs ``_ladder_mean``'s
-    grids, from 64 against 128 nodes up to 2 * ``_CIRCLE_NODES``.  Only
-    when the ladder fails does ``_circle_grid_mean`` take the top pair's
-    samples again (``_circle_samples``) and hand the mean to the tanh-sinh
-    rule with one break, at the node where |f| is largest.
-    """
-    center = as_point(center, 2)
-    if radius <= 0.0:
-        raise ValueError("circle_mean: radius must be positive")
-    if singular_angles:
-        result = _break_angle_mean(f, center, radius, singular_angles, spec)
-    else:
-        result = _ladder_mean(f, center, radius, 2, spec)
-        if not result.converged:
-            result = _circle_grid_mean(f, center, radius, *_circle_samples(f, center, radius),
-                                       spec)
-    if budget is not None:
-        budget.add(result, label)
-    return result
 
 
 def sphere_grid(d: int) -> np.ndarray:
@@ -497,10 +473,10 @@ def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> Quad
             result = _meridian_mean_on_grid(g, center, radius, spec, 2 * n, fine) or result
         if result is not None:
             return result
-    # A grid value is not finite: the ladder from the top pair, since a
-    # coarser pair can agree by chance across the kink.
-    return _ladder_mean(lambda pts: np.maximum(g(pts), 0.0), center, radius, 3, spec,
-                        climb=False)
+    # A value on the sign grid or on its double is not finite: the turned
+    # pair, not the ladder, since a coarser pair can agree by chance across
+    # the kink.
+    return _turned_pair(lambda pts: np.maximum(g(pts), 0.0), center, radius, 3, spec)
 
 
 @lru_cache(maxsize=1)
@@ -697,6 +673,16 @@ def _settle(result: QuadResult, budget: ErrorBudget | None, label: str) -> float
     return result.value
 
 
+def _sphere(r: float, d: int, center) -> tuple[int, np.ndarray]:
+    """The checked dimension and centre of a sphere mean of radius r."""
+    d = validate_dimension(d)
+    if d not in (2, 3):
+        raise ValueError("sphere means are provided for d in {2, 3} only")
+    if r <= 0.0:
+        raise ValueError("sphere means need a positive radius")
+    return d, np.zeros(d) if center is None else as_point(center, d)
+
+
 def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
                 center=None, budget: ErrorBudget | None = None,
                 singular_angles=None, label: str = "sphere-mean") -> float:
@@ -704,29 +690,37 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
 
     f maps (n, d) point arrays to (n,) value arrays.  On non-convergence the
     failure is flagged in ``budget`` when one is supplied and raised as
-    QuadratureError otherwise.  ``singular_angles`` applies to d = 2 only.
+    QuadratureError otherwise.  ``singular_angles`` applies to d = 2 only:
+    with them the tanh-sinh rule split there (``_break_angle_mean``) takes
+    the mean directly.
 
-    Both dimensions climb one ladder of grids (``_ladder_mean``): a grid
-    against its double, then that double against its own, ``_LADDER_RUNGS``
-    pairs up to the top pair, ``_CIRCLE_NODES`` against 2 *
-    ``_CIRCLE_NODES`` nodes in the plane (through ``circle_mean``) and
-    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` against its double in R^3; the
-    first pairs are 64 against 128 nodes and 8 x 16 against 16 x 32.  The
-    first pair whose doubling check passes gives its finer value.  A grid
-    value that is not finite sends the mean to the top pair turned by half a
-    step of its finer grid, once.
+    Otherwise both dimensions go up one ladder of grids (``_ladder_mean``):
+    a grid against its double, then that double against its own,
+    ``_LADDER_RUNGS`` pairs up to the top pair, ``_CIRCLE_NODES`` against
+    2 * ``_CIRCLE_NODES`` nodes in the plane and ``_POLAR_NODES`` x
+    ``_AZIMUTH_NODES`` against its double in R^3; the first pairs are 64
+    against 128 nodes and 8 x 16 against 16 x 32.  The first pair whose
+    doubling check passes gives its finer value.  A grid value that is not
+    finite sends the mean to the top pair turned by half a step of its finer
+    grid (``_turned_pair``), once.  In the plane a ladder that fails hands
+    the mean to ``_circle_grid_mean``: the top pair's samples again
+    (``_circle_samples``), then the tanh-sinh rule with one break, at the
+    node where |f| is largest.
+
+    Declare a planar singularity on or near the circle in
+    ``singular_angles``: the doubling check cannot see every one.  A log
+    singularity on an odd node of the grid two doublings above a pair gives
+    both grids of the pair the same trapezoid error, log(sqrt 2) / n and
+    log(2) / (2 n), so the check passes with error 0 on a wrong mean.  The
+    Poisson-Jensen check declares every charge within 5% of its circle.
     """
-    d = validate_dimension(d)
-    if d not in (2, 3):
-        raise ValueError("sphere means are provided for d in {2, 3} only")
-    if r <= 0.0:
-        raise ValueError("sphere_mean: radius must be positive")
-    center = np.zeros(d) if center is None else as_point(center, d)
-    if d == 2:
-        result = circle_mean(f, center, r, spec, singular_angles=singular_angles,
-                             label=label)
+    d, center = _sphere(r, d, center)
+    if d == 2 and singular_angles:
+        result = _break_angle_mean(f, center, r, singular_angles, spec)
     else:
-        result = _ladder_mean(f, center, r, 3, spec)
+        result = _ladder_mean(f, center, r, d, spec)
+        if d == 2 and not result.converged:
+            result = _circle_grid_mean(f, center, r, *_circle_samples(f, center, r), spec)
     return _settle(result, budget, label)
 
 
@@ -750,8 +744,8 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     the tanh-sinh rule of ``_break_angle_mean`` takes the mean, split at
     the singular angles and the finite roots.  Otherwise g keeps one sign
     on the grid, and ``_circle_grid_mean`` settles the mean from the
-    samples with the top pair's check, as ``circle_mean`` does when its
-    ladder fails.
+    samples with the top pair's check, as ``sphere_mean`` does when its
+    planar ladder fails.
 
     For d = 3, g is first evaluated on the product grid of
     ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
@@ -765,19 +759,14 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     search repeats on the doubled grid, which can see a patch of one sign
     that the first grid missed, and failing that the product rule's result
     and failure stand.
-    A grid value of max(g, 0) that is not finite hands the mean to
-    ``sphere_mean``'s ladder from the top pair, and so to its turned pair: a
-    coarser pair can agree by chance across the kink.
+    A value of max(g, 0) on either grid that is not finite hands the mean
+    to the turned top pair of ``sphere_mean`` (``_turned_pair``), not to
+    its ladder: a coarser pair can agree by chance across the kink.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)
 
-    d = validate_dimension(d)
-    if d not in (2, 3):
-        raise ValueError("sphere means are provided for d in {2, 3} only")
-    if r <= 0.0:
-        raise ValueError("positive_part_mean: radius must be positive")
-    center = np.zeros(d) if center is None else as_point(center, d)
+    d, center = _sphere(r, d, center)
     if d == 3:
         return _settle(_sphere3_positive_mean(g, center, r, spec, gradient_bound),
                        budget, label)

@@ -55,6 +55,12 @@ def write_scenario(tmp_path, data, name="sc.json"):
     return str(path)
 
 
+def test_every_public_name_resolves():
+    # A deleted function must not leave its export behind.
+    assert [name for name in nevkit.__all__ if not hasattr(nevkit, name)] == []
+    exec("from nevkit import *", {})
+
+
 def test_list_bundled(capsys):
     assert main(["list"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -86,18 +92,22 @@ def test_run_bundled_outputs(tmp_path, capsys):
 
 def test_bundled_run_integrates_only_density_rings(tmp_path, monkeypatch):
     # Circle means never call the rule over a radius; a bundled run calls it
-    # once per density ring integral, for statement_II[f] and corollary[f].
-    labels = []
+    # once per density ring integral, for statement_II[f] and corollary[f],
+    # from positive_part_integral, the one caller in dsh (radial_counting's
+    # crossing rings would be measures').
+    callers = []
     rule = quadrature.radius_integral
 
-    def counted(*args, **kwargs):
-        labels.append(kwargs.get("label"))
-        return rule(*args, **kwargs)
+    def counted(module):
+        def call(*args, **kwargs):
+            callers.append(module.__name__)
+            return rule(*args, **kwargs)
+        return call
 
     for module in (quadrature, dsh, measures):
-        monkeypatch.setattr(module, "radius_integral", counted)
+        monkeypatch.setattr(module, "radius_integral", counted(module))
     assert main(["run", "--bundled", "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert labels == ["positive-part", "positive-part"]
+    assert callers == ["nevkit.dsh", "nevkit.dsh"]
 
 
 def test_run_unexpected_failure_exit_code(tmp_path):

@@ -24,9 +24,11 @@ from nevkit.dsh import (
     rational_from_json,
 )
 from nevkit.kernels import hat_d, kappa, row_norms
-from nevkit.measures import Measure, RadialDensity, SphereShell, integrated_counting
+from nevkit.measures import (Measure, RadialDensity, SphereShell, integrated_counting,
+                             radial_counting)
 from nevkit.quadrature import (
     ErrorBudget,
+    QuadratureError,
     QuadResult,
     QuadSpec,
     positive_part_mean,
@@ -350,6 +352,27 @@ def test_positive_part_integral_log_distance():
     circ = Measure(dimension=2, spheres=(SphereShell(np.zeros(2), 1.0, 1.0),))
     u = from_rational(RationalFunction(zeros=(3.0,)))
     assert positive_part_integral(u, circ) == pytest.approx(math.log(3.0), rel=1e-10)
+
+
+# Under a cap of 8 pieces these ring integrals over an off-centre density
+# miss their tolerance: positive_part_integral's rings about the witness's
+# charge, and radial_counting's rings that cross its sphere.
+_RING_MU = Measure(2, radial=(RadialDensity((0.3, 0.0), (1.0, 2.0), 0.5),))
+
+
+@pytest.mark.parametrize("label, call", [
+    ("positive-part", lambda budget: positive_part_integral(
+        kernel_witness((0.1, 0.0), 0.5, 1.0, 2), _RING_MU, QuadSpec(1e-12, 1e-12, 8),
+        budget=budget)),
+    ("radial-counting", lambda budget: radial_counting(
+        _RING_MU, (0.2, 0.1), 0.4, QuadSpec(1e-300, 1e-300, 8), budget=budget)),
+], ids=["positive-part", "radial-counting"])
+def test_a_ring_integral_that_fails_raises_or_is_charged(label, call):
+    with pytest.raises(QuadratureError, match=label):
+        call(None)
+    budget = ErrorBudget()
+    call(budget)
+    assert budget.failures == [label]
 
 
 def test_positive_part_integral_atoms_measure():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nevkit import quadrature
+from nevkit.dsh import Charge, DshFunction
 from nevkit.kernels import (
+    _as_points,
     as_point,
     constant_A,
     green_ball,
@@ -15,7 +18,7 @@ from nevkit.kernels import (
     sphere_area,
     validate_dimension,
 )
-from nevkit.quadrature import circle_points
+from nevkit.measures import Atom, Measure, potential
 
 
 def test_kappa_planar_values():
@@ -146,6 +149,28 @@ def test_as_point_shape_check():
         as_point([1.0, 2.0, 3.0], 2)
 
 
+def test_as_points_passes_an_array_through():
+    # DshFunction._charge_distances reads the columns of a column-major
+    # array without a copy.
+    pts = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+    same, single = _as_points(pts, 2)
+    assert same is pts and not single
+    one, single = _as_points([1.0, 2.0], 2)
+    assert single and np.array_equal(one, [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda y: poisson_kernel([0.0, 0.0], y, 1.0, 2),
+    lambda y: potential(Measure(2, (Atom([0.5, 0.0], 1.0),)), y),
+    lambda y: DshFunction(2, (Charge([0.5, 0.0], 1.0),)).evaluate(y),
+], ids=["poisson_kernel", "potential", "evaluate"])
+@pytest.mark.parametrize("y", [1.0, [1.0, 0.0, 0.0], np.zeros((3, 3)), np.zeros((2, 2, 2))],
+                         ids=["scalar", "long-point", "wide-rows", "three-axes"])
+def test_every_point_array_caller_rejects_a_bad_shape(call, y):
+    with pytest.raises(ValueError):
+        call(y)
+
+
 def test_poisson_kernel_center_value():
     # At the center the kernel is constant 1 / (surface of the R-sphere).
     for d in (2, 3):
@@ -160,7 +185,7 @@ def test_poisson_kernel_integrates_to_one():
     # Mean-value normalization: the boundary integral of the kernel is 1.
     R = 2.0
     x = np.array([0.7, -0.4])
-    pts = circle_points(np.zeros(2), R, 4096)
+    pts = R * quadrature._grid(2, 4096, 0.0)[0]
     vals = poisson_kernel(x, pts, R, 2)
     assert vals.shape == (4096,)
     assert vals[:8] == pytest.approx([poisson_kernel(x, y, R, 2) for y in pts[:8]],
