@@ -236,10 +236,10 @@ class DshFunction:
         """An upper bound on |grad u| over the ball of radius rho about each
         row of the (n, d) array pts: the harmonic part's bound plus
         sum |w_j| hat_d / max(|p - c_j| - rho, 0)**(d - 1), which is +inf
-        where a ball holds a charge."""
+        where a ball holds a charge or a term overflows to it."""
         d = self.dimension
         out = self.harmonic.gradient_bound(pts, rho)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             for ch, gap, _ in self._charge_distances(pts):
                 np.maximum(np.subtract(gap, rho, out=gap), 0.0, out=gap)
                 gap **= d - 1

@@ -211,7 +211,7 @@ def _per_charge_evaluate(u, pts):
 def _per_charge_gradient_bound(u, pts, rho):
     d = u.dimension
     out = u.harmonic.gradient_bound(pts, rho)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for ch in u.charges:
             gap = np.maximum(_distances(pts, ch.location) - rho, 0.0)
             out = out + abs(ch.weight) * hat_d(d) / gap ** (d - 1)
