@@ -164,10 +164,10 @@ def check_statement_I(mu: Measure, r0: float, R: float, *,
                       name: str = "statement_I") -> CheckReport:
     """Is the integrated counting at radius r0 bounded over the ball of
     radius R around the origin?"""
-    if not (r0 > 0.0):
-        raise ValueError("statement I: r0 must be positive")
-    if not (R > mu.support_radius * (1.0 - BOUNDARY_RTOL)) or R <= 0.0:
-        raise ValueError("statement I: R must exceed the support radius of mu")
+    if not (0.0 < r0 < math.inf):
+        raise ValueError("statement I: r0 must be positive and finite")
+    if not (mu.support_radius * (1.0 - BOUNDARY_RTOL) < R < math.inf):
+        raise ValueError("statement I: R must be finite and exceed the support radius of mu")
     budget = ErrorBudget()
     sup = sup_integrated_counting(mu, R, r0, resolution, spec, budget=budget)
     return _finiteness_report(name, sup.value, budget,
@@ -200,8 +200,8 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
                         R_star: float | None = None,
                         budget: ErrorBudget | None = None) -> StatementIIBounds:
     """The statement-II bounds; R_star defaults to ``intermediate_radius``."""
-    if not (0.0 < r < R):
-        raise ValueError("statement II: need 0 < r < R")
+    if not (0.0 < r < R < math.inf):
+        raise ValueError("statement II: need 0 < r < R < inf")
     d = mu.dimension
     if U.dimension != d:
         raise ValueError("statement II: function and measure dimensions differ")
@@ -266,8 +266,8 @@ def falsify_statement_III(mu: Measure, functions, r: float, R: float,
     ``difference_T`` and ``positive_part_integral``.  A witnessed +inf
     falsifies boundedness; a bounded maximum is evidence, not a proof.
     """
-    if not (0.0 < r < R):
-        raise ValueError("statement III: need 0 < r < R")
+    if not (0.0 < r < R < math.inf):
+        raise ValueError("statement III: need 0 < r < R < inf")
     if not (T_cap > 0.0 and math.isfinite(T_cap)):
         raise ValueError("statement III: T_cap must be positive and finite")
     budget = ErrorBudget()
@@ -322,8 +322,8 @@ def check_statement_V(mu: Measure, r0: float, *,
                       spec: QuadSpec = DEFAULT_SPEC,
                       name: str = "statement_V") -> CheckReport:
     """Is the integrated counting at radius r0 bounded on the support of mu?"""
-    if not (r0 > 0.0):
-        raise ValueError("statement V: r0 must be positive")
+    if not (0.0 < r0 < math.inf):
+        raise ValueError("statement V: r0 must be positive and finite")
     budget = ErrorBudget()
     sup = sup_integrated_counting(mu, SUPPORT, r0, resolution, spec,
                                   budget=budget)
@@ -334,8 +334,8 @@ def verify_lemma3(delta: Measure, R_star: float, R: float, *,
                   spec: QuadSpec = DEFAULT_SPEC,
                   name: str = "lemma3") -> CheckReport:
     """Radial mass at R_star against its integrated-counting quotient bound."""
-    if not (0.0 < R_star < R):
-        raise ValueError("lemma3: need 0 < R_star < R")
+    if not (0.0 < R_star < R < math.inf):
+        raise ValueError("lemma3: need 0 < R_star < R < inf")
     budget = ErrorBudget()
     lhs = radial_counting(delta, np.zeros(delta.dimension), R_star, spec,
                           budget=budget)
@@ -358,8 +358,8 @@ def verify_poisson_jensen(U: DshFunction, x, R: float, *,
     d = U.dimension
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
-    if nx >= R:
-        raise ValueError("poisson_jensen: x must lie strictly inside the ball")
+    if not (nx < R < math.inf):
+        raise ValueError("poisson_jensen: x must lie strictly inside the ball of finite radius R")
     for ch in U.charges:
         dist_x = float(np.linalg.norm(ch.location - x))
         if dist_x == 0.0:
@@ -413,8 +413,8 @@ def check_corollary(f: RationalFunction, mu: Measure, r: float, R: float, *,
     """
     if mu.dimension != 2:
         raise ValueError("corollary: mu must be planar (dimension 2)")
-    if not (0.0 < r < R):
-        raise ValueError("corollary: need 0 < r < R")
+    if not (0.0 < r < R < math.inf):
+        raise ValueError("corollary: need 0 < r < R < inf")
     if mu.support_radius > r * (1.0 + SUPPORT_RTOL):
         raise ValueError("corollary: mu must be supported in the closed disc of radius r")
     budget = ErrorBudget()

@@ -341,8 +341,8 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
     min(a + t, outer), go to ``radius_integral``, whose failure is charged
     to ``budget``, or raised as QuadratureError when there is none.
     """
-    if t < 0.0:
-        raise ValueError("radial_counting: t must be nonnegative")
+    if not (0.0 <= t < math.inf):
+        raise ValueError("radial_counting: t must be nonnegative and finite")
     d = mu.dimension
     y = as_point(y, d)
     thr = t * (1.0 + BOUNDARY_RTOL)
@@ -526,8 +526,8 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     blocking follows the batch, so re-evaluating a scan's argmax need not
     reproduce its supremum bit for bit.
     """
-    if r <= 0.0:
-        raise ValueError("integrated_counting: r must be positive")
+    if not (0.0 < r < math.inf):
+        raise ValueError("integrated_counting: r must be positive and finite")
     pts, one = _as_points(y, mu.dimension)
     values = np.empty(len(pts))
     errs = np.empty(len(pts))
@@ -700,6 +700,8 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
         raise ValueError("sup_integrated_counting scans are provided for d in {2, 3}")
     if resolution < 3:
         raise ValueError("sup_integrated_counting: resolution must be at least 3")
+    if not (0.0 < r < math.inf):
+        raise ValueError("sup_integrated_counting: r must be positive and finite")
     # Integrated counting reads only the two tolerances, so the key omits
     # spec.max_subdivisions.
     if region == SUPPORT:

@@ -10,13 +10,15 @@ integrands) with a node-doubling convergence check.  Integrands that are
 kinked or singular on the circle either get declared singular angles or fail
 the doubling check; either way a tanh-sinh (double-exponential) rule on the
 arcs between break angles takes over, evaluating the integrand on whole
-arrays of nodes, one call per level.  Planar positive-part means sample the
-same grid, locate their kinks (the sign changes of the function) and give
-them to the tanh-sinh rule as break angles.  Sphere means in dimension 3
-use a Gauss-Legendre (polar) x trapezoid (azimuthal) product rule with the
-same doubling check.  In both dimensions the grids form one family
-(``_grid``), and ``sphere_mean``, the one entry point for a smooth mean,
-goes up one ladder of them (``_ladder_mean``) until the check passes.
+arrays of nodes, one call per level; a failed check of the top pair goes
+there by one route, ``_circle_top_mean``, from the values already sampled.
+Planar positive-part means sample the same grid, locate their kinks (the
+sign changes of the function) and give them to the tanh-sinh rule as break
+angles.  Sphere means in dimension 3 use a Gauss-Legendre (polar) x
+trapezoid (azimuthal) product rule with the same doubling check.  In both
+dimensions the grids form one family (``_grid``), and ``sphere_mean``, the
+one entry point for a smooth mean, goes up one ladder of them
+(``_ladder_mean``) until the check passes.
 Positive-part means in dimension 3 whose function changes sign on that grid
 turn the polar axis to the centroid of the positive part and integrate one
 meridian at a time: Gauss-Legendre between the roots along each meridian,
@@ -387,10 +389,11 @@ def _ladder_mean(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
     """Mean of f over the sphere by the trapezoid or product rule with a
     doubling check (``_checked_mean``).  The ladder checks each grid against
     its double, from _LADDER_RUNGS pairs below the top pair up to the top
-    pair, and returns the first pair that converges; each doubled grid is
-    the next pair's first, so no grid is evaluated twice, and a doubled grid
-    is sampled only once its first grid's values are finite.  When a value
-    is not finite, ``_turned_pair`` takes over."""
+    pair, and returns the first pair that converges or the top pair, which
+    in the plane ``_circle_top_mean`` settles; each doubled grid is the next
+    pair's first, so no grid is evaluated twice, and a doubled grid is
+    sampled only once its first grid's values are finite.  When a value is
+    not finite, ``_turned_pair`` takes over."""
     top = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
     n = top >> _LADDER_RUNGS
     coarse = _sample(f, center, radius, d, n)
@@ -399,6 +402,8 @@ def _ladder_mean(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
         result = _checked_mean(coarse, fine, d, n, spec)
         if result is None:
             break
+        if d == 2 and n >= top:
+            return _circle_top_mean(f, center, radius, fine, 0.0, spec)
         if result.converged or n >= top:
             return result
         coarse, n = fine, 2 * n
@@ -410,39 +415,31 @@ def _turned_pair(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
     grid, for a mean whose ladder met a value that is not finite: neither of
     its grids shares a node with the ladder's.  Failed when a value is not
     finite here too; the finer grid is sampled only once the first grid's
-    values are finite."""
+    values are finite, and in the plane settled by ``_circle_top_mean``."""
     n = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
     coarse = _sample(f, center, radius, d, n, 0.25)
     if np.all(np.isfinite(coarse)):
-        result = _checked_mean(coarse, _sample(f, center, radius, d, 2 * n, 0.5), d, n, spec)
+        fine = _sample(f, center, radius, d, 2 * n, 0.5)
+        if d == 2:
+            return _circle_top_mean(f, center, radius, fine, 0.5, spec)
+        result = _checked_mean(coarse, fine, d, n, spec)
         if result is not None:
             return result
     return QuadResult(math.nan, math.inf, False)
 
 
-def _circle_samples(f, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of the plane's sign grid, the top pair's finer grid, and f's
-    values there; when a value is not finite, those of the grid turned by
-    half a step instead."""
-    n = 2 * _CIRCLE_NODES
-    for shift in (0.0, 0.5):
-        values = _sample(f, center, radius, 2, n, shift)
-        if np.all(np.isfinite(values)):
-            break
-    return (np.arange(n) + shift) * (TWO_PI / n), values
-
-
-def _circle_grid_mean(f, center, radius: float, theta, values, spec: QuadSpec) -> QuadResult:
-    """Mean of f from ``_circle_samples``: failed when a value is not finite,
-    else the top pair's check, its first grid taken from every other node,
-    and when that misses tolerance the tanh-sinh rule with one break, at the
-    node where |f| is largest."""
+def _circle_top_mean(f, center, radius, values, shift: float, spec: QuadSpec) -> QuadResult:
+    """Mean of f from its ``values`` on the plane's top finer grid turned by
+    ``shift`` node fractions: failed when a value is not finite, else the
+    top pair's check, its first grid every other node, and when that misses
+    tolerance the tanh-sinh rule with one break, where |f| is largest."""
     result = _checked_mean(values[::2], values, 2, _CIRCLE_NODES, spec)
     if result is None:
         return QuadResult(math.nan, math.inf, False)
     if result.converged:
         return result
-    return _break_angle_mean(f, center, radius, (theta[np.argmax(np.abs(values))],), spec)
+    theta = (np.argmax(np.abs(values)) + shift) * (TWO_PI / (2 * _CIRCLE_NODES))
+    return _break_angle_mean(f, center, radius, (theta,), spec)
 
 
 def sphere_grid(d: int) -> np.ndarray:
@@ -678,8 +675,8 @@ def _sphere(r: float, d: int, center) -> tuple[int, np.ndarray]:
     d = validate_dimension(d)
     if d not in (2, 3):
         raise ValueError("sphere means are provided for d in {2, 3} only")
-    if r <= 0.0:
-        raise ValueError("sphere means need a positive radius")
+    if not (0.0 < r < math.inf):
+        raise ValueError("sphere means need a positive finite radius r")
     return d, np.zeros(d) if center is None else as_point(center, d)
 
 
@@ -702,10 +699,9 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     against 128 nodes and 8 x 16 against 16 x 32.  The first pair whose
     doubling check passes gives its finer value.  A grid value that is not
     finite sends the mean to the top pair turned by half a step of its finer
-    grid (``_turned_pair``), once.  In the plane a ladder that fails hands
-    the mean to ``_circle_grid_mean``: the top pair's samples again
-    (``_circle_samples``), then the tanh-sinh rule with one break, at the
-    node where |f| is largest.
+    grid (``_turned_pair``), once.  In the plane either top pair hands its
+    finer grid's values to ``_circle_top_mean``, whose fallback is the
+    tanh-sinh rule with one break, at the node where |f| is largest.
 
     Declare a planar singularity on or near the circle in
     ``singular_angles``: the doubling check cannot see every one.  A log
@@ -719,8 +715,6 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         result = _break_angle_mean(f, center, r, singular_angles, spec)
     else:
         result = _ladder_mean(f, center, r, d, spec)
-        if d == 2 and not result.converged:
-            result = _circle_grid_mean(f, center, r, *_circle_samples(f, center, r), spec)
     return _settle(result, budget, label)
 
 
@@ -735,17 +729,17 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     only, maps an (n, d) point array and a radius rho to upper bounds on
     |grad g| over the balls of radius rho about the points.
 
-    In the plane max(g, 0) is sampled on the top pair's finer grid
-    (``_circle_samples``), and each declared singular angle (a charge on
-    the circle) joins that grid as one more sample.  The sign changes of g
-    between neighbouring samples, an infinite value at a charge included,
-    are refined to roots (Chandrupatla's method, ``_bracketed_roots``, all
-    cells in one batched solve).  With singular angles or a finite root,
-    the tanh-sinh rule of ``_break_angle_mean`` takes the mean, split at
-    the singular angles and the finite roots.  Otherwise g keeps one sign
-    on the grid, and ``_circle_grid_mean`` settles the mean from the
-    samples with the top pair's check, as ``sphere_mean`` does when its
-    planar ladder fails.
+    In the plane max(g, 0) is sampled on the top pair's finer grid, or on
+    the turned pair's when a value is not finite, and each declared singular
+    angle (a charge on the circle) joins that grid as one more sample.  The
+    sign changes of g between neighbouring samples, an infinite value at a
+    charge included, are refined to roots (Chandrupatla's method,
+    ``_bracketed_roots``, all cells in one batched solve).  With singular
+    angles or a finite root, the tanh-sinh rule of ``_break_angle_mean``
+    takes the mean, split at the singular angles and the finite roots.
+    Otherwise g keeps one sign on the grid, and ``_circle_top_mean``
+    settles the mean from the samples, as it settles ``sphere_mean``'s
+    planar top pair.
 
     For d = 3, g is first evaluated on the product grid of
     ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
@@ -775,7 +769,12 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
         return np.asarray(g(center + r * np.column_stack((np.cos(theta), np.sin(theta)))),
                           dtype=float)
 
-    theta, values = _circle_samples(plus, center, r)
+    n = 2 * _CIRCLE_NODES
+    for shift in (0.0, 0.5):
+        values = _sample(plus, center, r, 2, n, shift)
+        if np.all(np.isfinite(values)):
+            break
+    theta = (np.arange(n) + shift) * (TWO_PI / n)
     if singular_angles:
         # Each singular angle is a sample of the sign grid too, so a root
         # between it and its neighbouring nodes is bracketed like any other.
@@ -788,7 +787,7 @@ def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
     # errors of the two grids may agree while both are wrong.  So only a
     # grid of one sign goes to it.
     result = (_break_angle_mean(plus, center, r, breaks, spec, (theta, values)) if breaks
-              else _circle_grid_mean(plus, center, r, theta, values, spec))
+              else _circle_top_mean(plus, center, r, values, shift, spec))
     return _settle(result, budget, label)
 
 

@@ -20,9 +20,6 @@ from .kernels import expect_int, expect_list, expect_number, expect_object, expe
 from .measures import Measure, measure_from_json
 from .quadrature import QuadSpec
 
-CHECK_KINDS = ("statement_I", "statement_II", "statement_III", "statement_IV",
-               "statement_V", "lemma3", "poisson_jensen", "corollary")
-
 _CHECK_OPTIONS = {
     "statement_I": set(),
     "statement_II": {"R_star"},
@@ -33,6 +30,7 @@ _CHECK_OPTIONS = {
     "poisson_jensen": {"points"},
     "corollary": set(),
 }
+CHECK_KINDS = tuple(_CHECK_OPTIONS)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 

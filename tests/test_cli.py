@@ -312,6 +312,31 @@ def test_committed_centred_shell_scenario_scans_its_radial_profile(tmp_path):
     assert reports["statement_I"]["diagnostics"][1].startswith("radial profile about (0, 0, 0)")
 
 
+def test_committed_planar_poisson_jensen_scenario_reaches_the_fallback(tmp_path,
+                                                                      monkeypatch):
+    # CI's packaging job runs this file with the installed wheel.  Its first
+    # point lies 0.9998 R out, so the Poisson kernel's peak fails the ladder's
+    # top pair and the tanh-sinh rule takes the mean, with one break at a
+    # node of the top grid; no charge is near the circle to declare.
+    breaks = []
+    split = quadrature._break_angle_mean
+
+    def spied(f, center, radius, angles, spec, samples=None):
+        breaks.append(angles)
+        return split(f, center, radius, angles, spec, samples)
+
+    monkeypatch.setattr(quadrature, "_break_angle_mean", spied)
+    path = Path(__file__).parent / "scenarios" / "poisson_jensen_near_circle_2d.json"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    verdicts = {rep["name"]: rep["verdict"]
+                for rep in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
+    assert verdicts == dict.fromkeys(["poisson_jensen[u:0]", "poisson_jensen[u:1]"], HOLDS)
+    (angles,) = breaks
+    n = 2 * quadrature._CIRCLE_NODES
+    assert len(angles) == 1 and angles[0] in np.arange(n) * (2.0 * math.pi / n)
+
+
 def test_committed_atom_between_witnesses_scenario_fails_statement_III(tmp_path):
     # The atom at (0.1, 0.7) lies off every one of the 2d + 1 fixed charge
     # sites the kernel witnesses once used, which missed it and printed

@@ -43,9 +43,11 @@ from nevkit.measures import (
     difference_counting,
     integrated_counting,
     potential,
+    radial_counting,
+    sup_integrated_counting,
 )
 from nevkit.nevanlinna import classical_N, classical_T, proximity
-from nevkit.quadrature import ErrorBudget, QuadSpec, sphere_mean
+from nevkit.quadrature import ErrorBudget, QuadSpec, positive_part_mean, sphere_mean
 from nevkit.scenario import scenario_from_json
 
 
@@ -280,6 +282,38 @@ def test_statement_I_validates_radii():
         check_statement_I(circle(), 0.5, 0.9)  # R must exceed the support
     with pytest.raises(ValueError):
         check_statement_I(circle(), 0.0, 2.0)
+
+
+_PLANAR_U = DshFunction(2, (Charge([0.3, 0.1], 1.0),), HarmonicPart(()))
+
+
+@pytest.mark.parametrize("call, radius", [
+    pytest.param(lambda: check_statement_I(circle(), math.inf, 2.0), "r0", id="statement_I-r0"),
+    pytest.param(lambda: check_statement_I(circle(), 0.5, math.inf), "R", id="statement_I-R"),
+    pytest.param(lambda: check_statement_V(circle(), math.inf), "r0", id="statement_V"),
+    pytest.param(lambda: integrated_counting(circle(), [0.1, 0.0], math.nan), "r",
+                 id="integrated_counting"),
+    pytest.param(lambda: sup_integrated_counting(circle(), 1.0, math.nan, 5), "r",
+                 id="sup_integrated_counting"),
+    pytest.param(lambda: radial_counting(circle(), [0.1, 0.0], math.nan), "t",
+                 id="radial_counting"),
+    pytest.param(lambda: falsify_statement_III(circle(), (), 1.0, math.inf, 1.0), "R",
+                 id="statement_III"),
+    pytest.param(lambda: verify_lemma3(circle(), 1.5, math.inf), "R", id="lemma3"),
+    pytest.param(lambda: verify_poisson_jensen(_PLANAR_U, [0.1, 0.0], math.nan), "R",
+                 id="poisson_jensen-nan"),
+    pytest.param(lambda: verify_poisson_jensen(_PLANAR_U, [0.1, 0.0], math.inf), "R",
+                 id="poisson_jensen-inf"),
+    pytest.param(lambda: sphere_mean(lambda pts: pts[:, 0], math.inf, 2), "r",
+                 id="sphere_mean"),
+    pytest.param(lambda: positive_part_mean(lambda pts: pts[:, 0], math.inf, 2), "r",
+                 id="positive_part_mean"),
+])
+def test_entry_points_reject_radii_that_are_not_finite(call, radius):
+    # Each used to return a value or a verdict, or warn: a nan radius fails
+    # every comparison and an infinite one passes the positivity tests.
+    with pytest.raises(ValueError, match=rf"\b{radius}\b"):
+        call()
 
 
 def test_statement_I_atom_fails():

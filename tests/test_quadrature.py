@@ -59,13 +59,45 @@ def test_circle_mean_smooth_nonharmonic():
 def test_circle_mean_of_a_poisson_kernel_near_its_pole():
     # At |x| = 0.999 R the kernel's peak, of width about 1e-3, fails the
     # trapezoid doubling check; the break-angle rule, split at the largest
-    # node, takes over.  Its weights must not overflow: a RuntimeWarning is
-    # an error under the test configuration.
+    # node of the ladder's top grid, takes over without sampling that grid
+    # again.  Its weights must not overflow: a RuntimeWarning is an error
+    # under the test configuration.
     R = 1.3
     x = 0.999 * R * np.array([math.cos(0.4), math.sin(0.4)])
+    f, sizes = _counted(lambda pts: 2.0 * math.pi * R * poisson_kernel(x, pts, R, 2))
     budget = ErrorBudget()
-    value = sphere_mean(lambda pts: 2.0 * math.pi * R * poisson_kernel(x, pts, R, 2), R, 2,
-                        budget=budget)
+    value = sphere_mean(f, R, 2, budget=budget)
+    assert sizes == [64, 128, 256, 512, 1024, 58, 56, 112, 224, 448]
+    assert budget.ok
+    assert abs(value - 1.0) <= budget.error, (value, budget.error)
+
+
+def test_circle_mean_settles_a_failed_turned_pair_from_its_finer_grid(monkeypatch):
+    # The kernel near its pole as above, but +inf on a node of the ladder's
+    # first grid: the turned pair takes over and misses tolerance too, and
+    # the tanh-sinh rule breaks the circle at the node of the turned pair's
+    # finer grid (1,024 nodes at half a step) where the kernel is largest.
+    R = 1.3
+    x = 0.999 * R * np.array([math.cos(0.4), math.sin(0.4)])
+    node = R * quadrature._grid(2, 64, 0.0)[0][35]
+    f, sizes = _counted(lambda pts: np.where(np.all(pts == node, axis=1), np.inf,
+                                             2.0 * math.pi * R * poisson_kernel(x, pts, R, 2)))
+    breaks = []
+    split = quadrature._break_angle_mean
+
+    def spied(f, center, radius, angles, spec, samples=None):
+        breaks.append(angles)
+        return split(f, center, radius, angles, spec, samples)
+
+    monkeypatch.setattr(quadrature, "_break_angle_mean", spied)
+    budget = ErrorBudget()
+    value = sphere_mean(f, R, 2, budget=budget)
+    assert sizes == [64, 512, 1024, 58, 56, 112, 224, 448]
+    n = 2 * quadrature._CIRCLE_NODES
+    angles = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    nearest = angles[np.argmin(np.abs(angles - 0.4))]
+    assert len(breaks) == 1 and len(breaks[0]) == 1
+    assert breaks[0][0] == nearest
     assert budget.ok
     assert abs(value - 1.0) <= budget.error, (value, budget.error)
 
@@ -279,11 +311,18 @@ def test_sphere_ladder_leaves_a_grid_that_is_not_finite_for_the_retry_rungs(d, a
                                              poisson_kernel(x, pts, 0.5, d)))
     spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
     ladder = quadrature._ladder_mean(g, np.zeros(d), 0.5, d, spec)
-    assert sizes == grids
     top = quadrature._CIRCLE_NODES if d == 2 else quadrature._AZIMUTH_NODES
-    turned = quadrature._checked_mean(quadrature._sample(g, np.zeros(d), 0.5, d, top, 0.25),
-                                      quadrature._sample(g, np.zeros(d), 0.5, d, 2 * top, 0.5),
-                                      d, top, spec)
+    fine = quadrature._sample(g, np.zeros(d), 0.5, d, 2 * top, 0.5)
+    if d == 2:
+        # In the plane the turned pair's finer grid goes on to the one
+        # fallback, whose tanh-sinh rule runs every level under this
+        # tolerance.
+        assert sizes[:-1] == grids + [58, 56, 112, 224, 448, 896, 1792, 3584]
+        turned = quadrature._circle_top_mean(g, np.zeros(d), 0.5, fine, 0.5, spec)
+    else:
+        assert sizes[:-1] == grids
+        turned = quadrature._checked_mean(quadrature._sample(g, np.zeros(d), 0.5, d, top, 0.25),
+                                          fine, d, top, spec)
     assert ladder == turned and not ladder.converged
     surface = 2.0 * math.pi * 0.5 if d == 2 else 4.0 * math.pi * 0.25
     assert ladder.value == pytest.approx(1.0 / surface, rel=0.0, abs=ladder.error + 1e-15)
