@@ -24,7 +24,6 @@ from .kernels import (
     expect_number,
     expect_object,
     expect_point,
-    hat_d,
     kappa,
     row_norms,
     validate_dimension,
@@ -36,6 +35,7 @@ from .quadrature import (
     QuadSpec,
     _bracketed_roots,
     _settle,
+    _sphere,
     positive_part_mean,
     radius_integral,
     sphere_grid,
@@ -232,19 +232,36 @@ class DshFunction:
             out[on] = value
         return float(out[0]) if single else out
 
-    def gradient_bound(self, pts: np.ndarray, rho: float) -> np.ndarray:
-        """An upper bound on |grad u| over the ball of radius rho about each
-        row of the (n, d) array pts: the harmonic part's bound plus
-        sum |w_j| hat_d / max(|p - c_j| - rho, 0)**(d - 1), which is +inf
-        where a ball holds a charge or a term overflows to it."""
+    def sphere_upper_bound(self, center, s: float) -> float:
+        """An upper bound of u on the sphere |x - center| = s.  A charge at
+        distance a from the centre lies between |s - a| and s + a from the
+        sphere's points, and kappa increases, so it adds w kappa(s + a) when
+        w > 0 and w kappa(|s - a|), +inf when a = s, when w < 0; the
+        harmonic part adds h(center) + s * ``HarmonicPart.gradient_bound``."""
         d = self.dimension
-        out = self.harmonic.gradient_bound(pts, rho)
-        with np.errstate(divide="ignore", over="ignore"):
-            for ch, gap, _ in self._charge_distances(pts):
-                np.maximum(np.subtract(gap, rho, out=gap), 0.0, out=gap)
-                gap **= d - 1
-                out += np.divide(abs(ch.weight) * hat_d(d), gap, out=gap)
-        return out
+        c = as_point(center, d)
+        bound = float(self.harmonic.evaluate(c[np.newaxis], d)[0]
+                      + s * self.harmonic.gradient_bound(c[np.newaxis], s)[0])
+        with np.errstate(over="ignore"):
+            for ch in self.charges:
+                a = float(np.linalg.norm(ch.location - c))
+                bound += ch.weight * kappa(s + a if ch.weight > 0.0 else abs(s - a), d)
+        return bound
+
+    def positive_mean(self, center, s: float, spec: QuadSpec = DEFAULT_SPEC, *,
+                      budget: ErrorBudget | None = None, label: str = "positive-part") -> float:
+        """Mean of max(u, 0) over the sphere |x - center| = s: 0 when
+        ``sphere_upper_bound`` shows u < 0 on it, which is what every rule of
+        ``positive_part_mean`` returns from samples that are all negative,
+        with error 0; otherwise ``positive_part_mean`` with the charges on
+        the circle as singular angles.  Dimension, radius and centre are
+        checked first, as ``positive_part_mean`` checks them."""
+        d, center = _sphere(s, self.dimension, center)
+        if self.sphere_upper_bound(center, s) < 0.0:
+            return 0.0
+        return positive_part_mean(self.evaluate, s, d, spec, center=center, budget=budget,
+                                  singular_angles=self.singular_angles_on(center, s),
+                                  label=label)
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -338,33 +355,26 @@ def positive_part_integral(u: DshFunction, mu: Measure,
     """Integral of max(u, 0) against the measure.
 
     Atoms are evaluated exactly (an atom on a positive charge gives +inf; on
-    a negative charge it contributes 0).  Shell components use positive-part
-    sphere means with singular-angle hints and u's gradient bound.  A radial
-    component integrates them over the ring radius with ``radius_integral``,
-    split at the kinks: the charges' distances from its centre and its
-    contact radii.  Every failure, of a mean or of a ring integral, is
-    charged to ``budget``, or raised as QuadratureError when there is none.
+    a negative charge it contributes 0).  Shell components use the sphere
+    means of u+ (``DshFunction.positive_mean``).  A radial component
+    integrates them over the ring radius with ``radius_integral``, split at
+    the kinks: the charges' distances from its centre and its contact radii.
+    Every failure, of a mean or of a ring integral, is charged to
+    ``budget``, or raised as QuadratureError when there is none.
     """
-    d = mu.dimension
-    if u.dimension != d:
+    if u.dimension != mu.dimension:
         raise ValueError("function and measure dimensions differ")
-
-    def mean(center, s: float) -> float:
-        return positive_part_mean(u.evaluate, s, d, spec, center=center, budget=budget,
-                                  singular_angles=u.singular_angles_on(center, s),
-                                  gradient_bound=u.gradient_bound, label="positive-part")
-
     total = 0.0
     for atom in mu.atoms:
         total += atom.mass * max(u.evaluate(atom.location), 0.0)
     for shell in mu.spheres:
-        total += shell.mass * mean(shell.center, shell.radius)
+        total += shell.mass * u.positive_mean(shell.center, shell.radius, spec, budget=budget)
     for comp in mu.radial:
         breaks = [float(np.linalg.norm(ch.location - comp.center)) for ch in u.charges]
         breaks += _contact_radii(u, comp.center, comp.outer)
-        total += _settle(radius_integral(lambda s: comp.density(s) * mean(comp.center, s),
-                                         0.0, comp.outer, spec, breaks=breaks),
-                         budget, "positive-part")
+        total += _settle(radius_integral(
+            lambda s: comp.density(s) * u.positive_mean(comp.center, s, spec, budget=budget),
+            0.0, comp.outer, spec, breaks=breaks), budget, "positive-part")
     return float(total)
 
 
@@ -375,8 +385,8 @@ def kernel_witness(y, r: float, R: float, d: int) -> DshFunction:
     |y| <= r, with a single unit negative charge at y; its two-radius
     characteristic is kappa(R + r) - kappa(r) exactly.
     """
-    if not (0.0 < r < R):
-        raise ValueError("kernel_witness: need 0 < r < R")
+    if not 0.0 < r < R < math.inf:
+        raise ValueError("kernel_witness: need 0 < r < R < inf")
     y = as_point(y, d)
     harmonic = HarmonicPart((("const", float(kappa(R + r, d))),))
     return DshFunction(d, (Charge(y, -1.0),), harmonic)

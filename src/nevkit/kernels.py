@@ -181,8 +181,8 @@ def poisson_kernel(x, y, R: float, d: int):
     every interior x.
     """
     d = validate_dimension(d)
-    if R <= 0:
-        raise ValueError("poisson_kernel: R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError("poisson_kernel: R must be positive and finite")
     x = as_point(x, d)
     pts, single = _as_points(y, d)
     nx = float(np.linalg.norm(x))
@@ -207,8 +207,8 @@ def green_ball(x, y, R: float, d: int) -> float:
     zero for |y| = R, and +inf at x == y.
     """
     d = validate_dimension(d)
-    if R <= 0:
-        raise ValueError("green_ball: R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError("green_ball: R must be positive and finite")
     x = as_point(x, d)
     y = as_point(y, d)
     nx = float(np.linalg.norm(x))
@@ -231,8 +231,8 @@ def constant_A(r: float, R: float, d: int) -> float:
     For d = 2 this reduces to 5 (R + r) / (R - r).
     """
     d = validate_dimension(d)
-    if not (0.0 < r < R):
-        raise ValueError("constant_A: invalid geometry, need 0 < r < R")
+    if not 0.0 < r < R < math.inf:
+        raise ValueError("constant_A: invalid geometry, need 0 < r < R < inf")
     return (
         5.0
         * hat_d(d)

@@ -16,7 +16,7 @@ import numpy as np
 from .dsh import DshFunction, RationalFunction, from_rational
 from .kernels import BOUNDARY_RTOL
 from .measures import difference_counting
-from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec, positive_part_mean
+from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec
 
 
 def proximity(u: DshFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
@@ -24,11 +24,7 @@ def proximity(u: DshFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
     """Mean of max(u, 0) over the origin-centred sphere of radius R."""
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError("proximity: R must be positive and finite")
-    d = u.dimension
-    hints = u.singular_angles_on(np.zeros(d), R)
-    return positive_part_mean(u.evaluate, R, d, spec, budget=budget,
-                              singular_angles=hints, gradient_bound=u.gradient_bound,
-                              label=label)
+    return u.positive_mean(np.zeros(u.dimension), R, spec, budget=budget, label=label)
 
 
 def classical_N(f: RationalFunction, r: float) -> float:

@@ -76,8 +76,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # Node sets are cached, and every caller shares the same arrays, so they are
-# read-only.  The package uses about a dozen Gauss-Legendre rules and seven
-# sphere grids in each dimension (the ladder's five and the turned pair).
+# read-only.  The package uses about a dozen Gauss-Legendre rules and at most
+# seven sphere grids in each dimension (the ladder's five and the turned pair).
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
@@ -414,15 +414,17 @@ def _turned_pair(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
     """The doubling check of the top pair turned by half a step of its finer
     grid, for a mean whose ladder met a value that is not finite: neither of
     its grids shares a node with the ladder's.  Failed when a value is not
-    finite here too; the finer grid is sampled only once the first grid's
-    values are finite, and in the plane settled by ``_circle_top_mean``."""
-    n = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
-    coarse = _sample(f, center, radius, d, n, 0.25)
+    finite here too.  In the plane the first grid is every other node of
+    the finer one, which alone is sampled and goes to ``_circle_top_mean``;
+    in R^3 the finer grid is sampled only once the first grid's values are
+    finite."""
+    if d == 2:
+        fine = _sample(f, center, radius, 2, 2 * _CIRCLE_NODES, 0.5)
+        return _circle_top_mean(f, center, radius, fine, 0.5, spec)
+    coarse = _sample(f, center, radius, 3, _AZIMUTH_NODES, 0.25)
     if np.all(np.isfinite(coarse)):
-        fine = _sample(f, center, radius, d, 2 * n, 0.5)
-        if d == 2:
-            return _circle_top_mean(f, center, radius, fine, 0.5, spec)
-        result = _checked_mean(coarse, fine, d, n, spec)
+        fine = _sample(f, center, radius, 3, 2 * _AZIMUTH_NODES, 0.5)
+        result = _checked_mean(coarse, fine, 3, _AZIMUTH_NODES, spec)
         if result is not None:
             return result
     return QuadResult(math.nan, math.inf, False)
@@ -448,14 +450,10 @@ def sphere_grid(d: int) -> np.ndarray:
     return _grid(d, 2 * _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES, 0.0)[0]
 
 
-def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> QuadResult:
+def _sphere3_positive_mean(g, center, radius, spec) -> QuadResult:
     """Mean of max(g, 0) over a sphere in R^3 (see ``positive_part_mean``)."""
     n = _AZIMUTH_NODES
     values = _sample(g, center, radius, 3, n)
-    if gradient_bound is not None and _negative_certified(gradient_bound, center, radius,
-                                                          sphere_grid(3), values):
-        # What the product rule returns on a grid of negative values.
-        return QuadResult(0.0, 0.0, True)
     result = _meridian_mean_on_grid(g, center, radius, spec, n, values)
     if result is not None:
         return result
@@ -474,29 +472,6 @@ def _sphere3_positive_mean(g, center, radius, spec, gradient_bound=None) -> Quad
     # pair, not the ladder, since a coarser pair can agree by chance across
     # the kink.
     return _turned_pair(lambda pts: np.maximum(g(pts), 0.0), center, radius, 3, spec)
-
-
-@lru_cache(maxsize=1)
-def _sphere3_cover() -> float:
-    """An angle such that every point of the unit sphere lies within it of a
-    node of the first product grid: the largest polar gap, the caps about
-    the poles included, plus half the azimuthal step."""
-    theta = np.arccos(_leggauss(_POLAR_NODES)[0][::-1])
-    gaps = np.diff(np.concatenate(([0.0], theta, [math.pi])))
-    return float(gaps.max()) + math.pi / _AZIMUTH_NODES
-
-
-def _negative_certified(gradient_bound, center, radius, dirs, values) -> bool:
-    """Whether g < 0 on the whole sphere follows from g's values on the
-    first product grid (unit directions ``dirs``).  Every point of the
-    sphere lies within rho, the grid's covering radius, of a node p, so
-    g < 0 there when g(p) + rho * gradient_bound(p, rho) < 0; the bound is
-    +inf where the ball about p holds a singularity of g."""
-    if not np.all(np.isfinite(values) & (values < 0.0)):
-        return False
-    rho = radius * _sphere3_cover()
-    bound = np.asarray(gradient_bound(radius * dirs + center, rho), dtype=float)
-    return bool(np.all(values + rho * bound < 0.0))
 
 
 def _meridian_mean_on_grid(g, center, radius, spec, n: int, values):
@@ -720,50 +695,36 @@ def sphere_mean(f, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
 
 def positive_part_mean(g, r: float, d: int, spec: QuadSpec = DEFAULT_SPEC, *,
                        center=None, budget: ErrorBudget | None = None,
-                       singular_angles=None, gradient_bound=None,
-                       label: str = "positive-part") -> float:
+                       singular_angles=None, label: str = "positive-part") -> float:
     """Mean of max(g, 0) over the sphere of radius r about ``center``.
 
     g maps (n, d) point arrays to (n,) value arrays.  Failures are flagged
-    or raised as in ``sphere_mean``.  ``gradient_bound``, used for d = 3
-    only, maps an (n, d) point array and a radius rho to upper bounds on
-    |grad g| over the balls of radius rho about the points.
+    or raised as in ``sphere_mean``.
 
     In the plane max(g, 0) is sampled on the top pair's finer grid, or on
-    the turned pair's when a value is not finite, and each declared singular
-    angle (a charge on the circle) joins that grid as one more sample.  The
-    sign changes of g between neighbouring samples, an infinite value at a
-    charge included, are refined to roots (Chandrupatla's method,
-    ``_bracketed_roots``, all cells in one batched solve).  With singular
-    angles or a finite root, the tanh-sinh rule of ``_break_angle_mean``
-    takes the mean, split at the singular angles and the finite roots.
-    Otherwise g keeps one sign on the grid, and ``_circle_top_mean``
-    settles the mean from the samples, as it settles ``sphere_mean``'s
-    planar top pair.
+    the turned pair's when a value is not finite, with each declared
+    singular angle (a charge on the circle) as one more sample.  The sign
+    changes between neighbouring samples are refined to roots in one
+    batched solve (``_bracketed_roots``).  With singular angles or a finite
+    root, the tanh-sinh rule of ``_break_angle_mean`` takes the mean, split
+    there; otherwise ``_circle_top_mean`` settles it from the samples.
 
-    For d = 3, g is first evaluated on the product grid of
-    ``_POLAR_NODES`` x ``_AZIMUTH_NODES`` nodes.  A grid from which
-    ``_negative_certified`` proves g < 0 on the whole sphere gives 0 with
-    error 0, and a grid of one sign gives the product rule's top pair of
-    max(g, 0), from the values already computed (``sphere_mean`` of a
-    smooth max(g, 0) stops lower on its ladder and agrees within both
-    error estimates).  Otherwise ``_meridian_mean`` integrates one
-    meridian at a time about an axis from ``_poles``.  With no axis that
-    holds, the product rule runs; if its doubling check fails, the axis
-    search repeats on the doubled grid, which can see a patch of one sign
-    that the first grid missed, and failing that the product rule's result
-    and failure stand.
-    A value of max(g, 0) on either grid that is not finite hands the mean
-    to the turned top pair of ``sphere_mean`` (``_turned_pair``), not to
-    its ladder: a coarser pair can agree by chance across the kink.
+    In R^3 g is sampled on the product grid of ``_POLAR_NODES`` x
+    ``_AZIMUTH_NODES`` nodes.  Where g changes sign there, ``_meridian_mean``
+    integrates one meridian at a time about an axis from ``_poles``.
+    Otherwise, or with no axis that holds, the product rule's top pair of
+    max(g, 0) runs from the values already computed; if its doubling check
+    fails, the axis search repeats on the doubled grid, which can see a
+    patch of one sign that the first grid missed.  A value of max(g, 0)
+    that is not finite hands the mean to ``_turned_pair``, not to the
+    ladder: a coarser pair can agree by chance across the kink.
     """
     def plus(pts: np.ndarray) -> np.ndarray:
         return np.maximum(g(pts), 0.0)
 
     d, center = _sphere(r, d, center)
     if d == 3:
-        return _settle(_sphere3_positive_mean(g, center, r, spec, gradient_bound),
-                       budget, label)
+        return _settle(_sphere3_positive_mean(g, center, r, spec), budget, label)
 
     def g_at(theta: np.ndarray) -> np.ndarray:
         return np.asarray(g(center + r * np.column_stack((np.cos(theta), np.sin(theta)))),

@@ -462,16 +462,13 @@ def test_verdicts_survive_a_refined_rule(monkeypatch, default_reports, module, c
     # A decided verdict rests on error estimates (n against 2n nodes, or one
     # level against the next), not bounds; a finer rule must keep it, and
     # move each side by no more than both runs' estimates.
-    # The cached grids and cover follow the constants.
-    caches = (quadrature._grid, quadrature._sphere3_cover)
+    # The cached grids follow the constants.
     monkeypatch.setattr(module, constant, refine(getattr(module, constant)))
-    for cache in caches:
-        cache.cache_clear()
+    quadrature._grid.cache_clear()
     try:
         refined = _scenario_reports()
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        quadrature._grid.cache_clear()
     assert refined.keys() == default_reports.keys()
     moved = 0
     for key, before in default_reports.items():

@@ -23,7 +23,7 @@ from nevkit.dsh import (
     positive_part_integral,
     rational_from_json,
 )
-from nevkit.kernels import hat_d, kappa, row_norms
+from nevkit.kernels import kappa
 from nevkit.measures import (Measure, RadialDensity, SphereShell, integrated_counting,
                              radial_counting)
 from nevkit.quadrature import (
@@ -150,41 +150,15 @@ def test_kernel_witness_values_and_bounds():
 
 
 def _gradient(u, x):
-    """grad u at x: the kernel terms in closed form, the harmonic part by
-    central differences (exact up to rounding for its quadratic terms)."""
+    """grad u at x for a u with no charges, by central differences (exact
+    up to rounding for the quadratic harmonic terms)."""
     d = u.dimension
     grad = np.zeros(d)
-    for ch in u.charges:
-        v = x - ch.location
-        t = float(np.linalg.norm(v))
-        grad += ch.weight * max(1, d - 2) * v / t ** d
     h = 1e-6
     for i in range(d):
         e = h * np.eye(d)[i]
         grad[i] += float(u.harmonic.evaluate(np.array([x + e, x - e]), d) @ [1.0, -1.0]) / (2 * h)
     return grad
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_gradient_bound_covers_the_gradient_in_the_ball(data):
-    d = data.draw(st.sampled_from([2, 3]))
-    labels = [lb for lb in HARMONIC_LABELS
-              if d == 2 and lb != "x2" or d == 3 and not lb.startswith(("re_", "im_"))]
-    unit = st.floats(-1.0, 1.0)
-    point = st.lists(unit, min_size=d, max_size=d).map(np.array)
-    charges = data.draw(st.lists(st.builds(Charge, point, st.floats(-2.0, 2.0).filter(bool)),
-                                 max_size=3))
-    terms = tuple((lb, data.draw(st.floats(-2.0, 2.0))) for lb in
-                  data.draw(st.lists(st.sampled_from(labels), unique=True)))
-    u = DshFunction(d, tuple(charges), HarmonicPart(terms))
-    p = 1.5 * data.draw(point)
-    rho = data.draw(st.floats(0.0, 0.5))
-    step = data.draw(point)
-    x = p + rho * data.draw(st.floats(0.0, 1.0)) * step / max(float(np.linalg.norm(step)), 1.0)
-    assume(all(np.linalg.norm(x - ch.location) > 1e-3 for ch in u.charges))
-    bound = float(u.gradient_bound(p[np.newaxis], rho)[0])
-    assert np.linalg.norm(_gradient(u, x)) <= bound * (1.0 + 1e-9) + 1e-6
 
 
 def _distances(pts, c):
@@ -205,16 +179,6 @@ def _per_charge_evaluate(u, pts):
     with np.errstate(over="ignore"):
         for ch in u.charges:
             out = out + ch.weight * kappa(_distances(pts, ch.location), u.dimension)
-    return out
-
-
-def _per_charge_gradient_bound(u, pts, rho):
-    d = u.dimension
-    out = u.harmonic.gradient_bound(pts, rho)
-    with np.errstate(divide="ignore", over="ignore"):
-        for ch in u.charges:
-            gap = np.maximum(_distances(pts, ch.location) - rho, 0.0)
-            out = out + abs(ch.weight) * hat_d(d) / gap ** (d - 1)
     return out
 
 
@@ -250,10 +214,8 @@ def test_charge_sum_matches_the_per_charge_sum_bit_for_bit(data):
         wide = np.zeros((2 * len(rows), d + 1))
         wide[::2, 1:] = pts
         pts = wide[::2, 1:]
-    rho = data.draw(st.floats(0.0, 0.5))
     expected = _per_charge_evaluate(u, pts)
     assert np.array_equal(u.evaluate(pts), expected)
-    assert np.array_equal(u.gradient_bound(pts, rho), _per_charge_gradient_bound(u, pts, rho))
     value = u.evaluate(pts[0])
     assert isinstance(value, float)
     assert value == expected[0]
@@ -294,7 +256,7 @@ def test_gradient_bound_of_each_harmonic_label_is_attained_or_exceeded(label):
     rng = np.random.default_rng(0)
     steps = rng.normal(size=(200, d))
     steps *= rho * rng.uniform(0.0, 1.0, (200, 1)) / np.linalg.norm(steps, axis=1)[:, np.newaxis]
-    bound = float(u.gradient_bound(p[np.newaxis], rho)[0])
+    bound = float(u.harmonic.gradient_bound(p[np.newaxis], rho)[0])
     worst = max(np.linalg.norm(_gradient(u, p + v)) for v in steps)
     assert worst <= bound * (1.0 + 1e-9) + 1e-6
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nevkit import quadrature
-from nevkit.dsh import Charge, DshFunction
+from nevkit.dsh import Charge, DshFunction, kernel_witness
 from nevkit.kernels import (
     _as_points,
     as_point,
@@ -237,3 +237,18 @@ def test_green_ball_vanishes_on_boundary():
 def test_green_ball_rejects_exterior_points():
     with pytest.raises(ValueError):
         green_ball([3.0, 0.0], [0.0, 0.0], 2.0, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda R: poisson_kernel([0.0, 0.0], [1.0, 0.0], R, 2),
+    lambda R: green_ball([0.0, 0.0], [0.5, 0.0], R, 2),
+    lambda R: constant_A(1.0, R, 2),
+    lambda R: kernel_witness([0.0, 0.0], 1.0, R, 2),
+], ids=["poisson_kernel", "green_ball", "constant_A", "kernel_witness"])
+@pytest.mark.parametrize("R", [math.nan, math.inf], ids=["nan", "inf"])
+def test_kernels_reject_radii_that_are_not_finite(call, R):
+    # Each used to return nan, 0.0 or inf, or raise about a harmonic
+    # coefficient: a nan radius fails every comparison and an infinite one
+    # passes the positivity tests.
+    with pytest.raises(ValueError, match=r"\bR\b"):
+        call(R)

@@ -107,6 +107,14 @@ def test_proximity_drops_negative_part():
     assert proximity(u, 4.0) == pytest.approx(math.log(4.0), rel=1e-12)
 
 
+def test_proximity_in_four_dimensions_raises_the_dimension_error():
+    # The sphere bound would settle this sphere (u = -1 everywhere); the
+    # dimension is checked first.
+    u = DshFunction(4, harmonic=HarmonicPart((("const", -1.0),)))
+    with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
+        proximity(u, 1.0)
+
+
 def test_proximity_handles_root_on_circle():
     # A zero sitting exactly on the integration circle produces an
     # integrable logarithmic singularity.  On |z| = 2 the function

@@ -8,7 +8,7 @@ from scipy.integrate import cubature
 from scipy.optimize import brentq
 
 from nevkit import quadrature
-from nevkit.dsh import Charge, DshFunction, HarmonicPart
+from nevkit.dsh import HARMONIC_LABELS, Charge, DshFunction, HarmonicPart
 from nevkit.kernels import poisson_kernel
 from nevkit.quadrature import (
     ErrorBudget,
@@ -92,7 +92,7 @@ def test_circle_mean_settles_a_failed_turned_pair_from_its_finer_grid(monkeypatc
     monkeypatch.setattr(quadrature, "_break_angle_mean", spied)
     budget = ErrorBudget()
     value = sphere_mean(f, R, 2, budget=budget)
-    assert sizes == [64, 512, 1024, 58, 56, 112, 224, 448]
+    assert sizes == [64, 1024, 58, 56, 112, 224, 448]
     n = 2 * quadrature._CIRCLE_NODES
     angles = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     nearest = angles[np.argmin(np.abs(angles - 0.4))]
@@ -294,8 +294,8 @@ def test_sphere_ladder_climbs_to_the_pair_that_agrees(gap, grids):
     (3, 32, [128, 512, 8192, 32768]),
     (3, 128, [128, 512, 2048, 8192, 8192, 32768]),
     (3, 256, [128, 512, 2048, 8192, 32768, 8192, 32768]),
-    (2, 64, [64, 512, 1024]),
-    (2, 1024, [64, 128, 256, 512, 1024, 512, 1024]),
+    (2, 64, [64, 1024]),
+    (2, 1024, [64, 128, 256, 512, 1024, 1024]),
 ], ids=["first-grid", "its-double", "top-grid", "top-double", "plane-first-grid",
         "plane-top-double"])
 def test_sphere_ladder_leaves_a_grid_that_is_not_finite_for_the_retry_rungs(d, azimuth,
@@ -627,7 +627,7 @@ def test_sphere_positive_part_mean_is_rotation_invariant(quat):
         assert abs(value - rotated) <= error + rotated_error + 1e-15
 
 
-# --------------------------------------------- certified zero rings (d = 3)
+# -------------------------------------- certified zero rings (the sphere bound)
 
 # The contact radius of the spheres about SPATIAL_CENTRE (tests/test_dsh.py
 # pins it against a dense optimisation).
@@ -645,89 +645,117 @@ def _counted(g):
     return wrapped, sizes
 
 
+def _positive_mean_counted(u, center, radius):
+    """u.positive_mean with a budget: its value, the budget's error and
+    failures, and the number of points at which u was evaluated."""
+    points = []
+    evaluate = DshFunction.evaluate
+
+    def counted(self, x):
+        points.append(len(np.atleast_2d(x)))
+        return evaluate(self, x)
+
+    budget = ErrorBudget()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DshFunction, "evaluate", counted)
+        value = u.positive_mean(center, radius, budget=budget)
+    return value, budget.error, budget.failures, sum(points)
+
+
 @pytest.mark.parametrize("radius", [0.001, 0.05, 0.15, 0.24])
 def test_certified_zero_rings_equal_the_fine_grid_path_bit_for_bit(radius):
-    # Rings inside the contact radius: u < 0 on the whole sphere, and the
-    # gradient bound proves it from the coarse grid, so g is evaluated once.
-    results = []
-    for bound in (None, SPATIAL_U.gradient_bound):
-        g, sizes = _counted(SPATIAL_U.evaluate)
-        budget = ErrorBudget()
-        value = positive_part_mean(g, radius, 3, center=SPATIAL_CENTRE, budget=budget,
-                                   gradient_bound=bound)
-        results.append((value, budget.error, budget.failures, len(sizes)))
-    (plain, certified) = results
-    assert plain[3] > 1 and certified[3] == 1
-    assert certified[:3] == plain[:3] == (0.0, 0.0, [])
-    assert math.copysign(1.0, certified[0]) == math.copysign(1.0, plain[0])
-
-
-def test_every_point_of_the_sphere_lies_within_the_cover_of_a_node():
-    # The certificate's rho: random directions, the poles, and the points
-    # midway between polar rows and between meridians.
-    dirs = quadrature.sphere_grid(3)
-    rng = np.random.default_rng(0)
-    probes = rng.normal(size=(20_000, 3))
-    u = quadrature._leggauss(quadrature._POLAR_NODES)[0]
-    theta = np.arccos(np.clip(np.concatenate(([1.0, -1.0], 0.5 * (u[1:] + u[:-1]))), -1, 1))
-    phi = (np.arange(quadrature._AZIMUTH_NODES) + 0.5) * (2 * math.pi / quadrature._AZIMUTH_NODES)
-    t, p = np.meshgrid(theta, phi)
-    probes = np.vstack((probes, np.column_stack(((np.sin(t) * np.cos(p)).ravel(),
-                                                 (np.sin(t) * np.sin(p)).ravel(),
-                                                 np.cos(t).ravel()))))
-    probes /= np.linalg.norm(probes, axis=1)[:, np.newaxis]
-    nearest = np.sqrt(np.maximum(2.0 - 2.0 * (probes @ dirs.T).max(axis=1), 0.0))
-    cover = quadrature._sphere3_cover()
-    assert nearest.max() <= cover
-    assert nearest.max() > 0.4 * cover  # the poles are 0.51 cover from a node
-
-
-def test_no_certificate_with_a_positive_charge_on_the_sphere():
-    # u = -1 - 0.1 / |x - c| with c on a node of the coarse grid: u < 0 on the
-    # sphere, but the node's value is -inf, so no bound covers its ball.
-    c = 0.5 * quadrature.sphere_grid(3)[1000]
-    u = DshFunction(3, (Charge(c, 0.1),), HarmonicPart((("const", -1.0),)))
-    dirs = quadrature.sphere_grid(3)
-    assert np.isneginf(u.evaluate(0.5 * dirs)).any()
-    assert not quadrature._negative_certified(u.gradient_bound, np.zeros(3), 0.5, dirs,
-                                              u.evaluate(0.5 * dirs))
-    g, sizes = _counted(u.evaluate)
+    # Rings inside the contact radius: u < 0 on the whole sphere.  The
+    # sphere bound proves it up to about s = 0.17, and there u is evaluated
+    # zero times; past that the grid runs and returns the same 0.
     budget = ErrorBudget()
-    with_bound = positive_part_mean(g, 0.5, 3, budget=budget, gradient_bound=u.gradient_bound)
-    plain_budget = ErrorBudget()
-    plain = positive_part_mean(u.evaluate, 0.5, 3, budget=plain_budget)
-    assert len(sizes) > 1
-    assert (with_bound, budget.error, budget.failures) == (
-        plain, plain_budget.error, plain_budget.failures)
+    plain = positive_part_mean(SPATIAL_U.evaluate, radius, 3, center=SPATIAL_CENTRE,
+                               budget=budget)
+    value, error, failures, points = _positive_mean_counted(SPATIAL_U, SPATIAL_CENTRE, radius)
+    assert (points == 0) == (radius < 0.2)
+    assert (value, error, failures) == (plain, budget.error, budget.failures) == (0.0, 0.0, [])
+    assert math.copysign(1.0, value) == math.copysign(1.0, plain)
+
+
+def test_certified_zero_planar_ring_equals_the_grid_path_bit_for_bit():
+    # The plane had no certificate before the sphere bound: its grid path
+    # samples 1,024 negative values and settles at 0 with error 0.
+    u = DshFunction(2, (Charge([0.5, 0.0], -0.3), Charge([-0.4, 0.3], 0.2)),
+                    HarmonicPart((("const", -1.0), ("x1", 0.5))))
+    center = np.array([0.1, -0.05])
+    assert u.sphere_upper_bound(center, 0.2) < 0.0
+    budget = ErrorBudget()
+    plain = positive_part_mean(u.evaluate, 0.2, 2, center=center, budget=budget)
+    assert _positive_mean_counted(u, center, 0.2) == (
+        plain, budget.error, budget.failures, 0)
+    assert plain == 0.0
+
+
+def _sphere_sample(d: int) -> np.ndarray:
+    """Unit directions: a product grid four times as fine as the sign grid
+    in R^3, 16,384 points on the circle."""
+    return quadrature._grid(d, 16384 if d == 2 else 256, 0.0)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sphere_upper_bound_covers_u_on_the_sphere(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    labels = [lb for lb in HARMONIC_LABELS
+              if d == 2 and lb != "x2" or d == 3 and not lb.startswith(("re_", "im_"))]
+    unit = st.floats(-1.0, 1.0)
+    point = st.lists(unit, min_size=d, max_size=d).map(np.array)
+    charges = data.draw(st.lists(st.builds(Charge, point, st.floats(-2.0, 2.0).filter(bool)),
+                                 max_size=3))
+    terms = tuple((lb, data.draw(st.floats(-2.0, 2.0))) for lb in
+                  data.draw(st.lists(st.sampled_from(labels), unique=True)))
+    u = DshFunction(d, tuple(charges), HarmonicPart(terms))
+    center = 0.5 * data.draw(point)
+    radius = data.draw(st.floats(0.01, 1.0))
+    values = u.evaluate(center + radius * _sphere_sample(d))
+    bound = u.sphere_upper_bound(center, radius)
+    top = float(values.max())
+    assert bound >= top - 1e-9 * max(1.0, abs(top)), (bound, top)
 
 
 def test_no_certificate_on_a_positive_cap_the_coarse_grid_misses():
     # Just past the contact radius u > 0 on a tiny cap that holds no node of
     # the coarse grid: every node is negative, yet the true mean is about
-    # 2e-10, so the certificate must not fire.
+    # 2e-10, so the bound must not settle the sphere.
     radius = SPATIAL_CONTACT + 1e-5
-    dirs = quadrature.sphere_grid(3)
-    values = SPATIAL_U.evaluate(radius * dirs + SPATIAL_CENTRE)
-    assert np.all(values < 0.0)
-    assert not quadrature._negative_certified(SPATIAL_U.gradient_bound, SPATIAL_CENTRE,
-                                              radius, dirs, values)
-    g, sizes = _counted(SPATIAL_U.evaluate)
-    positive_part_mean(g, radius, 3, center=SPATIAL_CENTRE, budget=ErrorBudget(),
-                       gradient_bound=SPATIAL_U.gradient_bound)
-    assert len(sizes) > 1
+    assert np.all(SPATIAL_U.evaluate(radius * quadrature.sphere_grid(3) + SPATIAL_CENTRE) < 0.0)
+    assert SPATIAL_U.sphere_upper_bound(SPATIAL_CENTRE, radius) >= 0.0
+    assert _positive_mean_counted(SPATIAL_U, SPATIAL_CENTRE, radius)[3] > 0
 
 
 def test_no_certificate_for_a_spike_between_the_nodes():
     # u = 0.01 / |x - c| - 0.999 with c 0.01 above the north pole: u > 0 on a
     # cap of angular radius about 4e-4, inside the polar cap the grid leaves
-    # empty, and u < -0.7 at every node.  The charge lies within rho of the
-    # nearest nodes, so their bound is +inf; with a tenth of rho the bound
-    # there would be finite and would wrongly certify the sphere.
+    # empty, and u < -0.7 at every node.  The charge's term is 1 at the
+    # sphere's nearest point, so the bound is 0.001.
     u = DshFunction(3, (Charge([0.0, 0.0, 1.01], -0.01),), HarmonicPart((("const", -0.999),)))
-    dirs = quadrature.sphere_grid(3)
-    values = u.evaluate(dirs)
+    values = u.evaluate(quadrature.sphere_grid(3))
     assert values.max() < -0.7 and u.evaluate([0.0, 0.0, 1.0]) > 0.0
-    assert not quadrature._negative_certified(u.gradient_bound, np.zeros(3), 1.0, dirs, values)
+    assert u.sphere_upper_bound(np.zeros(3), 1.0) == pytest.approx(0.001, rel=1e-9)
+    assert _positive_mean_counted(u, np.zeros(3), 1.0)[3] > 0
+
+
+def test_certificate_with_a_positive_charge_on_the_sphere():
+    # u = -1 - 0.1 / |x - c| with c on a node of the coarse grid: the node's
+    # value is -inf, and u < -1.1 on the whole sphere, which the bound
+    # shows without evaluating u; the grid path gives the same 0.
+    c = 0.5 * quadrature.sphere_grid(3)[1000]
+    u = DshFunction(3, (Charge(c, 0.1),), HarmonicPart((("const", -1.0),)))
+    assert np.isneginf(u.evaluate(0.5 * quadrature.sphere_grid(3))).any()
+    assert u.sphere_upper_bound(np.zeros(3), 0.5) == pytest.approx(-1.1, rel=1e-12)
+    budget = ErrorBudget()
+    plain = positive_part_mean(u.evaluate, 0.5, 3, budget=budget)
+    assert _positive_mean_counted(u, np.zeros(3), 0.5) == (
+        plain, budget.error, budget.failures, 0)
+
+
+def test_negative_charge_on_the_sphere_gives_an_infinite_bound():
+    u = DshFunction(2, (Charge([0.3, 0.4], -0.1),), HarmonicPart((("const", -5.0),)))
+    assert u.sphere_upper_bound(np.zeros(2), 0.5) == math.inf
 
 
 # ------------------------------------------------ the batched root solver
