@@ -19,6 +19,7 @@ import numpy as np
 from .dsh import DshFunction, RationalFunction, from_rational, positive_part_integral
 from .kernels import (
     BOUNDARY_RTOL,
+    check_positive,
     constant_A,
     green_ball,
     kappa,
@@ -164,8 +165,7 @@ def check_statement_I(mu: Measure, r0: float, R: float, *,
                       name: str = "statement_I") -> CheckReport:
     """Is the integrated counting at radius r0 bounded over the ball of
     radius R around the origin?"""
-    if not (0.0 < r0 < math.inf):
-        raise ValueError("statement I: r0 must be positive and finite")
+    check_positive("statement I", r0=r0)
     if not (mu.support_radius * (1.0 - BOUNDARY_RTOL) < R < math.inf):
         raise ValueError("statement I: R must be finite and exceed the support radius of mu")
     budget = ErrorBudget()
@@ -200,8 +200,7 @@ def statement_ii_bounds(mu: Measure, U: DshFunction, r: float, R: float, *,
                         R_star: float | None = None,
                         budget: ErrorBudget | None = None) -> StatementIIBounds:
     """The statement-II bounds; R_star defaults to ``intermediate_radius``."""
-    if not (0.0 < r < R < math.inf):
-        raise ValueError("statement II: need 0 < r < R < inf")
+    check_positive("statement II", r=r, R=R)
     d = mu.dimension
     if U.dimension != d:
         raise ValueError("statement II: function and measure dimensions differ")
@@ -266,10 +265,8 @@ def falsify_statement_III(mu: Measure, functions, r: float, R: float,
     ``difference_T`` and ``positive_part_integral``.  A witnessed +inf
     falsifies boundedness; a bounded maximum is evidence, not a proof.
     """
-    if not (0.0 < r < R < math.inf):
-        raise ValueError("statement III: need 0 < r < R < inf")
-    if not (T_cap > 0.0 and math.isfinite(T_cap)):
-        raise ValueError("statement III: T_cap must be positive and finite")
+    check_positive("statement III", r=r, R=R)
+    check_positive("statement III", T_cap=T_cap)
     budget = ErrorBudget()
     d = mu.dimension
     t_w = kappa(R + r, d) - kappa(r, d)
@@ -322,8 +319,7 @@ def check_statement_V(mu: Measure, r0: float, *,
                       spec: QuadSpec = DEFAULT_SPEC,
                       name: str = "statement_V") -> CheckReport:
     """Is the integrated counting at radius r0 bounded on the support of mu?"""
-    if not (0.0 < r0 < math.inf):
-        raise ValueError("statement V: r0 must be positive and finite")
+    check_positive("statement V", r0=r0)
     budget = ErrorBudget()
     sup = sup_integrated_counting(mu, SUPPORT, r0, resolution, spec,
                                   budget=budget)
@@ -334,8 +330,7 @@ def verify_lemma3(delta: Measure, R_star: float, R: float, *,
                   spec: QuadSpec = DEFAULT_SPEC,
                   name: str = "lemma3") -> CheckReport:
     """Radial mass at R_star against its integrated-counting quotient bound."""
-    if not (0.0 < R_star < R < math.inf):
-        raise ValueError("lemma3: need 0 < R_star < R < inf")
+    check_positive("lemma3", R_star=R_star, R=R)
     budget = ErrorBudget()
     lhs = radial_counting(delta, np.zeros(delta.dimension), R_star, spec,
                           budget=budget)
@@ -413,8 +408,7 @@ def check_corollary(f: RationalFunction, mu: Measure, r: float, R: float, *,
     """
     if mu.dimension != 2:
         raise ValueError("corollary: mu must be planar (dimension 2)")
-    if not (0.0 < r < R < math.inf):
-        raise ValueError("corollary: need 0 < r < R < inf")
+    check_positive("corollary", r=r, R=R)
     if mu.support_radius > r * (1.0 + SUPPORT_RTOL):
         raise ValueError("corollary: mu must be supported in the closed disc of radius r")
     budget = ErrorBudget()

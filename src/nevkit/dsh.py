@@ -19,6 +19,7 @@ from .kernels import (
     _as_points,
     _kappa_in_place,
     as_point,
+    check_positive,
     expect_int,
     expect_list,
     expect_number,
@@ -232,33 +233,44 @@ class DshFunction:
             out[on] = value
         return float(out[0]) if single else out
 
-    def sphere_upper_bound(self, center, s: float) -> float:
-        """An upper bound of u on the sphere |x - center| = s.  A charge at
-        distance a from the centre lies between |s - a| and s + a from the
-        sphere's points, and kappa increases, so it adds w kappa(s + a) when
-        w > 0 and w kappa(|s - a|), +inf when a = s, when w < 0; the
-        harmonic part adds h(center) + s * ``HarmonicPart.gradient_bound``."""
+    def sphere_range(self, center, s: float) -> tuple[float, float, float]:
+        """Bounds of u on the sphere |x - center| = s and its mean there,
+        (lo, mean, hi), in closed form.  A charge at distance a from the
+        centre lies between |s - a| and s + a from the sphere's points, and
+        kappa increases, so it adds w kappa(|s - a|), -inf when a = s, to lo
+        and w kappa(s + a) to hi when w > 0, and the other way round when
+        w < 0; by the mean-value property it adds w kappa(max(s, a)) to the
+        mean.  The harmonic part adds h(center) to the mean and h(center)
+        -+ s * ``HarmonicPart.gradient_bound`` to the bounds."""
         d = self.dimension
         c = as_point(center, d)
-        bound = float(self.harmonic.evaluate(c[np.newaxis], d)[0]
-                      + s * self.harmonic.gradient_bound(c[np.newaxis], s)[0])
+        h = float(self.harmonic.evaluate(c[np.newaxis], d)[0])
+        slope = s * float(self.harmonic.gradient_bound(c[np.newaxis], s)[0])
+        lo, mean, hi = h - slope, h, h + slope
         with np.errstate(over="ignore"):
             for ch in self.charges:
                 a = float(np.linalg.norm(ch.location - c))
-                bound += ch.weight * kappa(s + a if ch.weight > 0.0 else abs(s - a), d)
-        return bound
+                near, far = ch.weight * kappa(abs(s - a), d), ch.weight * kappa(s + a, d)
+                lo += min(near, far)
+                hi += max(near, far)
+                mean += ch.weight * kappa(max(s, a), d)
+        return lo, mean, hi
 
     def positive_mean(self, center, s: float, spec: QuadSpec = DEFAULT_SPEC, *,
                       budget: ErrorBudget | None = None, label: str = "positive-part") -> float:
-        """Mean of max(u, 0) over the sphere |x - center| = s: 0 when
-        ``sphere_upper_bound`` shows u < 0 on it, which is what every rule of
+        """Mean of max(u, 0) over the sphere |x - center| = s.  Where
+        ``sphere_range`` shows u < 0 on it, 0, which is what every rule of
         ``positive_part_mean`` returns from samples that are all negative,
-        with error 0; otherwise ``positive_part_mean`` with the charges on
+        with error 0; where it shows u > 0, the mean of u; neither charges
+        the budget.  Otherwise ``positive_part_mean`` with the charges on
         the circle as singular angles.  Dimension, radius and centre are
         checked first, as ``positive_part_mean`` checks them."""
         d, center = _sphere(s, self.dimension, center)
-        if self.sphere_upper_bound(center, s) < 0.0:
+        lo, mean, hi = self.sphere_range(center, s)
+        if hi < 0.0:
             return 0.0
+        if lo > 0.0:
+            return mean
         return positive_part_mean(self.evaluate, s, d, spec, center=center, budget=budget,
                                   singular_angles=self.singular_angles_on(center, s),
                                   label=label)
@@ -268,8 +280,7 @@ class DshFunction:
 
     def scale(self, factor: float) -> "DshFunction":
         """The function multiplied by a positive scalar."""
-        if not (factor > 0.0 and math.isfinite(factor)):
-            raise ValueError("scale factor must be positive and finite")
+        check_positive("DshFunction.scale", factor=factor)
         return DshFunction(
             self.dimension,
             tuple(Charge(c.location, factor * c.weight) for c in self.charges),
@@ -385,8 +396,7 @@ def kernel_witness(y, r: float, R: float, d: int) -> DshFunction:
     |y| <= r, with a single unit negative charge at y; its two-radius
     characteristic is kappa(R + r) - kappa(r) exactly.
     """
-    if not 0.0 < r < R < math.inf:
-        raise ValueError("kernel_witness: need 0 < r < R < inf")
+    check_positive("kernel_witness", r=r, R=R)
     y = as_point(y, d)
     harmonic = HarmonicPart((("const", float(kappa(R + r, d))),))
     return DshFunction(d, (Charge(y, -1.0),), harmonic)

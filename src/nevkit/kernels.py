@@ -30,6 +30,22 @@ def validate_dimension(d) -> int:
     return d
 
 
+def check_positive(where: str, *, closed: bool = False, **named) -> None:
+    """Check 0 < a < b < ... < inf for the named arguments, in the order
+    given, with 0 <= a when ``closed``; NaN fails every comparison.  The
+    message names ``where`` and each argument."""
+    previous, ok = None, True
+    for value in named.values():
+        if previous is None:
+            ok = value >= 0.0 if closed else value > 0.0
+        else:
+            ok = ok and previous < value
+        previous = value
+    if not (ok and previous < math.inf):
+        chain = " < ".join(named)
+        raise ValueError(f"{where}: need 0 {'<=' if closed else '<'} {chain} < inf")
+
+
 def as_point(x, d: int) -> np.ndarray:
     """Coerce x to a float vector of length d."""
     p = np.asarray(x, dtype=float)
@@ -181,8 +197,7 @@ def poisson_kernel(x, y, R: float, d: int):
     every interior x.
     """
     d = validate_dimension(d)
-    if not 0.0 < R < math.inf:
-        raise ValueError("poisson_kernel: R must be positive and finite")
+    check_positive("poisson_kernel", R=R)
     x = as_point(x, d)
     pts, single = _as_points(y, d)
     nx = float(np.linalg.norm(x))
@@ -207,8 +222,7 @@ def green_ball(x, y, R: float, d: int) -> float:
     zero for |y| = R, and +inf at x == y.
     """
     d = validate_dimension(d)
-    if not 0.0 < R < math.inf:
-        raise ValueError("green_ball: R must be positive and finite")
+    check_positive("green_ball", R=R)
     x = as_point(x, d)
     y = as_point(y, d)
     nx = float(np.linalg.norm(x))
@@ -231,8 +245,7 @@ def constant_A(r: float, R: float, d: int) -> float:
     For d = 2 this reduces to 5 (R + r) / (R - r).
     """
     d = validate_dimension(d)
-    if not 0.0 < r < R < math.inf:
-        raise ValueError("constant_A: invalid geometry, need 0 < r < R < inf")
+    check_positive("constant_A", r=r, R=R)
     return (
         5.0
         * hat_d(d)

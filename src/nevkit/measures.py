@@ -22,6 +22,7 @@ from .kernels import (
     BOUNDARY_RTOL,
     _as_points,
     as_point,
+    check_positive,
     expect_int,
     expect_list,
     expect_number,
@@ -48,8 +49,7 @@ class Atom:
         object.__setattr__(self, "location", np.asarray(self.location, dtype=float))
         if self.location.ndim != 1:
             raise ValueError("Atom.location must be a flat coordinate vector")
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError("Atom.mass must be positive and finite")
+        check_positive("Atom", mass=self.mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +64,8 @@ class SphereShell:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.center.ndim != 1:
             raise ValueError("SphereShell.center must be a flat coordinate vector")
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("SphereShell.radius must be positive and finite")
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError("SphereShell.mass must be positive and finite")
+        check_positive("SphereShell", radius=self.radius)
+        check_positive("SphereShell", mass=self.mass)
 
 
 def _float_or_array(x):
@@ -112,8 +110,7 @@ class RadialDensity:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.center.ndim != 1:
             raise ValueError("RadialDensity.center must be a flat coordinate vector")
-        if not (self.outer > 0.0 and math.isfinite(self.outer)):
-            raise ValueError("RadialDensity.outer must be positive and finite")
+        check_positive("RadialDensity", outer=self.outer)
         ts = [0.0, self.outer, *_critical_radii(self.coeffs, self.outer)]
         if min(self.density(t) for t in ts) < -1e-12:
             raise ValueError("RadialDensity.density must be nonnegative on [0, outer]")
@@ -341,8 +338,7 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
     min(a + t, outer), go to ``radius_integral``, whose failure is charged
     to ``budget``, or raised as QuadratureError when there is none.
     """
-    if not (0.0 <= t < math.inf):
-        raise ValueError("radial_counting: t must be nonnegative and finite")
+    check_positive("radial_counting", closed=True, t=t)
     d = mu.dimension
     y = as_point(y, d)
     thr = t * (1.0 + BOUNDARY_RTOL)
@@ -526,8 +522,7 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     blocking follows the batch, so re-evaluating a scan's argmax need not
     reproduce its supremum bit for bit.
     """
-    if not (0.0 < r < math.inf):
-        raise ValueError("integrated_counting: r must be positive and finite")
+    check_positive("integrated_counting", r=r)
     pts, one = _as_points(y, mu.dimension)
     values = np.empty(len(pts))
     errs = np.empty(len(pts))
@@ -551,8 +546,7 @@ def difference_counting(mu: Measure, r: float, R: float,
     r = 0 for an atom there, or a d = 3 density with coeffs[0] > 0), and
     the integrated counting about 0 at R minus that at r for the rest.
     """
-    if not (0.0 <= r < R):
-        raise ValueError("difference_counting: invalid radii, need 0 <= r < R")
+    check_positive("difference_counting", closed=True, r=r, R=R)
     d = mu.dimension
     kR = kappa(R, d)
     total = 0.0
@@ -700,8 +694,7 @@ def sup_integrated_counting(mu: Measure, region, r: float, resolution: int,
         raise ValueError("sup_integrated_counting scans are provided for d in {2, 3}")
     if resolution < 3:
         raise ValueError("sup_integrated_counting: resolution must be at least 3")
-    if not (0.0 < r < math.inf):
-        raise ValueError("sup_integrated_counting: r must be positive and finite")
+    check_positive("sup_integrated_counting", r=r)
     # Integrated counting reads only the two tolerances, so the key omits
     # spec.max_subdivisions.
     if region == SUPPORT:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .dsh import DshFunction, RationalFunction, from_rational
-from .kernels import BOUNDARY_RTOL
+from .kernels import BOUNDARY_RTOL, check_positive
 from .measures import difference_counting
 from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec
 
@@ -22,8 +22,7 @@ from .quadrature import DEFAULT_SPEC, ErrorBudget, QuadSpec
 def proximity(u: DshFunction, R: float, spec: QuadSpec = DEFAULT_SPEC, *,
               budget: ErrorBudget | None = None, label: str = "proximity") -> float:
     """Mean of max(u, 0) over the origin-centred sphere of radius R."""
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ValueError("proximity: R must be positive and finite")
+    check_positive("proximity", R=R)
     return u.positive_mean(np.zeros(u.dimension), R, spec, budget=budget, label=label)
 
 
@@ -33,8 +32,7 @@ def classical_N(f: RationalFunction, r: float) -> float:
     Equals the integral from 0 to r of (n(t) - n(0))/t plus n(0) ln r, where
     n(t) counts poles with multiplicity in the closed disc of radius t.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("classical_N: r must be positive and finite")
+    check_positive("classical_N", r=r)
     thr = r * (1.0 + BOUNDARY_RTOL)
     total = 0.0
     for b in f.poles:
@@ -68,7 +66,6 @@ def difference_T(u: DshFunction, r: float, R: float,
     negative charge weights.  With r = 0 and a negative charge at the origin
     the counting part is +inf, and so is the characteristic.
     """
-    if not (0.0 <= r < R and math.isfinite(R)):
-        raise ValueError("difference characteristic needs 0 <= r < R < inf")
+    check_positive("difference_T", closed=True, r=r, R=R)
     m = proximity(u, R, spec, budget=budget, label="difference-T")
     return m + difference_counting(u.riesz_lower_variation(), r, R, spec, budget=budget)

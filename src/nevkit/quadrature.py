@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import as_point, validate_dimension
+from .kernels import as_point, check_positive, validate_dimension
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,9 +111,8 @@ class QuadSpec:
     max_subdivisions: int = 2 ** 15
 
     def __post_init__(self):
-        # NaN fails the comparisons too.
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise ValueError("QuadSpec tolerances must be positive and finite")
+        check_positive("QuadSpec", abs_tol=self.abs_tol)
+        check_positive("QuadSpec", rel_tol=self.rel_tol)
         if self.max_subdivisions < 8:
             raise ValueError("QuadSpec.max_subdivisions must be at least 8")
         if self.max_subdivisions > MAX_SUBDIVISIONS:
@@ -392,13 +391,16 @@ def _ladder_mean(f, center, radius, d: int, spec: QuadSpec) -> QuadResult:
     pair, and returns the first pair that converges or the top pair, which
     in the plane ``_circle_top_mean`` settles; each doubled grid is the next
     pair's first, so no grid is evaluated twice, and a doubled grid is
-    sampled only once its first grid's values are finite.  When a value is
-    not finite, ``_turned_pair`` takes over."""
+    sampled only once its first grid's values are finite.  In the plane the
+    doubled grid's odd nodes are the first grid's turned by half a step, and
+    only they are sampled.  When a value is not finite, ``_turned_pair``
+    takes over."""
     top = _CIRCLE_NODES if d == 2 else _AZIMUTH_NODES
     n = top >> _LADDER_RUNGS
     coarse = _sample(f, center, radius, d, n)
     while np.all(np.isfinite(coarse)):
-        fine = _sample(f, center, radius, d, 2 * n)
+        fine = (_interleave(coarse, _sample(f, center, radius, 2, n, 0.5)) if d == 2
+                else _sample(f, center, radius, d, 2 * n))
         result = _checked_mean(coarse, fine, d, n, spec)
         if result is None:
             break
@@ -650,8 +652,7 @@ def _sphere(r: float, d: int, center) -> tuple[int, np.ndarray]:
     d = validate_dimension(d)
     if d not in (2, 3):
         raise ValueError("sphere means are provided for d in {2, 3} only")
-    if not (0.0 < r < math.inf):
-        raise ValueError("sphere means need a positive finite radius r")
+    check_positive("sphere means", r=r)
     return d, np.zeros(d) if center is None else as_point(center, d)
 
 

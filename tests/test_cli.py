@@ -257,7 +257,8 @@ def test_committed_off_centre_density_scenario_holds(tmp_path):
     assert _contact_radii(sc.functions[0].dsh, comp.center, comp.outer)
 
 
-@pytest.mark.parametrize("scenario", ["off_centre_density_3d", "atom_between_witnesses"])
+@pytest.mark.parametrize("scenario", ["off_centre_density_3d", "centred_shell_3d",
+                                      "charge_inside_density_3d", "atom_between_witnesses"])
 def test_a_spatial_run_imports_no_scipy(tmp_path, scenario):
     # scipy serves only the planar dilogarithm of a density, imported where
     # it is used, so importing the CLI and running a d = 3 scenario, or a
@@ -348,6 +349,25 @@ def test_committed_atom_between_witnesses_scenario_fails_statement_III(tmp_path)
                 for rep in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
     assert verdicts == dict.fromkeys(
         ["statement_I", "statement_III", "statement_IV", "statement_V"], FAILS)
+
+
+def test_committed_charge_inside_density_scenario_holds(tmp_path):
+    # CI's packaging job runs this file with the installed wheel.  The
+    # function's charge lies inside the density's support, and u > 0 on
+    # every sphere of the measure, so each mean of u+ is the closed-form mean
+    # of u: statement II's lhs is integrated_counting(mu, 0, 3) exactly, with
+    # no quadrature failure.
+    path = Path(__file__).parent / "scenarios" / "charge_inside_density_3d.json"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    reports = {rep["name"]: rep
+               for rep in map(json.loads, (out / "reports.jsonl").read_text().splitlines())}
+    assert {name: rep["verdict"] for name, rep in reports.items()} == dict.fromkeys(
+        ["statement_II[u]", "statement_III"], HOLDS)
+    mu = scenario_from_json(json.loads(path.read_text())).measure
+    assert reports["statement_II[u]"]["lhs"] == measures.integrated_counting(mu, np.zeros(3), 3.0)
+    assert not any("failure" in line for rep in reports.values()
+                   for line in rep["diagnostics"])
 
 
 def test_classify_precedence():

@@ -297,6 +297,18 @@ _PLANAR_U = DshFunction(2, (Charge([0.3, 0.1], 1.0),), HarmonicPart(()))
                  id="sup_integrated_counting"),
     pytest.param(lambda: radial_counting(circle(), [0.1, 0.0], math.nan), "t",
                  id="radial_counting"),
+    # difference_counting once returned inf, 2.0 and 0.6 for the first
+    # three, and named integrated_counting's r for the shell.
+    pytest.param(lambda: difference_counting(atom_measure(([0.3, 0.0], 1.0)), 0.5, math.inf),
+                 "R", id="difference_counting-atom"),
+    pytest.param(lambda: difference_counting(atom_measure(([0.3, 0.0, 0.0], 1.0), d=3),
+                                             0.5, math.inf),
+                 "R", id="difference_counting-atom-3d"),
+    pytest.param(lambda: difference_counting(
+        Measure(3, radial=(RadialDensity([0.0, 0.0, 0.0], (0.0, 2.0), 1.0),)), 0.5, math.inf),
+                 "R", id="difference_counting-density-3d"),
+    pytest.param(lambda: difference_counting(circle(), 0.5, math.inf), "R",
+                 id="difference_counting-shell"),
     pytest.param(lambda: falsify_statement_III(circle(), (), 1.0, math.inf, 1.0), "R",
                  id="statement_III"),
     pytest.param(lambda: verify_lemma3(circle(), 1.5, math.inf), "R", id="lemma3"),

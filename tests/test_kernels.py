@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nevkit.dsh import Charge, DshFunction, kernel_witness
 from nevkit.kernels import (
     _as_points,
     as_point,
+    check_positive,
     constant_A,
     green_ball,
     hat_d,
@@ -252,3 +254,26 @@ def test_kernels_reject_radii_that_are_not_finite(call, R):
     # passes the positivity tests.
     with pytest.raises(ValueError, match=r"\bR\b"):
         call(R)
+
+
+@pytest.mark.parametrize("closed, named, ok", [
+    (False, {"r": 1.0, "R": 2.0}, True),
+    (False, {"r": 0.0, "R": 2.0}, False),
+    (True, {"r": 0.0, "R": 2.0}, True),
+    (True, {"r": -0.0}, True),
+    (True, {"r": -1e-300}, False),
+    (False, {"r": 2.0, "R": 2.0}, False),
+    (False, {"r": 2.0, "R": 1.0}, False),
+    (False, {"r": 1.0, "R": math.inf}, False),
+    (True, {"r": 1.0, "R": math.nan}, False),
+    (False, {"r": math.nan, "R": 2.0}, False),
+    (False, {"a": 1.0, "b": 3.0, "c": 2.0}, False),
+])
+def test_check_positive_takes_an_increasing_chain_below_inf(closed, named, ok):
+    if ok:
+        check_positive("here", closed=closed, **named)
+        return
+    first = "0 <=" if closed else "0 <"
+    message = f"here: need {first} {' < '.join(named)} < inf"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_positive("here", closed=closed, **named)
