@@ -35,8 +35,10 @@ from .quadrature import (
     ErrorBudget,
     QuadSpec,
     _bracketed_roots,
+    _read_only,
     _settle,
     _sphere,
+    _sphere3_positive_means,
     positive_part_mean,
     radius_integral,
     sphere_grid,
@@ -49,11 +51,42 @@ from .quadrature import (
 NEAR_CIRCLE_RTOL = 0.05
 
 _TINY = float(np.finfo(float).tiny)
+_CHARGE_BLOCK = 2 ** 15  # (charge, point) pairs that evaluate holds at once
 _CONTACT_RADII = 32  # spheres between 0 and outer that bracket contact radii
 _PATCH_STEP_MIN = 1e-10  # the patch search's last step, in the tangent plane
+_PATCH_DEPTH = 3  # patches of the search evaluated in one call
 
 HARMONIC_LABELS = ("const", "x0", "x1", "x2", "x0*x1", "x0^2-x1^2",
                    "re_z^2", "im_z^2", "re_z^3", "im_z^3")
+
+
+def _charge_distances(pts: np.ndarray, locs: np.ndarray):
+    """|p - c| for each row c of locs (k, d) and each row p of pts (n, d),
+    as a (k, n) array, and the (charge, row) index arrays of the pairs at
+    distance 0, or None when no pair underflowed.
+
+    The distances are summed from squared column differences as
+    ``row_norms`` sums them, so they agree bit for bit, without an (n, d)
+    temporary; the columns of a column-major pts are read without a copy.
+    A pair whose squared sum fell below the smallest normal number has lost
+    its digits to underflow, so only such pairs are summed again by
+    ``np.hypot``, which scales."""
+    dist = np.empty((len(locs), len(pts)))
+    diff = np.empty_like(dist)
+    for j in range(pts.shape[1]):
+        np.subtract(pts[:, j], locs[:, j, np.newaxis], out=diff)
+        if j == 0:
+            np.multiply(diff, diff, out=dist)
+        else:
+            np.add(dist, np.multiply(diff, diff, out=diff), out=dist)
+    underflow = np.nonzero(dist < _TINY) if dist.min(initial=math.inf) < _TINY else None
+    np.sqrt(dist, out=dist)
+    if underflow is None:
+        return dist, None
+    charge, row = underflow
+    dist[underflow] = np.hypot.reduce(pts[row] - locs[charge], axis=1)
+    zero = dist[underflow] == 0.0
+    return dist, (charge[zero], row[zero])
 
 
 def _check_harmonic_label(label, d: int) -> None:
@@ -178,42 +211,21 @@ class DshFunction:
                     break
             else:
                 merged.append(ch)
-        object.__setattr__(
-            self, "charges", tuple(c for c in merged if c.weight != 0.0))
-
-    def _charge_distances(self, pts: np.ndarray):
-        """Each charge c with |p - c| for every row p of the (n, d) array
-        pts, in one buffer that the next charge overwrites.  The distances
-        are summed from squared column differences as ``row_norms`` sums
-        them, so they agree bit for bit, without an (n, d) temporary; the
-        columns of a column-major pts are read without a copy.  A row whose
-        squared sum fell below the smallest normal number has lost its
-        digits to underflow, so only such rows are summed again by
-        ``np.hypot``, which scales.  Each charge comes with a third item:
-        the indices of the rows at distance 0 from it, or None when no row
-        underflowed."""
-        dist, diff = np.empty(len(pts)), np.empty(len(pts))
-        for ch in self.charges:
-            for j, c in enumerate(ch.location):
-                np.subtract(pts[:, j], c, out=diff)
-                if j == 0:
-                    np.multiply(diff, diff, out=dist)
-                else:
-                    np.add(dist, np.multiply(diff, diff, out=diff), out=dist)
-            underflow = (np.flatnonzero(dist < _TINY)
-                         if dist.min(initial=math.inf) < _TINY else None)
-            np.sqrt(dist, out=dist)
-            on = None
-            if underflow is not None:
-                dist[underflow] = np.hypot.reduce(pts[underflow] - ch.location, axis=1)
-                on = underflow[dist[underflow] == 0.0]
-            yield ch, dist, on
+        charges = tuple(c for c in merged if c.weight != 0.0)
+        object.__setattr__(self, "charges", charges)
+        # The charges as arrays, for ``evaluate``: locations (k, d), weights (k, 1).
+        object.__setattr__(self, "_locations", _read_only(
+            np.array([c.location for c in charges]).reshape(-1, d)))
+        object.__setattr__(self, "_weights", _read_only(
+            np.array([c.weight for c in charges]).reshape(-1, 1)))
 
     def evaluate(self, x) -> float | np.ndarray:
         """Pointwise value; accepts one point or an (n, d) array of points.
 
-        The harmonic part, then for each charge in turn its term
-        w kappa(|p - c|), computed in place and added to the sum.
+        The harmonic part, then each charge's term w kappa(|p - c|), added
+        in charge order.  The terms of a block of charges are computed in
+        one (k, n) buffer (``_charge_distances``), at most _CHARGE_BLOCK
+        values at a time.
         """
         pts, single = _as_points(x, self.dimension)
         out = self.harmonic.evaluate(pts, self.dimension)
@@ -222,58 +234,94 @@ class DshFunction:
         # infinity after the sum, so that a charge of opposite weight whose
         # kappa overflows there cannot cancel it to nan.
         on_charge = []
+        block = max(1, _CHARGE_BLOCK // max(len(pts), 1))
         with np.errstate(divide="ignore", over="ignore"):
-            for ch, dist, on in self._charge_distances(pts):
-                term = np.multiply(_kappa_in_place(dist, self.dimension), ch.weight, out=dist)
+            for start in range(0, len(self.charges), block):
+                weights = self._weights[start:start + block]
+                dist, on = _charge_distances(pts, self._locations[start:start + block])
+                term = np.multiply(_kappa_in_place(dist, self.dimension), weights, out=dist)
                 if on is not None:
                     term[on] = 0.0
-                    on_charge.append((on, -math.copysign(math.inf, ch.weight)))
-                out += term
-        for on, value in on_charge:
-            out[on] = value
+                    on_charge.append((on[1], -np.copysign(math.inf, weights[on[0], 0])))
+                for row in term:
+                    out += row
+        for rows, values in on_charge:
+            out[rows] = values
         return float(out[0]) if single else out
 
-    def sphere_range(self, center, s: float) -> tuple[float, float, float]:
+    def sphere_range(self, center, s):
         """Bounds of u on the sphere |x - center| = s and its mean there,
-        (lo, mean, hi), in closed form.  A charge at distance a from the
-        centre lies between |s - a| and s + a from the sphere's points, and
-        kappa increases, so it adds w kappa(|s - a|), -inf when a = s, to lo
-        and w kappa(s + a) to hi when w > 0, and the other way round when
-        w < 0; by the mean-value property it adds w kappa(max(s, a)) to the
-        mean.  The harmonic part adds h(center) to the mean and h(center)
-        -+ s * ``HarmonicPart.gradient_bound`` to the bounds."""
+        (lo, mean, hi), in closed form; floats for a float s, arrays for an
+        array of radii, in one pass over the charges.  A charge at distance
+        a from the centre lies between |s - a| and s + a from the sphere's
+        points, and kappa increases, so it adds w kappa(|s - a|), -inf when
+        a = s, to lo and w kappa(s + a) to hi when w > 0, and the other way
+        round when w < 0; by the mean-value property it adds
+        w kappa(max(s, a)) to the mean.  The harmonic part adds h(center)
+        to the mean and h(center) -+ s * ``HarmonicPart.gradient_bound`` to
+        the bounds."""
         d = self.dimension
         c = as_point(center, d)
+        radii = np.asarray(s, dtype=float).ravel()
         h = float(self.harmonic.evaluate(c[np.newaxis], d)[0])
-        slope = s * float(self.harmonic.gradient_bound(c[np.newaxis], s)[0])
-        lo, mean, hi = h - slope, h, h + slope
-        with np.errstate(over="ignore"):
-            for ch in self.charges:
-                a = float(np.linalg.norm(ch.location - c))
-                near, far = ch.weight * kappa(abs(s - a), d), ch.weight * kappa(s + a, d)
-                lo += min(near, far)
-                hi += max(near, far)
-                mean += ch.weight * kappa(max(s, a), d)
-        return lo, mean, hi
+        slope = radii * self.harmonic.gradient_bound(c[np.newaxis].repeat(radii.size, axis=0),
+                                                     radii)
+        # Rows lo, hi, mean, one column per radius.
+        total = np.array([h - slope, h + slope, np.full(radii.size, h)])
+        # Each charge's distance a as np.linalg.norm computes it, then
+        # (charge, radius) rows of |s - a|, s + a and max(s, a), overwritten
+        # by the terms w kappa there: the low and high ones of the first two,
+        # and the third.  Each charge's terms are added in charge order.
+        a = np.array([math.sqrt(v.dot(v)) for v in self._locations - c]).reshape(-1, 1)
+        terms = np.empty((3, len(a), radii.size))
+        near, far, inside = terms
+        np.abs(np.subtract(radii, a, out=near), out=near)
+        np.add(radii, a, out=far)
+        np.maximum(radii, a, out=inside)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.multiply(_kappa_in_place(terms, d), self._weights, out=terms)
+        low = np.minimum(near, far)
+        np.maximum(near, far, out=far)
+        near[...] = low
+        for term in terms.transpose(1, 0, 2):
+            total += term
+        lo, hi, mean = total
+        if np.ndim(s):
+            return lo, mean, hi
+        return float(lo[0]), float(mean[0]), float(hi[0])
 
-    def positive_mean(self, center, s: float, spec: QuadSpec = DEFAULT_SPEC, *,
-                      budget: ErrorBudget | None = None, label: str = "positive-part") -> float:
-        """Mean of max(u, 0) over the sphere |x - center| = s.  Where
-        ``sphere_range`` shows u < 0 on it, 0, which is what every rule of
+    def positive_mean(self, center, s, spec: QuadSpec = DEFAULT_SPEC, *,
+                      budget: ErrorBudget | None = None, label: str = "positive-part"):
+        """Mean of max(u, 0) over the sphere |x - center| = s: a float for a
+        float s, an array for a 1-D array of radii, a stack of spheres about
+        one centre, which a float is a stack of one.  Where ``sphere_range``
+        shows u < 0 on a sphere, 0, which is what every rule of
         ``positive_part_mean`` returns from samples that are all negative,
         with error 0; where it shows u > 0, the mean of u; neither charges
-        the budget.  Otherwise ``positive_part_mean`` with the charges on
-        the circle as singular angles.  Dimension, radius and centre are
+        the budget.  The other spheres take ``positive_part_mean``'s rules:
+        in the plane one sphere at a time, with the charges on the circle as
+        singular angles; in R^3 as one stack.  Their results are charged to
+        the budget in the order of the radii, and without one the first
+        failure in that order raises.  Dimension, radii and centre are
         checked first, as ``positive_part_mean`` checks them."""
-        d, center = _sphere(s, self.dimension, center)
-        lo, mean, hi = self.sphere_range(center, s)
-        if hi < 0.0:
-            return 0.0
-        if lo > 0.0:
-            return mean
-        return positive_part_mean(self.evaluate, s, d, spec, center=center, budget=budget,
-                                  singular_angles=self.singular_angles_on(center, s),
-                                  label=label)
+        radii = np.atleast_1d(np.asarray(s, dtype=float))
+        d = self.dimension
+        for r in radii:
+            d, center = _sphere(float(r), d, center)
+        lo, mean, hi = self.sphere_range(center, radii)
+        out = np.where(hi < 0.0, 0.0, mean)
+        rest = np.flatnonzero(~(hi < 0.0) & ~(lo > 0.0))
+        if d == 2:
+            for i in rest:
+                r = float(radii[i])
+                out[i] = positive_part_mean(self.evaluate, r, d, spec, center=center,
+                                            budget=budget, label=label,
+                                            singular_angles=self.singular_angles_on(center, r))
+        else:
+            for i, result in zip(rest, _sphere3_positive_means(self.evaluate, center,
+                                                               radii[rest], spec)):
+                out[i] = _settle(result, budget, label)
+        return out if np.ndim(s) else float(out[0])
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -314,38 +362,53 @@ def _contact_radii(u: DshFunction, center: np.ndarray, outer: float) -> list[flo
     """Radii in (0, outer) where the sphere about ``center`` first or last
     touches {u > 0}, the zeros of the max and the min of u on it: one batched
     Chandrupatla solve (``_bracketed_roots``) over the sign changes on
-    ``_CONTACT_RADII`` scanned spheres.  At each radius the extremum comes
-    from a patch search in the tangent plane at the grid's best node: u is
-    evaluated on a 5**(d - 1) patch about the best point so far, which moves
-    to the patch's best point, or, when that is the centre, shrinks by 4,
-    until its step is below ``_PATCH_STEP_MIN``.  A missed zero costs the
-    integral time, not accuracy."""
+    ``_CONTACT_RADII`` scanned spheres, the first of which, of radius 0, is
+    the centre.  At each radius the extremum comes from a patch search in
+    the tangent plane at the grid's best node, which a scanned sphere has
+    already found: u is evaluated on a 5**(d - 1) patch about the best point
+    so far, which moves to the patch's best point, or, when that is the
+    centre, shrinks by 4, until its step is below ``_PATCH_STEP_MIN``.
+    Each call evaluates the patch and the next _PATCH_DEPTH - 1 shrunken ones
+    about the same point, and the walk takes them in turn up to the first
+    that moves it.  A missed zero costs the integral time, not accuracy."""
     dirs = sphere_grid(u.dimension)
     offsets = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * (u.dimension - 1),
                                    indexing="ij"), axis=-1).reshape(-1, u.dimension - 1)
     centre = len(offsets) // 2
     # About one spacing of the grid.
     first_step = 2.0 * math.pi / len(dirs) ** (1.0 / (u.dimension - 1))
+    radii = outer * np.arange(_CONTACT_RADII + 1) / _CONTACT_RADII
+    at_centre = u.evaluate(center)
+    scans, tops = [(at_centre, at_centre)], {}
+    for s in radii[1:]:  # one sphere at a time
+        v = u.evaluate(center + s * dirs)
+        scans.append((v.max(), v.min()))
+        tops[s, 1.0], tops[s, -1.0] = int(np.argmax(v)), int(np.argmin(v))
 
     def extremum(s: float, sign: float) -> float:
-        top = dirs[np.argmax(sign * u.evaluate(center + s * dirs))]
+        if s == 0.0:
+            return at_centre
+        i = tops.get((s, sign))
+        top = dirs[int(np.argmax(sign * u.evaluate(center + s * dirs))) if i is None else i]
         tangent = np.linalg.svd(top[np.newaxis])[2][1:]
         best, step = np.zeros(len(tangent)), first_step
         while True:
-            v = top + (best + step * offsets) @ tangent
+            steps = [step]
+            while len(steps) < _PATCH_DEPTH and steps[-1] / 4.0 >= _PATCH_STEP_MIN:
+                steps.append(steps[-1] / 4.0)
+            v = np.concatenate([top + (best + h * offsets) @ tangent for h in steps])
             values = sign * u.evaluate(center + s * v / row_norms(v)[:, np.newaxis])
-            i = int(np.argmax(values))
-            if values[i] > values[centre]:
-                best = best + step * offsets[i]
-            else:
-                step /= 4.0
-            if step < _PATCH_STEP_MIN:
-                return sign * float(values[i])
+            for h, patch in zip(steps, values.reshape(len(steps), -1)):
+                i = int(np.argmax(patch))
+                if patch[i] > patch[centre]:
+                    best = best + h * offsets[i]
+                    break
+                step = h / 4.0
+                if step < _PATCH_STEP_MIN:
+                    return sign * float(patch[i])
 
     extrema = np.vectorize(extremum, otypes=[float])  # over the open brackets
-    radii = outer * np.arange(_CONTACT_RADII + 1) / _CONTACT_RADII
-    scans = np.array([(v.max(), v.min())  # one sphere at a time
-                      for v in (u.evaluate(center + s * dirs) for s in radii)])
+    scans = np.array(scans)
     # Column 0 brackets the zeros of the max, column 1 those of the min.
     side, cells = np.nonzero((np.diff(scans > 0.0, axis=0)
                               & np.isfinite(scans[:-1] + scans[1:])).T)

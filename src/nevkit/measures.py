@@ -21,6 +21,7 @@ import numpy.polynomial.polynomial as P
 from .kernels import (
     BOUNDARY_RTOL,
     _as_points,
+    _kappa_in_place,
     as_point,
     check_positive,
     expect_int,
@@ -319,12 +320,16 @@ def _shell_counting_kernel(a, s, r: float, d: int):
     covers a shell that crosses it.
     """
     kr = kappa(r, d)
-    a, s = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(s, dtype=float))
-    out = np.zeros(a.shape)
+    a, s = np.asarray(a, dtype=float), np.asarray(s, dtype=float)
     inside = a + s <= r
-    out[inside] = kr - kappa(np.maximum(a, s)[inside], d)
+    # kappa(max(a, s)) at every pair, kept only inside the ball.
+    with np.errstate(divide="ignore"):
+        far = _kappa_in_place(np.maximum(a, s, out=np.empty(inside.shape)), d)
+    out = np.where(inside, kr - far, 0.0)
     window = (np.abs(a - s) < r) & ~inside
-    out[window] = _shell_window(a[window], s[window], r, kr, d)
+    if window.any():
+        a, s = (v if v.ndim == 0 else np.broadcast_to(v, window.shape)[window] for v in (a, s))
+        out[window] = _shell_window(a, s, r, kr, d)
     return _float_or_array(out)
 
 
@@ -355,8 +360,8 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
         lo, hi = abs(a - t), min(a + t, comp.outer)  # empty for a centred density
         if lo < hi:
             total += _settle(radius_integral(
-                lambda s: comp.density(s) * _cap_fraction(a, s, t, d), lo, hi, spec),
-                budget, "radial-counting")
+                lambda s: comp.density(s) * np.array([_cap_fraction(a, float(x), t, d) for x in s]),
+                lo, hi, spec), budget, "radial-counting")
     return float(total)
 
 
@@ -367,9 +372,12 @@ def radial_counting(mu: Measure, y, t: float, spec: QuadSpec = DEFAULT_SPEC, *,
 # of random points within 5% of r from its centre (by up to 31 times); at 32
 # against 64 neither misses it, and a missed tolerance is a failed check.
 # _BATCH_CHUNK: points per vectorised block, which bounds the temporaries at
-# about _BATCH_CHUNK * 2 panels * 3 * _PANEL_NODES values.
+# about _BATCH_CHUNK * 2 panels * 3 * _PANEL_NODES values (49,152 at 256).
+# _FIRST_BATCH: points in a scan's first refinement batch after each move;
+# each batch in which no point improves doubles the next.
 _PANEL_NODES = 32
-_BATCH_CHUNK = 64
+_BATCH_CHUNK = 256
+_FIRST_BATCH = 64
 
 
 def _inner_rings(comp: RadialDensity, a, r: float, d: int):
@@ -383,7 +391,7 @@ def _inner_rings(comp: RadialDensity, a, r: float, d: int):
     inner = np.minimum(np.maximum(r - a, 0.0), comp.outer)
     split = np.minimum(a, inner)
     # m(split) is exactly 0 at a = 0, where kappa(a) would be -inf.
-    near = kappa(np.where(a > 0.0, a, 1.0), d) * comp.mass_within(split)
+    near = _kappa_in_place(np.where(a > 0.0, a, 1.0), d) * comp.mass_within(split)
     return (kappa(r, d) * comp.mass_within(inner) - near
             - comp.kernel_integral(split, inner, d))
 
@@ -393,13 +401,14 @@ def _crossing_integrand(comp: RadialDensity, a, lo, r: float, d: int):
     lo = |r - a| < s < min(r + a, outer), at center distances a (arrays that
     broadcast against the array s).
 
-    In d = 3 it is density(s) * _shell_counting_kernel(a, s, r).  In the
-    plane it is the by-parts form -m(s) * _window_slope(a, s, r), with
-    m(s) = mass_within(s) - mass_within(lo), whose integral plus
+    In d = 3 it is density(s) * _shell_counting_kernel(a, s, r), which is
+    the window's closed form at every s in the window.  In the plane it is
+    the by-parts form -m(s) * _window_slope(a, s, r), with m(s) =
+    mass_within(s) - mass_within(lo), whose integral plus
     ``_planar_window_end`` is the same integral without a dilogarithm.
     """
     if d == 3:
-        return lambda s: comp.density(s) * _shell_counting_kernel(a, s, r, d)
+        return lambda s: comp.density(s) * _shell_window(a, s, r, None, d)
     below = comp.mass_within(lo)
     return lambda s: (below - comp.mass_within(s)) * _window_slope(a, s, r)
 
@@ -432,22 +441,20 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     and the dead ones contribute exact zeros.
     """
     lo = np.abs(r - a)
-    hi = np.maximum(np.minimum(r + a, comp.outer), lo)
-    edges = np.column_stack((lo, np.minimum(np.maximum(a, lo), hi), hi))
-    width = np.diff(edges, axis=1)
+    edges = np.empty((len(a), 3))
+    edges[:, 0] = lo
+    hi = np.maximum(np.minimum(r + a, comp.outer), lo, out=edges[:, 2])
+    np.minimum(np.maximum(a, lo), hi, out=edges[:, 1])
+    width = edges[:, 1:] - edges[:, :-1]
     live = width > 0.0
-    left = edges[:, :-1][live][:, None]
-    live_width = width[live][:, None]
-
-    def on_live(v: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(v[:, None], live.shape)[live][:, None]
-
-    integrand = _crossing_integrand(comp, on_live(a), on_live(lo), r, d)
+    rows, cols = np.nonzero(live)
+    left, live_width = edges[rows, cols][:, None], width[rows, cols][:, None]
+    integrand = _crossing_integrand(comp, a[rows, None], lo[rows, None], r, d)
 
     def panel_integrals(n: int) -> np.ndarray:
         u, w = _cosine_panel_rule(n)
         out = np.zeros(live.shape)
-        out[live] = live_width[:, 0] * (integrand(left + live_width * u) @ w)
+        out[rows, cols] = live_width[:, 0] * (integrand(left + live_width * u) @ w)
         return out
 
     coarse = panel_integrals(_PANEL_NODES)
@@ -458,9 +465,14 @@ def _radial_block(comp: RadialDensity, a: np.ndarray, r: float, d: int
     return value, np.maximum(np.abs(fine - coarse).sum(axis=1), 1e-16 * np.abs(value))
 
 
-def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
-    """The integrated counting at each row of ``pts`` from atoms (+inf at an
-    atom), shells, and each density's rings inside the ball."""
+def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of the integrated counting at each row of
+    ``pts``: the closed forms of atoms (+inf at an atom), shells and each
+    density's rings inside the ball, then each density's crossing rings.  A
+    row whose estimate misses the spec's tolerance keeps its value, and its
+    error is +inf: a failed quadrature.
+    """
     d = mu.dimension
     kr = kappa(r, d)
     total = np.zeros(len(pts))
@@ -471,21 +483,12 @@ def _closed_counting(mu: Measure, pts: np.ndarray, r: float) -> np.ndarray:
     for shell in mu.spheres:
         a = row_norms(pts - shell.center)
         total += shell.mass * _shell_counting_kernel(a, shell.radius, r, d)
-    for comp in mu.radial:
-        total += _inner_rings(comp, row_norms(pts - comp.center), r, d)
-    return total
-
-
-def _counting_block(mu: Measure, pts: np.ndarray, r: float, spec: QuadSpec
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of the integrated counting at each row of
-    ``pts``.  A row whose estimate misses the spec's tolerance keeps its
-    value, and its error is +inf: a failed quadrature.
-    """
-    total = _closed_counting(mu, pts, r)
+    center_dists = [row_norms(pts - comp.center) for comp in mu.radial]
+    for comp, a in zip(mu.radial, center_dists):
+        total += _inner_rings(comp, a, r, d)
     err = np.zeros(len(pts))
-    for comp in mu.radial:
-        value, error = _radial_block(comp, row_norms(pts - comp.center), r, mu.dimension)
+    for comp, a in zip(mu.radial, center_dists):
+        value, error = _radial_block(comp, a, r, d)
         total += value
         err += error
     ok = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
@@ -529,8 +532,9 @@ def integrated_counting(mu: Measure, y, r: float, spec: QuadSpec = DEFAULT_SPEC,
     for start in range(0, len(pts), _BATCH_CHUNK):
         block = slice(start, start + _BATCH_CHUNK)
         values[block], errs[block] = _counting_block(mu, pts[block], r, spec)
-    for value, error in zip(values, errs):
-        _charge(budget, value, error)
+    if budget is not None:
+        for value, error in zip(values, errs):
+            _charge(budget, value, error)
     if errors is not None:
         errors[:] = errs
     return float(values[0]) if one else values
@@ -814,20 +818,24 @@ def _scan(mu: Measure, r: float, resolution: int, spec: QuadSpec, centre, candid
             shifts = np.column_stack([m.ravel() for m in mesh])
             # Speculative batches: the first admissible points about the
             # current best from shift ``start`` on, dropped from the first
-            # improvement on and rebuilt about it.
-            start = 0
+            # improvement on and rebuilt about it.  A batch holds
+            # _FIRST_BATCH points after each move and twice the last one's
+            # after a batch without one.
+            start, size = 0, _FIRST_BATCH
             while start < len(shifts):
                 rows, batch = admissible(best_q + shifts[start:], best_src)
                 if not len(rows):
                     break
-                rows, batch = start + rows[:_BATCH_CHUNK], batch[:_BATCH_CHUNK]
+                rows, batch = start + rows[:size], batch[:size]
                 start = rows[-1] + 1  # where the walk resumes after the batch
                 values, errors = evaluate(batch)
                 hits = np.flatnonzero(values > best_val)
                 evaluations += count(values, errors, hits)
+                size *= 2
                 if len(hits):
                     k = hits[0]
                     best_val, best_q, start = values[k], batch[k], rows[k] + 1
+                    size = _FIRST_BATCH
 
     argmax = None if best_val == -math.inf else tuple(map(float, to_points(best_q[None])[0]))
     return SupResult(float(best_val), argmax, resolution, evaluations, centre), charges

@@ -651,11 +651,22 @@ def test_radial_block_runs_the_kernel_on_live_panels_only(monkeypatch, d, coeffs
 
     nodes = []
     if d == 3:
-        def counted(center_dist, s, r, d):
-            nodes.append(np.broadcast(center_dist, s).size)
-            return _shell_counting_kernel(center_dist, s, r, d)
+        # Every node lies in the window, where the crossing integrand's
+        # closed form is the shell kernel's, bit for bit.
+        crossing = measures._crossing_integrand
 
-        monkeypatch.setattr(measures, "_shell_counting_kernel", counted)
+        def counted(comp, center_dist, lo, r, d):
+            integrand = crossing(comp, center_dist, lo, r, d)
+
+            def call(s):
+                nodes.append(np.broadcast(center_dist, s).size)
+                values = integrand(s)
+                assert np.array_equal(
+                    values, comp.density(s) * _shell_counting_kernel(center_dist, s, r, d))
+                return values
+            return call
+
+        monkeypatch.setattr(measures, "_crossing_integrand", counted)
         value, error = _radial_block(comp, a, r, d)
         assert sum(nodes) == 3 * _PANEL_NODES * live.sum()
     else:

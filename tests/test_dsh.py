@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize
 
+from nevkit import dsh
 from nevkit.dsh import (
     HARMONIC_LABELS,
     Charge,
@@ -16,6 +17,7 @@ from nevkit.dsh import (
     HarmonicPart,
     RationalFunction,
     _CONTACT_RADII,
+    _PATCH_DEPTH,
     _contact_radii,
     dsh_from_json,
     from_rational,
@@ -32,6 +34,7 @@ from nevkit.quadrature import (
     QuadResult,
     QuadSpec,
     positive_part_mean,
+    radius_integral,
     sphere_grid,
     sphere_mean,
 )
@@ -193,7 +196,7 @@ def test_charge_sum_matches_the_per_charge_sum_bit_for_bit(data):
     unit = st.floats(-1.0, 1.0)
     point = st.lists(unit, min_size=d, max_size=d).map(np.array)
     charges = data.draw(st.lists(st.builds(Charge, point, st.floats(-2.0, 2.0).filter(bool)),
-                                 min_size=1, max_size=4))
+                                 min_size=1, max_size=8))
     terms = tuple((lb, data.draw(st.floats(-2.0, 2.0))) for lb in
                   data.draw(st.lists(st.sampled_from(labels), unique=True)))
     u = DshFunction(d, tuple(charges), HarmonicPart(terms))
@@ -206,6 +209,12 @@ def test_charge_sum_matches_the_per_charge_sum_bit_for_bit(data):
     rows = data.draw(st.lists(point, min_size=1, max_size=12))
     if data.draw(st.booleans()):
         rows.insert(data.draw(st.integers(0, len(rows))), u.charges[0].location.copy())
+    if data.draw(st.booleans()):
+        # Within 1e-160 of a charge the squared distance underflows, and the
+        # fused sum hands the pair back to np.hypot.
+        near = st.floats(-1e-160, 1e-160)
+        offset = np.array(data.draw(st.lists(near, min_size=d, max_size=d)))
+        rows.insert(data.draw(st.integers(0, len(rows))), u.charges[-1].location + offset)
     pts = np.array(rows)
     layout = data.draw(st.sampled_from(["C", "F", "strided"]))
     if layout == "F":
@@ -550,8 +559,11 @@ def test_contact_radius_of_the_spatial_density_matches_dense_optimisation():
 
 
 def test_contact_extrema_take_few_vectorised_calls(monkeypatch):
-    # Each extremum is one grid call and a patch search of 25-point calls;
-    # the 33 scan spheres are grid calls too.
+    # The scan's first sphere, of radius 0, is its centre, one point; the
+    # other 32 are grid calls.  Each extremum is a patch search of calls of
+    # up to _PATCH_DEPTH patches of 25 points, after one grid call at a
+    # radius the scan missed; at the bracket's two ends, both scanned, it
+    # starts from the scan's best node.
     sizes = []
     evaluate = DshFunction.evaluate
 
@@ -562,11 +574,34 @@ def test_contact_extrema_take_few_vectorised_calls(monkeypatch):
     monkeypatch.setattr(DshFunction, "evaluate", counted)
     (radius,) = _contact_radii(SPATIAL_U, SPATIAL_DENSITY.center, SPATIAL_DENSITY.outer)
     grid = len(sphere_grid(3))
-    extrema = sizes.count(grid) - (_CONTACT_RADII + 1)
-    assert extrema > 0
-    assert sizes.count(25) + sizes.count(grid) == len(sizes)
-    assert sizes.count(25) <= 40 * extrema
+    assert sizes[0] == 1
+    searches = sizes.count(grid) - _CONTACT_RADII + 2
+    patches = [n for n in sizes[1:] if n != grid]
+    assert set(patches) <= {25 * k for k in range(1, _PATCH_DEPTH + 1)}
+    assert searches > 2 and len(patches) <= 16 * searches
     assert radius == pytest.approx(0.2711297, abs=1e-7)
+
+
+def test_contact_search_takes_the_centre_as_one_point(monkeypatch):
+    # u = 0.5 - 0.1 / |x - q| is negative exactly within 0.2 of q, which
+    # lies 0.195 from the centre c, so the spheres about c first touch
+    # {u > 0} at 0.005, inside the scan's first cell (0, 0.4 / 32), and last
+    # at 0.395.  The sphere of radius 0 is c itself: u is evaluated there
+    # once, for the scan and for the bracket's end, not on copies of c.
+    q = np.array([0.195, 0.0, 0.0])
+    u = DshFunction(3, (Charge(q, 0.1),), HarmonicPart((("const", 0.5),)))
+    calls = []
+    evaluate = DshFunction.evaluate
+
+    def counted(self, x):
+        calls.append(np.atleast_2d(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(DshFunction, "evaluate", counted)
+    radii = sorted(_contact_radii(u, np.zeros(3), 0.4))
+    assert radii == pytest.approx([0.005, 0.395], abs=1e-12)
+    at_centre = [x for x in calls if np.all(x == 0.0)]
+    assert len(at_centre) == 1 and len(at_centre[0]) == 1
 
 
 def test_spatial_density_integral_matches_a_panel_rule():
@@ -738,16 +773,57 @@ def test_contact_split_leaves_one_panel_each_side(monkeypatch):
     # Split at the contact radius, the rule over a radius settles each side
     # of it with one cosine-mapped Gauss-Kronrod piece of 17 nodes: 34 ring
     # means, where QUADPACK, not told of the contact, chased the kink
-    # through 315.
-    radii = []
+    # through 315.  Each piece's means not certified by the sphere range
+    # are one stack.
+    radii, stacks = [], []
+    stacked = dsh._sphere3_positive_means
 
-    def counted(g, s, *args, **kwargs):
-        radii.append(s)
-        return positive_part_mean(g, s, *args, **kwargs)
+    def counted(g, center, s, spec):
+        radii.extend(s)
+        stacks.append(len(s))
+        return stacked(g, center, s, spec)
 
-    monkeypatch.setattr("nevkit.dsh.positive_part_mean", counted)
+    monkeypatch.setattr(dsh, "_sphere3_positive_means", counted)
     budget = ErrorBudget()
     positive_part_integral(SPATIAL_U, Measure(3, radial=(SPATIAL_DENSITY,)),
                            QuadSpec(max_subdivisions=40), budget=budget)
     assert budget.ok
-    assert len(radii) <= 34
+    assert 0 < len(radii) <= 34 and len(stacks) == 2
+
+
+def _kronrod_radii(lo, hi):
+    """The 17 radii at which ``radius_integral`` evaluates its first piece."""
+    radii = []
+
+    def record(s):
+        radii.append(s.copy())
+        return np.zeros_like(s)
+
+    radius_integral(record, lo, hi)
+    return radii[0]
+
+
+def _stack_cases():
+    # d = 3: the spatial density's first piece, whose rings are certified,
+    # all negative or mixed.
+    yield SPATIAL_U, SPATIAL_DENSITY.center, _kronrod_radii(0.0, SPATIAL_DENSITY.outer), QuadSpec()
+    # d = 3: a tight tolerance sends mixed spheres past the first rung, and
+    # a charge on a node of the 0.3-sphere's sign grid makes a value there
+    # infinite.
+    node = SPATIAL_DENSITY.center + 0.3 * sphere_grid(3)[1000]
+    u = DshFunction(3, (*SPATIAL_U.charges, Charge(node, -0.01)), SPATIAL_U.harmonic)
+    yield u, SPATIAL_DENSITY.center, np.array([0.25, 0.3, 0.32]), QuadSpec(abs_tol=1e-13,
+                                                                            rel_tol=1e-13)
+    # d = 2: planar means, one sphere at a time.
+    yield PLANAR_U, PLANAR_DENSITY.center, _kronrod_radii(0.0, PLANAR_DENSITY.outer), QuadSpec()
+
+
+@pytest.mark.parametrize("u, center, radii, spec", list(_stack_cases()),
+                         ids=["spatial-piece", "tight-and-infinite", "planar-piece"])
+def test_a_stack_of_means_is_one_call_per_radius_bit_for_bit(u, center, radii, spec):
+    stacked, single = ErrorBudget(), ErrorBudget()
+    values = u.positive_mean(center, radii, spec, budget=stacked)
+    expected = [u.positive_mean(center, float(r), spec, budget=single) for r in radii]
+    assert values.tolist() == expected
+    assert stacked.error == single.error
+    assert stacked.failures == single.failures

@@ -178,7 +178,7 @@ def test_cosine_kronrod_rule_extends_the_cosine_gauss_rule():
 
 
 def test_radius_integral_log_endpoint():
-    res = radius_integral(math.log, 0.0, 1.0)
+    res = radius_integral(np.log, 0.0, 1.0)
     assert res.converged
     assert res.value == pytest.approx(-1.0, rel=1e-10)
 
@@ -193,24 +193,24 @@ def test_radius_integral_reaches_an_undeclared_kink_by_halving():
     calls = []
 
     def f(t):
-        calls.append(t)
+        calls.append(len(t))
         return abs(t - 1.0 / 3.0)
 
     res = radius_integral(f, 0.0, 1.0)
     assert res.converged
     assert abs(res.value - 5.0 / 18.0) <= res.error + 1e-15
-    # One piece is 17 evaluations; halving adds 34 each time.
-    assert len(calls) > 17 and (len(calls) - 17) % 34 == 0
+    # One piece is one call at 17 nodes; halving adds two such calls.
+    assert len(calls) > 1 and len(calls) % 2 == 1 and set(calls) == {17}
 
 
 def test_radius_integral_of_a_log_singularity_at_a_break():
-    res = radius_integral(lambda t: math.log(abs(t - 0.5)), 0.0, 1.0, breaks=[0.5])
+    res = radius_integral(lambda t: np.log(abs(t - 0.5)), 0.0, 1.0, breaks=[0.5])
     assert res.converged
     assert res.value == pytest.approx(-1.0 - math.log(2.0), rel=1e-9)
 
 
 def test_radius_integral_flags_a_nan_and_a_capped_kink():
-    assert not radius_integral(lambda t: math.nan if t > 0.5 else t, 0.0, 1.0).converged
+    assert not radius_integral(lambda t: np.where(t > 0.5, math.nan, t), 0.0, 1.0).converged
     assert not radius_integral(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0,
                                QuadSpec(max_subdivisions=8)).converged
 
@@ -221,8 +221,8 @@ def test_radius_integral_stops_at_its_rounding_floor():
     calls = []
 
     def f(t):
-        calls.append(t)
-        return math.exp(t)
+        calls.extend(t)
+        return np.exp(t)
 
     res = radius_integral(f, 0.0, 1.0, QuadSpec(abs_tol=1e-300, rel_tol=1e-300))
     assert not res.converged
@@ -232,14 +232,14 @@ def test_radius_integral_stops_at_its_rounding_floor():
 
 def test_radius_integral_takes_more_breaks_than_the_cap():
     breaks = np.linspace(0.0, 1.0, 20)[1:-1]
-    res = radius_integral(math.exp, 0.0, 1.0, QuadSpec(max_subdivisions=8), breaks=breaks)
+    res = radius_integral(np.exp, 0.0, 1.0, QuadSpec(max_subdivisions=8), breaks=breaks)
     assert res.converged
     assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
 def test_radius_integral_rejects_reversed_interval():
     with pytest.raises(ValueError):
-        radius_integral(math.sin, 1.0, 0.0)
+        radius_integral(np.sin, 1.0, 0.0)
 
 
 def test_sphere_mean_dimension_three():
@@ -506,8 +506,8 @@ def test_sphere_positive_part_mean_sees_a_spike_between_sign_rows():
         c = math.sin(theta_c) * e1 + math.cos(theta_c) * pole
     g = spiked(c)
     assert np.any(dirs @ c > math.cos(spike))
-    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, QuadSpec(), dirs,
-                                     g(dirs) > 0.0) is None
+    assert quadrature._meridian_mean(g, np.zeros(3), [1.0], [pole], QuadSpec(), dirs,
+                                     [g(dirs) > 0.0]) == [None]
     budget = ErrorBudget()
     value = positive_part_mean(g, 1.0, 3, budget=budget)
     exact = (1.0 - height) ** 2 / 4.0 + steep * (1.0 - math.cos(spike)) ** 2 / 4.0
@@ -565,13 +565,14 @@ def test_meridian_rule_turns_down_a_patch_between_its_meridians(monkeypatch):
     spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
     monkeypatch.setattr(quadrature, "_MAX_SEGMENT_NODES", 2 * quadrature._SEGMENT_NODES)
     monkeypatch.setattr(quadrature, "_MAX_MERIDIANS", quadrature._MERIDIANS)
-    capped = quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, spec, dirs, g(dirs) > 0.0)
+    (capped,) = quadrature._meridian_mean(g, np.zeros(3), [1.0], [pole], spec, dirs,
+                                          [g(dirs) > 0.0])
     assert not capped.converged
     # One halving: the meridian it adds crosses g = 0 two more times, and
     # the rule gives up on its frame.
     monkeypatch.setattr(quadrature, "_MAX_MERIDIANS", 2 * quadrature._MERIDIANS)
-    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, spec, dirs,
-                                     g(dirs) > 0.0) is None
+    assert quadrature._meridian_mean(g, np.zeros(3), [1.0], [pole], spec, dirs,
+                                     [g(dirs) > 0.0]) == [None]
 
 
 def test_meridian_rule_gives_up_on_roots_that_do_not_close(monkeypatch):
@@ -582,11 +583,11 @@ def test_meridian_rule_gives_up_on_roots_that_do_not_close(monkeypatch):
 
     dirs = quadrature.sphere_grid(3)
     pole = np.array([0.0, 0.0, 1.0])
-    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, QuadSpec(), dirs,
-                                     g(dirs) > 0.0).converged
+    assert quadrature._meridian_mean(g, np.zeros(3), [1.0], [pole], QuadSpec(), dirs,
+                                     [g(dirs) > 0.0])[0].converged
     monkeypatch.setattr(quadrature, "_ROOT_MAXITER", 1)
-    assert quadrature._meridian_mean(g, np.zeros(3), 1.0, pole, QuadSpec(), dirs,
-                                     g(dirs) > 0.0) is None
+    assert quadrature._meridian_mean(g, np.zeros(3), [1.0], [pole], QuadSpec(), dirs,
+                                     [g(dirs) > 0.0]) == [None]
 
 
 def test_sphere_positive_part_centroid_frames_agree():
@@ -599,8 +600,8 @@ def test_sphere_positive_part_centroid_frames_agree():
     for side in (positive, ~positive):
         centroid = area[side] @ dirs[side]
         pole = centroid / np.linalg.norm(centroid)
-        results.append(quadrature._meridian_mean(SPATIAL_U.evaluate, np.zeros(3), 0.6,
-                                                 pole, QuadSpec(), dirs, positive))
+        results += quadrature._meridian_mean(SPATIAL_U.evaluate, np.zeros(3), [0.6],
+                                             [pole], QuadSpec(), dirs, [positive])
     (a, b) = results
     assert a.converged and b.converged
     assert abs(a.value - b.value) <= a.error + b.error + 4e-16 * a.value
